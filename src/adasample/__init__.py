@@ -1,20 +1,18 @@
 """Descriptor-learning laboratory with adaptive hard-positive sampling."""
 
 from .config import EvalOptions, RunConfig, load_run_config, substream_seed
-from .data import (ClassGroup, DatasetSpec, Patch, augment,
-                   generate_positives, generate_synthetic, normalize_patch,
-                   read_dataset, write_dataset)
+from .data import (ClassGroup, DatasetSpec, Patch, generate_positives,
+                   generate_synthetic, read_dataset, write_dataset)
 from .evaluation import (EvalReport, fpr_at_recall, info_correlation_probe,
                          mann_whitney_u, pearson, retrieval_map)
 from .metricspace import MetricKind, distance, distance_grad, \
-    pairwise_distances
+    paired_distances, pairwise_distances
 from .miner import (MinedTriplet, NegMode, NegSource, hardest_negatives,
                     loss_grads, mine_triplets, triplet_loss)
-from .sampler import (LossTracker, PositiveDraw, SamplerConfig,
-                      adaptive_exponent, categorical_sample,
-                      expected_rectification, optimal_probs, positive_probs,
-                      reweights, trace_variance, unbiased_weights,
-                      update_loss_avg)
+from .sampler import (LossTracker, SamplerConfig, adaptive_exponent,
+                      categorical_sample, expected_rectification,
+                      optimal_probs, positive_probs, reweights,
+                      trace_variance, unbiased_weights, update_loss_avg)
 from .tensornet import (Activation, ForwardCache, GradEstimate, ModelParams,
                         backward, finite_diff_grad, forward, init_params,
                         read_params, write_params)

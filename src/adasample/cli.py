@@ -10,18 +10,14 @@ Commands::
                         --strategies 0,10 --seeds 1,2,3,4,5
 
 Exit codes: 0 success, 1 runtime or numeric failure, 2 usage or config
-errors. ``--seed`` and ``--lambda`` override the config file. The
-``ADASAMPLE_THREADS`` environment variable caps worker parallelism of
-``compare``.
+errors. ``--seed`` and ``--lambda`` override the config file.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +29,7 @@ from .config import (RunConfig, load_run_config, substream_seed, with_lambda,
 from .data import (ClassGroup, generate_positives, generate_synthetic,
                    read_dataset, to_input_matrix, write_dataset)
 from .errors import DatasetError, FormatError, NumericError
+from .metricspace import paired_distances
 from .tensornet import forward, read_params, write_params
 
 EXIT_OK = 0
@@ -75,12 +72,7 @@ def verification_distances(dataset: list[ClassGroup], params, kind,
         patches.append(pa[int(rng.integers(len(pa)))])
         patches.append(pb[int(rng.integers(len(pb)))])
     descs, _ = forward(params, to_input_matrix(patches))
-    a = descs[0::2]
-    b = descs[1::2]
-    if kind.value == "euclidean":
-        d = np.linalg.norm(a - b, axis=1)
-    else:
-        d = np.arccos(np.clip(np.sum(a * b, axis=1), -1.0, 1.0))
+    d = paired_distances(descs[0::2], descs[1::2], kind)
     return d[:num_pairs], d[num_pairs:]
 
 
@@ -220,29 +212,15 @@ def cmd_compare(args) -> int:
     dataset = read_dataset(args.dataset)
     train_split, holdout = split_holdout(dataset,
                                          config.eval.holdout_fraction)
-    threads = int(os.environ.get("ADASAMPLE_THREADS", "1"))
-    cells = [(lam, seed) for lam in strategies for seed in seeds]
     results: dict[tuple[float, int], float] = {}
     failures: dict[tuple[float, int], str] = {}
-
-    def run_cell(cell):
-        lam, seed = cell
-        try:
-            return cell, _compare_cell(config, train_split, holdout, lam,
-                                       seed), None
-        except (NumericError, DatasetError, ValueError) as exc:
-            return cell, None, str(exc)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run_cell, cells))
-    else:
-        outcomes = [run_cell(cell) for cell in cells]
-    for cell, fpr, err in outcomes:
-        if err is None:
-            results[cell] = fpr
-        else:
-            failures[cell] = err
+    for lam in strategies:
+        for seed in seeds:
+            try:
+                results[(lam, seed)] = _compare_cell(config, train_split,
+                                                     holdout, lam, seed)
+            except (NumericError, DatasetError, ValueError) as exc:
+                failures[(lam, seed)] = str(exc)
 
     rows = []
     base = strategies[0]

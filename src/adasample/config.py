@@ -72,15 +72,6 @@ class RunConfig:
                              "data.patches_per_class")
 
 
-def _parse_bool(text: str) -> bool:
-    low = text.lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
-
-
 def _parse_int_list(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:

@@ -1,4 +1,4 @@
-"""Synthetic patch dataset generation, augmentation, and on-disk format.
+"""Synthetic patch dataset generation, normalization, and on-disk format.
 
 Each class is a smooth random texture prototype rendered at a canvas twice
 the patch size; its k views are produced by small random similarity warps
@@ -13,8 +13,7 @@ Patches travel as float64 in memory and float32 on disk.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -74,11 +73,6 @@ class DatasetSpec:
             raise ValueError("jitter magnitudes must be nonnegative")
         if not 0.0 <= self.outlier_fraction <= 1.0:
             raise ValueError("outlier_fraction must be in [0, 1]")
-
-
-class NormalizedPatch(NamedTuple):
-    patch: Patch
-    constant: bool
 
 
 def _texture_prototype(canvas: int, octaves: int,
@@ -143,25 +137,6 @@ def generate_synthetic(spec: DatasetSpec) -> list[ClassGroup]:
     return dataset
 
 
-def dihedral_transform(pixels: np.ndarray, index: int) -> np.ndarray:
-    """One of the 8 pixel-exact square symmetries: index = rot + 4 * flip."""
-    if not 0 <= index < 8:
-        raise ValueError(f"dihedral index must be in [0, 8), got {index}")
-    out = np.rot90(pixels, index % 4)
-    if index >= 4:
-        out = np.fliplr(out)
-    return out.copy()
-
-
-def augment(patch: Patch, rng: np.random.Generator) -> Patch:
-    """Random flip / quarter-turn augmentation (uniform over the 8 symmetries)."""
-    if patch.pixels.shape[0] != patch.pixels.shape[1]:
-        raise ValueError(f"augment requires a square patch, "
-                         f"got {patch.pixels.shape}")
-    idx = int(rng.integers(8))
-    return replace(patch, pixels=dihedral_transform(patch.pixels, idx))
-
-
 def rotate_patch(pixels: np.ndarray, angle_deg: float) -> np.ndarray:
     """Continuous rotation about the patch center, bilinear, reflect padding."""
     c = (np.asarray(pixels.shape) - 1) / 2.0
@@ -196,23 +171,9 @@ def generate_positives(class_group: ClassGroup, target_k: int,
     return ClassGroup(class_group.class_id, grown)
 
 
-def normalize_pixels(pixels: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Zero mean, unit variance; constant patches map to zeros with a flag."""
-    pix = np.asarray(pixels, dtype=np.float64)
-    centered = pix - pix.mean()
-    std = centered.std()
-    if std == 0.0:
-        return np.zeros_like(pix), True
-    return centered / std, False
-
-
-def normalize_patch(patch: Patch) -> NormalizedPatch:
-    pix, constant = normalize_pixels(patch.pixels)
-    return NormalizedPatch(replace(patch, pixels=pix), constant)
-
-
 def to_input_matrix(patches: list[Patch]) -> np.ndarray:
-    """Stack normalized, row-major-flattened patches into a (B, P*P) matrix."""
+    """Stack row-major-flattened patches into a (B, P*P) matrix with each
+    row at zero mean and unit variance; constant patches give zero rows."""
     X = np.stack([p.pixels.ravel() for p in patches]).astype(np.float64)
     X -= X.mean(axis=1, keepdims=True)
     std = X.std(axis=1, keepdims=True)

@@ -91,15 +91,8 @@ def distance_grad(a: np.ndarray, b: np.ndarray, kind: MetricKind) -> DistanceGra
     return DistanceGrads(factor * b, factor * a, saturated)
 
 
-def pairwise_distances(batch_a: Sequence[np.ndarray] | np.ndarray,
-                       batch_b: Sequence[np.ndarray] | np.ndarray,
-                       kind: MetricKind,
-                       chunk_rows: int = 256) -> np.ndarray:
-    """Matrix with entry (i, j) = distance(a_i, b_j, kind).
-
-    Rows are processed in chunks so the (n, m, D) difference tensor used by
-    the euclidean branch stays bounded.
-    """
+def _unit_rows(batch_a, batch_b) -> tuple[np.ndarray, np.ndarray]:
+    """Both batches as 2-D float64 arrays of unit-norm rows of equal width."""
     A = np.atleast_2d(np.asarray(batch_a, dtype=np.float64))
     B = np.atleast_2d(np.asarray(batch_b, dtype=np.float64))
     if A.shape[1] != B.shape[1]:
@@ -110,6 +103,19 @@ def pairwise_distances(batch_a: Sequence[np.ndarray] | np.ndarray,
             bad = int(np.argmax(np.abs(norms - 1.0)))
             raise ValueError(f"{name}[{bad}] is not unit-norm "
                              f"(norm {norms[bad]:.6g})")
+    return A, B
+
+
+def pairwise_distances(batch_a: Sequence[np.ndarray] | np.ndarray,
+                       batch_b: Sequence[np.ndarray] | np.ndarray,
+                       kind: MetricKind,
+                       chunk_rows: int = 256) -> np.ndarray:
+    """Matrix with entry (i, j) = distance(a_i, b_j, kind).
+
+    Rows are processed in chunks so the (n, m, D) difference tensor used by
+    the euclidean branch stays bounded.
+    """
+    A, B = _unit_rows(batch_a, batch_b)
     out = np.empty((A.shape[0], B.shape[0]), dtype=np.float64)
     for start in range(0, A.shape[0], chunk_rows):
         stop = min(start + chunk_rows, A.shape[0])
@@ -120,3 +126,15 @@ def pairwise_distances(batch_a: Sequence[np.ndarray] | np.ndarray,
             gram = np.clip(A[start:stop] @ B.T, -1.0, 1.0)
             out[start:stop] = np.arccos(gram)
     return out
+
+
+def paired_distances(batch_a: Sequence[np.ndarray] | np.ndarray,
+                     batch_b: Sequence[np.ndarray] | np.ndarray,
+                     kind: MetricKind) -> np.ndarray:
+    """Vector with entry i = distance(a_i, b_i, kind)."""
+    A, B = _unit_rows(batch_a, batch_b)
+    if A.shape[0] != B.shape[0]:
+        raise ValueError(f"row counts differ: {A.shape[0]} vs {B.shape[0]}")
+    if kind is MetricKind.EUCLIDEAN:
+        return np.linalg.norm(A - B, axis=1)
+    return np.arccos(np.clip(np.sum(A * B, axis=1), -1.0, 1.0))

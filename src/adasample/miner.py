@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metricspace import MetricKind, distance_grad, pairwise_distances
+from .metricspace import MetricKind, distance_grad, \
+    paired_distances, pairwise_distances
 
 
 class NegSource(enum.Enum):
@@ -117,9 +118,7 @@ def mine_triplets(anchors: np.ndarray, positives: np.ndarray,
     A = np.atleast_2d(np.asarray(anchors, dtype=np.float64))
     P = np.atleast_2d(np.asarray(positives, dtype=np.float64))
     mined = hardest_negatives(A, P, kind, neg_mode)
-    d_pos = np.array([np.linalg.norm(A[i] - P[i]) for i in range(A.shape[0])]) \
-        if kind is MetricKind.EUCLIDEAN else \
-        np.arccos(np.clip(np.sum(A * P, axis=1), -1.0, 1.0))
+    d_pos = paired_distances(A, P, kind)
     return [
         MinedTriplet(pair_index=i, d_pos=float(d_pos[i]), d_neg=dn,
                      neg_source=src, neg_pair_index=j,

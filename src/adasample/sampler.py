@@ -59,16 +59,6 @@ class LossTracker:
     initialized: bool = False
 
 
-@dataclass(frozen=True)
-class PositiveDraw:
-    """Record of one positive selection within a class."""
-
-    anchor_index: int
-    chosen_index: int
-    probability_used: float
-    weight: float
-
-
 class Reweights(NamedTuple):
     weights: np.ndarray
     clamped: bool

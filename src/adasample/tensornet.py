@@ -48,9 +48,6 @@ class ModelParams:
     def layer_dims(self) -> list[int]:
         return [self.layers[0].shape[1]] + [w.shape[0] for w in self.layers]
 
-    def num_layers(self) -> int:
-        return len(self.layers)
-
     def copy(self) -> "ModelParams":
         return ModelParams([w.copy() for w in self.layers], self.activation)
 
@@ -100,9 +97,6 @@ class GradEstimate:
 
     def norm(self) -> float:
         return float(np.sqrt(sum(float(np.sum(g * g)) for g in self.layers)))
-
-    def scaled(self, c: float) -> "GradEstimate":
-        return GradEstimate([c * g for g in self.layers])
 
 
 def init_params(layer_dims: Sequence[int], seed: int,

@@ -20,13 +20,13 @@ drop epoch. Runs are reproducible from (config, dataset, seed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
 from . import sampler as smp
-from .data import ClassGroup, Patch, to_input_matrix
+from .data import ClassGroup, to_input_matrix
 from .errors import DatasetError, NumericError
 from .metricspace import MetricKind, pairwise_distances
 from .miner import NegMode, loss_grads, mine_triplets
@@ -92,29 +92,36 @@ class TrainState:
     lr: float = 0.0
 
 
+class Batch(NamedTuple):
+    """Input rows of a batch, anchors then positives, and per-pair weights."""
+
+    inputs: np.ndarray          # (2n, D)
+    weights: np.ndarray         # (n,)
+
+
 @dataclass
 class BatchDiagnostics:
-    class_ids: list[int]
-    draws: list[smp.PositiveDraw]
-    candidate_distances: list[np.ndarray]
-    candidate_probs: list[np.ndarray]
+    """Per-pair choices of one batch; index arrays address each class's
+    patch list."""
+
+    class_ids: np.ndarray
+    anchor_index: np.ndarray
+    positive_index: np.ndarray
+    probability_used: np.ndarray
     exponent: float
     weight_clamped: bool
-
-
-BatchItem = tuple[Patch, Patch, float]
 
 
 def build_batch(dataset: list[ClassGroup], params: ModelParams,
                 tracker: LossTracker, config: TrainConfig,
                 rng: np.random.Generator,
-                class_inputs: list[np.ndarray] | None = None
-                ) -> tuple[list[BatchItem], BatchDiagnostics]:
+                class_inputs: list[np.ndarray]
+                ) -> tuple[Batch, BatchDiagnostics]:
     """Select n distinct classes and one weighted (anchor, positive) each.
 
-    ``class_inputs`` may hold precomputed per-class input matrices (as from
-    :func:`adasample.data.to_input_matrix`) to avoid renormalizing patches
-    every step.
+    ``class_inputs[c]`` is the input matrix of ``dataset[c]``, as from
+    :func:`adasample.data.to_input_matrix`; the batch rows are copied from
+    it.
     """
     n = config.batch_size
     if len(dataset) < n:
@@ -130,19 +137,13 @@ def build_batch(dataset: list[ClassGroup], params: ModelParams,
     # One batched descriptor extraction over every patch of the selected
     # classes; per-class rows are sliced out afterwards.
     groups = [dataset[int(ci)] for ci in chosen_classes]
-    if class_inputs is None:
-        flat_inputs = to_input_matrix([p for g in groups for p in g.patches])
-    else:
-        flat_inputs = np.vstack([class_inputs[int(ci)]
-                                 for ci in chosen_classes])
+    flat_inputs = np.vstack([class_inputs[int(ci)] for ci in chosen_classes])
     descs, _ = forward(params, flat_inputs)
     offsets = np.cumsum([0] + [len(g.patches) for g in groups])
 
-    anchors: list[Patch] = []
-    positives: list[Patch] = []
-    draws: list[smp.PositiveDraw] = []
-    all_dists: list[np.ndarray] = []
-    all_probs: list[np.ndarray] = []
+    anchor_index = np.empty(n, dtype=np.int64)
+    positive_index = np.empty(n, dtype=np.int64)
+    probability_used = np.empty(n)
     chosen_d = np.empty(n)
     for slot, group in enumerate(groups):
         k = len(group.patches)
@@ -153,36 +154,28 @@ def build_batch(dataset: list[ClassGroup], params: ModelParams,
                                    config.metric)[:, 0]
         probs = smp.positive_probs(dists, exponent)
         pick = smp.categorical_sample(probs, rng)
-        p_idx = cand_idx[pick]
-        anchors.append(group.patches[a_idx])
-        positives.append(group.patches[p_idx])
-        draws.append(smp.PositiveDraw(anchor_index=a_idx, chosen_index=p_idx,
-                                      probability_used=float(probs[pick]),
-                                      weight=1.0))
-        all_dists.append(dists)
-        all_probs.append(probs)
+        anchor_index[slot] = a_idx
+        positive_index[slot] = cand_idx[pick]
+        probability_used[slot] = probs[pick]
         chosen_d[slot] = dists[pick]
 
     weights, clamped = smp.reweights(chosen_d)
-    draws = [replace(d, weight=float(w)) for d, w in zip(draws, weights)]
-    batch = [(a, p, float(w)) for a, p, w in zip(anchors, positives, weights)]
-    diag = BatchDiagnostics(class_ids=[g.class_id for g in groups],
-                            draws=draws, candidate_distances=all_dists,
-                            candidate_probs=all_probs, exponent=exponent,
-                            weight_clamped=clamped)
-    return batch, diag
+    starts = offsets[:-1]
+    inputs = flat_inputs[np.concatenate([starts + anchor_index,
+                                         starts + positive_index])]
+    diag = BatchDiagnostics(
+        class_ids=np.array([g.class_id for g in groups]),
+        anchor_index=anchor_index, positive_index=positive_index,
+        probability_used=probability_used, exponent=exponent,
+        weight_clamped=clamped)
+    return Batch(inputs, weights), diag
 
 
-def train_step(state: TrainState, batch: list[BatchItem],
+def train_step(state: TrainState, batch: Batch,
                config: TrainConfig) -> tuple[TrainState, dict]:
     """One update: forward, mine, weighted hinge loss, momentum SGD."""
-    n = len(batch)
-    anchors = [item[0] for item in batch]
-    positives = [item[1] for item in batch]
-    weights = np.array([item[2] for item in batch])
-
-    inputs = to_input_matrix(anchors + positives)
-    descs, cache = forward(state.params, inputs)
+    n = len(batch.weights)
+    descs, cache = forward(state.params, batch.inputs)
     desc_a, desc_p = descs[:n], descs[n:]
 
     mined = mine_triplets(desc_a, desc_p, config.metric, config.margin,
@@ -193,7 +186,8 @@ def train_step(state: TrainState, batch: list[BatchItem],
         raise NumericError(f"non-finite batch loss at step {state.step}: "
                            f"{losses}")
 
-    grad_a, grad_p = loss_grads(desc_a, desc_p, mined, config.metric, weights)
+    grad_a, grad_p = loss_grads(desc_a, desc_p, mined, config.metric,
+                                batch.weights)
     param_grads, _ = backward(state.params, cache,
                               np.vstack([grad_a, grad_p]))
 

@@ -368,22 +368,3 @@ class TestCliPipeline:
                      "--out", str(tmp_path / "c"),
                      "--strategies", "10", "--seeds", "1,2,3"]) == 2
         capsys.readouterr()
-
-    def test_compare_threaded_matches_sequential(self, tmp_path, monkeypatch,
-                                                 capsys):
-        cfg_text = TINY_CONFIG + "\ndata.num_classes = 10\n" \
-            + "eval.holdout_fraction = 0.3\n"
-        cfg = tmp_path / "thr.cfg"
-        cfg.write_text(cfg_text)
-        data_path = tmp_path / "d.adsp"
-        main(["gen-data", "--config", str(cfg), "--out", str(data_path)])
-        outputs = {}
-        for tag, threads in (("seq", "1"), ("par", "3")):
-            monkeypatch.setenv("ADASAMPLE_THREADS", threads)
-            out = tmp_path / tag
-            assert main(["compare", "--config", str(cfg),
-                         "--dataset", str(data_path), "--out", str(out),
-                         "--strategies", "0,10", "--seeds", "1,2,3"]) == 0
-            outputs[tag] = (out / "compare.csv").read_text()
-        assert outputs["seq"] == outputs["par"]
-        capsys.readouterr()

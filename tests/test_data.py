@@ -1,12 +1,10 @@
-"""Tests for synthetic patch generation, augmentation, and the file format."""
+"""Tests for synthetic patch generation, normalization, and the file format."""
 
 import numpy as np
 import pytest
 
-from adasample.data import (DatasetSpec, Patch, augment,
-                            dihedral_transform, generate_positives,
-                            generate_synthetic, normalize_patch,
-                            normalize_pixels, read_dataset, rotate_patch,
+from adasample.data import (DatasetSpec, Patch, generate_positives,
+                            generate_synthetic, read_dataset, rotate_patch,
                             to_input_matrix, write_dataset)
 from adasample.errors import FormatError
 from adasample.metricspace import MetricKind, pairwise_distances
@@ -87,45 +85,6 @@ class TestGenerateSynthetic:
             generate_synthetic(small_spec(patch_size=2))
 
 
-class TestAugment:
-    def test_identity_transform_keeps_pixels(self):
-        pix = np.arange(16.0).reshape(4, 4)
-        np.testing.assert_array_equal(dihedral_transform(pix, 0), pix)
-
-    def test_two_quarter_turns_compose_to_half_turn(self):
-        pix = np.arange(16.0).reshape(4, 4)
-        twice = dihedral_transform(dihedral_transform(pix, 1), 1)
-        np.testing.assert_array_equal(twice, dihedral_transform(pix, 2))
-
-    def test_transforms_are_uniform(self):
-        """Each of the 8 symmetries appears ~uniformly over many draws."""
-        rng = np.random.default_rng(22)
-        pix = np.arange(16.0).reshape(4, 4)
-        variants = [dihedral_transform(pix, i) for i in range(8)]
-        counts = np.zeros(8)
-        n = 10_000
-        patch = Patch(pix, 0, 0)
-        for _ in range(n):
-            out = augment(patch, rng)
-            for i, v in enumerate(variants):
-                if np.array_equal(out.pixels, v):
-                    counts[i] += 1
-                    break
-        expected = n / 8
-        sigma = np.sqrt(n * (1 / 8) * (7 / 8))
-        assert np.all(np.abs(counts - expected) < 3 * sigma)
-
-    def test_augment_preserves_identity_fields(self):
-        rng = np.random.default_rng(23)
-        patch = Patch(np.ones((4, 4)), class_id=9, patch_id=2)
-        out = augment(patch, rng)
-        assert (out.class_id, out.patch_id) == (9, 2)
-
-    def test_non_square_patch_rejected(self):
-        with pytest.raises(ValueError, match="square"):
-            augment(Patch(np.ones((3, 4)), 0, 0), np.random.default_rng(0))
-
-
 class TestGeneratePositives:
     def group(self):
         ds = generate_synthetic(small_spec(patches_per_class=2))
@@ -159,31 +118,44 @@ class TestGeneratePositives:
         np.testing.assert_allclose(rotate_patch(pix, 0.0), pix, atol=1e-12)
 
 
+def normalize_pixels(pixels):
+    """Scalar oracle for one row of to_input_matrix: zero mean, unit
+    variance; a constant patch maps to zeros with a flag."""
+    pix = np.asarray(pixels, dtype=np.float64)
+    centered = pix - pix.mean()
+    std = centered.std()
+    if std == 0.0:
+        return np.zeros_like(pix), True
+    return centered / std, False
+
+
+def input_rows(*pixels):
+    return to_input_matrix([Patch(p, 0, i) for i, p in enumerate(pixels)])
+
+
 class TestNormalize:
     def test_idempotent(self):
         rng = np.random.default_rng(24)
-        pix, _ = normalize_pixels(rng.normal(2.0, 3.0, size=(6, 6)))
-        again, flag = normalize_pixels(pix)
-        assert not flag
-        np.testing.assert_allclose(again, pix, atol=1e-12)
+        once = input_rows(rng.normal(2.0, 3.0, size=(6, 6)))[0]
+        again = input_rows(once.reshape(6, 6))[0]
+        np.testing.assert_allclose(again, once, atol=1e-12)
 
     def test_constant_patch_flagged_and_zeroed(self):
-        out = normalize_patch(Patch(np.full((5, 5), 3.3), 0, 0))
-        assert out.constant
-        assert np.all(out.patch.pixels == 0)
+        pix = np.full((5, 5), 3.3)
+        assert normalize_pixels(pix)[1]
+        assert np.all(input_rows(pix) == 0)
 
     def test_affine_invariance(self):
         rng = np.random.default_rng(25)
         X = rng.normal(size=(6, 6))
-        a, _ = normalize_pixels(X)
-        b, _ = normalize_pixels(2.5 * X - 7.0)
+        a, b = input_rows(X, 2.5 * X - 7.0)
         np.testing.assert_allclose(a, b, atol=1e-10)
 
     def test_moments_after_normalization(self):
         rng = np.random.default_rng(26)
-        pix, _ = normalize_pixels(rng.normal(5, 9, size=(8, 8)))
-        assert abs(pix.mean()) < 1e-9
-        assert abs(pix.var() - 1.0) < 1e-6
+        row = input_rows(rng.normal(5, 9, size=(8, 8)))[0]
+        assert abs(row.mean()) < 1e-9
+        assert abs(row.var() - 1.0) < 1e-6
 
     def test_input_matrix_matches_per_patch_normalization(self):
         rng = np.random.default_rng(27)

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adasample.metricspace import (MetricKind, distance, distance_grad,
-                                   pairwise_distances)
+                                   paired_distances, pairwise_distances)
 
 
 def unit(v):
@@ -158,6 +160,9 @@ class TestPairwiseDistances:
         for i in range(4):
             for j in range(5):
                 assert abs(D[i, j] - distance(A[i], B[j], kind)) < 1e-12
+        d = paired_distances(A, B[:4], kind)
+        for i in range(4):
+            assert abs(d[i] - distance(A[i], B[i], kind)) < 1e-12
 
     def test_chunking_does_not_change_results(self):
         rng = np.random.default_rng(13)
@@ -169,9 +174,26 @@ class TestPairwiseDistances:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             pairwise_distances(np.eye(3), np.eye(4), MetricKind.ANGULAR)
+        with pytest.raises(ValueError, match="row counts differ"):
+            paired_distances(np.eye(3), np.eye(3)[:2], MetricKind.ANGULAR)
 
     def test_non_unit_row_rejected(self):
         A = np.eye(3)
         B = np.eye(3) * 1.5
         with pytest.raises(ValueError, match="not unit-norm"):
             pairwise_distances(A, B, MetricKind.EUCLIDEAN)
+
+
+class TestPairedDistances:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 40), dim=st.integers(2, 48),
+           kind=st.sampled_from(list(MetricKind)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_rows_match_scalar_distance(self, n, dim, kind, seed):
+        rng = np.random.default_rng(seed)
+        A = np.stack([random_unit(rng, dim) for _ in range(n)])
+        B = np.stack([random_unit(rng, dim) for _ in range(n)])
+        d = paired_distances(A, B, kind)
+        assert d.shape == (n,)
+        for i in range(n):
+            assert abs(d[i] - distance(A[i], B[i], kind)) < 1e-12

@@ -68,6 +68,9 @@ class TestHardestNegatives:
             for (dg, sg, jg), (dw, sw, jw) in zip(got, want):
                 assert jg == jw and sg is sw
                 assert dg == pytest.approx(dw, abs=1e-12)
+            for t in mine_triplets(A, P, kind, 1.0, neg_mode):
+                i = t.pair_index
+                assert abs(t.d_pos - distance(A[i], P[i], kind)) < 1e-12
 
     def test_tie_break_prefers_lowest_index_then_anchor_source(self):
         # identical anchors at three slots: every candidate distance ties

@@ -26,29 +26,58 @@ def tiny_config(**kw):
     return TrainConfig(**base)
 
 
+def batch_of(ds, state, cfg, rng, tracker=None):
+    """build_batch over per-class input matrices made from ``ds``."""
+    inputs = [to_input_matrix(g.patches) for g in ds]
+    return build_batch(ds, state.params, tracker or state.loss_tracker, cfg,
+                       rng, inputs)
+
+
 class TestBuildBatch:
     def test_forced_choice_with_two_patches(self):
         ds = tiny_dataset(k=2)
         cfg = tiny_config()
         state = init_state(cfg, 64)
-        batch, diag = build_batch(ds, state.params, state.loss_tracker,
-                                  cfg, np.random.default_rng(0))
-        for (anchor, positive, _), draw in zip(batch, diag.draws):
-            assert anchor.class_id == positive.class_id
-            assert anchor.patch_id != positive.patch_id
-            assert draw.probability_used == 1.0
+        batch, diag = batch_of(ds, state, cfg, np.random.default_rng(0))
+        assert np.all(diag.anchor_index != diag.positive_index)
+        assert np.all(diag.probability_used == 1.0)
+
+    def test_rows_are_the_named_patches(self):
+        """Row i holds anchor i and row n + i positive i, each equal to the
+        to_input_matrix row of the class and patch the diagnostics name."""
+        ds = tiny_dataset(num_classes=10, k=5)
+        cfg = tiny_config(batch_size=6)
+        state = init_state(cfg, 64)
+        rng = np.random.default_rng(3)
+        by_id = {g.class_id: g for g in ds}
+        n = cfg.batch_size
+        for tracker in (None, LossTracker(l_avg=0.5, initialized=True)):
+            batch, diag = batch_of(ds, state, cfg, rng, tracker)
+            assert batch.inputs.shape == (2 * n, 64)
+            assert batch.weights.shape == (n,)
+            assert batch.weights.mean() == pytest.approx(1.0)
+            for i, cid in enumerate(diag.class_ids):
+                patches = by_id[int(cid)].patches
+                a = patches[diag.anchor_index[i]]
+                p = patches[diag.positive_index[i]]
+                assert a.class_id == p.class_id == cid
+                assert a.patch_id != p.patch_id
+                np.testing.assert_array_equal(batch.inputs[i],
+                                              to_input_matrix([a])[0])
+                np.testing.assert_array_equal(batch.inputs[n + i],
+                                              to_input_matrix([p])[0])
 
     def test_identical_for_fixed_seed(self):
         ds = tiny_dataset()
         cfg = tiny_config()
         state = init_state(cfg, 64)
-        b1, d1 = build_batch(ds, state.params, state.loss_tracker, cfg,
-                             np.random.default_rng(5))
-        b2, d2 = build_batch(ds, state.params, state.loss_tracker, cfg,
-                             np.random.default_rng(5))
-        assert d1.class_ids == d2.class_ids
-        for (a1, p1, w1), (a2, p2, w2) in zip(b1, b2):
-            assert a1 is a2 and p1 is p2 and w1 == w2
+        b1, d1 = batch_of(ds, state, cfg, np.random.default_rng(5))
+        b2, d2 = batch_of(ds, state, cfg, np.random.default_rng(5))
+        np.testing.assert_array_equal(d1.class_ids, d2.class_ids)
+        np.testing.assert_array_equal(d1.anchor_index, d2.anchor_index)
+        np.testing.assert_array_equal(d1.positive_index, d2.positive_index)
+        np.testing.assert_array_equal(b1.inputs, b2.inputs)
+        np.testing.assert_array_equal(b1.weights, b2.weights)
 
     def test_classes_are_distinct(self):
         ds = tiny_dataset(num_classes=12)
@@ -56,8 +85,7 @@ class TestBuildBatch:
         state = init_state(cfg, 64)
         rng = np.random.default_rng(6)
         for _ in range(20):
-            _, diag = build_batch(ds, state.params, state.loss_tracker,
-                                  cfg, rng)
+            _, diag = batch_of(ds, state, cfg, rng)
             assert len(set(diag.class_ids)) == len(diag.class_ids)
 
     def test_uniform_positive_choice_when_lambda_zero(self):
@@ -73,11 +101,11 @@ class TestBuildBatch:
         counts = {}
         builds = 4000
         for _ in range(builds):
-            _, diag = build_batch(ds, state.params, tracker, cfg, rng)
+            _, diag = batch_of(ds, state, cfg, rng, tracker)
             assert diag.exponent == 0.0
-            for cid, draw in zip(diag.class_ids, diag.draws):
-                counts[(cid, draw.anchor_index, draw.chosen_index)] = \
-                    counts.get((cid, draw.anchor_index, draw.chosen_index), 0) + 1
+            for key in zip(diag.class_ids, diag.anchor_index,
+                           diag.positive_index):
+                counts[key] = counts.get(key, 0) + 1
         # each (class, anchor) pair spreads uniformly over its 3 candidates
         per_anchor = {}
         for (cid, a, c), n in counts.items():
@@ -96,8 +124,7 @@ class TestBuildBatch:
         ds = tiny_dataset()
         cfg = tiny_config()
         state = init_state(cfg, 64)
-        _, diag = build_batch(ds, state.params, state.loss_tracker, cfg,
-                              np.random.default_rng(8))
+        _, diag = batch_of(ds, state, cfg, np.random.default_rng(8))
         assert diag.exponent == 0.0
 
     def test_too_few_classes_rejected(self):
@@ -105,22 +132,19 @@ class TestBuildBatch:
         cfg = tiny_config(batch_size=4)
         state = init_state(cfg, 64)
         with pytest.raises(DatasetError, match="classes"):
-            build_batch(ds, state.params, state.loss_tracker, cfg,
-                        np.random.default_rng(0))
+            batch_of(ds, state, cfg, np.random.default_rng(0))
 
 
 def manual_update(state, batch, config):
     """Compose the expected single-step update directly."""
-    n = len(batch)
-    anchors = [b[0] for b in batch]
-    positives = [b[1] for b in batch]
-    weights = np.array([b[2] for b in batch])
-    descs, cache = forward(state.params, to_input_matrix(anchors + positives))
+    n = len(batch.weights)
+    descs, cache = forward(state.params, batch.inputs)
     mined = mine_triplets(descs[:n], descs[n:], config.metric, config.margin,
                           config.neg_mode)
     from adasample.miner import loss_grads
     from adasample.tensornet import backward
-    ga, gp = loss_grads(descs[:n], descs[n:], mined, config.metric, weights)
+    ga, gp = loss_grads(descs[:n], descs[n:], mined, config.metric,
+                        batch.weights)
     grads, _ = backward(state.params, cache, np.vstack([ga, gp]))
     new_layers = []
     for theta, g, v in zip(state.params.layers, grads.layers,
@@ -135,8 +159,7 @@ class TestTrainStep:
     def setup_batch(self, cfg, seed=9):
         ds = tiny_dataset()
         state = init_state(cfg, 64)
-        batch, _ = build_batch(ds, state.params, state.loss_tracker, cfg,
-                               np.random.default_rng(seed))
+        batch, _ = batch_of(ds, state, cfg, np.random.default_rng(seed))
         return state, batch
 
     def test_zero_learning_rate_keeps_params_and_updates_tracker(self):
@@ -152,11 +175,9 @@ class TestTrainStep:
         # seed 1 yields a batch whose hinges are all inactive at this margin
         cfg = tiny_config(margin=1e-9, weight_decay=0.0)
         state, batch = self.setup_batch(cfg, seed=1)
-        descs, _ = forward(state.params,
-                           to_input_matrix([b[0] for b in batch]
-                                           + [b[1] for b in batch]))
-        mined = mine_triplets(descs[:len(batch)], descs[len(batch):],
-                              cfg.metric, cfg.margin)
+        n = len(batch.weights)
+        descs, _ = forward(state.params, batch.inputs)
+        mined = mine_triplets(descs[:n], descs[n:], cfg.metric, cfg.margin)
         assert all(t.loss == 0 for t in mined)
         new_state, _ = train_step(state, batch, cfg)
         for a, b in zip(state.params.layers, new_state.params.layers):
@@ -173,15 +194,13 @@ class TestTrainStep:
     def test_single_step_descends_weighted_loss(self):
         cfg = tiny_config(lr=1e-3, momentum=0.0, weight_decay=0.0)
         state, batch = self.setup_batch(cfg)
-        n = len(batch)
-        w = np.array([b[2] for b in batch])
+        n = len(batch.weights)
 
         def weighted_loss(params):
-            descs, _ = forward(params, to_input_matrix(
-                [b[0] for b in batch] + [b[1] for b in batch]))
+            descs, _ = forward(params, batch.inputs)
             mined = mine_triplets(descs[:n], descs[n:], cfg.metric,
                                   cfg.margin)
-            return float(np.dot(w, [t.loss for t in mined]))
+            return float(np.dot(batch.weights, [t.loss for t in mined]))
 
         before = weighted_loss(state.params)
         assert before > 0
