@@ -6,9 +6,10 @@ from .data import (ClassGroup, DatasetSpec, Patch, generate_positives,
 from .evaluation import (EvalReport, fpr_at_recall, info_correlation_probe,
                          mann_whitney_u, pearson, retrieval_map)
 from .metricspace import MetricKind, distance, distance_grad, \
-    paired_distances, pairwise_distances
-from .miner import (MinedTriplet, NegMode, NegSource, hardest_negatives,
-                    loss_grads, mine_triplets, triplet_loss)
+    paired_distance_grads, paired_distances, pairwise_distances
+from .miner import (MinedTriplet, MinedTriplets, NegMode, NegSource,
+                    hardest_negatives, loss_grads, mine_triplets,
+                    triplet_loss)
 from .sampler import (LossTracker, SamplerConfig, adaptive_exponent,
                       categorical_sample, expected_rectification,
                       optimal_probs, positive_probs, reweights,

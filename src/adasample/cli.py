@@ -133,8 +133,7 @@ def cmd_train(args) -> int:
     try:
         params, log = tr.train(config.train, dataset)
     except NumericError as exc:
-        partial = getattr(exc, "partial_log", [])
-        write_metrics_csv(partial, out_dir / "metrics.csv")
+        write_metrics_csv(exc.partial_log, out_dir / "metrics.csv")
         print(f"training aborted: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     write_metrics_csv(log, out_dir / "metrics.csv")

@@ -6,7 +6,15 @@ class StateError(RuntimeError):
 
 
 class NumericError(ArithmeticError):
-    """A computation produced non-finite values and the run cannot continue."""
+    """A computation produced non-finite values and the run cannot continue.
+
+    ``partial_log`` holds the metrics rows of the training steps that
+    completed before the failure; ``trainer.train`` fills it.
+    """
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.partial_log: list[dict] = []
 
 
 class DegenerateOutputError(NumericError):

@@ -38,7 +38,7 @@ class MetricKind(enum.Enum):
 class DistanceGrads(NamedTuple):
     grad_a: np.ndarray
     grad_b: np.ndarray
-    saturated: bool
+    saturated: bool | np.ndarray
 
 
 def _check_unit(v: np.ndarray, name: str) -> np.ndarray:
@@ -64,31 +64,53 @@ def distance(a: np.ndarray, b: np.ndarray, kind: MetricKind) -> float:
 
 
 def distance_grad(a: np.ndarray, b: np.ndarray, kind: MetricKind) -> DistanceGrads:
-    """Gradients of ``distance(a, b, kind)`` with respect to each argument.
-
-    Euclidean: grad_a = (a - b)/d. At d = 0 the distance is not
-    differentiable; the zero subgradient is returned with ``saturated=True``.
-
-    Angular: grad_a = -b / sqrt(1 - s^2) with s = a . b. When |s| exceeds
-    1 - 1e-9 the gradient is evaluated at the clamped point and flagged.
-    """
+    """Gradients of ``distance(a, b, kind)`` with respect to each argument;
+    the one-row case of :func:`paired_distance_grads`."""
     a = _check_unit(a, "a")
     b = _check_unit(b, "b")
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    grad_a, grad_b, saturated = paired_distance_grads(a[None], b[None], kind)
+    return DistanceGrads(grad_a[0], grad_b[0], bool(saturated[0]))
+
+
+def _row_dots(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Entry i = X[i] . Y[i]. One (1, D) @ (D, 1) product per row runs the
+    same BLAS dot as ``np.dot`` on the pair of 1-D rows, so each entry equals
+    it bit for bit (``np.sum(X * Y, axis=1)`` sums in another order)."""
+    return (X[:, None, :] @ Y[:, :, None])[:, 0, 0]
+
+
+def paired_distance_grads(batch_a: Sequence[np.ndarray] | np.ndarray,
+                          batch_b: Sequence[np.ndarray] | np.ndarray,
+                          kind: MetricKind) -> DistanceGrads:
+    """Row i holds the gradients of ``distance(a_i, b_i, kind)`` with respect
+    to a_i and b_i; ``saturated`` is a boolean vector.
+
+    Euclidean: grad_a = (a - b)/d. At d = 0 the distance is not
+    differentiable; the zero subgradient is returned with ``saturated``.
+
+    Angular: grad_a = -b / sqrt(1 - s^2) with s = a . b. When |s| exceeds
+    1 - 1e-9 the gradient is evaluated at the clamped point and flagged.
+    """
+    A, B = _unit_rows(batch_a, batch_b)
+    if A.shape[0] != B.shape[0]:
+        raise ValueError(f"row counts differ: {A.shape[0]} vs {B.shape[0]}")
     if kind is MetricKind.EUCLIDEAN:
-        diff = a - b
-        d = float(np.linalg.norm(diff))
-        if d < 1e-12:
-            zero = np.zeros_like(a)
-            return DistanceGrads(zero, zero.copy(), True)
-        return DistanceGrads(diff / d, -diff / d, False)
-    s = float(np.dot(a, b))
+        diff = A - B
+        # sqrt of the dot, as 1-D np.linalg.norm computes it
+        d = np.sqrt(_row_dots(diff, diff))
+        saturated = d < 1e-12
+        d = np.where(saturated, 1.0, d)[:, None]
+        keep = ~saturated[:, None]
+        return DistanceGrads(np.where(keep, diff / d, 0.0),
+                             np.where(keep, -diff / d, 0.0), saturated)
+    s = _row_dots(A, B)
     limit = 1.0 - ANGULAR_CLAMP_EPS
-    saturated = abs(s) >= limit
-    s = float(np.clip(s, -limit, limit))
-    factor = -1.0 / np.sqrt(1.0 - s * s)
-    return DistanceGrads(factor * b, factor * a, saturated)
+    saturated = np.abs(s) >= limit
+    s = np.clip(s, -limit, limit)
+    factor = (-1.0 / np.sqrt(1.0 - s * s))[:, None]
+    return DistanceGrads(factor * B, factor * A, saturated)
 
 
 def _unit_rows(batch_a, batch_b) -> tuple[np.ndarray, np.ndarray]:
@@ -138,3 +160,31 @@ def paired_distances(batch_a: Sequence[np.ndarray] | np.ndarray,
     if kind is MetricKind.EUCLIDEAN:
         return np.linalg.norm(A - B, axis=1)
     return np.arccos(np.clip(np.sum(A * B, axis=1), -1.0, 1.0))
+
+
+def candidate_distances(anchors: np.ndarray, candidates: np.ndarray,
+                        counts: np.ndarray, kind: MetricKind) -> np.ndarray:
+    """Matrix with entry (i, c) = distance(candidates[i, c], anchors[i], kind)
+    for c < counts[i]; the pad columns c >= counts[i] hold 0.
+
+    Row i equals, bit for bit, ``pairwise_distances(candidates[i,
+    :counts[i]], anchors[i:i + 1], kind)[:, 0]``. BLAS orders the sums of a
+    matrix-vector product by its row count, so the angular dot products run
+    as one batched product per distinct count.
+    """
+    X = np.asarray(candidates, dtype=np.float64)
+    counts = np.asarray(counts)
+    n, K = X.shape[:2]
+    real = np.arange(K) < counts[:, None]
+    A, _ = _unit_rows(anchors, X[real])
+    if A.shape[0] != n:
+        raise ValueError(f"{A.shape[0]} anchors for {n} candidate rows")
+    if kind is MetricKind.EUCLIDEAN:
+        out = np.linalg.norm(X - A[:, None, :], axis=2)
+    else:
+        dots = np.zeros((n, K))
+        for m in np.unique(counts):
+            rows = counts == m
+            dots[rows, :m] = (X[rows, :m] @ A[rows, :, None])[:, :, 0]
+        out = np.arccos(np.clip(dots, -1.0, 1.0))
+    return np.where(real, out, 0.0)

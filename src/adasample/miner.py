@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .metricspace import MetricKind, distance_grad, \
+from .metricspace import MetricKind, paired_distance_grads, \
     paired_distances, pairwise_distances
 
 
@@ -33,6 +34,13 @@ class NegSource(enum.Enum):
     POSITIVE_VS_POSITIVE = "positive_vs_positive"
     ANCHOR_VS_POSITIVE = "anchor_vs_positive"
     POSITIVE_VS_ANCHOR = "positive_vs_anchor"
+
+
+# Source codes index NEG_SOURCES. Whether the descriptor of pair i (first)
+# and of pair j (second) that form the negative distance is a positive:
+NEG_SOURCES = tuple(NegSource)
+_FIRST_IS_POSITIVE = np.array([0, 1, 0, 1])
+_SECOND_IS_POSITIVE = np.array([0, 1, 1, 0])
 
 
 class NegMode(enum.Enum):
@@ -58,23 +66,51 @@ class MinedTriplet:
     loss: float
 
 
-_SOURCES = {
-    NegMode.SAME_ROLE: (NegSource.ANCHOR_VS_ANCHOR,
-                        NegSource.POSITIVE_VS_POSITIVE),
-    NegMode.CROSS_ROLE: (NegSource.ANCHOR_VS_POSITIVE,
-                         NegSource.POSITIVE_VS_ANCHOR),
-}
+class Negatives(NamedTuple):
+    """Per pair i: the hardest negative distance, its source code (an index
+    into ``NEG_SOURCES``) and the opposing pair j."""
+
+    d_neg: np.ndarray
+    source: np.ndarray
+    j: np.ndarray
+
+
+@dataclass(frozen=True)
+class MinedTriplets:
+    """The mined triplets of a batch as arrays; entry i belongs to pair i.
+    Indexing gives the :class:`MinedTriplet` of one pair."""
+
+    d_pos: np.ndarray
+    d_neg: np.ndarray
+    source: np.ndarray
+    j: np.ndarray
+    loss: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.loss)
+
+    def __getitem__(self, i: int) -> MinedTriplet:
+        if not -len(self) <= i < len(self):
+            raise IndexError(f"pair {i} out of range for {len(self)} pairs")
+        i %= len(self)
+        return MinedTriplet(pair_index=i, d_pos=float(self.d_pos[i]),
+                            d_neg=float(self.d_neg[i]),
+                            neg_source=NEG_SOURCES[self.source[i]],
+                            neg_pair_index=int(self.j[i]),
+                            loss=float(self.loss[i]))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
 
 def hardest_negatives(anchors: np.ndarray, positives: np.ndarray,
                       kind: MetricKind,
-                      neg_mode: NegMode = NegMode.SAME_ROLE
-                      ) -> list[tuple[float, NegSource, int]]:
+                      neg_mode: NegMode = NegMode.SAME_ROLE) -> Negatives:
     """Per pair, the minimum over both candidate distance matrices.
 
-    Returns one (d_neg, source, j) triple per pair. The scan order over the
-    flattened (j, source) candidates makes the tie-break exact: lowest j
-    wins, and within a j the anchor-side source wins.
+    The scan order over the flattened (j, source) candidates makes the
+    tie-break exact: lowest j wins, and within a j the anchor-side source
+    wins.
     """
     A = np.atleast_2d(np.asarray(anchors, dtype=np.float64))
     P = np.atleast_2d(np.asarray(positives, dtype=np.float64))
@@ -83,52 +119,49 @@ def hardest_negatives(anchors: np.ndarray, positives: np.ndarray,
         raise ValueError(f"anchor/positive counts differ: {n} vs {P.shape[0]}")
     if n < 2:
         raise ValueError(f"need at least 2 pairs to mine negatives, got {n}")
-    src_a, src_p = _SOURCES[neg_mode]
     if neg_mode is NegMode.SAME_ROLE:
         D_first = pairwise_distances(A, A, kind)
         D_second = pairwise_distances(P, P, kind)
+        first_code = 0
     else:
         D_first = pairwise_distances(A, P, kind)
         D_second = pairwise_distances(P, A, kind)
+        first_code = 2
     # Candidate tensor ordered (j, source); argmin picks the first minimum,
     # which implements the tie-break.
     C = np.stack([D_first, D_second], axis=2)
     idx = np.arange(n)
     C[idx, idx, :] = np.inf
-    flatidx = np.argmin(C.reshape(n, 2 * n), axis=1)
-    out = []
-    for i in range(n):
-        j, s = divmod(int(flatidx[i]), 2)
-        source = src_a if s == 0 else src_p
-        out.append((float(C[i, j, s]), source, j))
-    return out
+    flat = C.reshape(n, 2 * n)
+    best = np.argmin(flat, axis=1)
+    j, s = np.divmod(best, 2)
+    return Negatives(flat[idx, best], first_code + s, j)
 
 
-def triplet_loss(d_pos: float, d_neg: float, margin: float) -> float:
-    """max(margin + d_pos^2 - d_neg^2, 0)."""
-    if not (np.isfinite(d_pos) and np.isfinite(d_neg) and np.isfinite(margin)):
+def triplet_loss(d_pos, d_neg, margin: float) -> np.ndarray:
+    """Element-wise max(margin + d_pos^2 - d_neg^2, 0)."""
+    d_pos = np.asarray(d_pos, dtype=np.float64)
+    d_neg = np.asarray(d_neg, dtype=np.float64)
+    if not (np.all(np.isfinite(d_pos)) and np.all(np.isfinite(d_neg))
+            and np.isfinite(margin)):
         raise ValueError("triplet loss inputs must be finite")
-    return float(max(margin + d_pos * d_pos - d_neg * d_neg, 0.0))
+    return np.maximum(margin + d_pos * d_pos - d_neg * d_neg, 0.0)
 
 
 def mine_triplets(anchors: np.ndarray, positives: np.ndarray,
                   kind: MetricKind, margin: float,
-                  neg_mode: NegMode = NegMode.SAME_ROLE) -> list[MinedTriplet]:
+                  neg_mode: NegMode = NegMode.SAME_ROLE) -> MinedTriplets:
     """Mine hardest negatives and evaluate the hinge loss for every pair."""
     A = np.atleast_2d(np.asarray(anchors, dtype=np.float64))
     P = np.atleast_2d(np.asarray(positives, dtype=np.float64))
-    mined = hardest_negatives(A, P, kind, neg_mode)
+    neg = hardest_negatives(A, P, kind, neg_mode)
     d_pos = paired_distances(A, P, kind)
-    return [
-        MinedTriplet(pair_index=i, d_pos=float(d_pos[i]), d_neg=dn,
-                     neg_source=src, neg_pair_index=j,
-                     loss=triplet_loss(float(d_pos[i]), dn, margin))
-        for i, (dn, src, j) in enumerate(mined)
-    ]
+    return MinedTriplets(d_pos=d_pos, d_neg=neg.d_neg, source=neg.source,
+                         j=neg.j, loss=triplet_loss(d_pos, neg.d_neg, margin))
 
 
 def loss_grads(anchors: np.ndarray, positives: np.ndarray,
-               mined: list[MinedTriplet], kind: MetricKind,
+               mined: MinedTriplets, kind: MetricKind,
                weights: np.ndarray | None = None
                ) -> tuple[np.ndarray, np.ndarray]:
     """Descriptor-space gradients of sum_i w_i * loss_i.
@@ -136,7 +169,9 @@ def loss_grads(anchors: np.ndarray, positives: np.ndarray,
     Each active pair contributes 2 d_pos * grad(d_pos) through its own
     anchor and positive, and -2 d_neg * grad(d_neg) through the two
     descriptors forming its mined negative distance. Inactive hinges (and
-    the exact hinge boundary) contribute the zero subgradient.
+    the exact hinge boundary) contribute the zero subgradient. A descriptor
+    receives its terms in pair order, and within a pair in the order
+    anchor, positive, pair-i side and pair-j side of the negative.
     """
     A = np.atleast_2d(np.asarray(anchors, dtype=np.float64))
     P = np.atleast_2d(np.asarray(positives, dtype=np.float64))
@@ -146,33 +181,30 @@ def loss_grads(anchors: np.ndarray, positives: np.ndarray,
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (n,):
         raise ValueError(f"weights shape {w.shape} does not match batch size {n}")
-    grad_a = np.zeros_like(A)
-    grad_p = np.zeros_like(P)
-    for t in mined:
-        i, j = t.pair_index, t.neg_pair_index
-        if not (0 <= i < n and 0 <= j < n and j != i):
-            raise ValueError(f"mined triplet has stale indices ({i}, {j}) "
-                             f"for batch size {n}")
-        if t.loss <= 0.0:
-            continue
-        ga, gp, _ = distance_grad(A[i], P[i], kind)
-        grad_a[i] += w[i] * 2.0 * t.d_pos * ga
-        grad_p[i] += w[i] * 2.0 * t.d_pos * gp
-        scale = w[i] * 2.0 * t.d_neg
-        if t.neg_source is NegSource.ANCHOR_VS_ANCHOR:
-            gx, gy, _ = distance_grad(A[i], A[j], kind)
-            grad_a[i] -= scale * gx
-            grad_a[j] -= scale * gy
-        elif t.neg_source is NegSource.POSITIVE_VS_POSITIVE:
-            gx, gy, _ = distance_grad(P[i], P[j], kind)
-            grad_p[i] -= scale * gx
-            grad_p[j] -= scale * gy
-        elif t.neg_source is NegSource.ANCHOR_VS_POSITIVE:
-            gx, gy, _ = distance_grad(A[i], P[j], kind)
-            grad_a[i] -= scale * gx
-            grad_p[j] -= scale * gy
-        else:
-            gx, gy, _ = distance_grad(P[i], A[j], kind)
-            grad_p[i] -= scale * gx
-            grad_a[j] -= scale * gy
-    return grad_a, grad_p
+    j = np.asarray(mined.j)
+    stale = (j < 0) | (j >= n) | (j == np.arange(len(j)))
+    if len(mined) != n or np.any(stale):
+        bad = int(np.argmax(stale)) if np.any(stale) else len(j)
+        raise ValueError(f"mined triplets have stale indices (pair {bad} of "
+                         f"{len(mined)}) for batch size {n}")
+    # Rows 0..n-1 of X are the anchors, rows n..2n-1 the positives.
+    X = np.vstack([A, P])
+    act = np.flatnonzero(mined.loss > 0.0)
+    j = j[act]
+    code = mined.source[act]
+    first = act + n * _FIRST_IS_POSITIVE[code]
+    second = j + n * _SECOND_IS_POSITIVE[code]
+    ga, gb, _ = paired_distance_grads(X[np.concatenate([act, first])],
+                                      X[np.concatenate([act + n, second])],
+                                      kind)
+    m = len(act)
+    pos = (w[act] * 2.0 * mined.d_pos[act])[:, None]
+    neg = (w[act] * 2.0 * mined.d_neg[act])[:, None]
+    terms = np.stack([pos * ga[:m], pos * gb[:m],
+                      -(neg * ga[m:]), -(neg * gb[m:])], axis=1)
+    rows = np.stack([act, act + n, first, second], axis=1)
+    grads = np.zeros_like(X)
+    # unbuffered, in index order: each row sums its terms as the
+    # per-triplet loop would
+    np.add.at(grads, rows.ravel(), terms.reshape(-1, X.shape[1]))
+    return grads[:n], grads[n:]

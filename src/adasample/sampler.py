@@ -85,28 +85,56 @@ def adaptive_exponent(tracker: LossTracker, config: SamplerConfig) -> float:
                      config.exponent_cap))
 
 
-def positive_probs(distances: np.ndarray, exponent: float) -> np.ndarray:
-    """p_i = d_i^e / sum_j d_j^e over the candidate positives.
+def _real_columns(values: np.ndarray, counts
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``values`` as a 2-D float64 array (a 1-D vector is the one-row case),
+    the number of real leading columns of each row (all columns when
+    ``counts`` is None) and the mask of those columns."""
+    v = np.asarray(values, dtype=np.float64)
+    if v.ndim not in (1, 2) or v.size == 0:
+        raise ValueError("expected a nonempty 1-D vector or 2-D matrix")
+    v = np.atleast_2d(v)
+    n, K = v.shape
+    counts = np.full(n, K) if counts is None else np.asarray(counts)
+    if counts.shape != (n,) or np.any(counts < 1) or np.any(counts > K):
+        raise ValueError(f"counts must be {n} values in [1, {K}]")
+    return v, counts, np.arange(K) < counts[:, None]
 
-    Distances are rescaled by their maximum before exponentiation so that
-    large exponents cannot overflow or underflow the normalization. An
-    all-zero distance vector (exact duplicates) and e = 0 both fall back to
-    the uniform distribution.
+
+def positive_probs(distances: np.ndarray, exponent: float, *,
+                   counts: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise p_i = d_i^e / sum_j d_j^e over the candidate positives.
+
+    Row r of a 2-D ``distances`` holds its ``counts[r]`` candidates first;
+    the pad columns after them are ignored and get probability 0. A 1-D
+    vector is the one-row case and gives a 1-D result.
+
+    Distances are rescaled by their row maximum before exponentiation so
+    that large exponents cannot overflow or underflow the normalization. An
+    all-zero row (exact duplicates) and e = 0 both fall back to the uniform
+    distribution.
     """
-    d = np.asarray(distances, dtype=np.float64)
-    if d.ndim != 1 or d.size == 0:
-        raise ValueError("distances must be a nonempty 1-D vector")
+    d, counts, real = _real_columns(distances, counts)
+    d = np.where(real, d, 0.0)
     if not np.all(np.isfinite(d)):
         raise ValueError("distances must be finite")
     if np.any(d < 0):
         raise ValueError("distances must be nonnegative")
     if exponent < 0:
         raise ValueError(f"exponent must be >= 0, got {exponent}")
-    d_max = float(d.max())
-    if exponent == 0.0 or d_max == 0.0:
-        return np.full(d.size, 1.0 / d.size)
-    scaled = (d / d_max) ** exponent
-    return scaled / scaled.sum()
+    d_max = d.max(axis=1)
+    uniform = (d_max == 0.0) | (exponent == 0.0)
+    # pad columns stay 0 on the rows that are not uniform, where e > 0
+    scaled = (d / np.where(uniform, 1.0, d_max)[:, None]) ** exponent
+    # numpy's pairwise summation groups terms by the length it is given, so
+    # each row is summed over exactly its real columns, one length at a time
+    total = np.empty(len(d))
+    for m in np.unique(counts):
+        rows = counts == m
+        total[rows] = scaled[rows, :m].sum(axis=1)
+    probs = np.where(uniform[:, None], real / counts[:, None],
+                     scaled / np.where(uniform, 1.0, total)[:, None])
+    return probs if np.ndim(distances) == 2 else probs[0]
 
 
 def reweights(distances: np.ndarray) -> Reweights:
@@ -127,24 +155,34 @@ def reweights(distances: np.ndarray) -> Reweights:
     return Reweights(inv / inv.mean(), clamped)
 
 
-def categorical_sample(probs: np.ndarray, rng: np.random.Generator) -> int:
-    """Draw an index from a probability vector.
+def categorical_sample(probs: np.ndarray, uniforms: float | np.ndarray, *,
+                       counts: np.ndarray | None = None) -> int | np.ndarray:
+    """Row-wise inverse-CDF draw from probability vectors.
 
-    Uses a single uniform draw against the CDF; ties in the CDF (zero-mass
-    entries) resolve to the lowest index carrying mass.
+    Row r uses the pre-drawn uniform ``uniforms[r]`` in [0, 1) against the
+    cumulative sum of its first ``counts[r]`` entries (pad columns after
+    them are ignored). Ties in the CDF (zero-mass entries) resolve to the
+    lowest index carrying mass; a uniform at or above the row's last CDF
+    value picks its last real column. A 1-D ``probs`` with a scalar uniform
+    is the one-row case and returns an int.
     """
-    p = np.asarray(probs, dtype=np.float64)
-    if p.ndim != 1 or p.size == 0:
-        raise ValueError("probs must be a nonempty 1-D vector")
+    p, counts, real = _real_columns(probs, counts)
+    p = np.where(real, p, 0.0)
+    u = np.asarray(uniforms, dtype=np.float64).reshape(-1)
+    if u.shape != (len(p),):
+        raise ValueError(f"need one uniform per row, got {u.size} for "
+                         f"{len(p)} rows")
     if np.any(p < 0):
         raise ValueError("probabilities must be nonnegative")
-    total = float(p.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"probabilities must sum to 1, got {total!r}")
-    u = rng.random()
-    cdf = np.cumsum(p)
-    idx = int(np.searchsorted(cdf, u, side="right"))
-    return min(idx, p.size - 1)
+    total = p.sum(axis=1)
+    if np.any(np.abs(total - 1.0) > 1e-9):
+        bad = int(np.argmax(np.abs(total - 1.0)))
+        raise ValueError(f"probabilities must sum to 1, got {total[bad]!r} "
+                         f"in row {bad}")
+    cdf = np.cumsum(p, axis=1)
+    # searchsorted(cdf, u, side="right") on each nondecreasing row
+    idx = np.minimum((cdf <= u[:, None]).sum(axis=1), counts - 1)
+    return idx if np.ndim(probs) == 2 else int(idx[0])
 
 
 def optimal_probs(losses: np.ndarray, grad_norms: np.ndarray,

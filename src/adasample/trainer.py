@@ -12,6 +12,14 @@ by classical momentum SGD with weight decay:
     v = momentum * v + g
     theta = theta - lr * v
 
+The positive draw runs once per step for the whole batch. Candidate c of
+a class with k patches is patch c + (c >= anchor), so the candidates form
+a padded (n, K - 1) matrix, K the largest class in the batch, and each row
+masks the columns past its own k - 1. Distances, probabilities and an
+inverse-CDF draw are computed row-wise on that matrix. The random stream
+is that of a per-class loop: the classes, then for each class in batch
+order its anchor integer followed by the uniform that picks its positive.
+
 The very first step samples positives uniformly because the loss average
 has no observations yet; the tracker initializes from that step's mean
 loss. The learning rate is divided by 10 at the end of each configured
@@ -28,7 +36,7 @@ import numpy as np
 from . import sampler as smp
 from .data import ClassGroup, to_input_matrix
 from .errors import DatasetError, NumericError
-from .metricspace import MetricKind, pairwise_distances
+from .metricspace import MetricKind, candidate_distances
 from .miner import NegMode, loss_grads, mine_triplets
 from .sampler import LossTracker, SamplerConfig
 from .tensornet import Activation, GradEstimate, ModelParams, backward, \
@@ -99,6 +107,28 @@ class Batch(NamedTuple):
     weights: np.ndarray         # (n,)
 
 
+class ClassInputs(NamedTuple):
+    """Input rows of every patch of a dataset, stacked in dataset order;
+    class ``c`` owns rows ``offsets[c]:offsets[c + 1]``."""
+
+    rows: np.ndarray            # (total patches, D)
+    offsets: np.ndarray         # (classes + 1,)
+    class_ids: np.ndarray       # (classes,)
+
+
+def stack_class_inputs(dataset: list[ClassGroup]) -> ClassInputs:
+    """The input matrix of every patch, as from
+    :func:`adasample.data.to_input_matrix`, with per-class offsets."""
+    offsets = np.concatenate([[0], np.cumsum([len(g.patches)
+                                              for g in dataset])])
+    rows = np.empty((offsets[-1], dataset[0].patches[0].size ** 2))
+    # class by class: no temporary the size of the whole dataset
+    for c, group in enumerate(dataset):
+        rows[offsets[c]:offsets[c + 1]] = to_input_matrix(group.patches)
+    return ClassInputs(rows, offsets,
+                       np.array([g.class_id for g in dataset]))
+
+
 @dataclass
 class BatchDiagnostics:
     """Per-pair choices of one batch; index arrays address each class's
@@ -115,58 +145,63 @@ class BatchDiagnostics:
 def build_batch(dataset: list[ClassGroup], params: ModelParams,
                 tracker: LossTracker, config: TrainConfig,
                 rng: np.random.Generator,
-                class_inputs: list[np.ndarray]
+                class_inputs: ClassInputs
                 ) -> tuple[Batch, BatchDiagnostics]:
     """Select n distinct classes and one weighted (anchor, positive) each.
 
-    ``class_inputs[c]`` is the input matrix of ``dataset[c]``, as from
-    :func:`adasample.data.to_input_matrix`; the batch rows are copied from
-    it.
+    ``class_inputs`` is :func:`stack_class_inputs` of ``dataset``; the batch
+    rows are copied from it.
     """
     n = config.batch_size
+    if len(class_inputs.class_ids) != len(dataset):
+        raise ValueError(f"class_inputs holds {len(class_inputs.class_ids)} "
+                         f"classes, the dataset {len(dataset)}")
     if len(dataset) < n:
         raise DatasetError(f"dataset has {len(dataset)} classes but the batch "
                            f"needs {n}")
-    small = [g.class_id for g in dataset if len(g.patches) < 2]
-    if small:
-        raise DatasetError(f"classes with fewer than 2 patches: {small[:5]}")
+    sizes = np.diff(class_inputs.offsets)
+    small = class_inputs.class_ids[sizes < 2]
+    if small.size:
+        raise DatasetError(f"classes with fewer than 2 patches: "
+                           f"{small[:5].tolist()}")
     exponent = smp.adaptive_exponent(tracker, config.sampler) \
         if tracker.initialized else 0.0
     chosen_classes = rng.choice(len(dataset), size=n, replace=False)
+    k = sizes[chosen_classes]
+    # The random stream of a per-class loop: per class, its anchor and then
+    # the uniform that picks its positive.
+    anchor_index = np.empty(n, dtype=np.int64)
+    uniforms = np.empty(n)
+    for slot in range(n):
+        anchor_index[slot] = rng.integers(int(k[slot]))
+        uniforms[slot] = rng.random()
 
     # One batched descriptor extraction over every patch of the selected
-    # classes; per-class rows are sliced out afterwards.
-    groups = [dataset[int(ci)] for ci in chosen_classes]
-    flat_inputs = np.vstack([class_inputs[int(ci)] for ci in chosen_classes])
-    descs, _ = forward(params, flat_inputs)
-    offsets = np.cumsum([0] + [len(g.patches) for g in groups])
+    # classes, class after class; class i starts at row first[i].
+    starts = class_inputs.offsets[chosen_classes]
+    first = np.cumsum(k) - k
+    flat = np.repeat(starts - first, k) + np.arange(k.sum())
+    descs, _ = forward(params, class_inputs.rows[flat])
 
-    anchor_index = np.empty(n, dtype=np.int64)
-    positive_index = np.empty(n, dtype=np.int64)
-    probability_used = np.empty(n)
-    chosen_d = np.empty(n)
-    for slot, group in enumerate(groups):
-        k = len(group.patches)
-        rows = descs[offsets[slot]:offsets[slot + 1]]
-        a_idx = int(rng.integers(k))
-        cand_idx = [i for i in range(k) if i != a_idx]
-        dists = pairwise_distances(rows[cand_idx], rows[a_idx:a_idx + 1],
-                                   config.metric)[:, 0]
-        probs = smp.positive_probs(dists, exponent)
-        pick = smp.categorical_sample(probs, rng)
-        anchor_index[slot] = a_idx
-        positive_index[slot] = cand_idx[pick]
-        probability_used[slot] = probs[pick]
-        chosen_d[slot] = dists[pick]
-
-    weights, clamped = smp.reweights(chosen_d)
-    starts = offsets[:-1]
-    inputs = flat_inputs[np.concatenate([starts + anchor_index,
-                                         starts + positive_index])]
+    # Pad columns repeat the anchor; the counts mask them everywhere.
+    c = np.arange(k.max() - 1)
+    candidates = np.where(c < (k - 1)[:, None],
+                          c + (c >= anchor_index[:, None]),
+                          anchor_index[:, None])
+    dists = candidate_distances(descs[first + anchor_index],
+                                descs[first[:, None] + candidates], k - 1,
+                                config.metric)
+    probs = smp.positive_probs(dists, exponent, counts=k - 1)
+    pick = smp.categorical_sample(probs, uniforms, counts=k - 1)
+    slots = np.arange(n)
+    positive_index = pick + (pick >= anchor_index)
+    weights, clamped = smp.reweights(dists[slots, pick])
+    inputs = class_inputs.rows[np.concatenate([starts + anchor_index,
+                                               starts + positive_index])]
     diag = BatchDiagnostics(
-        class_ids=np.array([g.class_id for g in groups]),
+        class_ids=class_inputs.class_ids[chosen_classes],
         anchor_index=anchor_index, positive_index=positive_index,
-        probability_used=probability_used, exponent=exponent,
+        probability_used=probs[slots, pick], exponent=exponent,
         weight_clamped=clamped)
     return Batch(inputs, weights), diag
 
@@ -180,11 +215,10 @@ def train_step(state: TrainState, batch: Batch,
 
     mined = mine_triplets(desc_a, desc_p, config.metric, config.margin,
                           config.neg_mode)
-    losses = np.array([t.loss for t in mined])
-    mean_loss = float(losses.mean())
+    mean_loss = float(mined.loss.mean())
     if not np.isfinite(mean_loss):
         raise NumericError(f"non-finite batch loss at step {state.step}: "
-                           f"{losses}")
+                           f"{mined.loss}")
 
     grad_a, grad_p = loss_grads(desc_a, desc_p, mined, config.metric,
                                 batch.weights)
@@ -215,9 +249,9 @@ def train_step(state: TrainState, batch: Batch,
     metrics = {
         "mean_loss": mean_loss,
         "l_avg": tracker.l_avg,
-        "mean_dpos": float(np.mean([t.d_pos for t in mined])),
-        "mean_dneg": float(np.mean([t.d_neg for t in mined])),
-        "active_fraction": float(np.mean(losses > 0)),
+        "mean_dpos": float(np.mean(mined.d_pos)),
+        "mean_dneg": float(np.mean(mined.d_neg)),
+        "active_fraction": float(np.mean(mined.loss > 0)),
         "lr": state.lr,
     }
     return new_state, metrics
@@ -253,7 +287,7 @@ def train(config: TrainConfig, dataset: list[ClassGroup],
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     log: list[dict] = []
     steps_per_epoch = max(1, config.pairs_per_epoch // config.batch_size)
-    class_inputs = [to_input_matrix(g.patches) for g in dataset]
+    class_inputs = stack_class_inputs(dataset)
     try:
         for epoch in range(1, config.epochs + 1):
             state.epoch = epoch
@@ -274,6 +308,6 @@ def train(config: TrainConfig, dataset: list[ClassGroup],
             if epoch_callback is not None:
                 epoch_callback(epoch, state)
     except NumericError as exc:
-        exc.partial_log = log  # lets callers keep what completed
+        exc.partial_log = log
         raise
     return state.params, log

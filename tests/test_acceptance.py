@@ -24,8 +24,8 @@ from adasample.data import DatasetSpec, generate_synthetic
 from adasample.evaluation import (fpr_at_recall, info_correlation_probe,
                                   mann_whitney_u)
 from adasample.metricspace import MetricKind, distance
-from adasample.miner import (NegSource, hardest_negatives, loss_grads,
-                             mine_triplets)
+from adasample.miner import (NEG_SOURCES, NegSource, hardest_negatives,
+                             loss_grads, mine_triplets)
 from adasample.sampler import (LossTracker, SamplerConfig, adaptive_exponent,
                                categorical_sample, optimal_probs,
                                positive_probs, trace_variance,
@@ -270,7 +270,7 @@ def test_hardest_negative_mining_equals_exhaustive_search():
                                 NegSource.POSITIVE_VS_POSITIVE)):
                     if d < best[0]:
                         best = (d, src, j)
-            dg, sg, jg = got[i]
+            dg, sg, jg = got.d_neg[i], NEG_SOURCES[got.source[i]], got.j[i]
             if (sg, jg) != (best[1], best[2]):
                 mismatches += 1
             worst = max(worst, abs(dg - best[0]))
@@ -290,7 +290,7 @@ def test_sampler_limit_behavior():
     probs = positive_probs(dists, 0.0)
     counts = np.zeros(k)
     for _ in range(10_000):
-        counts[categorical_sample(probs, rng)] += 1
+        counts[categorical_sample(probs, rng.random())] += 1
     p_value = chisquare(counts).pvalue
 
     cfg_inf = SamplerConfig(lambda_=float("inf"))
@@ -298,7 +298,7 @@ def test_sampler_limit_behavior():
     assert exponent == cfg_inf.exponent_cap
     dists = np.array([0.3, 0.45, 0.9, 0.6, 0.25, 0.5])
     probs_hard = positive_probs(dists, exponent)
-    hits = sum(categorical_sample(probs_hard, rng) == 2
+    hits = sum(categorical_sample(probs_hard, rng.random()) == 2
                for _ in range(10_000))
     criterion("sampler-limits", p_value > 0.01 and hits == 10_000,
               f"chi-square p {p_value:.3f}, argmax hits {hits}/10000")

@@ -2,6 +2,7 @@
 
 import csv
 
+import numpy as np
 import pytest
 
 from adasample.cli import main, split_holdout
@@ -177,6 +178,25 @@ class TestCliPipeline:
                          "--out", str(out)]) == 0
         assert (run1 / "e1" / "report.txt").read_text() == \
             (run2 / "report.txt").read_text()
+
+    def test_numeric_failure_exits_1_with_completed_rows(self, config_file,
+                                                         tmp_path, capsys):
+        """A learning rate that overflows the network output after two steps
+        exits 1 and still writes metrics.csv with the two completed rows."""
+        data_path = tmp_path / "d.adsp"
+        run_dir = tmp_path / "run"
+        config_file.write_text(TINY_CONFIG + "train.lr = 1e100\n")
+        main(["gen-data", "--config", str(config_file), "--out",
+              str(data_path)])
+        with np.errstate(over="ignore"):
+            code = main(["train", "--config", str(config_file), "--dataset",
+                         str(data_path), "--out", str(run_dir)])
+        assert code == 1
+        assert "training aborted" in capsys.readouterr().err
+        with open(run_dir / "metrics.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["step"] for row in rows] == ["1", "2"]
+        assert not (run_dir / "params.adnw").exists()
 
     def test_train_identical_for_same_seed(self, config_file, tmp_path):
         data_path = tmp_path / "d.adsp"

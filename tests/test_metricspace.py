@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adasample.metricspace import (MetricKind, distance, distance_grad,
-                                   paired_distances, pairwise_distances)
+from adasample.metricspace import (ANGULAR_CLAMP_EPS, MetricKind,
+                                   candidate_distances,
+                                   distance, distance_grad,
+                                   paired_distance_grads, paired_distances,
+                                   pairwise_distances)
 
 
 def unit(v):
@@ -16,6 +19,23 @@ def unit(v):
 
 def random_unit(rng, d=6):
     return unit(rng.normal(size=d))
+
+
+def scalar_distance_grad(a, b, kind):
+    """One pair at a time with np.dot and 1-D np.linalg.norm: the oracle
+    for paired_distance_grads and its one-row case distance_grad."""
+    if kind is MetricKind.EUCLIDEAN:
+        diff = a - b
+        d = float(np.linalg.norm(diff))
+        if d < 1e-12:
+            return np.zeros_like(a), np.zeros_like(a), True
+        return diff / d, -diff / d, False
+    s = float(np.dot(a, b))
+    limit = 1.0 - ANGULAR_CLAMP_EPS
+    saturated = abs(s) >= limit
+    s = float(np.clip(s, -limit, limit))
+    factor = -1.0 / np.sqrt(1.0 - s * s)
+    return factor * b, factor * a, saturated
 
 
 class TestDistance:
@@ -197,3 +217,87 @@ class TestPairedDistances:
         assert d.shape == (n,)
         for i in range(n):
             assert abs(d[i] - distance(A[i], B[i], kind)) < 1e-12
+
+
+class TestPairedDistanceGrads:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 40), dim=st.integers(2, 48),
+           kind=st.sampled_from(list(MetricKind)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_rows_equal_distance_grad(self, n, dim, kind, seed):
+        rng = np.random.default_rng(seed)
+        A = np.stack([random_unit(rng, dim) for _ in range(n)])
+        B = np.stack([random_unit(rng, dim) for _ in range(n)])
+        ga, gb, saturated = paired_distance_grads(A, B, kind)
+        for i in range(n):
+            want = scalar_distance_grad(A[i], B[i], kind)
+            for got in ((ga[i], gb[i], saturated[i]),
+                        distance_grad(A[i], B[i], kind)):
+                np.testing.assert_array_equal(got[0], want[0])
+                np.testing.assert_array_equal(got[1], want[1])
+                assert got[2] == want[2]
+
+    @pytest.mark.parametrize("kind", list(MetricKind))
+    def test_degenerate_rows_match_distance_grad(self, kind):
+        """Identical, antipodal and ordinary rows side by side: angular
+        saturation and the euclidean zero-distance subgradient come out as
+        in the one-pair oracle and in distance_grad, row by row."""
+        rng = np.random.default_rng(14)
+        a, b = random_unit(rng), random_unit(rng)
+        A = np.stack([a, a, b, a])
+        B = np.stack([a.copy(), -a, a, b])
+        ga, gb, saturated = paired_distance_grads(A, B, kind)
+        if kind is MetricKind.ANGULAR:
+            assert saturated.tolist() == [True, True, False, False]
+        else:
+            assert saturated.tolist() == [True, False, False, False]
+            assert np.all(ga[0] == 0) and np.all(gb[0] == 0)
+        for i in range(4):
+            want = scalar_distance_grad(A[i], B[i], kind)
+            for got in ((ga[i], gb[i], saturated[i]),
+                        distance_grad(A[i], B[i], kind)):
+                np.testing.assert_array_equal(got[0], want[0])
+                np.testing.assert_array_equal(got[1], want[1])
+                assert got[2] == want[2]
+        assert np.all(np.isfinite(ga)) and np.all(np.isfinite(gb))
+
+    def test_non_unit_row_rejected(self):
+        with pytest.raises(ValueError, match="not unit-norm"):
+            paired_distance_grads(np.eye(3), np.eye(3) * 1.5,
+                                  MetricKind.ANGULAR)
+
+
+class TestCandidateDistances:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 20), width=st.integers(1, 16),
+           dim=st.integers(2, 40), kind=st.sampled_from(list(MetricKind)),
+           ragged=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_rows_equal_per_row_pairwise(self, n, width, dim, kind, ragged,
+                                         seed):
+        """Each row equals, bit for bit, pairwise_distances on that row's
+        own candidates, and its pad columns are 0."""
+        rng = np.random.default_rng(seed)
+        anchors = np.stack([random_unit(rng, dim) for _ in range(n)])
+        cands = np.stack([np.stack([random_unit(rng, dim)
+                                    for _ in range(width)])
+                          for _ in range(n)])
+        counts = (rng.integers(1, width + 1, size=n) if ragged
+                  else np.full(n, width))
+        D = candidate_distances(anchors, cands, counts, kind)
+        assert D.shape == (n, width)
+        for i, m in enumerate(counts):
+            want = pairwise_distances(cands[i, :m], anchors[i:i + 1],
+                                      kind)[:, 0]
+            np.testing.assert_array_equal(D[i, :m], want)
+            assert np.all(D[i, m:] == 0.0)
+
+    def test_non_unit_real_row_rejected_and_pads_ignored(self):
+        anchors = np.eye(3)[:2]
+        cands = np.stack([np.eye(3)[1:], np.eye(3)[1:]])
+        cands[1, 1] *= 7.0              # a pad column of row 1
+        D = candidate_distances(anchors, cands, np.array([2, 1]),
+                                MetricKind.ANGULAR)
+        assert D[1, 1] == 0.0
+        with pytest.raises(ValueError, match="not unit-norm"):
+            candidate_distances(anchors, cands, np.array([2, 2]),
+                                MetricKind.ANGULAR)

@@ -1,17 +1,28 @@
 """Tests for hardest-in-batch mining and the hinge triplet loss."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adasample.metricspace import MetricKind, distance
-from adasample.miner import (MinedTriplet, NegMode, NegSource,
-                             hardest_negatives, loss_grads, mine_triplets,
-                             triplet_loss)
+from adasample.miner import (NEG_SOURCES, MinedTriplets,
+                             NegMode, NegSource, hardest_negatives,
+                             loss_grads, mine_triplets, triplet_loss)
+from test_metricspace import scalar_distance_grad
 
 
 def unit_rows(rng, n, d=6):
     X = rng.normal(size=(n, d))
     return X / np.linalg.norm(X, axis=1, keepdims=True)
+
+
+def negative_rows(neg):
+    """hardest_negatives' arrays as one (d_neg, NegSource, j) per pair."""
+    return [(float(d), NEG_SOURCES[s], int(j))
+            for d, s, j in zip(neg.d_neg, neg.source, neg.j)]
 
 
 def brute_force_hardest(A, P, kind, neg_mode=NegMode.SAME_ROLE):
@@ -46,7 +57,7 @@ class TestHardestNegatives:
     def test_two_pairs_hand_computed(self):
         A = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         P = np.array([[0.0, 0.0, 1.0], [0.6, 0.8, 0.0]])
-        got = hardest_negatives(A, P, MetricKind.ANGULAR)
+        got = negative_rows(hardest_negatives(A, P, MetricKind.ANGULAR))
         # pair 0: d(a0, a1) = pi/2; d(p0, p1) = pi/2; anchor source wins tie
         d0, src0, j0 = got[0]
         assert d0 == pytest.approx(np.pi / 2)
@@ -63,7 +74,7 @@ class TestHardestNegatives:
         for _ in range(60):
             n = int(rng.integers(2, 17))
             A, P = unit_rows(rng, n), unit_rows(rng, n)
-            got = hardest_negatives(A, P, kind, neg_mode)
+            got = negative_rows(hardest_negatives(A, P, kind, neg_mode))
             want = brute_force_hardest(A, P, kind, neg_mode)
             for (dg, sg, jg), (dw, sw, jw) in zip(got, want):
                 assert jg == jw and sg is sw
@@ -78,7 +89,7 @@ class TestHardestNegatives:
         e1 = np.array([0.0, 1.0, 0.0])
         A = np.stack([e0, e1, e1, e1])
         P = np.stack([e1, e0, e0, e0])
-        got = hardest_negatives(A, P, MetricKind.EUCLIDEAN)
+        got = negative_rows(hardest_negatives(A, P, MetricKind.EUCLIDEAN))
         # for pair 0, candidates j=1,2,3 are all identical by symmetry
         d0, src0, j0 = got[0]
         assert j0 == 1
@@ -87,7 +98,7 @@ class TestHardestNegatives:
     def test_orthogonal_anchors_with_copied_positives(self):
         A = np.eye(4)
         got = hardest_negatives(A, A.copy(), MetricKind.ANGULAR)
-        for d, src, j in got:
+        for d, src, j in negative_rows(got):
             assert d == pytest.approx(np.pi / 2)
             assert src is NegSource.ANCHOR_VS_ANCHOR
 
@@ -116,11 +127,74 @@ class TestTripletLoss:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             triplet_loss(np.nan, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            triplet_loss(np.array([0.5, np.inf]), np.ones(2), 1.0)
+
+    def test_arrays_match_scalar_hinge(self):
+        rng = np.random.default_rng(21)
+        d_pos, d_neg = rng.uniform(0, 3, 50), rng.uniform(0, 3, 50)
+        got = triplet_loss(d_pos, d_neg, 0.7)
+        want = [max(0.7 + float(p) * float(p) - float(q) * float(q), 0.0)
+                for p, q in zip(d_pos, d_neg)]
+        np.testing.assert_array_equal(got, want)
+
+
+class TestMinedTriplets:
+    def test_rows_read_the_arrays(self):
+        rng = np.random.default_rng(22)
+        A, P = unit_rows(rng, 5), unit_rows(rng, 5)
+        for neg_mode in NegMode:
+            mined = mine_triplets(A, P, MetricKind.ANGULAR, 1.0, neg_mode)
+            neg = hardest_negatives(A, P, MetricKind.ANGULAR, neg_mode)
+            assert len(mined) == 5 and len(list(mined)) == 5
+            for i, t in enumerate(mined):
+                assert t == mined[i]
+                assert t.pair_index == i
+                assert (t.d_neg, t.neg_source, t.neg_pair_index) == \
+                    negative_rows(neg)[i]
+                assert t.d_pos == mined.d_pos[i]
+                assert t.loss == float(triplet_loss(t.d_pos, t.d_neg, 1.0))
+            assert mined[-1] == mined[4]
+            with pytest.raises(IndexError):
+                mined[5]
 
 
 def total_loss(A, P, kind, margin, weights):
-    mined = mine_triplets(A, P, kind, margin)
-    return float(np.dot(weights, [t.loss for t in mined]))
+    return float(np.dot(weights, mine_triplets(A, P, kind, margin).loss))
+
+
+def scalar_loss_grads(A, P, mined, kind, weights):
+    """Per-triplet loop over scalar distance gradients: the oracle for
+    loss_grads, which must equal it bit for bit."""
+    n = A.shape[0]
+    grad_a = np.zeros_like(A)
+    grad_p = np.zeros_like(P)
+    for t in mined:
+        i, j = t.pair_index, t.neg_pair_index
+        if t.loss <= 0.0:
+            continue
+        ga, gp, _ = scalar_distance_grad(A[i], P[i], kind)
+        grad_a[i] += weights[i] * 2.0 * t.d_pos * ga
+        grad_p[i] += weights[i] * 2.0 * t.d_pos * gp
+        scale = weights[i] * 2.0 * t.d_neg
+        if t.neg_source is NegSource.ANCHOR_VS_ANCHOR:
+            gx, gy, _ = scalar_distance_grad(A[i], A[j], kind)
+            grad_a[i] -= scale * gx
+            grad_a[j] -= scale * gy
+        elif t.neg_source is NegSource.POSITIVE_VS_POSITIVE:
+            gx, gy, _ = scalar_distance_grad(P[i], P[j], kind)
+            grad_p[i] -= scale * gx
+            grad_p[j] -= scale * gy
+        elif t.neg_source is NegSource.ANCHOR_VS_POSITIVE:
+            gx, gy, _ = scalar_distance_grad(A[i], P[j], kind)
+            grad_a[i] -= scale * gx
+            grad_p[j] -= scale * gy
+        else:
+            gx, gy, _ = scalar_distance_grad(P[i], A[j], kind)
+            grad_p[i] -= scale * gx
+            grad_a[j] -= scale * gy
+    assert len(mined) == n
+    return grad_a, grad_p
 
 
 class TestLossGrads:
@@ -128,8 +202,7 @@ class TestLossGrads:
         rng = np.random.default_rng(16)
         A, P = unit_rows(rng, 3), unit_rows(rng, 3)
         mined = mine_triplets(A, P, MetricKind.ANGULAR, margin=1.0)
-        quenched = [MinedTriplet(t.pair_index, t.d_pos, t.d_neg, t.neg_source,
-                                 t.neg_pair_index, 0.0) for t in mined]
+        quenched = dataclasses.replace(mined, loss=np.zeros(3))
         ga, gp = loss_grads(A, P, quenched, MetricKind.ANGULAR)
         assert np.all(ga == 0) and np.all(gp == 0)
 
@@ -193,9 +266,16 @@ class TestLossGrads:
     def test_stale_indices_rejected(self):
         rng = np.random.default_rng(19)
         A, P = unit_rows(rng, 2), unit_rows(rng, 2)
-        bad = [MinedTriplet(0, 0.5, 0.4, NegSource.ANCHOR_VS_ANCHOR, 5, 1.0)]
+        mined = mine_triplets(A, P, MetricKind.EUCLIDEAN, margin=1.0)
+        for j in ([5, 0], [-1, 0], [0, 0]):
+            bad = dataclasses.replace(mined, j=np.array(j))
+            with pytest.raises(ValueError, match="stale"):
+                loss_grads(A, P, bad, MetricKind.EUCLIDEAN)
+        # triplets of another batch size
+        short = MinedTriplets(*(np.asarray(getattr(mined, f.name))[:1]
+                                for f in dataclasses.fields(mined)))
         with pytest.raises(ValueError, match="stale"):
-            loss_grads(A, P, bad, MetricKind.EUCLIDEAN)
+            loss_grads(A, P, short, MetricKind.EUCLIDEAN)
 
     def test_cross_role_sources_route_gradients(self):
         rng = np.random.default_rng(20)
@@ -207,3 +287,29 @@ class TestLossGrads:
                    for t in mined)
         ga, gp = loss_grads(A, P, mined, MetricKind.EUCLIDEAN)
         assert np.any(ga != 0) or np.any(gp != 0)
+
+    @pytest.mark.parametrize("kind", list(MetricKind))
+    @pytest.mark.parametrize("neg_mode", list(NegMode))
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 24), dim=st.integers(2, 16),
+           margin=st.sampled_from([1e-9, 0.3, 1.0, 4.0]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_equals_scalar_oracle(self, kind, neg_mode, n, dim, margin,
+                                  seed):
+        """Random batches, both metrics and modes, a margin range that makes
+        hinges inactive, duplicated rows (angular saturation, euclidean zero
+        distance) and random quenching: equal to the per-triplet loop."""
+        rng = np.random.default_rng(seed)
+        A, P = unit_rows(rng, n, dim), unit_rows(rng, n, dim)
+        P[0] = A[0]
+        if n > 2:
+            A[2] = A[1]
+        w = rng.uniform(0.1, 3.0, size=n)
+        mined = mine_triplets(A, P, kind, margin, neg_mode)
+        quench = rng.random(n) < 0.2
+        mined = dataclasses.replace(mined,
+                                    loss=np.where(quench, 0.0, mined.loss))
+        ga, gp = loss_grads(A, P, mined, kind, w)
+        want_a, want_p = scalar_loss_grads(A, P, mined, kind, w)
+        np.testing.assert_array_equal(ga, want_a)
+        np.testing.assert_array_equal(gp, want_p)

@@ -8,6 +8,8 @@ forms.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adasample.errors import DegenerateDistributionError, StateError
 from adasample.sampler import (LossTracker, SamplerConfig, adaptive_exponent,
@@ -17,6 +19,23 @@ from adasample.sampler import (LossTracker, SamplerConfig, adaptive_exponent,
                                update_loss_avg)
 
 CFG = SamplerConfig()
+
+
+def scalar_positive_probs(d, exponent):
+    """One candidate vector at a time: the oracle for positive_probs."""
+    d = np.asarray(d, dtype=np.float64)
+    d_max = float(d.max())
+    if exponent == 0.0 or d_max == 0.0:
+        return np.full(d.size, 1.0 / d.size)
+    scaled = (d / d_max) ** exponent
+    return scaled / scaled.sum()
+
+
+def scalar_categorical_sample(probs, u):
+    """One probability vector and one uniform at a time: the oracle for
+    categorical_sample."""
+    idx = int(np.searchsorted(np.cumsum(probs), u, side="right"))
+    return min(idx, len(probs) - 1)
 
 
 class TestLossTracker:
@@ -122,30 +141,108 @@ class TestReweights:
 class TestCategoricalSample:
     def test_single_outcome(self):
         rng = np.random.default_rng(0)
-        assert all(categorical_sample(np.array([1.0]), rng) == 0
+        assert all(categorical_sample(np.array([1.0]), rng.random()) == 0
                    for _ in range(20))
 
     def test_degenerate_mass(self):
         rng = np.random.default_rng(0)
-        assert all(categorical_sample(np.array([0.0, 1.0, 0.0]), rng) == 1
+        assert all(categorical_sample(np.array([0.0, 1.0, 0.0]),
+                                      rng.random()) == 1
                    for _ in range(200))
 
     def test_empirical_frequency(self):
         rng = np.random.default_rng(123)
-        draws = np.array([categorical_sample(np.array([0.3, 0.7]), rng)
-                          for _ in range(100_000)])
+        draws = categorical_sample(np.tile([0.3, 0.7], (100_000, 1)),
+                                   rng.random(100_000))
         assert abs(draws.mean() - 0.7) < 0.01
 
     def test_unnormalized_probs_rejected(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="sum to 1"):
-            categorical_sample(np.array([0.5, 0.6]), rng)
+            categorical_sample(np.array([0.5, 0.6]), rng.random())
 
     def test_deterministic_given_rng_state(self):
         p = np.array([0.2, 0.5, 0.3])
-        a = [categorical_sample(p, np.random.default_rng(9)) for _ in range(5)]
-        b = [categorical_sample(p, np.random.default_rng(9)) for _ in range(5)]
-        assert a == b
+        u = np.random.default_rng(9).random(5)
+        a = [categorical_sample(p, x) for x in u]
+        b = categorical_sample(np.tile(p, (5, 1)), u)
+        assert a == b.tolist()
+
+
+class TestMaskedRows:
+    """The 2-D masked kernels against their one-vector oracles."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 30), width=st.integers(1, 16),
+           ragged=st.booleans(),
+           exponent=st.sampled_from([0.0, 0.5, 2.0, 7.3, 50.0]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_rows_equal_scalar_oracles(self, n, width, ragged, exponent,
+                                       seed):
+        rng = np.random.default_rng(seed)
+        counts = (rng.integers(1, width + 1, size=n) if ragged
+                  else np.full(n, width))
+        d = rng.uniform(0, np.pi, size=(n, width))
+        d[rng.random(n) < 0.2] = 0.0            # rows of identical patches
+        d[np.arange(width) >= counts[:, None]] = rng.uniform(5, 9)  # pads
+        probs = positive_probs(d, exponent, counts=counts)
+        u = rng.random(n)
+        picks = categorical_sample(probs, u, counts=counts)
+        for i, m in enumerate(counts):
+            want = scalar_positive_probs(d[i, :m], exponent)
+            np.testing.assert_array_equal(probs[i, :m], want)
+            assert np.all(probs[i, m:] == 0.0)
+            assert picks[i] == scalar_categorical_sample(want, u[i])
+
+    def test_identical_patches_sample_uniformly(self):
+        """A row whose real distances are all 0 is uniform over its own
+        candidates, whatever the exponent and the pad values."""
+        d = np.array([[0.0, 0.0, 0.0, 3.0, 3.0],
+                      [0.2, 0.4, 0.1, 0.3, 0.5]])
+        probs = positive_probs(d, 50.0, counts=np.array([3, 5]))
+        np.testing.assert_array_equal(probs[0], [1 / 3, 1 / 3, 1 / 3, 0, 0])
+        assert probs[1, 4] > 0.99
+
+    def test_single_candidate_is_forced(self):
+        """k = 2 leaves one candidate: probability 1, picked for any u."""
+        d = np.array([[0.7, 0.0, 0.0], [0.2, 0.9, 0.4]])
+        counts = np.array([1, 3])
+        probs = positive_probs(d, 10.0, counts=counts)
+        assert probs[0].tolist() == [1.0, 0.0, 0.0]
+        for u in (0.0, 0.5, np.nextafter(1.0, 0.0)):
+            assert categorical_sample(probs, [u, 0.0], counts=counts)[0] == 0
+
+    def test_uniform_above_last_cdf_clamps_to_last_real_column(self):
+        """Rows summing to just below 1: a uniform above the row's last
+        CDF value picks the last real column, never a pad."""
+        short = 1.0 - 4e-10
+        probs = np.array([[0.5, short - 0.5, 0.0, 0.0],
+                          [0.25, 0.25, 0.25, short - 0.75],
+                          [short, 0.0, 0.0, 0.0]])
+        counts = np.array([2, 4, 1])
+        u = np.full(3, 1.0 - 1e-10)
+        assert categorical_sample(probs, u, counts=counts).tolist() == \
+            [1, 3, 0]
+        assert categorical_sample(probs[0, :2], u[0]) == 1
+
+    def test_scalar_path_checks_hold_per_row(self):
+        counts = np.array([2, 1])
+        d = np.array([[0.1, 0.2], [0.3, np.nan]])     # NaN in a pad: fine
+        positive_probs(d, 1.0, counts=counts)
+        with pytest.raises(ValueError, match="finite"):
+            positive_probs(d, 1.0, counts=np.array([2, 2]))
+        with pytest.raises(ValueError, match="nonnegative"):
+            positive_probs(np.array([[0.1, 0.2], [0.3, -1.0]]), 1.0)
+        with pytest.raises(ValueError, match="exponent"):
+            positive_probs(np.ones((2, 2)), -1.0)
+        with pytest.raises(ValueError, match="counts"):
+            positive_probs(np.ones((2, 2)), 1.0, counts=np.array([0, 2]))
+        with pytest.raises(ValueError, match="sum to 1"):
+            categorical_sample(np.array([[0.5, 0.5], [0.5, 0.6]]), [0.1, 0.1])
+        with pytest.raises(ValueError, match="nonnegative"):
+            categorical_sample(np.array([[1.5, -0.5]]), [0.1])
+        with pytest.raises(ValueError, match="one uniform per row"):
+            categorical_sample(np.array([[0.5, 0.5]] * 2), [0.1])
 
 
 class TestOptimalProbs:

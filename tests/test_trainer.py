@@ -2,14 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from adasample.data import DatasetSpec, generate_synthetic, to_input_matrix
-from adasample.errors import DatasetError
+from adasample.data import (ClassGroup, DatasetSpec, Patch,
+                            generate_synthetic, to_input_matrix)
+from adasample.errors import DatasetError, NumericError
+from adasample.metricspace import MetricKind, pairwise_distances
 from adasample.miner import mine_triplets
-from adasample.sampler import LossTracker, SamplerConfig
+from adasample.sampler import (LossTracker, SamplerConfig, adaptive_exponent,
+                               reweights)
 from adasample.tensornet import forward
 from adasample.trainer import (TrainConfig, build_batch, effective_lr,
-                               init_state, train, train_step)
+                               init_state, stack_class_inputs, train,
+                               train_step)
+from test_sampler import scalar_categorical_sample, scalar_positive_probs
 
 
 def tiny_dataset(num_classes=8, k=4, patch_size=8, seed=30, **kw):
@@ -27,10 +34,52 @@ def tiny_config(**kw):
 
 
 def batch_of(ds, state, cfg, rng, tracker=None):
-    """build_batch over per-class input matrices made from ``ds``."""
-    inputs = [to_input_matrix(g.patches) for g in ds]
+    """build_batch over the stacked input rows of ``ds``."""
     return build_batch(ds, state.params, tracker or state.loss_tracker, cfg,
-                       rng, inputs)
+                       rng, stack_class_inputs(ds))
+
+
+def scalar_build_batch(ds, params, tracker, cfg, rng):
+    """Per-class loop over one candidate vector at a time: the oracle for
+    build_batch, which must equal it bit for bit and draw the same random
+    stream. Returns the batch rows, the weights and the diagnostics."""
+    n = cfg.batch_size
+    exponent = adaptive_exponent(tracker, cfg.sampler) \
+        if tracker.initialized else 0.0
+    groups = [ds[int(ci)] for ci in rng.choice(len(ds), size=n,
+                                                replace=False)]
+    flat_inputs = np.vstack([to_input_matrix(g.patches) for g in groups])
+    descs, _ = forward(params, flat_inputs)
+    offsets = np.cumsum([0] + [len(g.patches) for g in groups])
+    anchor, positive, used, chosen_d = [], [], [], []
+    for slot, group in enumerate(groups):
+        k = len(group.patches)
+        rows = descs[offsets[slot]:offsets[slot + 1]]
+        a_idx = int(rng.integers(k))
+        cand_idx = [i for i in range(k) if i != a_idx]
+        dists = pairwise_distances(rows[cand_idx], rows[a_idx:a_idx + 1],
+                                   cfg.metric)[:, 0]
+        probs = scalar_positive_probs(dists, exponent)
+        pick = scalar_categorical_sample(probs, rng.random())
+        anchor.append(a_idx)
+        positive.append(cand_idx[pick])
+        used.append(probs[pick])
+        chosen_d.append(dists[pick])
+    weights, clamped = reweights(np.array(chosen_d))
+    starts = offsets[:-1]
+    inputs = flat_inputs[np.concatenate([starts + anchor, starts + positive])]
+    diag = dict(class_ids=[g.class_id for g in groups], anchor_index=anchor,
+                positive_index=positive, probability_used=used,
+                exponent=exponent, weight_clamped=clamped)
+    return inputs, weights, diag
+
+
+def ragged_dataset(sizes, patch_size=8, seed=30):
+    """Classes of 16 views each, truncated to the given sizes."""
+    ds = tiny_dataset(num_classes=len(sizes), k=16, patch_size=patch_size,
+                      seed=seed)
+    return [ClassGroup(g.class_id, g.patches[:int(k)])
+            for g, k in zip(ds, sizes)]
 
 
 class TestBuildBatch:
@@ -133,6 +182,92 @@ class TestBuildBatch:
         state = init_state(cfg, 64)
         with pytest.raises(DatasetError, match="classes"):
             batch_of(ds, state, cfg, np.random.default_rng(0))
+
+
+class TestBuildBatchOracle:
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    @pytest.mark.parametrize("ragged", [False, True])
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(num_classes=st.integers(4, 14), k=st.integers(2, 16),
+           lam=st.sampled_from([None, 0.0, 3.0, 10.0, float("inf")]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_equals_per_class_loop(self, metric, ragged, num_classes, k, lam,
+                                   seed):
+        """Uniform k or ragged k in 2..16, both metrics, the bootstrap step
+        (lam None), exponent 0, finite and the cap (lam inf)."""
+        rng = np.random.default_rng(seed)
+        sizes = (rng.integers(2, 17, size=num_classes) if ragged
+                 else np.full(num_classes, k))
+        ds = ragged_dataset(sizes, seed=int(rng.integers(1 << 30)))
+        cfg = tiny_config(batch_size=int(rng.integers(2, num_classes + 1)),
+                          metric=metric,
+                          sampler=SamplerConfig(lambda_=lam or 0.0))
+        tracker = (LossTracker() if lam is None else
+                   LossTracker(l_avg=float(rng.uniform(0.05, 2.0)),
+                               initialized=True))
+        params = init_state(cfg, 64).params
+        draw = int(rng.integers(1 << 30))
+        batch, diag = build_batch(ds, params, tracker, cfg,
+                                  np.random.default_rng(draw),
+                                  stack_class_inputs(ds))
+        inputs, weights, want = scalar_build_batch(
+            ds, params, tracker, cfg, np.random.default_rng(draw))
+        np.testing.assert_array_equal(batch.inputs, inputs)
+        np.testing.assert_array_equal(batch.weights, weights)
+        for name in ("class_ids", "anchor_index", "positive_index",
+                     "probability_used"):
+            np.testing.assert_array_equal(getattr(diag, name), want[name])
+        assert diag.exponent == want["exponent"]
+        assert diag.weight_clamped == want["weight_clamped"]
+
+    def test_same_random_stream_as_per_class_loop(self):
+        ds = ragged_dataset([2, 9, 16, 5, 3, 12])
+        cfg = tiny_config(batch_size=5)
+        params = init_state(cfg, 64).params
+        tracker = LossTracker(l_avg=0.4, initialized=True)
+        rng_kernel, rng_oracle = (np.random.default_rng(11) for _ in "ab")
+        for _ in range(5):
+            build_batch(ds, params, tracker, cfg, rng_kernel,
+                        stack_class_inputs(ds))
+            scalar_build_batch(ds, params, tracker, cfg, rng_oracle)
+            assert rng_kernel.bit_generator.state == \
+                rng_oracle.bit_generator.state
+
+    def test_identical_patches_give_uniform_choice(self):
+        """A class of identical patches has row maximum distance 0, so its
+        positive is uniform over the k - 1 candidates even at the cap."""
+        ds = ragged_dataset([6, 9, 4, 7])
+        same = ds[1].patches[0].pixels
+        ds[1] = ClassGroup(ds[1].class_id,
+                           [Patch(same.copy(), p.class_id, p.patch_id)
+                            for p in ds[1].patches])
+        cfg = tiny_config(batch_size=4, metric=MetricKind.EUCLIDEAN,
+                          sampler=SamplerConfig(lambda_=float("inf")))
+        tracker = LossTracker(l_avg=1.0, initialized=True)
+        state = init_state(cfg, 64)
+        _, diag = batch_of(ds, state, cfg, np.random.default_rng(2), tracker)
+        slot = int(np.flatnonzero(diag.class_ids == ds[1].class_id)[0])
+        assert diag.exponent == 50.0
+        assert diag.probability_used[slot] == 1.0 / 8
+        # the other classes concentrate on their farthest candidate
+        others = np.arange(4) != slot
+        assert np.all(diag.probability_used[others] > 0.9)
+
+    def test_two_patch_classes_are_forced_in_a_ragged_batch(self):
+        ds = ragged_dataset([2, 16, 2, 9, 2, 5])
+        cfg = tiny_config(batch_size=6)
+        tracker = LossTracker(l_avg=0.5, initialized=True)
+        state = init_state(cfg, 64)
+        rng = np.random.default_rng(4)
+        sizes = {g.class_id: len(g.patches) for g in ds}
+        for _ in range(10):
+            _, diag = batch_of(ds, state, cfg, rng, tracker)
+            for cid, a, p, used in zip(diag.class_ids, diag.anchor_index,
+                                       diag.positive_index,
+                                       diag.probability_used):
+                assert a != p and 0 <= p < sizes[int(cid)]
+                if sizes[int(cid)] == 2:
+                    assert p == 1 - a and used == 1.0
 
 
 def manual_update(state, batch, config):
@@ -239,6 +374,18 @@ class TestTrain:
         assert log == []
         for a, b in zip(params.layers, reference.layers):
             np.testing.assert_array_equal(a, b)
+
+    def test_numeric_failure_carries_completed_rows(self):
+        """A learning rate that overflows the network output after two steps
+        ends the run with the two completed metrics rows on the error."""
+        cfg = tiny_config(lr=1e100)
+        _, log = train(tiny_config(lr=1e100, epochs=1, pairs_per_epoch=8),
+                       tiny_dataset())
+        with pytest.raises(NumericError) as info:
+            with np.errstate(over="ignore"):
+                train(cfg, tiny_dataset())
+        assert info.value.partial_log == log
+        assert [row["step"] for row in log] == [1, 2]
 
     def test_same_seed_gives_bitwise_identical_logs(self):
         ds = tiny_dataset()
