@@ -8,15 +8,16 @@ from .evaluation import (EvalReport, fpr_at_recall, info_correlation_probe,
 from .metricspace import MetricKind, distance, distance_grad, \
     paired_distance_grads, paired_distances, pairwise_distances
 from .miner import (MinedTriplet, MinedTriplets, NegMode, NegSource,
-                    hardest_negatives, loss_grads, mine_triplets,
-                    triplet_loss)
+                    first_minimum, hardest_negatives, loss_grads,
+                    mine_triplets, triplet_loss)
 from .sampler import (LossTracker, SamplerConfig, adaptive_exponent,
                       categorical_sample, expected_rectification,
                       optimal_probs, positive_probs, reweights,
                       trace_variance, unbiased_weights, update_loss_avg)
 from .tensornet import (Activation, ForwardCache, GradEstimate, ModelParams,
-                        backward, finite_diff_grad, forward, init_params,
-                        read_params, write_params)
+                        backward, finite_diff_grad, forward,
+                        group_grad_norms, init_params, read_params,
+                        write_params)
 from .trainer import TrainConfig, TrainState, build_batch, train, train_step
 
 __version__ = "0.1.0"

@@ -180,25 +180,47 @@ def to_input_matrix(patches: list[Patch]) -> np.ndarray:
     return np.divide(X, std, out=np.zeros_like(X), where=std > 0)
 
 
+def _check_finite(pixels: np.ndarray, names: list[tuple[int, int]]) -> None:
+    """Raise :class:`DatasetError` naming the first patch (by class and
+    patch id, ``names[i]`` for ``pixels[i]``) holding a NaN or an infinity.
+    One pass over all pixels; the patch is located only on failure."""
+    finite = np.isfinite(pixels)
+    if finite.all():
+        return
+    bad = int(np.argmin(finite.reshape(len(pixels), -1).all(axis=1)))
+    class_id, patch_id = names[bad]
+    raise DatasetError(f"patch {patch_id} of class {class_id} has a pixel "
+                       f"that is not a finite float32")
+
+
 def write_dataset(dataset: list[ClassGroup], path) -> None:
     if not dataset:
         raise DatasetError("refusing to write an empty dataset")
     if any(not group.patches for group in dataset):
         raise DatasetError("every class must hold at least one patch")
     patch_size = dataset[0].patches[0].size
+    for group in dataset:
+        for patch in group.patches:
+            if patch.pixels.shape != (patch_size, patch_size):
+                raise DatasetError(
+                    f"patch {patch.patch_id} of class {group.class_id} "
+                    f"has shape {patch.pixels.shape}, expected "
+                    f"({patch_size}, {patch_size})")
+    # values beyond the float32 range become infinities, rejected below
+    with np.errstate(over="ignore"):
+        pixels = np.array([p.pixels for g in dataset for p in g.patches],
+                          dtype="<f4")
+    _check_finite(pixels, [(g.class_id, p.patch_id)
+                           for g in dataset for p in g.patches])
     with open(path, "wb") as fh:
         fh.write(DATASET_MAGIC)
         fh.write(struct.pack("<III", DATASET_VERSION, len(dataset), patch_size))
+        start = 0
         for group in dataset:
             fh.write(struct.pack("<II", group.class_id, len(group.patches)))
-            for patch in group.patches:
-                if patch.pixels.shape != (patch_size, patch_size):
-                    raise DatasetError(
-                        f"patch {patch.patch_id} of class {group.class_id} "
-                        f"has shape {patch.pixels.shape}, expected "
-                        f"({patch_size}, {patch_size})")
-                fh.write(np.ascontiguousarray(patch.pixels,
-                                              dtype="<f4").tobytes())
+            stop = start + len(group.patches)
+            fh.write(pixels[start:stop].tobytes())
+            start = stop
 
 
 def read_dataset(path) -> list[ClassGroup]:
@@ -220,17 +242,26 @@ def read_dataset(path) -> list[ClassGroup]:
     version, num_classes, patch_size = struct.unpack("<III", take(12, "header"))
     if version != DATASET_VERSION:
         raise FormatError(f"unsupported version {version}", 4)
-    dataset = []
+    classes = []
+    names = []
+    chunks = []
     for _ in range(num_classes):
         class_id, k = struct.unpack("<II", take(8, "class header"))
-        patches = []
         for patch_id in range(k):
-            raw = take(4 * patch_size * patch_size,
-                       f"patch {patch_id} of class {class_id}")
-            pix = np.frombuffer(raw, dtype="<f4").astype(np.float64)
-            patches.append(Patch(pix.reshape(patch_size, patch_size),
-                                 class_id, patch_id))
-        dataset.append(ClassGroup(class_id, patches))
+            chunks.append(take(4 * patch_size * patch_size,
+                               f"patch {patch_id} of class {class_id}"))
+            names.append((class_id, patch_id))
+        classes.append((class_id, k))
     if offset != len(blob):
         raise FormatError("trailing bytes after last class", offset)
+    pixels = np.frombuffer(b"".join(chunks), dtype="<f4").astype(np.float64)
+    pixels = pixels.reshape(len(names), patch_size, patch_size)
+    _check_finite(pixels, names)
+    dataset = []
+    start = 0
+    for class_id, k in classes:
+        dataset.append(ClassGroup(class_id, [
+            Patch(pixels[start + patch_id], class_id, patch_id)
+            for patch_id in range(k)]))
+        start += k
     return dataset

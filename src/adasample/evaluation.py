@@ -22,9 +22,10 @@ from scipy.special import ndtr
 
 from .data import ClassGroup, to_input_matrix
 from .errors import UndefinedCorrelationError
-from .metricspace import MetricKind, distance_grad, pairwise_distances
-from .miner import NegMode, loss_grads, mine_triplets
-from .tensornet import ModelParams, backward, forward
+from .metricspace import MetricKind, paired_distance_grads, \
+    paired_distances, pairwise_distances
+from .miner import NegMode, first_minimum, triplet_loss
+from .tensornet import ModelParams, forward, group_grad_norms
 
 EXACT_MW_LIMIT = 20
 
@@ -155,6 +156,13 @@ def info_correlation_probe(dataset: list[ClassGroup], params: ModelParams,
     A probe without usable spread in either vector (identical views, a
     network that maps every candidate to the same point, all hinges
     inactive) is flagged degenerate instead of raising.
+
+    Every patch of the sampled classes runs through the network once. The
+    network is row-wise, so a candidate's batch differs from the others
+    only in its own positive row: its triplet is mined alone against the
+    fixed anchors and contexts, and its loss gradient touches at most three
+    rows (its anchor, itself and the other-pair side of the negative),
+    whose summed gradient norm comes from per-layer Gram matrices.
     """
     usable = [g for g in dataset if len(g.patches) >= 2]
     if len(usable) < 2:
@@ -162,57 +170,65 @@ def info_correlation_probe(dataset: list[ClassGroup], params: ModelParams,
     m = min(sample_classes, len(usable))
     picked = [usable[int(i)] for i in rng.choice(len(usable), size=m,
                                                  replace=False)]
-    anchor_idx = [int(rng.integers(len(g.patches))) for g in picked]
-    context_idx = []
-    for g, a in zip(picked, anchor_idx):
-        others = [i for i in range(len(g.patches)) if i != a]
-        context_idx.append(others[int(rng.integers(len(others)))])
+    sizes = np.array([len(g.patches) for g in picked])
+    anchor = np.array([int(rng.integers(k)) for k in sizes.tolist()])
+    # the context is drawn among the k - 1 patches other than the anchor
+    context = np.array([int(rng.integers(k - 1)) for k in sizes.tolist()])
+    context += context >= anchor
 
-    p_dist_parts: list[np.ndarray] = []
-    p_info_parts: list[np.ndarray] = []
-    for slot in range(m):
-        group = picked[slot]
-        cand_ids = [i for i in range(len(group.patches))
-                    if i != anchor_idx[slot]]
-        dists = np.empty(len(cand_ids))
-        infos = np.empty(len(cand_ids))
-        for ci, cand in enumerate(cand_ids):
-            anchors = []
-            positives = []
-            for other in range(m):
-                anchors.append(picked[other].patches[anchor_idx[other]])
-                pos_id = cand if other == slot else context_idx[other]
-                positives.append(picked[other].patches[pos_id])
-            inputs = to_input_matrix(anchors + positives)
-            descs, cache = forward(params, inputs)
-            desc_a, desc_p = descs[:m], descs[m:]
-            mined = mine_triplets(desc_a, desc_p, kind, margin, neg_mode)
-            dists[ci] = mined[slot].d_pos
-            onehot = np.zeros(m)
-            onehot[slot] = 1.0
-            if pair_term_only:
-                d_pos = mined[slot].d_pos
-                ga, gb, _ = distance_grad(desc_a[slot], desc_p[slot], kind)
-                out_grads = np.zeros_like(descs)
-                out_grads[slot] = 2.0 * d_pos * ga
-                out_grads[m + slot] = 2.0 * d_pos * gb
-            elif mined[slot].loss > 0.0:
-                grad_a, grad_p = loss_grads(desc_a, desc_p, mined, kind,
-                                            onehot)
-                out_grads = np.vstack([grad_a, grad_p])
-            else:
-                infos[ci] = 0.0
-                continue
-            grads, _ = backward(params, cache, out_grads)
-            infos[ci] = grads.norm()
-        d_sum, i_sum = dists.sum(), infos.sum()
-        p_dist_parts.append(dists / d_sum if d_sum > 0
-                            else np.full(dists.size, 1.0 / dists.size))
-        p_info_parts.append(infos / i_sum if i_sum > 0
-                            else np.zeros(infos.size))
+    # Row offsets into the one forward pass over every picked patch.
+    first_row = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    anchor_row = first_row + anchor
+    context_row = first_row + context
+    # Candidates in class order; candidate c of a class is its patch
+    # c + (c >= anchor).
+    counts = sizes - 1
+    slot = np.repeat(np.arange(m), counts)
+    first_cand = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    cand = np.arange(slot.size) - first_cand[slot]
+    cand_row = first_row[slot] + cand + (cand >= anchor[slot])
 
-    p_dist = np.concatenate(p_dist_parts)
-    p_info = np.concatenate(p_info_parts)
+    descs, cache = forward(params, to_input_matrix(
+        [p for g in picked for p in g.patches]))
+    A, Ctx, C = descs[anchor_row], descs[context_row], descs[cand_row]
+    dists = paired_distances(A[slot], C, kind)
+    ga, gb, _ = paired_distance_grads(A[slot], C, kind)
+    pos = 2.0 * dists[:, None]
+    if pair_term_only:
+        rows = np.stack([anchor_row[slot], cand_row], axis=1)
+        out_grads = np.stack([pos * ga, pos * gb], axis=1)
+    else:
+        # The scored pair's side of the negative is its anchor (side 0) or
+        # the candidate (side 1); the other pair's side is its anchor or
+        # context, as the negative mode dictates.
+        if neg_mode is NegMode.SAME_ROLE:
+            d_neg, j, side = first_minimum(
+                pairwise_distances(A, A, kind)[slot],
+                pairwise_distances(C, Ctx, kind), slot)
+            far = np.where(side == 1, context_row[j], anchor_row[j])
+        else:
+            d_neg, j, side = first_minimum(
+                pairwise_distances(A, Ctx, kind)[slot],
+                pairwise_distances(C, A, kind), slot)
+            far = np.where(side == 1, anchor_row[j], context_row[j])
+        near = np.where(side == 1, cand_row, anchor_row[slot])
+        gna, gnb, _ = paired_distance_grads(descs[near], descs[far], kind)
+        neg = 2.0 * d_neg[:, None]
+        rows = np.stack([anchor_row[slot], cand_row, far], axis=1)
+        out_grads = np.stack([pos * ga, pos * gb, -(neg * gnb)], axis=1)
+        out_grads[np.arange(slot.size), side] -= neg * gna
+        # inactive hinges (and the exact boundary) score 0
+        out_grads[triplet_loss(dists, d_neg, margin) <= 0.0] = 0.0
+    infos = group_grad_norms(params, cache.take(rows.ravel()),
+                             out_grads.reshape(-1, descs.shape[1]),
+                             rows.shape[1])
+
+    d_sum = np.repeat(np.add.reduceat(dists, first_cand), counts)
+    i_sum = np.repeat(np.add.reduceat(infos, first_cand), counts)
+    p_dist = np.divide(dists, d_sum, where=d_sum > 0,
+                       out=1.0 / np.repeat(counts, counts))
+    p_info = np.divide(infos, i_sum, where=i_sum > 0,
+                       out=np.zeros(infos.size))
     # Spread below ~1e-6 of the magnitude is floating-point residue, not an
     # ordering signal (identical views still differ in the last few ulps).
     if _relative_spread(p_dist) < 1e-6 or _relative_spread(p_info) < 1e-6:

@@ -103,15 +103,29 @@ class MinedTriplets:
         return (self[i] for i in range(len(self)))
 
 
+def first_minimum(first: np.ndarray, second: np.ndarray,
+                  skip: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                             np.ndarray]:
+    """Per row i, the minimum over the candidates ``first[i, j]`` (side 0)
+    and ``second[i, j]`` (side 1) for j != skip[i], with its j and side.
+
+    The scan order over the flattened (j, side) candidates makes the
+    tie-break exact: lowest j wins, and within a j side 0 wins.
+    """
+    C = np.stack([first, second], axis=2)
+    idx = np.arange(C.shape[0])
+    C[idx, skip, :] = np.inf
+    flat = C.reshape(C.shape[0], -1)
+    best = np.argmin(flat, axis=1)
+    j, side = np.divmod(best, 2)
+    return flat[idx, best], j, side
+
+
 def hardest_negatives(anchors: np.ndarray, positives: np.ndarray,
                       kind: MetricKind,
                       neg_mode: NegMode = NegMode.SAME_ROLE) -> Negatives:
-    """Per pair, the minimum over both candidate distance matrices.
-
-    The scan order over the flattened (j, source) candidates makes the
-    tie-break exact: lowest j wins, and within a j the anchor-side source
-    wins.
-    """
+    """Per pair, the minimum over both candidate distance matrices, with
+    the tie-break of :func:`first_minimum` (the anchor side is side 0)."""
     A = np.atleast_2d(np.asarray(anchors, dtype=np.float64))
     P = np.atleast_2d(np.asarray(positives, dtype=np.float64))
     n = A.shape[0]
@@ -127,15 +141,8 @@ def hardest_negatives(anchors: np.ndarray, positives: np.ndarray,
         D_first = pairwise_distances(A, P, kind)
         D_second = pairwise_distances(P, A, kind)
         first_code = 2
-    # Candidate tensor ordered (j, source); argmin picks the first minimum,
-    # which implements the tie-break.
-    C = np.stack([D_first, D_second], axis=2)
-    idx = np.arange(n)
-    C[idx, idx, :] = np.inf
-    flat = C.reshape(n, 2 * n)
-    best = np.argmin(flat, axis=1)
-    j, s = np.divmod(best, 2)
-    return Negatives(flat[idx, best], first_code + s, j)
+    d_neg, j, side = first_minimum(D_first, D_second, np.arange(n))
+    return Negatives(d_neg, first_code + side, j)
 
 
 def triplet_loss(d_pos, d_neg, margin: float) -> np.ndarray:

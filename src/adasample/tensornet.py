@@ -6,6 +6,8 @@ affine output is projected onto the unit sphere. The backward pass applies
 the exact normalization Jacobian (I - y y^T)/||z|| rather than treating the
 projection as a constant, and reports the exact full-parameter gradient
 norm of every sample in the batch alongside the batch-summed gradient.
+The norm of the summed gradient of each group of consecutive rows comes
+from per-layer Gram matrices without forming the group's gradient.
 
 A central finite-difference oracle is included for verification.
 """
@@ -80,6 +82,16 @@ class ForwardCache:
     @property
     def batch_size(self) -> int:
         return self.inputs.shape[0]
+
+    def take(self, rows: np.ndarray) -> "ForwardCache":
+        """The cache of the batch made of ``rows`` of this one; the network
+        is row-wise, so no forward pass is needed."""
+        return ForwardCache(inputs=self.inputs[rows],
+                            pre=[h[rows] for h in self.pre],
+                            hidden=[x[rows] for x in self.hidden],
+                            raw_output=self.raw_output[rows],
+                            output_norms=self.output_norms[rows],
+                            descriptors=self.descriptors[rows])
 
 
 @dataclass
@@ -169,14 +181,13 @@ def forward(params: ModelParams,
     return descriptors, cache
 
 
-def backward(params: ModelParams, cache: ForwardCache,
-             output_grads: np.ndarray) -> tuple[GradEstimate, np.ndarray]:
-    """Reverse-mode pass from descriptor-space gradients to weight gradients.
+def _deltas(params: ModelParams, cache: ForwardCache, output_grads: np.ndarray):
+    """Backpropagate dLoss/dDescriptor rows through the cached batch.
 
-    ``output_grads`` holds dLoss/dDescriptor per sample. Returns the
-    gradient summed over the batch and, per sample, the exact L2 norm of
-    that sample's full-parameter gradient. The latter is the per-sample
-    informativeness used by the adaptive sampler oracles.
+    Yields ``(l, delta, x_prev)`` from the top layer down: ``delta`` holds
+    each row's gradient with respect to layer l's output (before its
+    nonlinearity) and ``x_prev`` the row's input to layer l, so row r's
+    gradient of layer l's weights is the outer product delta_r x_prev_r^T.
     """
     G = np.atleast_2d(np.asarray(output_grads, dtype=np.float64))
     if G.shape != cache.descriptors.shape:
@@ -186,20 +197,66 @@ def backward(params: ModelParams, cache: ForwardCache,
     # Jacobian of z -> z/||z||:  (I - y y^T) / ||z||, applied row-wise.
     delta = (G - np.sum(G * y, axis=1, keepdims=True) * y)
     delta = delta / cache.output_norms[:, None]
-
-    grads: list[np.ndarray] = [None] * len(params.layers)  # type: ignore
-    sq_norms = np.zeros(cache.batch_size)
     for l in range(len(params.layers) - 1, -1, -1):
         x_prev = cache.inputs if l == 0 else cache.hidden[l - 1]
-        grads[l] = delta.T @ x_prev
-        sq_norms += np.sum(delta * delta, axis=1) * np.sum(x_prev * x_prev, axis=1)
+        yield l, delta, x_prev
         if l > 0:
             dx = delta @ params.layers[l]
             deriv = _activate_deriv_from_output(cache.hidden[l - 1],
                                                 cache.pre[l - 1],
                                                 params.activation)
             delta = dx * deriv
+
+
+def _group_sq_norms(delta: np.ndarray, x_prev: np.ndarray,
+                    group: int) -> np.ndarray:
+    """Per group of ``group`` consecutive rows, the squared Frobenius norm
+    of sum_r delta_r x_r^T, evaluated as sum_{r,s} (delta_r . delta_s)
+    (x_r . x_s) and clamped at 0 (rounding can push an exact 0 below it).
+
+    The dot products are element-wise products summed over the last axis,
+    so a group of one row gives (delta . delta)(x . x) exactly as
+    ``np.sum(delta * delta, axis=1) * np.sum(x * x, axis=1)``.
+    """
+    def gram(v: np.ndarray) -> np.ndarray:
+        v = v.reshape(-1, group, 1, v.shape[1])
+        return np.sum(v * v.swapaxes(1, 2), axis=3)
+
+    return np.maximum(np.sum(gram(delta) * gram(x_prev), axis=(1, 2)), 0.0)
+
+
+def backward(params: ModelParams, cache: ForwardCache,
+             output_grads: np.ndarray) -> tuple[GradEstimate, np.ndarray]:
+    """Reverse-mode pass from descriptor-space gradients to weight gradients.
+
+    ``output_grads`` holds dLoss/dDescriptor per sample. Returns the
+    gradient summed over the batch and, per sample, the exact L2 norm of
+    that sample's full-parameter gradient. The latter is the per-sample
+    informativeness used by the adaptive sampler oracles.
+    """
+    grads: list[np.ndarray] = [None] * len(params.layers)  # type: ignore
+    sq_norms = np.zeros(cache.batch_size)
+    for l, delta, x_prev in _deltas(params, cache, output_grads):
+        grads[l] = delta.T @ x_prev
+        sq_norms += _group_sq_norms(delta, x_prev, 1)
     return GradEstimate(grads), np.sqrt(sq_norms)
+
+
+def group_grad_norms(params: ModelParams, cache: ForwardCache,
+                     output_grads: np.ndarray, group: int) -> np.ndarray:
+    """Full-parameter gradient norm of each group of ``group`` consecutive
+    rows: entry g is ``backward(...)[0].norm()`` of rows g*group ..
+    (g+1)*group - 1 alone, computed from per-layer Gram matrices without
+    forming any weight gradient (Goodfellow 2015, arXiv:1510.01799).
+    ``group = 1`` gives the per-sample norms of :func:`backward`.
+    """
+    if group < 1 or cache.batch_size % group:
+        raise ValueError(f"batch of {cache.batch_size} rows does not split "
+                         f"into groups of {group}")
+    sq_norms = np.zeros(cache.batch_size // group)
+    for _, delta, x_prev in _deltas(params, cache, output_grads):
+        sq_norms += _group_sq_norms(delta, x_prev, group)
+    return np.sqrt(sq_norms)
 
 
 def finite_diff_grad(params: ModelParams,

@@ -245,6 +245,24 @@ class TestCliPipeline:
         assert code == 1
         capsys.readouterr()
 
+    def test_nan_pixel_exits_1_naming_the_patch(self, config_file, tmp_path,
+                                                capsys):
+        data_path = tmp_path / "d.adsp"
+        assert main(["gen-data", "--config", str(config_file),
+                     "--out", str(data_path)]) == 0
+        blob = bytearray(data_path.read_bytes())
+        # the first pixel of the first patch of the second class
+        first = read_dataset(data_path)[0]
+        offset = 16 + 8 + 4 * len(first) * first.patches[0].size ** 2 + 8
+        blob[offset:offset + 4] = np.float32(np.nan).tobytes()
+        data_path.write_bytes(bytes(blob))
+        capsys.readouterr()
+        code = main(["train", "--config", str(config_file),
+                     "--dataset", str(data_path), "--out", str(tmp_path / "r")])
+        assert code == 1
+        assert "patch 0 of class 1 has a pixel that is not a finite" \
+            in capsys.readouterr().err
+
     def test_unknown_config_key_exits_with_usage_code(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("zorp = 1\n")

@@ -6,7 +6,7 @@ import pytest
 from adasample.data import (DatasetSpec, Patch, generate_positives,
                             generate_synthetic, read_dataset, rotate_patch,
                             to_input_matrix, write_dataset)
-from adasample.errors import FormatError
+from adasample.errors import DatasetError, FormatError
 from adasample.metricspace import MetricKind, pairwise_distances
 from adasample.tensornet import forward, init_params
 
@@ -213,3 +213,25 @@ class TestDatasetIO:
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(FormatError, match="trailing"):
             read_dataset(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixel_named_on_read(self, tmp_path, bad):
+        ds = generate_synthetic(small_spec())
+        path = tmp_path / "d.adsp"
+        write_dataset(ds, path)
+        blob = bytearray(path.read_bytes())
+        # header 16 bytes, then per class an 8-byte header and 4 patches of
+        # 8x8 float32: pixel 5 of patch 2 of class 3
+        offset = 16 + 3 * (8 + 4 * 256) + 8 + 2 * 256 + 5 * 4
+        blob[offset:offset + 4] = np.float32(bad).tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DatasetError, match="patch 2 of class 3 "):
+            read_dataset(path)
+
+    def test_non_finite_pixel_named_on_write(self, tmp_path):
+        ds = generate_synthetic(small_spec())
+        ds[4].patches[1].pixels[0, 7] = 1e300      # beyond float32
+        path = tmp_path / "d.adsp"
+        with pytest.raises(DatasetError, match="patch 1 of class 4 "):
+            write_dataset(ds, path)
+        assert not path.exists()

@@ -4,14 +4,18 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from adasample.data import DatasetSpec, generate_synthetic
+from adasample.data import (ClassGroup, DatasetSpec, generate_synthetic,
+                            to_input_matrix)
 from adasample.errors import UndefinedCorrelationError
-from adasample.evaluation import (EvalReport, fpr_at_recall,
-                                  info_correlation_probe, mann_whitney_u,
-                                  pearson, retrieval_map)
-from adasample.metricspace import MetricKind
-from adasample.tensornet import init_params
+from adasample.evaluation import (EvalReport, InfoProbeResult,
+                                  fpr_at_recall, info_correlation_probe,
+                                  mann_whitney_u, pearson, retrieval_map)
+from adasample.metricspace import MetricKind, distance_grad
+from adasample.miner import NegMode, loss_grads, mine_triplets
+from adasample.tensornet import Activation, backward, forward, init_params
 
 
 def brute_force_fpr(pos, neg, recall):
@@ -23,6 +27,107 @@ def brute_force_fpr(pos, neg, recall):
             best = t
             break
     return float(np.mean(neg <= best))
+
+
+def scalar_info_correlation_probe(dataset, params, kind, rng,
+                                  sample_classes=32, margin=1.0,
+                                  neg_mode=NegMode.SAME_ROLE,
+                                  pair_term_only=False):
+    """One full forward/mine/backward pass per (class, candidate): the
+    oracle for the batched info_correlation_probe."""
+    usable = [g for g in dataset if len(g.patches) >= 2]
+    if len(usable) < 2:
+        raise ValueError("probe needs at least 2 classes with k >= 2")
+    m = min(sample_classes, len(usable))
+    picked = [usable[int(i)] for i in rng.choice(len(usable), size=m,
+                                                 replace=False)]
+    anchor_idx = [int(rng.integers(len(g.patches))) for g in picked]
+    context_idx = []
+    for g, a in zip(picked, anchor_idx):
+        others = [i for i in range(len(g.patches)) if i != a]
+        context_idx.append(others[int(rng.integers(len(others)))])
+
+    p_dist_parts = []
+    p_info_parts = []
+    for slot in range(m):
+        group = picked[slot]
+        cand_ids = [i for i in range(len(group.patches))
+                    if i != anchor_idx[slot]]
+        dists = np.empty(len(cand_ids))
+        infos = np.empty(len(cand_ids))
+        for ci, cand in enumerate(cand_ids):
+            anchors = []
+            positives = []
+            for other in range(m):
+                anchors.append(picked[other].patches[anchor_idx[other]])
+                pos_id = cand if other == slot else context_idx[other]
+                positives.append(picked[other].patches[pos_id])
+            inputs = to_input_matrix(anchors + positives)
+            descs, cache = forward(params, inputs)
+            desc_a, desc_p = descs[:m], descs[m:]
+            mined = mine_triplets(desc_a, desc_p, kind, margin, neg_mode)
+            dists[ci] = mined[slot].d_pos
+            onehot = np.zeros(m)
+            onehot[slot] = 1.0
+            if pair_term_only:
+                d_pos = mined[slot].d_pos
+                ga, gb, _ = distance_grad(desc_a[slot], desc_p[slot], kind)
+                out_grads = np.zeros_like(descs)
+                out_grads[slot] = 2.0 * d_pos * ga
+                out_grads[m + slot] = 2.0 * d_pos * gb
+            elif mined[slot].loss > 0.0:
+                grad_a, grad_p = loss_grads(desc_a, desc_p, mined, kind,
+                                            onehot)
+                out_grads = np.vstack([grad_a, grad_p])
+            else:
+                infos[ci] = 0.0
+                continue
+            grads, _ = backward(params, cache, out_grads)
+            infos[ci] = grads.norm()
+        d_sum, i_sum = dists.sum(), infos.sum()
+        p_dist_parts.append(dists / d_sum if d_sum > 0
+                            else np.full(dists.size, 1.0 / dists.size))
+        p_info_parts.append(infos / i_sum if i_sum > 0
+                            else np.zeros(infos.size))
+
+    p_dist = np.concatenate(p_dist_parts)
+    p_info = np.concatenate(p_info_parts)
+
+    def spread(v):
+        scale = float(np.abs(v).max())
+        return float(v.std() / scale) if scale > 0 else 0.0
+
+    if spread(p_dist) < 1e-6 or spread(p_info) < 1e-6:
+        return InfoProbeResult(p_dist, p_info, float("nan"), True)
+    try:
+        return InfoProbeResult(p_dist, p_info, pearson(p_dist, p_info), False)
+    except UndefinedCorrelationError:
+        return InfoProbeResult(p_dist, p_info, float("nan"), True)
+
+
+def ragged_dataset(sizes, seed, **kw):
+    """Synthetic classes cut to the given sizes (a size below 2 leaves a
+    class the probe must skip)."""
+    spec = dict(num_classes=len(sizes), patches_per_class=max(max(sizes), 2),
+                patch_size=6, outlier_fraction=0.0, seed=seed)
+    spec.update(kw)
+    full = generate_synthetic(DatasetSpec(**spec))
+    return [ClassGroup(g.class_id, g.patches[:k])
+            for g, k in zip(full, sizes)]
+
+
+def assert_probe_matches_oracle(dataset, params, kind, seed, **kw):
+    got = info_correlation_probe(dataset, params, kind,
+                                 np.random.default_rng(seed), **kw)
+    want = scalar_info_correlation_probe(dataset, params, kind,
+                                         np.random.default_rng(seed), **kw)
+    assert got.p_dist.size == want.p_dist.size
+    np.testing.assert_allclose(got.p_dist, want.p_dist, rtol=1e-9,
+                               atol=1e-12)
+    np.testing.assert_allclose(got.p_info, want.p_info, rtol=1e-9,
+                               atol=1e-12)
+    assert got.degenerate == want.degenerate
+    return got, want
 
 
 class TestFprAtRecall:
@@ -212,6 +317,54 @@ class TestInfoCorrelationProbe:
                                     np.random.default_rng(5), sample_classes=4)
         assert np.array_equal(r1.p_dist, r2.p_dist)
         assert np.array_equal(r1.p_info, r2.p_info)
+
+
+class TestInfoCorrelationProbeOracle:
+    """The batched probe against the per-candidate loop it replaced."""
+
+    @pytest.mark.parametrize("kind", list(MetricKind))
+    @pytest.mark.parametrize("neg_mode", list(NegMode))
+    @pytest.mark.parametrize("pair_term_only", [False, True])
+    def test_matches_scalar_probe(self, kind, neg_mode, pair_term_only):
+        sizes = [2, 9, 1, 5, 3, 0, 8, 4, 6, 7]
+        ds = ragged_dataset(sizes, seed=41)
+        params = init_params([36, 12, 6], seed=4)
+        got, _ = assert_probe_matches_oracle(
+            ds, params, kind, 7, sample_classes=6, margin=1.0,
+            neg_mode=neg_mode, pair_term_only=pair_term_only)
+        assert not got.degenerate
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(sizes=st.lists(st.integers(0, 9), min_size=2, max_size=9)
+           .filter(lambda s: sum(k >= 2 for k in s) >= 2),
+           sample=st.integers(2, 11), seed=st.integers(0, 2**16),
+           kind=st.sampled_from(list(MetricKind)),
+           neg_mode=st.sampled_from(list(NegMode)),
+           pair_term_only=st.booleans(),
+           margin=st.sampled_from([0.05, 0.5, 1.0, 4.0]),
+           relu=st.booleans())
+    def test_matches_scalar_probe_on_drawn_shapes(
+            self, sizes, sample, seed, kind, neg_mode, pair_term_only,
+            margin, relu):
+        """Ragged sizes 0..9, sample_classes from 2 to past the usable
+        classes, margins that deactivate some hinges, both activations."""
+        ds = ragged_dataset(sizes, seed=seed)
+        params = init_params([36, 10, 5], seed=seed,
+                             activation=Activation.RELU if relu
+                             else Activation.TANH)
+        assert_probe_matches_oracle(
+            ds, params, kind, seed + 1,
+            sample_classes=sample,
+            margin=margin, neg_mode=neg_mode, pair_term_only=pair_term_only)
+
+    def test_all_hinges_inactive_scores_zero(self):
+        ds = ragged_dataset([3, 4, 5], seed=8)
+        params = init_params([36, 12, 6], seed=6)
+        got, _ = assert_probe_matches_oracle(ds, params, MetricKind.ANGULAR,
+                                             2, sample_classes=3,
+                                             margin=-10.0)
+        assert np.all(got.p_info == 0.0)
+        assert got.degenerate
 
 
 def enumerate_exact_p(a, b):

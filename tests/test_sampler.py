@@ -329,6 +329,44 @@ class TestTraceVariance:
                            [np.ones(3), np.ones(4)])
 
 
+def formula_unbiased_weights(p, L, alpha, K):
+    """The where-based division unbiased_weights used before its per-call
+    overhead was cut: the bit-for-bit oracle."""
+    target = (alpha / K) * L ** (alpha - 1.0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(p > 0.0, target / np.where(p > 0.0, p, 1.0), 0.0)
+
+
+def formula_trace_variance(p, w, grads):
+    """np.stack and np.sum form of trace_variance: the bit-for-bit oracle."""
+    G = np.stack([np.asarray(g, dtype=np.float64).ravel() for g in grads])
+    second_moment = float(np.sum(p * w * w * np.sum(G * G, axis=1)))
+    mu = (p * w) @ G
+    return second_moment - float(mu @ mu)
+
+
+class TestOracleFormulas:
+    def test_fast_paths_equal_the_formulas_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        for _ in range(500):
+            K = int(rng.integers(1, 9))
+            alpha = float(rng.choice([1.0, 1.5, 2.0, 3.0]))
+            L = rng.uniform(0.0, 2.0, size=K)
+            p = rng.dirichlet(np.ones(K))
+            if alpha > 1.0:
+                # zero probabilities are allowed where the target is 0
+                zero = rng.random(K) < 0.2
+                p[zero] = 0.0
+                L[zero] = 0.0
+            p[rng.random(K) < 0.1] *= -1.0
+            w = unbiased_weights(p, L, alpha, K)
+            assert np.array_equal(w, formula_unbiased_weights(p, L, alpha, K))
+            dim = int(rng.integers(1, 7))
+            grads = [rng.normal(size=dim) for _ in range(K)]
+            assert trace_variance(p, w, grads) == formula_trace_variance(
+                p, w, grads)
+
+
 class TestExpectedRectification:
     def test_zero_gradients_give_zero(self):
         grads = [np.zeros(3), np.zeros(3)]

@@ -4,22 +4,10 @@ import numpy as np
 import pytest
 
 from adasample.errors import DegenerateOutputError, FormatError
-from adasample.tensornet import (Activation, ForwardCache, GradEstimate,
+from adasample.tensornet import (Activation, GradEstimate,
                                  ModelParams, backward, finite_diff_grad,
-                                 forward, init_params, read_params,
-                                 write_params)
-
-
-def slice_cache(cache: ForwardCache, i: int) -> ForwardCache:
-    """Single-sample view of a batched cache (no recomputation)."""
-    return ForwardCache(
-        inputs=cache.inputs[i:i + 1],
-        pre=[h[i:i + 1] for h in cache.pre],
-        hidden=[x[i:i + 1] for x in cache.hidden],
-        raw_output=cache.raw_output[i:i + 1],
-        output_norms=cache.output_norms[i:i + 1],
-        descriptors=cache.descriptors[i:i + 1],
-    )
+                                 forward, group_grad_norms, init_params,
+                                 read_params, write_params)
 
 
 class TestInitParams:
@@ -137,8 +125,7 @@ class TestBackward:
         V = rng.normal(size=(6, 4))
         _, norms = backward(params, cache, V)
         for i in range(6):
-            grads_i, norm_i = backward(params, slice_cache(cache, i),
-                                       V[i:i + 1])
+            grads_i, norm_i = backward(params, cache.take([i]), V[i:i + 1])
             assert norm_i[0] == norms[i]
             assert abs(grads_i.norm() - norms[i]) < 1e-12 * max(norms[i], 1.0)
 
@@ -156,6 +143,86 @@ class TestBackward:
         _, cache = forward(params, np.ones((2, 4)))
         with pytest.raises(ValueError, match="output_grads shape"):
             backward(params, cache, np.ones((3, 3)))
+
+
+def per_sample_norms_loop(params, cache, output_grads):
+    """The per-sample norm loop of backward before it shared its recursion
+    with group_grad_norms: the bit-for-bit oracle for group size 1."""
+    y = cache.descriptors
+    delta = output_grads - np.sum(output_grads * y, axis=1,
+                                  keepdims=True) * y
+    delta = delta / cache.output_norms[:, None]
+    sq_norms = np.zeros(cache.batch_size)
+    for l in range(len(params.layers) - 1, -1, -1):
+        x_prev = cache.inputs if l == 0 else cache.hidden[l - 1]
+        sq_norms += np.sum(delta * delta, axis=1) * np.sum(x_prev * x_prev,
+                                                           axis=1)
+        if l > 0:
+            h = cache.pre[l - 1]
+            deriv = (1.0 - cache.hidden[l - 1] ** 2
+                     if params.activation is Activation.TANH
+                     else (h > 0.0).astype(np.float64))
+            delta = (delta @ params.layers[l]) * deriv
+    return np.sqrt(sq_norms)
+
+
+class TestGroupGradNorms:
+    @pytest.mark.parametrize("group", [1, 2, 3, 5])
+    @pytest.mark.parametrize("activation", [Activation.TANH, Activation.RELU])
+    def test_group_norm_is_norm_of_group_backward(self, group, activation):
+        rng = np.random.default_rng(group)
+        params = init_params([7, 16, 12, 4], seed=group,
+                             activation=activation)
+        X = rng.normal(size=(4 * group, 7))
+        V = rng.normal(size=(4 * group, 4))
+        _, cache = forward(params, X)
+        norms = group_grad_norms(params, cache, V, group)
+        assert norms.shape == (4,)
+        for g in range(4):
+            rows = np.arange(g * group, (g + 1) * group)
+            grads, _ = backward(params, cache.take(rows), V[rows])
+            assert abs(norms[g] - grads.norm()) <= 1e-12 * grads.norm()
+
+    @pytest.mark.parametrize("activation", [Activation.TANH, Activation.RELU])
+    def test_group_of_one_is_the_per_sample_norm_bit_for_bit(self,
+                                                             activation):
+        rng = np.random.default_rng(7)
+        params = init_params([33, 20, 12, 5], seed=3, activation=activation)
+        X = rng.normal(size=(70, 33))
+        V = rng.normal(size=(70, 5))
+        _, cache = forward(params, X)
+        want = per_sample_norms_loop(params, cache, V)
+        assert np.array_equal(group_grad_norms(params, cache, V, 1), want)
+        assert np.array_equal(backward(params, cache, V)[1], want)
+
+    def test_identical_rows_with_opposite_gradients_give_zero(self):
+        rng = np.random.default_rng(8)
+        params = init_params([6, 8, 3], seed=4)
+        x = rng.normal(size=6)
+        v = rng.normal(size=3)
+        _, cache = forward(params, np.vstack([x, x]))
+        norms = group_grad_norms(params, cache, np.vstack([v, -v]), 2)
+        assert norms[0] == 0.0
+
+    def test_near_cancelling_groups_stay_finite(self):
+        """Rows a rounding error apart with opposite gradients: the Gram sum
+        is 0 up to rounding and may land below it, so it is clamped."""
+        rng = np.random.default_rng(9)
+        params = init_params([6, 8, 3], seed=4)
+        X = np.repeat(rng.normal(size=(200, 6)), 2, axis=0)
+        X[1::2] += rng.normal(scale=1e-13, size=(200, 6))
+        V = np.repeat(rng.normal(size=(200, 3)), 2, axis=0)
+        V[1::2] *= -1.0
+        _, cache = forward(params, X)
+        norms = group_grad_norms(params, cache, V, 2)
+        assert np.all(np.isfinite(norms))
+        assert np.all(norms < 1e-6)
+
+    def test_rows_must_split_into_groups(self):
+        params = init_params([4, 3], seed=0)
+        _, cache = forward(params, np.ones((5, 4)))
+        with pytest.raises(ValueError, match="groups of 2"):
+            group_grad_norms(params, cache, np.ones((5, 3)), 2)
 
 
 class TestFiniteDiffGrad:
