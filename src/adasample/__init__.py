@@ -15,9 +15,8 @@ from .sampler import (LossTracker, SamplerConfig, adaptive_exponent,
                       optimal_probs, positive_probs, reweights,
                       trace_variance, unbiased_weights, update_loss_avg)
 from .tensornet import (Activation, ForwardCache, GradEstimate, ModelParams,
-                        backward, finite_diff_grad, forward,
-                        group_grad_norms, init_params, read_params,
-                        write_params)
+                        backward, forward, group_grad_norms, init_params,
+                        read_params, write_params)
 from .trainer import TrainConfig, TrainState, build_batch, train, train_step
 
 __version__ = "0.1.0"

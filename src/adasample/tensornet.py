@@ -4,12 +4,10 @@ The model is a bias-free multi-layer perceptron: each layer multiplies by a
 weight matrix, hidden layers apply a pointwise nonlinearity, and the final
 affine output is projected onto the unit sphere. The backward pass applies
 the exact normalization Jacobian (I - y y^T)/||z|| rather than treating the
-projection as a constant, and reports the exact full-parameter gradient
-norm of every sample in the batch alongside the batch-summed gradient.
-The norm of the summed gradient of each group of consecutive rows comes
-from per-layer Gram matrices without forming the group's gradient.
-
-A central finite-difference oracle is included for verification.
+projection as a constant, and returns the batch-summed gradient. The
+norm of the summed gradient of each group of consecutive rows (of each
+sample, for groups of one) comes from per-layer Gram matrices without
+forming the group's gradient.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -226,29 +224,26 @@ def _group_sq_norms(delta: np.ndarray, x_prev: np.ndarray,
 
 
 def backward(params: ModelParams, cache: ForwardCache,
-             output_grads: np.ndarray) -> tuple[GradEstimate, np.ndarray]:
+             output_grads: np.ndarray) -> GradEstimate:
     """Reverse-mode pass from descriptor-space gradients to weight gradients.
 
     ``output_grads`` holds dLoss/dDescriptor per sample. Returns the
-    gradient summed over the batch and, per sample, the exact L2 norm of
-    that sample's full-parameter gradient. The latter is the per-sample
-    informativeness used by the adaptive sampler oracles.
+    gradient summed over the batch; the per-sample gradient norms are
+    ``group_grad_norms(params, cache, output_grads, 1)``.
     """
     grads: list[np.ndarray] = [None] * len(params.layers)  # type: ignore
-    sq_norms = np.zeros(cache.batch_size)
     for l, delta, x_prev in _deltas(params, cache, output_grads):
         grads[l] = delta.T @ x_prev
-        sq_norms += _group_sq_norms(delta, x_prev, 1)
-    return GradEstimate(grads), np.sqrt(sq_norms)
+    return GradEstimate(grads)
 
 
 def group_grad_norms(params: ModelParams, cache: ForwardCache,
                      output_grads: np.ndarray, group: int) -> np.ndarray:
     """Full-parameter gradient norm of each group of ``group`` consecutive
-    rows: entry g is ``backward(...)[0].norm()`` of rows g*group ..
+    rows: entry g is ``backward(...).norm()`` of rows g*group ..
     (g+1)*group - 1 alone, computed from per-layer Gram matrices without
     forming any weight gradient (Goodfellow 2015, arXiv:1510.01799).
-    ``group = 1`` gives the per-sample norms of :func:`backward`.
+    ``group = 1`` gives the per-sample gradient norms.
     """
     if group < 1 or cache.batch_size % group:
         raise ValueError(f"batch of {cache.batch_size} rows does not split "
@@ -257,32 +252,6 @@ def group_grad_norms(params: ModelParams, cache: ForwardCache,
     for _, delta, x_prev in _deltas(params, cache, output_grads):
         sq_norms += _group_sq_norms(delta, x_prev, group)
     return np.sqrt(sq_norms)
-
-
-def finite_diff_grad(params: ModelParams,
-                     loss_closure: Callable[[ModelParams], float],
-                     eps: float = 1e-6) -> GradEstimate:
-    """Central finite differences of a scalar loss over every weight entry."""
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    grads = GradEstimate.zeros_like(params)
-    work = params.copy()
-    for l, w in enumerate(work.layers):
-        flat = w.ravel()
-        gflat = grads.layers[l].ravel()
-        for idx in range(flat.size):
-            orig = flat[idx]
-            flat[idx] = orig + eps
-            up = loss_closure(work)
-            flat[idx] = orig - eps
-            down = loss_closure(work)
-            flat[idx] = orig
-            if not (np.isfinite(up) and np.isfinite(down)):
-                raise NumericError(
-                    f"loss closure returned non-finite value near layer {l}, "
-                    f"entry {idx}")
-            gflat[idx] = (up - down) / (2.0 * eps)
-    return grads
 
 
 def write_params(params: ModelParams, path) -> None:

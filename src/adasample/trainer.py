@@ -20,6 +20,11 @@ inverse-CDF draw are computed row-wise on that matrix. The random stream
 is that of a per-class loop: the classes, then for each class in batch
 order its anchor integer followed by the uniform that picks its positive.
 
+Each step runs the network once. The positive draw needs the descriptors
+of every patch of the chosen classes; the network is row-wise, so the
+rows of that pass that hold the batch's pairs are the forward cache the
+update backpropagates through.
+
 The very first step samples positives uniformly because the loss average
 has no observations yet; the tracker initializes from that step's mean
 loss. The learning rate is divided by 10 at the end of each configured
@@ -39,8 +44,8 @@ from .errors import DatasetError, NumericError
 from .metricspace import MetricKind, candidate_distances
 from .miner import NegMode, loss_grads, mine_triplets
 from .sampler import LossTracker, SamplerConfig
-from .tensornet import Activation, GradEstimate, ModelParams, backward, \
-    forward, init_params
+from .tensornet import Activation, ForwardCache, GradEstimate, ModelParams, \
+    backward, forward, init_params
 
 METRICS_COLUMNS = ("epoch", "step", "mean_loss", "l_avg", "exponent",
                    "mean_dpos", "mean_dneg", "active_fraction", "lr")
@@ -101,10 +106,16 @@ class TrainState:
 
 
 class Batch(NamedTuple):
-    """Input rows of a batch, anchors then positives, and per-pair weights."""
+    """The forward cache of a batch's rows, anchors then positives, and
+    per-pair weights."""
 
-    inputs: np.ndarray          # (2n, D)
+    cache: ForwardCache         # 2n rows
     weights: np.ndarray         # (n,)
+
+    @property
+    def inputs(self) -> np.ndarray:
+        """The (2n, D) input rows."""
+        return self.cache.inputs
 
 
 class ClassInputs(NamedTuple):
@@ -149,8 +160,9 @@ def build_batch(dataset: list[ClassGroup], params: ModelParams,
                 ) -> tuple[Batch, BatchDiagnostics]:
     """Select n distinct classes and one weighted (anchor, positive) each.
 
-    ``class_inputs`` is :func:`stack_class_inputs` of ``dataset``; the batch
-    rows are copied from it.
+    ``class_inputs`` is :func:`stack_class_inputs` of ``dataset``. The
+    batch carries the rows of this call's forward pass with ``params``, so
+    it is for a :func:`train_step` with the same params.
     """
     n = config.batch_size
     if len(class_inputs.class_ids) != len(dataset):
@@ -181,7 +193,7 @@ def build_batch(dataset: list[ClassGroup], params: ModelParams,
     starts = class_inputs.offsets[chosen_classes]
     first = np.cumsum(k) - k
     flat = np.repeat(starts - first, k) + np.arange(k.sum())
-    descs, _ = forward(params, class_inputs.rows[flat])
+    descs, cache = forward(params, class_inputs.rows[flat])
 
     # Pad columns repeat the anchor; the counts mask them everywhere.
     c = np.arange(k.max() - 1)
@@ -196,21 +208,21 @@ def build_batch(dataset: list[ClassGroup], params: ModelParams,
     slots = np.arange(n)
     positive_index = pick + (pick >= anchor_index)
     weights, clamped = smp.reweights(dists[slots, pick])
-    inputs = class_inputs.rows[np.concatenate([starts + anchor_index,
-                                               starts + positive_index])]
+    rows = np.concatenate([first + anchor_index, first + positive_index])
     diag = BatchDiagnostics(
         class_ids=class_inputs.class_ids[chosen_classes],
         anchor_index=anchor_index, positive_index=positive_index,
         probability_used=probs[slots, pick], exponent=exponent,
         weight_clamped=clamped)
-    return Batch(inputs, weights), diag
+    return Batch(cache.take(rows), weights), diag
 
 
 def train_step(state: TrainState, batch: Batch,
                config: TrainConfig) -> tuple[TrainState, dict]:
-    """One update: forward, mine, weighted hinge loss, momentum SGD."""
+    """One update from the batch's forward cache, which must come from
+    ``state.params``: mine, weighted hinge loss, backward, momentum SGD."""
     n = len(batch.weights)
-    descs, cache = forward(state.params, batch.inputs)
+    descs = batch.cache.descriptors
     desc_a, desc_p = descs[:n], descs[n:]
 
     mined = mine_triplets(desc_a, desc_p, config.metric, config.margin,
@@ -222,8 +234,8 @@ def train_step(state: TrainState, batch: Batch,
 
     grad_a, grad_p = loss_grads(desc_a, desc_p, mined, config.metric,
                                 batch.weights)
-    param_grads, _ = backward(state.params, cache,
-                              np.vstack([grad_a, grad_p]))
+    param_grads = backward(state.params, batch.cache,
+                           np.vstack([grad_a, grad_p]))
 
     new_layers = []
     new_buffers = []

@@ -229,8 +229,8 @@ class TestCliPipeline:
     def test_missing_config_exits_with_usage_code(self, tmp_path, capsys):
         code = main(["gen-data", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "d.adsp")])
-        assert code == 1 or code == 2   # file error surfaces before parsing
-        capsys.readouterr()
+        assert code == 1   # a missing file is a runtime fault, not usage
+        assert "file error" in capsys.readouterr().err
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["gen-data"]) == 2

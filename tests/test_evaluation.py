@@ -82,7 +82,7 @@ def scalar_info_correlation_probe(dataset, params, kind, rng,
             else:
                 infos[ci] = 0.0
                 continue
-            grads, _ = backward(params, cache, out_grads)
+            grads = backward(params, cache, out_grads)
             infos[ci] = grads.norm()
         d_sum, i_sum = dists.sum(), infos.sum()
         p_dist_parts.append(dists / d_sum if d_sum > 0

@@ -1,13 +1,16 @@
 """Tests for the dense network: forward/backward, oracles, serialization."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from adasample.errors import DegenerateOutputError, FormatError
-from adasample.tensornet import (Activation, GradEstimate,
-                                 ModelParams, backward, finite_diff_grad,
-                                 forward, group_grad_norms, init_params,
-                                 read_params, write_params)
+from adasample.tensornet import (Activation, ForwardCache, GradEstimate,
+                                 ModelParams, backward, forward,
+                                 group_grad_norms, init_params, read_params,
+                                 write_params)
+from finite_diff import finite_diff_grad
 
 
 class TestInitParams:
@@ -85,7 +88,8 @@ class TestBackward:
     def test_zero_output_grads_give_zero_everything(self):
         params = init_params([4, 6, 3], seed=5)
         descs, cache = forward(params, np.random.default_rng(0).normal(size=(4, 4)))
-        grads, norms = backward(params, cache, np.zeros_like(descs))
+        grads = backward(params, cache, np.zeros_like(descs))
+        norms = group_grad_norms(params, cache, np.zeros_like(descs), 1)
         assert all(np.all(g == 0) for g in grads.layers)
         assert np.all(norms == 0)
 
@@ -98,7 +102,7 @@ class TestBackward:
         X = rng.normal(size=(3, dims[0]))
         V = rng.normal(size=(3, dims[-1]))
 
-        analytic, _ = backward(params, forward(params, X)[1], V)
+        analytic = backward(params, forward(params, X)[1], V)
 
         def loss(p):
             return float(np.sum(V * forward(p, X)[0]))
@@ -113,8 +117,8 @@ class TestBackward:
         params = init_params([4, 5, 3], seed=1)
         _, cache = forward(params, rng.normal(size=(5, 4)))
         V = rng.normal(size=(5, 3))
-        _, base = backward(params, cache, V)
-        _, scaled = backward(params, cache, -2.5 * V)
+        base = group_grad_norms(params, cache, V, 1)
+        scaled = group_grad_norms(params, cache, -2.5 * V, 1)
         np.testing.assert_allclose(scaled, 2.5 * base, rtol=1e-12)
 
     def test_per_sample_norms_match_single_sample_backward(self):
@@ -123,9 +127,10 @@ class TestBackward:
         params = init_params([6, 8, 4], seed=9)
         _, cache = forward(params, rng.normal(size=(6, 6)))
         V = rng.normal(size=(6, 4))
-        _, norms = backward(params, cache, V)
+        norms = group_grad_norms(params, cache, V, 1)
         for i in range(6):
-            grads_i, norm_i = backward(params, cache.take([i]), V[i:i + 1])
+            grads_i = backward(params, cache.take([i]), V[i:i + 1])
+            norm_i = group_grad_norms(params, cache.take([i]), V[i:i + 1], 1)
             assert norm_i[0] == norms[i]
             assert abs(grads_i.norm() - norms[i]) < 1e-12 * max(norms[i], 1.0)
 
@@ -135,7 +140,7 @@ class TestBackward:
         rng = np.random.default_rng(4)
         params = init_params([5, 6, 4], seed=12)
         descs, cache = forward(params, rng.normal(size=(4, 5)))
-        _, norms = backward(params, cache, 3.7 * descs)
+        norms = group_grad_norms(params, cache, 3.7 * descs, 1)
         np.testing.assert_allclose(norms, 0.0, atol=1e-12)
 
     def test_batch_mismatch_rejected(self):
@@ -166,6 +171,36 @@ def per_sample_norms_loop(params, cache, output_grads):
     return np.sqrt(sq_norms)
 
 
+class TestForwardCacheTake:
+    @pytest.mark.parametrize("dims, batch_rows, taken_rows", [
+        ([256, 64, 32], 512, 128),          # train_default: 64 classes x 8
+        ([1024, 256, 64], 1152, 256),       # train_wide_ragged: 128 x 2..16
+    ])
+    @pytest.mark.parametrize("activation", [Activation.TANH, Activation.RELU])
+    def test_taken_rows_equal_a_forward_of_those_rows(self, dims, batch_rows,
+                                                      taken_rows, activation):
+        """The network is row-wise, so rows taken from the cache of a larger
+        pass equal a pass over those rows alone, bit for bit in every field
+        and every layer. The trainer relies on it to backpropagate through
+        the rows of the pass that drew the positives; a BLAS whose row
+        results depend on the other rows of the product fails here."""
+        rng = np.random.default_rng(dims[0] + batch_rows)
+        params = init_params(dims, seed=dims[1], activation=activation)
+        for _ in range(3):
+            X = rng.normal(size=(batch_rows, dims[0]))
+            rows = rng.choice(batch_rows, size=taken_rows, replace=False)
+            taken = forward(params, X)[1].take(rows)
+            alone = forward(params, X[rows])[1]
+            for f in fields(ForwardCache):
+                got, want = getattr(taken, f.name), getattr(alone, f.name)
+                if isinstance(want, list):
+                    assert len(got) == len(want), f.name
+                    for g, w in zip(got, want):
+                        assert np.array_equal(g, w), f.name
+                else:
+                    assert np.array_equal(got, want), f.name
+
+
 class TestGroupGradNorms:
     @pytest.mark.parametrize("group", [1, 2, 3, 5])
     @pytest.mark.parametrize("activation", [Activation.TANH, Activation.RELU])
@@ -180,7 +215,7 @@ class TestGroupGradNorms:
         assert norms.shape == (4,)
         for g in range(4):
             rows = np.arange(g * group, (g + 1) * group)
-            grads, _ = backward(params, cache.take(rows), V[rows])
+            grads = backward(params, cache.take(rows), V[rows])
             assert abs(norms[g] - grads.norm()) <= 1e-12 * grads.norm()
 
     @pytest.mark.parametrize("activation", [Activation.TANH, Activation.RELU])
@@ -193,7 +228,6 @@ class TestGroupGradNorms:
         _, cache = forward(params, X)
         want = per_sample_norms_loop(params, cache, V)
         assert np.array_equal(group_grad_norms(params, cache, V, 1), want)
-        assert np.array_equal(backward(params, cache, V)[1], want)
 
     def test_identical_rows_with_opposite_gradients_give_zero(self):
         rng = np.random.default_rng(8)

@@ -5,17 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adasample import trainer
 from adasample.data import (ClassGroup, DatasetSpec, Patch,
                             generate_synthetic, to_input_matrix)
 from adasample.errors import DatasetError, NumericError
 from adasample.metricspace import MetricKind, pairwise_distances
-from adasample.miner import mine_triplets
+from adasample.miner import loss_grads, mine_triplets
 from adasample.sampler import (LossTracker, SamplerConfig, adaptive_exponent,
-                               reweights)
-from adasample.tensornet import forward
-from adasample.trainer import (TrainConfig, build_batch, effective_lr,
-                               init_state, stack_class_inputs, train,
-                               train_step)
+                               reweights, update_loss_avg)
+from adasample.tensornet import (Activation, GradEstimate, ModelParams,
+                                 backward, forward)
+from adasample.trainer import (TrainConfig, TrainState, build_batch,
+                               effective_lr, init_state, stack_class_inputs,
+                               train, train_step)
 from test_sampler import scalar_categorical_sample, scalar_positive_probs
 
 
@@ -276,11 +278,9 @@ def manual_update(state, batch, config):
     descs, cache = forward(state.params, batch.inputs)
     mined = mine_triplets(descs[:n], descs[n:], config.metric, config.margin,
                           config.neg_mode)
-    from adasample.miner import loss_grads
-    from adasample.tensornet import backward
     ga, gp = loss_grads(descs[:n], descs[n:], mined, config.metric,
                         batch.weights)
-    grads, _ = backward(state.params, cache, np.vstack([ga, gp]))
+    grads = backward(state.params, cache, np.vstack([ga, gp]))
     new_layers = []
     for theta, g, v in zip(state.params.layers, grads.layers,
                            state.momentum_buffers.layers):
@@ -341,6 +341,110 @@ class TestTrainStep:
         assert before > 0
         new_state, _ = train_step(state, batch, cfg)
         assert weighted_loss(new_state.params) < before
+
+
+def oracle_train_step(state, batch, config):
+    """train_step as it was before it reused build_batch's forward pass: it
+    runs its own forward on the batch rows. train_step must equal it bit
+    for bit."""
+    n = len(batch.weights)
+    descs, cache = forward(state.params, batch.inputs)
+    desc_a, desc_p = descs[:n], descs[n:]
+
+    mined = mine_triplets(desc_a, desc_p, config.metric, config.margin,
+                          config.neg_mode)
+    mean_loss = float(mined.loss.mean())
+    if not np.isfinite(mean_loss):
+        raise NumericError(f"non-finite batch loss at step {state.step}: "
+                           f"{mined.loss}")
+
+    grad_a, grad_p = loss_grads(desc_a, desc_p, mined, config.metric,
+                                batch.weights)
+    param_grads = backward(state.params, cache, np.vstack([grad_a, grad_p]))
+
+    new_layers = []
+    new_buffers = []
+    for theta, g, v in zip(state.params.layers, param_grads.layers,
+                           state.momentum_buffers.layers):
+        g_total = g + config.weight_decay * theta
+        v_new = config.momentum * v + g_total
+        theta_new = theta - state.lr * v_new
+        if not np.all(np.isfinite(theta_new)):
+            raise NumericError(f"non-finite parameters at step {state.step}")
+        new_layers.append(theta_new)
+        new_buffers.append(v_new)
+
+    tracker = update_loss_avg(state.loss_tracker, mean_loss, config.sampler)
+    new_state = TrainState(
+        params=ModelParams(new_layers, state.params.activation),
+        momentum_buffers=GradEstimate(new_buffers),
+        loss_tracker=tracker,
+        epoch=state.epoch,
+        step=state.step + 1,
+        lr=state.lr,
+    )
+    metrics = {
+        "mean_loss": mean_loss,
+        "l_avg": tracker.l_avg,
+        "mean_dpos": float(np.mean(mined.d_pos)),
+        "mean_dneg": float(np.mean(mined.d_neg)),
+        "active_fraction": float(np.mean(mined.loss > 0)),
+        "lr": state.lr,
+    }
+    return new_state, metrics
+
+
+def assert_states_equal(got, want):
+    for name in ("params", "momentum_buffers"):
+        for a, b in zip(getattr(got, name).layers,
+                        getattr(want, name).layers, strict=True):
+            assert np.array_equal(a, b), name
+    assert got.params.activation is want.params.activation
+    assert got.loss_tracker == want.loss_tracker
+    assert (got.epoch, got.step, got.lr) == (want.epoch, want.step, want.lr)
+
+
+class TestOneForwardPass:
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    @pytest.mark.parametrize("activation", [Activation.TANH, Activation.RELU])
+    @pytest.mark.parametrize("ragged", [False, True])
+    def test_steps_equal_the_step_with_its_own_forward(self, metric,
+                                                       activation, ragged):
+        """From the same state and batch, every step equals the oracle step
+        that runs its own forward: params, momentum buffers, loss tracker
+        and metrics row, over 30 steps of one trajectory."""
+        rng = np.random.default_rng(len(metric.value) + 2 * ragged)
+        sizes = (rng.integers(2, 17, size=12) if ragged
+                 else np.full(12, rng.integers(2, 17)))
+        ds = ragged_dataset(sizes, seed=int(rng.integers(1 << 30)))
+        cfg = tiny_config(batch_size=6, metric=metric, activation=activation,
+                          lr=0.02, momentum=0.5, weight_decay=1e-3)
+        state, want = init_state(cfg, 64), init_state(cfg, 64)
+        class_inputs = stack_class_inputs(ds)
+        for _ in range(30):
+            batch, _ = build_batch(ds, state.params, state.loss_tracker, cfg,
+                                   rng, class_inputs)
+            state, metrics = train_step(state, batch, cfg)
+            want, want_metrics = oracle_train_step(want, batch, cfg)
+            assert metrics == want_metrics
+            assert_states_equal(state, want)
+        assert state.loss_tracker.initialized
+
+    def test_train_runs_one_forward_pass_per_step(self, monkeypatch):
+        """train with no epoch callback runs no evaluation, so every forward
+        call is a step's: one per step, over the chosen classes' patches."""
+        rows = []
+        real_forward = trainer.forward
+
+        def counting_forward(params, inputs):
+            rows.append(len(inputs))
+            return real_forward(params, inputs)
+
+        monkeypatch.setattr(trainer, "forward", counting_forward)
+        cfg = tiny_config()
+        _, log = train(cfg, tiny_dataset(k=4))
+        assert len(log) == cfg.epochs * cfg.pairs_per_epoch // cfg.batch_size
+        assert rows == [cfg.batch_size * 4] * len(log)
 
 
 class TestSchedule:
