@@ -18,16 +18,17 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import evaluation as ev
 from . import trainer as tr
-from .config import (RunConfig, load_run_config, substream_seed, with_lambda,
-                     with_seed)
+from .config import (RunConfig, _parse_lambda, load_run_config,
+                     substream_seed, with_lambda, with_seed)
 from .data import (ClassGroup, generate_positives, generate_synthetic,
-                   read_dataset, to_input_matrix, write_dataset)
+                   read_dataset, stack_class_inputs, write_dataset)
 from .errors import DatasetError, FormatError, NumericError
 from .metricspace import paired_distances
 from .tensornet import forward, read_params, write_params
@@ -52,49 +53,49 @@ def build_dataset(config: RunConfig) -> list[ClassGroup]:
     return dataset
 
 
-def verification_distances(dataset: list[ClassGroup], params, kind,
+def verification_distances(descs: np.ndarray, offsets: np.ndarray, kind,
                            num_pairs: int, rng: np.random.Generator
                            ) -> tuple[np.ndarray, np.ndarray]:
-    """Distances of sampled matching and non-matching patch pairs."""
-    usable = [g for g in dataset if len(g.patches) >= 2]
+    """Distances of sampled matching and non-matching pairs of the rows of
+    ``descs``; class ``c`` owns rows ``offsets[c]:offsets[c + 1]``."""
+    sizes = np.diff(offsets).tolist()
+    starts = offsets.tolist()
+    usable = [c for c, k in enumerate(sizes) if k >= 2]
     if len(usable) < 2:
         raise DatasetError("verification needs >= 2 classes with k >= 2")
-    patches = []
+    rows = []
     for _ in range(num_pairs):
-        g = usable[int(rng.integers(len(usable)))]
-        i, j = rng.choice(len(g.patches), size=2, replace=False)
-        patches.append(g.patches[int(i)])
-        patches.append(g.patches[int(j)])
+        c = usable[int(rng.integers(len(usable)))]
+        i, j = rng.choice(sizes[c], size=2, replace=False)
+        rows += [starts[c] + int(i), starts[c] + int(j)]
     for _ in range(num_pairs):
-        gi, gj = rng.choice(len(dataset), size=2, replace=False)
-        pa = dataset[int(gi)].patches
-        pb = dataset[int(gj)].patches
-        patches.append(pa[int(rng.integers(len(pa)))])
-        patches.append(pb[int(rng.integers(len(pb)))])
-    descs, _ = forward(params, to_input_matrix(patches))
-    d = paired_distances(descs[0::2], descs[1::2], kind)
+        ca, cb = rng.choice(len(sizes), size=2, replace=False)
+        rows.append(starts[ca] + int(rng.integers(sizes[ca])))
+        rows.append(starts[cb] + int(rng.integers(sizes[cb])))
+    d = paired_distances(descs[rows[0::2]], descs[rows[1::2]], kind)
     return d[:num_pairs], d[num_pairs:]
 
 
 def evaluate_params(dataset: list[ClassGroup], params,
                     config: RunConfig) -> ev.EvalReport:
-    rng = _eval_rng(config)
+    """Verification FPR95 and retrieval mAP from one forward pass over
+    every patch. Retrieval queries are the first patch of each of the
+    first ``eval.num_queries`` classes; the rest of those classes is the
+    gallery."""
+    inputs = stack_class_inputs(dataset)
+    descs, _ = forward(params, inputs.rows)
     kind = config.train.metric
-    pos_d, neg_d = verification_distances(dataset, params, kind,
-                                          config.eval.num_pairs, rng)
+    pos_d, neg_d = verification_distances(descs, inputs.offsets, kind,
+                                          config.eval.num_pairs,
+                                          _eval_rng(config))
     fpr95 = ev.fpr_at_recall(pos_d, neg_d, 0.95)
 
     n_queries = min(config.eval.num_queries, len(dataset))
-    query_patches = []
-    gallery_patches = []
-    for g in dataset[:n_queries]:
-        query_patches.append(g.patches[0])
-        gallery_patches.extend(g.patches[1:])
-    q_descs, _ = forward(params, to_input_matrix(query_patches))
-    g_descs, _ = forward(params, to_input_matrix(gallery_patches))
-    result = ev.retrieval_map(
-        q_descs, [p.class_id for p in query_patches],
-        g_descs, [p.class_id for p in gallery_patches], kind)
+    queries = inputs.offsets[:n_queries]
+    gallery = np.delete(np.arange(inputs.offsets[n_queries]), queries)
+    labels = np.repeat(inputs.class_ids, np.diff(inputs.offsets))
+    result = ev.retrieval_map(descs[queries], labels[queries],
+                              descs[gallery], labels[gallery], kind)
     return ev.EvalReport(fpr95=fpr95, retrieval_map=result.mean_ap)
 
 
@@ -148,11 +149,6 @@ def cmd_evaluate(args) -> int:
     config = load_run_config(args.config, args.seed, args.lam)
     params = read_params(args.params)
     dataset = read_dataset(args.dataset)
-    patch_dim = dataset[0].patches[0].size ** 2
-    if params.layers[0].shape[1] != patch_dim:
-        raise ValueError(f"params expect input dim "
-                         f"{params.layers[0].shape[1]} but dataset patches "
-                         f"flatten to {patch_dim}")
     report = evaluate_params(dataset, params, config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -199,8 +195,7 @@ def _compare_cell(config: RunConfig, train_split, holdout,
 
 def cmd_compare(args) -> int:
     config = load_run_config(args.config, args.seed, args.lam)
-    strategies = [float("inf") if tok.strip().lower() in ("inf", "cap")
-                  else float(tok) for tok in args.strategies.split(",")]
+    strategies = [_parse_lambda(tok) for tok in args.strategies.split(",")]
     seeds = [int(tok) for tok in args.seeds.split(",")]
     if len(strategies) < 2:
         print("compare needs at least 2 strategies", file=sys.stderr)
@@ -208,6 +203,8 @@ def cmd_compare(args) -> int:
     if len(seeds) < 3:
         print("compare needs at least 3 seeds", file=sys.stderr)
         return EXIT_USAGE
+    for lam in strategies:
+        replace(config.train.sampler, lambda_=lam).validate()
     dataset = read_dataset(args.dataset)
     train_split, holdout = split_holdout(dataset,
                                          config.eval.holdout_fraction)

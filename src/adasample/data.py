@@ -1,4 +1,5 @@
-"""Synthetic patch dataset generation, normalization, and on-disk format.
+"""Synthetic patch dataset generation, normalization into stacked input
+rows, and on-disk format.
 
 Each class is a smooth random texture prototype rendered at a canvas twice
 the patch size; its k views are produced by small random similarity warps
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import ndimage
@@ -180,6 +182,28 @@ def to_input_matrix(patches: list[Patch]) -> np.ndarray:
     return np.divide(X, std, out=np.zeros_like(X), where=std > 0)
 
 
+class ClassInputs(NamedTuple):
+    """Input rows of every patch of a dataset, stacked in dataset order;
+    class ``c`` owns rows ``offsets[c]:offsets[c + 1]``."""
+
+    rows: np.ndarray            # (total patches, D)
+    offsets: np.ndarray         # (classes + 1,)
+    class_ids: np.ndarray       # (classes,)
+
+
+def stack_class_inputs(dataset: list[ClassGroup]) -> ClassInputs:
+    """The input matrix of every patch, as from :func:`to_input_matrix`,
+    with per-class offsets."""
+    offsets = np.concatenate([[0], np.cumsum([len(g.patches)
+                                              for g in dataset])])
+    rows = np.empty((offsets[-1], dataset[0].patches[0].size ** 2))
+    # class by class: no temporary the size of the whole dataset
+    for c, group in enumerate(dataset):
+        rows[offsets[c]:offsets[c + 1]] = to_input_matrix(group.patches)
+    return ClassInputs(rows, offsets,
+                       np.array([g.class_id for g in dataset]))
+
+
 def _check_finite(pixels: np.ndarray, names: list[tuple[int, int]]) -> None:
     """Raise :class:`DatasetError` naming the first patch (by class and
     patch id, ``names[i]`` for ``pixels[i]``) holding a NaN or an infinity.
@@ -242,11 +266,15 @@ def read_dataset(path) -> list[ClassGroup]:
     version, num_classes, patch_size = struct.unpack("<III", take(12, "header"))
     if version != DATASET_VERSION:
         raise FormatError(f"unsupported version {version}", 4)
+    if num_classes == 0:
+        raise DatasetError("dataset holds no classes")
     classes = []
     names = []
     chunks = []
     for _ in range(num_classes):
         class_id, k = struct.unpack("<II", take(8, "class header"))
+        if k == 0:
+            raise DatasetError(f"class {class_id} holds no patches")
         for patch_id in range(k):
             chunks.append(take(4 * patch_size * patch_size,
                                f"patch {patch_id} of class {class_id}"))

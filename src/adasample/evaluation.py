@@ -34,19 +34,13 @@ EXACT_MW_LIMIT = 20
 class EvalReport:
     fpr95: float
     retrieval_map: float
-    pearson_info_dist: float | None = None
 
     def to_kv_text(self) -> str:
-        lines = [f"fpr95 = {self.fpr95:.6f}",
-                 f"retrieval_map = {self.retrieval_map:.6f}"]
-        if self.pearson_info_dist is not None:
-            lines.append(f"pearson_info_dist = {self.pearson_info_dist:.6f}")
-        return "\n".join(lines) + "\n"
+        return (f"fpr95 = {self.fpr95:.6f}\n"
+                f"retrieval_map = {self.retrieval_map:.6f}\n")
 
     def csv_row(self) -> dict:
-        return {"fpr95": self.fpr95, "retrieval_map": self.retrieval_map,
-                "pearson_info_dist": "" if self.pearson_info_dist is None
-                else self.pearson_info_dist}
+        return {"fpr95": self.fpr95, "retrieval_map": self.retrieval_map}
 
 
 def fpr_at_recall(pos_distances: np.ndarray, neg_distances: np.ndarray,

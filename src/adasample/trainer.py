@@ -39,7 +39,7 @@ from typing import Callable, Iterable, NamedTuple
 import numpy as np
 
 from . import sampler as smp
-from .data import ClassGroup, to_input_matrix
+from .data import ClassGroup, ClassInputs, stack_class_inputs
 from .errors import DatasetError, NumericError
 from .metricspace import MetricKind, candidate_distances
 from .miner import NegMode, loss_grads, mine_triplets
@@ -116,28 +116,6 @@ class Batch(NamedTuple):
     def inputs(self) -> np.ndarray:
         """The (2n, D) input rows."""
         return self.cache.inputs
-
-
-class ClassInputs(NamedTuple):
-    """Input rows of every patch of a dataset, stacked in dataset order;
-    class ``c`` owns rows ``offsets[c]:offsets[c + 1]``."""
-
-    rows: np.ndarray            # (total patches, D)
-    offsets: np.ndarray         # (classes + 1,)
-    class_ids: np.ndarray       # (classes,)
-
-
-def stack_class_inputs(dataset: list[ClassGroup]) -> ClassInputs:
-    """The input matrix of every patch, as from
-    :func:`adasample.data.to_input_matrix`, with per-class offsets."""
-    offsets = np.concatenate([[0], np.cumsum([len(g.patches)
-                                              for g in dataset])])
-    rows = np.empty((offsets[-1], dataset[0].patches[0].size ** 2))
-    # class by class: no temporary the size of the whole dataset
-    for c, group in enumerate(dataset):
-        rows[offsets[c]:offsets[c + 1]] = to_input_matrix(group.patches)
-    return ClassInputs(rows, offsets,
-                       np.array([g.class_id for g in dataset]))
 
 
 @dataclass

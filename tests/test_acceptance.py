@@ -20,7 +20,8 @@ from scipy.stats import chisquare, wilcoxon
 
 from adasample.cli import verification_distances
 from adasample.config import substream_seed
-from adasample.data import DatasetSpec, generate_synthetic
+from adasample.data import (DatasetSpec, generate_synthetic,
+                            stack_class_inputs)
 from adasample.evaluation import (fpr_at_recall, info_correlation_probe,
                                   mann_whitney_u)
 from adasample.metricspace import MetricKind, distance
@@ -78,9 +79,11 @@ def heldout_fpr95(benchmark_data, lam: float, seed: int) -> float:
     """Train one (lambda, seed) cell and score it on the held-out split."""
     train_split, holdout = benchmark_data
     params, _ = train(bench_config(lam, seed), train_split)
+    inputs = stack_class_inputs(holdout)
+    descs, _ = forward(params, inputs.rows)
     rng = np.random.default_rng(substream_seed(seed, "eval"))
-    pos, neg = verification_distances(holdout, params, MetricKind.ANGULAR,
-                                      EVAL_PAIRS, rng)
+    pos, neg = verification_distances(descs, inputs.offsets,
+                                      MetricKind.ANGULAR, EVAL_PAIRS, rng)
     return fpr_at_recall(pos, neg, 0.95)
 
 

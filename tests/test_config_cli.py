@@ -11,7 +11,8 @@ from adasample.config import (load_run_config, parse_config_text,
 from adasample.data import generate_synthetic, read_dataset
 from adasample.errors import DatasetError
 from adasample.metricspace import MetricKind
-from adasample.tensornet import read_params
+from adasample.tensornet import init_params, read_params, write_params
+from test_data import adsp_bytes
 
 TINY_CONFIG = """
 # desk-scale smoke configuration
@@ -226,7 +227,7 @@ class TestCliPipeline:
         assert rows["0"][0] == rows["10"][0]       # bootstrap step matches
         assert rows["0"][1:] != rows["10"][1:]
 
-    def test_missing_config_exits_with_usage_code(self, tmp_path, capsys):
+    def test_missing_config_exits_with_runtime_code(self, tmp_path, capsys):
         code = main(["gen-data", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "d.adsp")])
         assert code == 1   # a missing file is a runtime fault, not usage
@@ -261,6 +262,35 @@ class TestCliPipeline:
                      "--dataset", str(data_path), "--out", str(tmp_path / "r")])
         assert code == 1
         assert "patch 0 of class 1 has a pixel that is not a finite" \
+            in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_class_without_patches_exits_1_naming_the_class(
+            self, config_file, tmp_path, capsys, command):
+        data_path = tmp_path / "d.adsp"
+        data_path.write_bytes(adsp_bytes([(0, 4), (1, 4), (23, 0), (3, 4)]))
+        params_path = tmp_path / "p.adnw"
+        write_params(init_params([64, 12, 6], seed=1), params_path)
+        extra = ["--params", str(params_path)] if command == "evaluate" \
+            else []
+        code = main([command, "--config", str(config_file), "--dataset",
+                     str(data_path), "--out", str(tmp_path / "r"), *extra])
+        assert code == 1
+        assert "class 23 holds no patches" in capsys.readouterr().err
+
+    def test_evaluate_with_params_of_another_input_dim_exits_2(
+            self, config_file, tmp_path, capsys):
+        data_path = tmp_path / "d.adsp"
+        main(["gen-data", "--config", str(config_file), "--out",
+              str(data_path)])
+        params_path = tmp_path / "p.adnw"
+        write_params(init_params([100, 12, 6], seed=1), params_path)
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(config_file),
+                     "--params", str(params_path),
+                     "--dataset", str(data_path),
+                     "--out", str(tmp_path / "e")]) == 2
+        assert "input dimension 64 does not match first layer fan-in 100" \
             in capsys.readouterr().err
 
     def test_unknown_config_key_exits_with_usage_code(self, tmp_path, capsys):
@@ -329,7 +359,6 @@ class TestCliPipeline:
         main(["gen-data", "--config", str(cfg), "--out", str(data_path)])
 
         from adasample.config import load_run_config
-        from adasample.tensornet import write_params
         from adasample.trainer import init_state
         run_cfg = load_run_config(cfg)
         untrained = init_state(run_cfg.train, 144).params
@@ -406,3 +435,24 @@ class TestCliPipeline:
                      "--out", str(tmp_path / "c"),
                      "--strategies", "10", "--seeds", "1,2,3"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("strategies", ["0,-1", "0,abc"])
+    def test_compare_rejects_a_bad_strategy_before_training(
+            self, config_file, tmp_path, capsys, monkeypatch, strategies):
+        """A bad lambda exits 2 before any cell trains and writes no
+        compare.csv."""
+        from adasample import trainer
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a cell trained")
+
+        data_path = tmp_path / "d.adsp"
+        main(["gen-data", "--config", str(config_file), "--out",
+              str(data_path)])
+        monkeypatch.setattr(trainer, "train", no_training)
+        out = tmp_path / "c"
+        assert main(["compare", "--config", str(config_file),
+                     "--dataset", str(data_path), "--out", str(out),
+                     "--strategies", strategies, "--seeds", "1,2,3"]) == 2
+        assert not (out / "compare.csv").exists()
+        assert "config error" in capsys.readouterr().err

@@ -1,10 +1,13 @@
 """Tests for synthetic patch generation, normalization, and the file format."""
 
+import struct
+
 import numpy as np
 import pytest
 
-from adasample.data import (DatasetSpec, Patch, generate_positives,
-                            generate_synthetic, read_dataset, rotate_patch,
+from adasample.data import (DATASET_MAGIC, DATASET_VERSION, DatasetSpec,
+                            Patch, generate_positives, generate_synthetic,
+                            read_dataset, rotate_patch, stack_class_inputs,
                             to_input_matrix, write_dataset)
 from adasample.errors import DatasetError, FormatError
 from adasample.metricspace import MetricKind, pairwise_distances
@@ -168,6 +171,31 @@ class TestNormalize:
                                        atol=1e-12)
 
 
+class TestStackClassInputs:
+    def test_rows_are_per_class_input_matrices_at_their_offsets(self):
+        ds = generate_synthetic(small_spec())
+        ds[2].patches = ds[2].patches[:1]
+        ds[4].patches = ds[4].patches[:3]
+        stacked = stack_class_inputs(ds)
+        assert stacked.offsets.tolist() == [0, 4, 8, 9, 13, 16, 20]
+        assert stacked.class_ids.tolist() == [g.class_id for g in ds]
+        for c, group in enumerate(ds):
+            rows = stacked.rows[stacked.offsets[c]:stacked.offsets[c + 1]]
+            assert np.array_equal(rows, to_input_matrix(group.patches))
+
+
+def adsp_bytes(classes, patch_size=8):
+    """An ``.adsp`` file holding ``(class_id, patch count)`` classes of
+    zero-filled patches, written by hand so it may break the format's
+    invariants."""
+    blob = DATASET_MAGIC + struct.pack("<III", DATASET_VERSION,
+                                       len(classes), patch_size)
+    for class_id, k in classes:
+        blob += struct.pack("<II", class_id, k)
+        blob += bytes(4 * k * patch_size * patch_size)
+    return blob
+
+
 class TestDatasetIO:
     def test_round_trip_at_float32_precision(self, tmp_path):
         ds = generate_synthetic(small_spec())
@@ -235,3 +263,15 @@ class TestDatasetIO:
         with pytest.raises(DatasetError, match="patch 1 of class 4 "):
             write_dataset(ds, path)
         assert not path.exists()
+
+    def test_class_without_patches_named_on_read(self, tmp_path):
+        path = tmp_path / "d.adsp"
+        path.write_bytes(adsp_bytes([(0, 2), (17, 0), (2, 3)]))
+        with pytest.raises(DatasetError, match="class 17 holds no patches"):
+            read_dataset(path)
+
+    def test_dataset_without_classes_rejected_on_read(self, tmp_path):
+        path = tmp_path / "d.adsp"
+        path.write_bytes(adsp_bytes([]))
+        with pytest.raises(DatasetError, match="no classes"):
+            read_dataset(path)

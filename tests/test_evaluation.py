@@ -1,4 +1,5 @@
-"""Tests for verification metrics, the probe, and the rank-sum test."""
+"""Tests for verification metrics, held-out evaluation, the probe, and the
+rank-sum test."""
 
 import itertools
 
@@ -7,15 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adasample import cli
+from adasample.cli import evaluate_params, split_holdout, \
+    verification_distances
+from adasample.config import EvalOptions, RunConfig, substream_seed
 from adasample.data import (ClassGroup, DatasetSpec, generate_synthetic,
-                            to_input_matrix)
-from adasample.errors import UndefinedCorrelationError
+                            stack_class_inputs, to_input_matrix)
+from adasample.errors import DatasetError, UndefinedCorrelationError
 from adasample.evaluation import (EvalReport, InfoProbeResult,
                                   fpr_at_recall, info_correlation_probe,
                                   mann_whitney_u, pearson, retrieval_map)
-from adasample.metricspace import MetricKind, distance_grad
+from adasample.metricspace import MetricKind, distance_grad, paired_distances
 from adasample.miner import NegMode, loss_grads, mine_triplets
 from adasample.tensornet import Activation, backward, forward, init_params
+from adasample.trainer import TrainConfig
 
 
 def brute_force_fpr(pos, neg, recall):
@@ -367,6 +373,159 @@ class TestInfoCorrelationProbeOracle:
         assert got.degenerate
 
 
+def oracle_verification_distances(dataset, params, kind, num_pairs, rng):
+    """Lists of sampled patches and a forward pass over them: the oracle
+    for cli.verification_distances, which draws the same random stream."""
+    usable = [g for g in dataset if len(g.patches) >= 2]
+    if len(usable) < 2:
+        raise DatasetError("verification needs >= 2 classes with k >= 2")
+    patches = []
+    for _ in range(num_pairs):
+        g = usable[int(rng.integers(len(usable)))]
+        i, j = rng.choice(len(g.patches), size=2, replace=False)
+        patches.append(g.patches[int(i)])
+        patches.append(g.patches[int(j)])
+    for _ in range(num_pairs):
+        gi, gj = rng.choice(len(dataset), size=2, replace=False)
+        pa = dataset[int(gi)].patches
+        pb = dataset[int(gj)].patches
+        patches.append(pa[int(rng.integers(len(pa)))])
+        patches.append(pb[int(rng.integers(len(pb)))])
+    descs, _ = forward(params, to_input_matrix(patches))
+    d = paired_distances(descs[0::2], descs[1::2], kind)
+    return d[:num_pairs], d[num_pairs:]
+
+
+def oracle_evaluate_params(dataset, params, config):
+    """Patch lists and one forward pass each for the verification pairs,
+    the queries and the gallery: the oracle for cli.evaluate_params.
+    Returns the report and the verification distances."""
+    rng = np.random.default_rng(substream_seed(config.seed, "eval"))
+    kind = config.train.metric
+    pos_d, neg_d = oracle_verification_distances(
+        dataset, params, kind, config.eval.num_pairs, rng)
+    fpr95 = fpr_at_recall(pos_d, neg_d, 0.95)
+    n_queries = min(config.eval.num_queries, len(dataset))
+    query_patches = []
+    gallery_patches = []
+    for g in dataset[:n_queries]:
+        query_patches.append(g.patches[0])
+        gallery_patches.extend(g.patches[1:])
+    q_descs, _ = forward(params, to_input_matrix(query_patches))
+    g_descs, _ = forward(params, to_input_matrix(gallery_patches))
+    result = retrieval_map(
+        q_descs, [p.class_id for p in query_patches],
+        g_descs, [p.class_id for p in gallery_patches], kind)
+    report = EvalReport(fpr95=fpr95, retrieval_map=result.mean_ap)
+    return report, pos_d, neg_d
+
+
+def eval_config(seed, metric, num_pairs, num_queries, **train):
+    return RunConfig(seed=seed, train=TrainConfig(metric=metric, **train),
+                     eval=EvalOptions(num_pairs=num_pairs,
+                                      num_queries=num_queries))
+
+
+def assert_evaluation_matches_oracle(dataset, params, config):
+    """evaluate_params and verification_distances equal the oracle bit for
+    bit: the same metrics and the same verification distances."""
+    want, want_pos, want_neg = oracle_evaluate_params(dataset, params, config)
+    got = evaluate_params(dataset, params, config)
+    assert got.fpr95 == want.fpr95
+    assert got.retrieval_map == want.retrieval_map
+    inputs = stack_class_inputs(dataset)
+    descs, _ = forward(params, inputs.rows)
+    rng = np.random.default_rng(substream_seed(config.seed, "eval"))
+    pos, neg = verification_distances(descs, inputs.offsets,
+                                      config.train.metric,
+                                      config.eval.num_pairs, rng)
+    assert np.array_equal(pos, want_pos)
+    assert np.array_equal(neg, want_neg)
+    return got
+
+
+class TestEvaluateParamsOracle:
+    """Evaluation from one forward pass over the stacked class inputs
+    against the patch lists and three forward passes it replaced.
+
+    Equal verification distances need BLAS to compute each row of a
+    product independently of the other rows. OpenBLAS does so only above
+    a size it picks per product (on Haswell, at 0.3.31, about 1,200
+    output entries: 39 rows of the default network's last layer), so
+    every case runs the default network on at least 64 rows in both
+    paths. The workloads evaluate hundreds of patches and 4 x num_pairs
+    rows."""
+
+    DIMS = [256, 64, 32]
+
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    @pytest.mark.parametrize("activation", [Activation.TANH, Activation.RELU])
+    @pytest.mark.parametrize("num_queries", [5, 20])
+    def test_ragged_classes_match_the_oracle(self, metric, activation,
+                                             num_queries):
+        """Classes of one patch are negatives only and queries without a
+        gallery match; 20 queries exceed the 16 classes."""
+        sizes = [1, 3, 6, 2, 1, 5, 4, 9, 2, 1, 3, 6, 8, 7, 1, 5]
+        ds = ragged_dataset(sizes, seed=23, patch_size=16)
+        params = init_params(self.DIMS, seed=5, activation=activation)
+        got = assert_evaluation_matches_oracle(
+            ds, params, eval_config(3, metric, 400, num_queries))
+        assert 0.0 < got.retrieval_map <= 1.0
+
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    def test_holdout_split_matches_the_oracle(self, metric):
+        """The desk-scale held-out split compare evaluates: the trailing 50
+        of 200 classes, 5000 pairs."""
+        ds = generate_synthetic(DatasetSpec(seed=11))
+        holdout = split_holdout(ds, 0.25)[1]
+        params = init_params(self.DIMS, seed=2)
+        assert_evaluation_matches_oracle(holdout, params,
+                                         eval_config(4, metric, 5000, 200))
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(sizes=st.lists(st.integers(1, 9), min_size=10, max_size=16)
+           .filter(lambda s: sum(s) >= 64 and sum(k >= 2 for k in s) >= 2),
+           num_pairs=st.integers(16, 300), num_queries=st.integers(1, 20),
+           seed=st.integers(0, 2**16),
+           metric=st.sampled_from(list(MetricKind)), relu=st.booleans())
+    def test_matches_the_oracle_on_drawn_shapes(self, sizes, num_pairs,
+                                                num_queries, seed, metric,
+                                                relu):
+        ds = ragged_dataset(sizes, seed=seed, patch_size=16)
+        if all(len(g.patches) == 1 for g in ds[:num_queries]):
+            return                      # no gallery: both raise
+        params = init_params(self.DIMS, seed=seed,
+                             activation=Activation.RELU if relu
+                             else Activation.TANH)
+        assert_evaluation_matches_oracle(
+            ds, params, eval_config(seed, metric, num_pairs, num_queries))
+
+    def test_one_stack_and_one_forward_per_call(self, monkeypatch):
+        calls = {"stack": 0, "forward": []}
+        real_stack, real_forward = cli.stack_class_inputs, cli.forward
+
+        def counting_stack(dataset):
+            calls["stack"] += 1
+            return real_stack(dataset)
+
+        def counting_forward(params, inputs):
+            calls["forward"].append(len(inputs))
+            return real_forward(params, inputs)
+
+        monkeypatch.setattr(cli, "stack_class_inputs", counting_stack)
+        monkeypatch.setattr(cli, "forward", counting_forward)
+        ds = ragged_dataset([1, 3, 6, 2, 5], seed=9)
+        evaluate_params(ds, init_params([36, 10, 5], seed=1),
+                        eval_config(1, MetricKind.ANGULAR, 2000, 3))
+        assert calls == {"stack": 1, "forward": [17]}
+
+    def test_too_few_classes_with_pairs_rejected(self):
+        ds = ragged_dataset([1, 4, 1], seed=9)
+        with pytest.raises(DatasetError, match="k >= 2"):
+            evaluate_params(ds, init_params([36, 10, 5], seed=1),
+                            eval_config(1, MetricKind.ANGULAR, 10, 3))
+
+
 def enumerate_exact_p(a, b):
     """Oracle: P(U <= U_obs) by enumerating every assignment of the pooled
     values to the first sample."""
@@ -457,15 +616,11 @@ class TestMannWhitney:
 
 
 class TestEvalReport:
-    def test_kv_text_round_trips_fields(self):
-        rep = EvalReport(fpr95=0.125, retrieval_map=0.75,
-                         pearson_info_dist=0.9)
-        text = rep.to_kv_text()
-        assert "fpr95 = 0.125000" in text
-        assert "retrieval_map = 0.750000" in text
-        assert "pearson_info_dist = 0.900000" in text
+    def test_kv_text_lists_both_metrics(self):
+        rep = EvalReport(fpr95=0.125, retrieval_map=0.75)
+        assert rep.to_kv_text() == ("fpr95 = 0.125000\n"
+                                    "retrieval_map = 0.750000\n")
 
-    def test_csv_row_handles_missing_probe(self):
+    def test_csv_row_holds_both_metrics(self):
         rep = EvalReport(fpr95=0.2, retrieval_map=0.5)
-        row = rep.csv_row()
-        assert row["pearson_info_dist"] == ""
+        assert rep.csv_row() == {"fpr95": 0.2, "retrieval_map": 0.5}

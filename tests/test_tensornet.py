@@ -175,6 +175,7 @@ class TestForwardCacheTake:
     @pytest.mark.parametrize("dims, batch_rows, taken_rows", [
         ([256, 64, 32], 512, 128),          # train_default: 64 classes x 8
         ([1024, 256, 64], 1152, 256),       # train_wide_ragged: 128 x 2..16
+        ([256, 64, 32], 1600, 20000),       # evaluation: 4 x 5000 pair rows
     ])
     @pytest.mark.parametrize("activation", [Activation.TANH, Activation.RELU])
     def test_taken_rows_equal_a_forward_of_those_rows(self, dims, batch_rows,
@@ -182,13 +183,16 @@ class TestForwardCacheTake:
         """The network is row-wise, so rows taken from the cache of a larger
         pass equal a pass over those rows alone, bit for bit in every field
         and every layer. The trainer relies on it to backpropagate through
-        the rows of the pass that drew the positives; a BLAS whose row
-        results depend on the other rows of the product fails here."""
+        the rows of the pass that drew the positives, and evaluation on it
+        to gather the verification pairs from one pass over every patch; a
+        BLAS whose row results depend on the other rows of the product
+        fails here."""
         rng = np.random.default_rng(dims[0] + batch_rows)
         params = init_params(dims, seed=dims[1], activation=activation)
         for _ in range(3):
             X = rng.normal(size=(batch_rows, dims[0]))
-            rows = rng.choice(batch_rows, size=taken_rows, replace=False)
+            rows = rng.choice(batch_rows, size=taken_rows,
+                              replace=taken_rows > batch_rows)
             taken = forward(params, X)[1].take(rows)
             alone = forward(params, X[rows])[1]
             for f in fields(ForwardCache):

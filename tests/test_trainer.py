@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from adasample import trainer
 from adasample.data import (ClassGroup, DatasetSpec, Patch,
-                            generate_synthetic, to_input_matrix)
+                            generate_synthetic, stack_class_inputs,
+                            to_input_matrix)
 from adasample.errors import DatasetError, NumericError
 from adasample.metricspace import MetricKind, pairwise_distances
 from adasample.miner import loss_grads, mine_triplets
@@ -16,8 +17,7 @@ from adasample.sampler import (LossTracker, SamplerConfig, adaptive_exponent,
 from adasample.tensornet import (Activation, GradEstimate, ModelParams,
                                  backward, forward)
 from adasample.trainer import (TrainConfig, TrainState, build_batch,
-                               effective_lr, init_state, stack_class_inputs,
-                               train, train_step)
+                               effective_lr, init_state, train, train_step)
 from test_sampler import scalar_categorical_sample, scalar_positive_probs
 
 
