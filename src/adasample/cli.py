@@ -93,6 +93,9 @@ def evaluate_params(dataset: list[ClassGroup], params,
     n_queries = min(config.eval.num_queries, len(dataset))
     queries = inputs.offsets[:n_queries]
     gallery = np.delete(np.arange(inputs.offsets[n_queries]), queries)
+    if gallery.size == 0:
+        raise DatasetError(f"retrieval gallery is empty: each of the first "
+                           f"{n_queries} classes (eval.num_queries) holds 1")
     labels = np.repeat(inputs.class_ids, np.diff(inputs.offsets))
     result = ev.retrieval_map(descs[queries], labels[queries],
                               descs[gallery], labels[gallery], kind)

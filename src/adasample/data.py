@@ -70,9 +70,10 @@ class DatasetSpec:
             raise ValueError(f"patch size must be >= 4, got {self.patch_size}")
         if self.texture_octaves < 1:
             raise ValueError("texture_octaves must be >= 1")
-        if self.warp_magnitude < 0 or self.noise_sigma < 0 \
-                or self.brightness_jitter < 0:
-            raise ValueError("jitter magnitudes must be nonnegative")
+        for name in ("warp_magnitude", "noise_sigma", "brightness_jitter"):
+            value = getattr(self, name)
+            if not np.isfinite(value) or value < 0:
+                raise ValueError(f"{name} = {value}; need a finite value >= 0")
         if not 0.0 <= self.outlier_fraction <= 1.0:
             raise ValueError("outlier_fraction must be in [0, 1]")
 
@@ -141,13 +142,7 @@ def generate_synthetic(spec: DatasetSpec) -> list[ClassGroup]:
 
 def rotate_patch(pixels: np.ndarray, angle_deg: float) -> np.ndarray:
     """Continuous rotation about the patch center, bilinear, reflect padding."""
-    c = (np.asarray(pixels.shape) - 1) / 2.0
-    theta = np.deg2rad(angle_deg)
-    rot = np.array([[np.cos(theta), -np.sin(theta)],
-                    [np.sin(theta), np.cos(theta)]])
-    offset = c - rot @ c
-    return ndimage.affine_transform(pixels, rot, offset=offset,
-                                    order=1, mode="reflect")
+    return _warp_crop(pixels, pixels.shape[0], angle_deg, 1.0, np.zeros(2))
 
 
 def generate_positives(class_group: ClassGroup, target_k: int,

@@ -20,6 +20,9 @@ import numpy as np
 
 UNIT_NORM_TOL = 1e-3
 ANGULAR_CLAMP_EPS = 1e-9
+_BLOCK_ENTRIES = 1 << 16    # float64 euclidean differences (512 KB)
+# Rows per angular Gram product: OpenBLAS orders its sums by product size.
+_ANGULAR_ROWS = 256
 
 
 class MetricKind(enum.Enum):
@@ -59,8 +62,7 @@ def distance(a: np.ndarray, b: np.ndarray, kind: MetricKind) -> float:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     if kind is MetricKind.EUCLIDEAN:
         return float(np.linalg.norm(a - b))
-    s = float(np.clip(np.dot(a, b), -1.0, 1.0))
-    return float(np.arccos(s))
+    return float(np.arccos(np.clip(np.dot(a, b), -1.0, 1.0)))
 
 
 def distance_grad(a: np.ndarray, b: np.ndarray, kind: MetricKind) -> DistanceGrads:
@@ -68,8 +70,6 @@ def distance_grad(a: np.ndarray, b: np.ndarray, kind: MetricKind) -> DistanceGra
     the one-row case of :func:`paired_distance_grads`."""
     a = _check_unit(a, "a")
     b = _check_unit(b, "b")
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     grad_a, grad_b, saturated = paired_distance_grads(a[None], b[None], kind)
     return DistanceGrads(grad_a[0], grad_b[0], bool(saturated[0]))
 
@@ -128,25 +128,31 @@ def _unit_rows(batch_a, batch_b) -> tuple[np.ndarray, np.ndarray]:
     return A, B
 
 
+def _euclidean_norms(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(X - Y, axis=-1)`` of X and Y broadcast together, bit
+    for bit (each entry still sums its own D squares), in leading-axis blocks
+    of at most ``_BLOCK_ENTRIES`` differences squared in place."""
+    X, Y = np.broadcast_arrays(X, Y)
+    out = np.empty(X.shape[:-1])
+    step = max(1, _BLOCK_ENTRIES // max(1, int(np.prod(X.shape[1:]))))
+    for start in range(0, len(out), step):
+        diff = X[start:start + step] - Y[start:start + step]
+        np.multiply(diff, diff, out=diff)
+        np.sqrt(np.add.reduce(diff, axis=-1), out=out[start:start + step])
+    return out
+
+
 def pairwise_distances(batch_a: Sequence[np.ndarray] | np.ndarray,
                        batch_b: Sequence[np.ndarray] | np.ndarray,
-                       kind: MetricKind,
-                       chunk_rows: int = 256) -> np.ndarray:
-    """Matrix with entry (i, j) = distance(a_i, b_j, kind).
-
-    Rows are processed in chunks so the (n, m, D) difference tensor used by
-    the euclidean branch stays bounded.
-    """
+                       kind: MetricKind) -> np.ndarray:
+    """Matrix with entry (i, j) = distance(a_i, b_j, kind)."""
     A, B = _unit_rows(batch_a, batch_b)
-    out = np.empty((A.shape[0], B.shape[0]), dtype=np.float64)
-    for start in range(0, A.shape[0], chunk_rows):
-        stop = min(start + chunk_rows, A.shape[0])
-        if kind is MetricKind.EUCLIDEAN:
-            diff = A[start:stop, None, :] - B[None, :, :]
-            out[start:stop] = np.linalg.norm(diff, axis=2)
-        else:
-            gram = np.clip(A[start:stop] @ B.T, -1.0, 1.0)
-            out[start:stop] = np.arccos(gram)
+    if kind is MetricKind.EUCLIDEAN:
+        return _euclidean_norms(A[:, None, :], B[None, :, :])
+    out = np.empty((A.shape[0], B.shape[0]))
+    for start in range(0, A.shape[0], _ANGULAR_ROWS):
+        gram = A[start:start + _ANGULAR_ROWS] @ B.T
+        out[start:start + _ANGULAR_ROWS] = np.arccos(np.clip(gram, -1.0, 1.0))
     return out
 
 
@@ -158,7 +164,7 @@ def paired_distances(batch_a: Sequence[np.ndarray] | np.ndarray,
     if A.shape[0] != B.shape[0]:
         raise ValueError(f"row counts differ: {A.shape[0]} vs {B.shape[0]}")
     if kind is MetricKind.EUCLIDEAN:
-        return np.linalg.norm(A - B, axis=1)
+        return _euclidean_norms(A, B)
     return np.arccos(np.clip(np.sum(A * B, axis=1), -1.0, 1.0))
 
 
@@ -180,7 +186,7 @@ def candidate_distances(anchors: np.ndarray, candidates: np.ndarray,
     if A.shape[0] != n:
         raise ValueError(f"{A.shape[0]} anchors for {n} candidate rows")
     if kind is MetricKind.EUCLIDEAN:
-        out = np.linalg.norm(X - A[:, None, :], axis=2)
+        out = _euclidean_norms(X, A[:, None, :])
     else:
         dots = np.zeros((n, K))
         for m in np.unique(counts):

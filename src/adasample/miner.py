@@ -159,10 +159,8 @@ def mine_triplets(anchors: np.ndarray, positives: np.ndarray,
                   kind: MetricKind, margin: float,
                   neg_mode: NegMode = NegMode.SAME_ROLE) -> MinedTriplets:
     """Mine hardest negatives and evaluate the hinge loss for every pair."""
-    A = np.atleast_2d(np.asarray(anchors, dtype=np.float64))
-    P = np.atleast_2d(np.asarray(positives, dtype=np.float64))
-    neg = hardest_negatives(A, P, kind, neg_mode)
-    d_pos = paired_distances(A, P, kind)
+    neg = hardest_negatives(anchors, positives, kind, neg_mode)
+    d_pos = paired_distances(anchors, positives, kind)
     return MinedTriplets(d_pos=d_pos, d_neg=neg.d_neg, source=neg.source,
                          j=neg.j, loss=triplet_loss(d_pos, neg.d_neg, margin))
 
@@ -183,9 +181,7 @@ def loss_grads(anchors: np.ndarray, positives: np.ndarray,
     A = np.atleast_2d(np.asarray(anchors, dtype=np.float64))
     P = np.atleast_2d(np.asarray(positives, dtype=np.float64))
     n = A.shape[0]
-    if weights is None:
-        weights = np.ones(n)
-    w = np.asarray(weights, dtype=np.float64)
+    w = np.ones(n) if weights is None else np.asarray(weights, np.float64)
     if w.shape != (n,):
         raise ValueError(f"weights shape {w.shape} does not match batch size {n}")
     j = np.asarray(mined.j)

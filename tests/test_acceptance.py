@@ -342,6 +342,7 @@ def test_rank_test_exactness():
 # training-level criteria on the desk benchmark
 # ----------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_informativeness_correlation_through_training(benchmark_data):
     """The distance-induced sampling probabilities track the gradient-norm
     induced ones through a full desk-scale run."""
@@ -365,6 +366,7 @@ def test_informativeness_correlation_through_training(benchmark_data):
               f"values {' '.join(f'{c:.2f}' for c in correlations)}")
 
 
+@pytest.mark.slow
 def test_adaptive_sampling_beats_uniform_baseline(paired_scores):
     """Adaptive sampling (lambda 10) lowers held-out FPR95 against uniform
     sampling (lambda 0): one-sided Wilcoxon signed-rank test on the per-seed
@@ -381,6 +383,7 @@ def test_adaptive_sampling_beats_uniform_baseline(paired_scores):
               f"fpr95 {adaptive.mean():.4f} vs {baseline.mean():.4f}")
 
 
+@pytest.mark.slow
 def test_intermediate_hardness_wins_ablation(ablation_scores):
     wins = 0
     bests = []

@@ -8,7 +8,8 @@ import pytest
 from adasample.cli import main, split_holdout
 from adasample.config import (load_run_config, parse_config_text,
                               substream_seed, with_lambda, with_seed)
-from adasample.data import generate_synthetic, read_dataset
+from adasample.data import (ClassGroup, DatasetSpec, generate_synthetic,
+                            read_dataset, write_dataset)
 from adasample.errors import DatasetError
 from adasample.metricspace import MetricKind
 from adasample.tensornet import init_params, read_params, write_params
@@ -291,6 +292,40 @@ class TestCliPipeline:
                      "--dataset", str(data_path),
                      "--out", str(tmp_path / "e")]) == 2
         assert "input dimension 64 does not match first layer fan-in 100" \
+            in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["data.noise_sigma = nan",
+                                      "data.brightness_jitter = inf",
+                                      "data.warp_magnitude = -inf"])
+    def test_non_finite_jitter_exits_with_usage_code(self, tmp_path, capsys,
+                                                     line):
+        path = tmp_path / "bad.cfg"
+        path.write_text(TINY_CONFIG + line + "\n")
+        assert main(["gen-data", "--config", str(path),
+                     "--out", str(tmp_path / "d.adsp")]) == 2
+        assert "need a finite value >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "d.adsp").exists()
+
+    def test_empty_retrieval_gallery_exits_1(self, tmp_path, capsys):
+        """Each of the first eval.num_queries classes holds one patch, so no
+        gallery is left: a fault of the data, not of the config."""
+        dataset = generate_synthetic(DatasetSpec(num_classes=6,
+                                                 patches_per_class=4,
+                                                 patch_size=8, seed=3))
+        dataset[:3] = [ClassGroup(g.class_id, g.patches[:1])
+                       for g in dataset[:3]]
+        data_path = tmp_path / "d.adsp"
+        write_dataset(dataset, data_path)
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(TINY_CONFIG.replace("eval.num_queries = 8",
+                                                   "eval.num_queries = 3"))
+        params_path = tmp_path / "p.adnw"
+        write_params(init_params([64, 12, 6], seed=1), params_path)
+        code = main(["evaluate", "--config", str(config_path),
+                     "--params", str(params_path), "--dataset",
+                     str(data_path), "--out", str(tmp_path / "e")])
+        assert code == 1
+        assert "retrieval gallery is empty: each of the first 3 classes" \
             in capsys.readouterr().err
 
     def test_unknown_config_key_exits_with_usage_code(self, tmp_path, capsys):

@@ -45,6 +45,14 @@ class TestGenerateSynthetic:
             for p in group.patches[1:]:
                 np.testing.assert_allclose(p.pixels, first, atol=1e-12)
 
+    @pytest.mark.parametrize("field", ["warp_magnitude", "noise_sigma",
+                                       "brightness_jitter"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_jitter_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} = {value}; need a "
+                                             f"finite value"):
+            generate_synthetic(small_spec(**{field: value}))
+
     def test_shapes_and_ids(self):
         ds = generate_synthetic(small_spec())
         assert len(ds) == 6

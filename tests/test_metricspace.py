@@ -1,10 +1,13 @@
 """Tests for the hypersphere distance functions and their gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adasample import metricspace
 from adasample.metricspace import (ANGULAR_CLAMP_EPS, MetricKind,
                                    candidate_distances,
                                    distance, distance_grad,
@@ -184,12 +187,26 @@ class TestPairwiseDistances:
         for i in range(4):
             assert abs(d[i] - distance(A[i], B[i], kind)) < 1e-12
 
-    def test_chunking_does_not_change_results(self):
+    @pytest.mark.parametrize("budget", [1, 30, 108, 270, 1 << 16])
+    def test_chunking_does_not_change_results(self, monkeypatch, budget):
+        """The euclidean block size, from one row through even and ragged
+        blocks to the whole batch, leaves every distance unchanged bit for
+        bit (D = 6; a pairwise or candidate row holds 54 differences)."""
         rng = np.random.default_rng(13)
         A = np.stack([random_unit(rng) for _ in range(9)])
-        full = pairwise_distances(A, A, MetricKind.EUCLIDEAN, chunk_rows=256)
-        chunked = pairwise_distances(A, A, MetricKind.EUCLIDEAN, chunk_rows=2)
-        np.testing.assert_array_equal(full, chunked)
+        C = np.stack([A[::-1], A])
+        counts = np.array([9, 4])
+        kind = MetricKind.EUCLIDEAN
+
+        def all_three():
+            return (pairwise_distances(A, A, kind),
+                    paired_distances(A, A[::-1], kind),
+                    candidate_distances(A[:2], C, counts, kind))
+
+        want = all_three()
+        monkeypatch.setattr(metricspace, "_BLOCK_ENTRIES", budget)
+        for got, expected in zip(all_three(), want):
+            np.testing.assert_array_equal(got, expected)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
@@ -301,3 +318,70 @@ class TestCandidateDistances:
         with pytest.raises(ValueError, match="not unit-norm"):
             candidate_distances(anchors, cands, np.array([2, 2]),
                                 MetricKind.ANGULAR)
+
+
+def euclidean_oracle(a, b):
+    """||a - b|| along the last axis, one vector pair (or one row of pairs)
+    at a time, summed as ``np.linalg.norm(..., axis=-1)`` sums: numpy's
+    add.reduce of the squares. The 1-D norm without an axis runs a BLAS dot
+    instead, which differs from it in the last ulp."""
+    diff = a - b
+    return np.sqrt(np.add.reduce(diff * diff, axis=-1))
+
+
+def unit_rows(rng, *shape):
+    X = rng.normal(size=shape)
+    return X / np.linalg.norm(X, axis=-1, keepdims=True)
+
+
+class TestEuclideanKernel:
+    """The blocked euclidean kernel against a per-entry oracle, bit for bit.
+    With D = 64 and the 2**16-entry block: 3 x 1100 runs one row per block
+    (m * D > budget), 10 x 300 blocks of 3 rows with a ragged last block,
+    128 x 128 blocks of 8 rows, and 200 x 1600 one row per block."""
+
+    @pytest.mark.parametrize("n, m", [(3, 1100), (10, 300), (128, 128),
+                                      (200, 1600)])
+    def test_pairwise_equals_oracle(self, n, m):
+        rng = np.random.default_rng(n * m)
+        A, B = unit_rows(rng, n, 64), unit_rows(rng, m, 64)
+        got = pairwise_distances(A, B, MetricKind.EUCLIDEAN)
+        if n * m <= 20_000:
+            want = np.array([[euclidean_oracle(a, b) for b in B] for a in A])
+        else:       # row by row: each entry still sums its own 64 squares
+            want = np.stack([euclidean_oracle(a, B) for a in A])
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [1, 7, 1024, 3000])
+    def test_paired_equals_oracle(self, n):
+        rng = np.random.default_rng(n)
+        A, B = unit_rows(rng, n, 64), unit_rows(rng, n, 64)
+        got = paired_distances(A, B, MetricKind.EUCLIDEAN)
+        want = np.array([euclidean_oracle(a, b) for a, b in zip(A, B)])
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n, width", [(128, 15), (3, 1100), (70, 2)])
+    def test_candidates_equal_oracle(self, n, width):
+        rng = np.random.default_rng(n + width)
+        anchors = unit_rows(rng, n, 64)
+        cands = unit_rows(rng, n, width, 64)
+        counts = rng.integers(1, width + 1, size=n)
+        got = candidate_distances(anchors, cands, counts,
+                                  MetricKind.EUCLIDEAN)
+        for i, m in enumerate(counts):
+            want = [euclidean_oracle(c, anchors[i]) for c in cands[i, :m]]
+            assert np.array_equal(got[i, :m], want)
+            assert np.all(got[i, m:] == 0.0)
+
+    def test_working_set_stays_cache_sized(self):
+        """A 200 x 1600 x 64 call allocates its output plus a block, not
+        the 160 MB (200, 1600, 64) difference tensor."""
+        rng = np.random.default_rng(15)
+        A, B = unit_rows(rng, 200, 64), unit_rows(rng, 1600, 64)
+        tracemalloc.start()
+        try:
+            out = pairwise_distances(A, B, MetricKind.EUCLIDEAN)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
