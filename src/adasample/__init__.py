@@ -1,12 +1,12 @@
 """Descriptor-learning laboratory with adaptive hard-positive sampling."""
 
 from .config import EvalOptions, RunConfig, load_run_config, substream_seed
-from .data import (ClassGroup, DatasetSpec, Patch, generate_positives,
+from .data import (ClassGroup, DatasetSpec, generate_positives,
                    generate_synthetic, read_dataset, write_dataset)
 from .evaluation import (EvalReport, fpr_at_recall, info_correlation_probe,
                          mann_whitney_u, pearson, retrieval_map)
-from .metricspace import MetricKind, distance, distance_grad, \
-    paired_distance_grads, paired_distances, pairwise_distances
+from .metricspace import MetricKind, distance_grad, paired_distance_grads, \
+    paired_distances, pairwise_distances
 from .miner import (MinedTriplet, MinedTriplets, NegMode, NegSource,
                     first_minimum, hardest_negatives, loss_grads,
                     mine_triplets, triplet_loss)

@@ -8,7 +8,10 @@ Gaussian noise and a brightness shift. Classes use independently derived
 RNG substreams, so generation is deterministic per seed and parallelizable
 per class.
 
-Patches travel as float64 in memory and float32 on disk.
+A class holds its k views as one (k, P, P) array; a patch is identified
+by its class id and its index in that array. Pixels travel as float64 in
+memory and float32 on disk. The classes read from a file are views into
+one buffer, so nothing here writes into a class's array.
 """
 
 from __future__ import annotations
@@ -27,20 +30,9 @@ DATASET_VERSION = 1
 
 
 @dataclass
-class Patch:
-    pixels: np.ndarray          # (P, P) float64
-    class_id: int
-    patch_id: int
-
-    @property
-    def size(self) -> int:
-        return self.pixels.shape[0]
-
-
-@dataclass
 class ClassGroup:
     class_id: int
-    patches: list[Patch]
+    patches: np.ndarray         # (k, P, P) float64; patch i is view i
 
     def __len__(self) -> int:
         return len(self.patches)
@@ -119,24 +111,24 @@ def generate_synthetic(spec: DatasetSpec) -> list[ClassGroup]:
     for class_id in range(spec.num_classes):
         rng = np.random.default_rng(children[class_id])
         proto = _texture_prototype(canvas, spec.texture_octaves, rng)
-        patches = []
-        for patch_id in range(spec.patches_per_class):
+        views = np.empty((spec.patches_per_class, spec.patch_size,
+                          spec.patch_size))
+        for i, view in enumerate(views):
             # Outlier views render an unrelated texture, standing in for the
             # wrong crops and mismatches real patch data contains. The first
             # view of a class is always clean.
             flag = rng.random() < spec.outlier_fraction
-            outlier = patch_id > 0 and flag
+            outlier = i > 0 and flag
             src = _texture_prototype(canvas, spec.texture_octaves, rng) \
                 if outlier else proto
             angle = rng.uniform(-spec.warp_magnitude, spec.warp_magnitude)
             scale = float(np.exp(rng.uniform(-1.0, 1.0)
                                  * spec.warp_magnitude / 300.0))
             shift = rng.uniform(-1.0, 1.0, size=2) * spec.warp_magnitude / 15.0
-            pix = _warp_crop(src, spec.patch_size, angle, scale, shift)
-            pix += rng.normal(0.0, spec.noise_sigma, size=pix.shape)
-            pix += rng.uniform(-spec.brightness_jitter, spec.brightness_jitter)
-            patches.append(Patch(pix, class_id, patch_id))
-        dataset.append(ClassGroup(class_id, patches))
+            view[...] = _warp_crop(src, spec.patch_size, angle, scale, shift)
+            view += rng.normal(0.0, spec.noise_sigma, size=view.shape)
+            view += rng.uniform(-spec.brightness_jitter, spec.brightness_jitter)
+        dataset.append(ClassGroup(class_id, views))
     return dataset
 
 
@@ -150,29 +142,25 @@ def generate_positives(class_group: ClassGroup, target_k: int,
                        rotation_range: float = 30.0) -> ClassGroup:
     """Grow a class to ``target_k`` members by rotating existing patches.
 
-    New views are continuous rotations of uniformly chosen original patches;
-    class identity is preserved and patch ids continue the numbering.
+    New views are continuous rotations of uniformly chosen original patches,
+    appended after the originals; the class id is kept.
     """
-    k = len(class_group.patches)
+    originals = class_group.patches
+    k = len(originals)
     if target_k < k:
         raise ValueError(f"target_k {target_k} is below current size {k}")
-    originals = class_group.patches
-    grown = list(originals)
-    next_id = max(p.patch_id for p in originals) + 1
-    while len(grown) < target_k:
-        src = originals[int(rng.integers(k))]
-        angle = rng.uniform(-rotation_range, rotation_range)
-        grown.append(Patch(rotate_patch(src.pixels, angle),
-                           class_group.class_id, next_id))
-        next_id += 1
-    return ClassGroup(class_group.class_id, grown)
+    grown = [rotate_patch(originals[int(rng.integers(k))],
+                          rng.uniform(-rotation_range, rotation_range))[None]
+             for _ in range(target_k - k)]
+    return ClassGroup(class_group.class_id,
+                      np.concatenate([originals, *grown]))
 
 
-def to_input_matrix(patches: list[Patch]) -> np.ndarray:
-    """Stack row-major-flattened patches into a (B, P*P) matrix with each
+def to_input_matrix(patches: np.ndarray) -> np.ndarray:
+    """Flatten (B, P, P) patches row-major into a (B, P*P) matrix with each
     row at zero mean and unit variance; constant patches give zero rows."""
-    X = np.stack([p.pixels.ravel() for p in patches]).astype(np.float64)
-    X -= X.mean(axis=1, keepdims=True)
+    X = np.asarray(patches, dtype=np.float64).reshape(len(patches), -1)
+    X = X - X.mean(axis=1, keepdims=True)
     std = X.std(axis=1, keepdims=True)
     return np.divide(X, std, out=np.zeros_like(X), where=std > 0)
 
@@ -189,9 +177,8 @@ class ClassInputs(NamedTuple):
 def stack_class_inputs(dataset: list[ClassGroup]) -> ClassInputs:
     """The input matrix of every patch, as from :func:`to_input_matrix`,
     with per-class offsets."""
-    offsets = np.concatenate([[0], np.cumsum([len(g.patches)
-                                              for g in dataset])])
-    rows = np.empty((offsets[-1], dataset[0].patches[0].size ** 2))
+    offsets = np.concatenate([[0], np.cumsum([len(g) for g in dataset])])
+    rows = np.empty((offsets[-1], dataset[0].patches[0].size))
     # class by class: no temporary the size of the whole dataset
     for c, group in enumerate(dataset):
         rows[offsets[c]:offsets[c + 1]] = to_input_matrix(group.patches)
@@ -199,47 +186,47 @@ def stack_class_inputs(dataset: list[ClassGroup]) -> ClassInputs:
                        np.array([g.class_id for g in dataset]))
 
 
-def _check_finite(pixels: np.ndarray, names: list[tuple[int, int]]) -> None:
-    """Raise :class:`DatasetError` naming the first patch (by class and
-    patch id, ``names[i]`` for ``pixels[i]``) holding a NaN or an infinity.
-    One pass over all pixels; the patch is located only on failure."""
+def _check_finite(pixels: np.ndarray, classes: list[tuple[int, int]]) -> None:
+    """Raise :class:`DatasetError` naming the first patch holding a NaN or an
+    infinity; ``pixels`` holds the (class id, patch count) ``classes`` one
+    after another. One pass over all pixels; the patch is located only on
+    failure."""
     finite = np.isfinite(pixels)
     if finite.all():
         return
-    bad = int(np.argmin(finite.reshape(len(pixels), -1).all(axis=1)))
-    class_id, patch_id = names[bad]
-    raise DatasetError(f"patch {patch_id} of class {class_id} has a pixel "
+    index = int(np.argmin(finite.reshape(len(pixels), -1).all(axis=1)))
+    for class_id, k in classes:
+        if index < k:
+            break
+        index -= k
+    raise DatasetError(f"patch {index} of class {class_id} has a pixel "
                        f"that is not a finite float32")
 
 
 def write_dataset(dataset: list[ClassGroup], path) -> None:
     if not dataset:
         raise DatasetError("refusing to write an empty dataset")
-    if any(not group.patches for group in dataset):
+    if any(not len(group) for group in dataset):
         raise DatasetError("every class must hold at least one patch")
-    patch_size = dataset[0].patches[0].size
+    patch_size = dataset[0].patches.shape[-1]
     for group in dataset:
-        for patch in group.patches:
-            if patch.pixels.shape != (patch_size, patch_size):
-                raise DatasetError(
-                    f"patch {patch.patch_id} of class {group.class_id} "
-                    f"has shape {patch.pixels.shape}, expected "
-                    f"({patch_size}, {patch_size})")
+        if group.patches.shape[1:] != (patch_size, patch_size):
+            raise DatasetError(
+                f"class {group.class_id} holds patches of shape "
+                f"{group.patches.shape[1:]}, expected "
+                f"({patch_size}, {patch_size})")
     # values beyond the float32 range become infinities, rejected below
     with np.errstate(over="ignore"):
-        pixels = np.array([p.pixels for g in dataset for p in g.patches],
-                          dtype="<f4")
-    _check_finite(pixels, [(g.class_id, p.patch_id)
-                           for g in dataset for p in g.patches])
+        pixels = np.concatenate([g.patches for g in dataset], dtype="<f4")
+    _check_finite(pixels, [(g.class_id, len(g)) for g in dataset])
     with open(path, "wb") as fh:
         fh.write(DATASET_MAGIC)
         fh.write(struct.pack("<III", DATASET_VERSION, len(dataset), patch_size))
         start = 0
         for group in dataset:
-            fh.write(struct.pack("<II", group.class_id, len(group.patches)))
-            stop = start + len(group.patches)
-            fh.write(pixels[start:stop].tobytes())
-            start = stop
+            fh.write(struct.pack("<II", group.class_id, len(group)))
+            fh.write(pixels[start:start + len(group)].tobytes())
+            start += len(group)
 
 
 def read_dataset(path) -> list[ClassGroup]:
@@ -264,27 +251,19 @@ def read_dataset(path) -> list[ClassGroup]:
     if num_classes == 0:
         raise DatasetError("dataset holds no classes")
     classes = []
-    names = []
     chunks = []
     for _ in range(num_classes):
         class_id, k = struct.unpack("<II", take(8, "class header"))
         if k == 0:
             raise DatasetError(f"class {class_id} holds no patches")
-        for patch_id in range(k):
-            chunks.append(take(4 * patch_size * patch_size,
-                               f"patch {patch_id} of class {class_id}"))
-            names.append((class_id, patch_id))
+        chunks.append(take(4 * k * patch_size * patch_size,
+                           f"the {k} patches of class {class_id}"))
         classes.append((class_id, k))
     if offset != len(blob):
         raise FormatError("trailing bytes after last class", offset)
+    starts = np.cumsum([0] + [k for _, k in classes]).tolist()
     pixels = np.frombuffer(b"".join(chunks), dtype="<f4").astype(np.float64)
-    pixels = pixels.reshape(len(names), patch_size, patch_size)
-    _check_finite(pixels, names)
-    dataset = []
-    start = 0
-    for class_id, k in classes:
-        dataset.append(ClassGroup(class_id, [
-            Patch(pixels[start + patch_id], class_id, patch_id)
-            for patch_id in range(k)]))
-        start += k
-    return dataset
+    pixels = pixels.reshape(starts[-1], patch_size, patch_size)
+    _check_finite(pixels, classes)
+    return [ClassGroup(class_id, pixels[start:start + k])
+            for (class_id, k), start in zip(classes, starts)]

@@ -158,13 +158,13 @@ def info_correlation_probe(dataset: list[ClassGroup], params: ModelParams,
     rows (its anchor, itself and the other-pair side of the negative),
     whose summed gradient norm comes from per-layer Gram matrices.
     """
-    usable = [g for g in dataset if len(g.patches) >= 2]
+    usable = [g for g in dataset if len(g) >= 2]
     if len(usable) < 2:
         raise ValueError("probe needs at least 2 classes with k >= 2")
     m = min(sample_classes, len(usable))
     picked = [usable[int(i)] for i in rng.choice(len(usable), size=m,
                                                  replace=False)]
-    sizes = np.array([len(g.patches) for g in picked])
+    sizes = np.array([len(g) for g in picked])
     anchor = np.array([int(rng.integers(k)) for k in sizes.tolist()])
     # the context is drawn among the k - 1 patches other than the anchor
     context = np.array([int(rng.integers(k - 1)) for k in sizes.tolist()])
@@ -183,7 +183,7 @@ def info_correlation_probe(dataset: list[ClassGroup], params: ModelParams,
     cand_row = first_row[slot] + cand + (cand >= anchor[slot])
 
     descs, cache = forward(params, to_input_matrix(
-        [p for g in picked for p in g.patches]))
+        np.concatenate([g.patches for g in picked])))
     A, Ctx, C = descs[anchor_row], descs[context_row], descs[cand_row]
     dists = paired_distances(A[slot], C, kind)
     ga, gb, _ = paired_distance_grads(A[slot], C, kind)

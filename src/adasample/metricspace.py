@@ -44,32 +44,15 @@ class DistanceGrads(NamedTuple):
     saturated: bool | np.ndarray
 
 
-def _check_unit(v: np.ndarray, name: str) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"{name} must be a 1-D vector, got shape {v.shape}")
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > UNIT_NORM_TOL:
-        raise ValueError(f"{name} is not unit-norm: ||{name}|| = {norm:.6g}")
-    return v
-
-
-def distance(a: np.ndarray, b: np.ndarray, kind: MetricKind) -> float:
-    """Distance between two unit-norm descriptors under ``kind``."""
-    a = _check_unit(a, "a")
-    b = _check_unit(b, "b")
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    if kind is MetricKind.EUCLIDEAN:
-        return float(np.linalg.norm(a - b))
-    return float(np.arccos(np.clip(np.dot(a, b), -1.0, 1.0)))
-
-
 def distance_grad(a: np.ndarray, b: np.ndarray, kind: MetricKind) -> DistanceGrads:
-    """Gradients of ``distance(a, b, kind)`` with respect to each argument;
-    the one-row case of :func:`paired_distance_grads`."""
-    a = _check_unit(a, "a")
-    b = _check_unit(b, "b")
+    """Gradients of the distance between unit-norm vectors a and b under
+    ``kind`` with respect to each; the one-row case of
+    :func:`paired_distance_grads`."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim != 1 or b.ndim != 1:
+        raise ValueError(f"a and b must be 1-D vectors, got shapes "
+                         f"{a.shape} and {b.shape}")
     grad_a, grad_b, saturated = paired_distance_grads(a[None], b[None], kind)
     return DistanceGrads(grad_a[0], grad_b[0], bool(saturated[0]))
 

@@ -121,7 +121,7 @@ class Batch(NamedTuple):
 @dataclass
 class BatchDiagnostics:
     """Per-pair choices of one batch; index arrays address each class's
-    patch list."""
+    patches."""
 
     class_ids: np.ndarray
     anchor_index: np.ndarray
@@ -131,23 +131,19 @@ class BatchDiagnostics:
     weight_clamped: bool
 
 
-def build_batch(dataset: list[ClassGroup], params: ModelParams,
-                tracker: LossTracker, config: TrainConfig,
-                rng: np.random.Generator,
-                class_inputs: ClassInputs
-                ) -> tuple[Batch, BatchDiagnostics]:
-    """Select n distinct classes and one weighted (anchor, positive) each.
+def build_batch(params: ModelParams, tracker: LossTracker,
+                config: TrainConfig, rng: np.random.Generator,
+                class_inputs: ClassInputs) -> tuple[Batch, BatchDiagnostics]:
+    """Select n distinct classes of ``class_inputs`` (from
+    :func:`stack_class_inputs`) and one weighted (anchor, positive) each.
 
-    ``class_inputs`` is :func:`stack_class_inputs` of ``dataset``. The
-    batch carries the rows of this call's forward pass with ``params``, so
-    it is for a :func:`train_step` with the same params.
+    The batch carries the rows of this call's forward pass with ``params``,
+    so it is for a :func:`train_step` with the same params.
     """
     n = config.batch_size
-    if len(class_inputs.class_ids) != len(dataset):
-        raise ValueError(f"class_inputs holds {len(class_inputs.class_ids)} "
-                         f"classes, the dataset {len(dataset)}")
-    if len(dataset) < n:
-        raise DatasetError(f"dataset has {len(dataset)} classes but the batch "
+    num_classes = len(class_inputs.class_ids)
+    if num_classes < n:
+        raise DatasetError(f"dataset has {num_classes} classes but the batch "
                            f"needs {n}")
     sizes = np.diff(class_inputs.offsets)
     small = class_inputs.class_ids[sizes < 2]
@@ -156,7 +152,7 @@ def build_batch(dataset: list[ClassGroup], params: ModelParams,
                            f"{small[:5].tolist()}")
     exponent = smp.adaptive_exponent(tracker, config.sampler) \
         if tracker.initialized else 0.0
-    chosen_classes = rng.choice(len(dataset), size=n, replace=False)
+    chosen_classes = rng.choice(num_classes, size=n, replace=False)
     k = sizes[chosen_classes]
     # The random stream of a per-class loop: per class, its anchor and then
     # the uniform that picks its positive.
@@ -272,20 +268,18 @@ def train(config: TrainConfig, dataset: list[ClassGroup],
     config.validate()
     if not dataset:
         raise DatasetError("dataset is empty")
-    input_dim = dataset[0].patches[0].size ** 2
-    state = init_state(config, input_dim)
+    class_inputs = stack_class_inputs(dataset)
+    state = init_state(config, class_inputs.rows.shape[1])
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     log: list[dict] = []
     steps_per_epoch = max(1, config.pairs_per_epoch // config.batch_size)
-    class_inputs = stack_class_inputs(dataset)
     try:
         for epoch in range(1, config.epochs + 1):
             state.epoch = epoch
             state.lr = effective_lr(config.lr, epoch, config.lr_drop_epochs)
             for _ in range(steps_per_epoch):
-                batch, diag = build_batch(dataset, state.params,
-                                          state.loss_tracker, config, rng,
-                                          class_inputs)
+                batch, diag = build_batch(state.params, state.loss_tracker,
+                                          config, rng, class_inputs)
                 state, metrics = train_step(state, batch, config)
                 log.append({"epoch": epoch, "step": state.step,
                             "mean_loss": metrics["mean_loss"],

@@ -24,7 +24,7 @@ from adasample.data import (DatasetSpec, generate_synthetic,
                             stack_class_inputs)
 from adasample.evaluation import (fpr_at_recall, info_correlation_probe,
                                   mann_whitney_u)
-from adasample.metricspace import MetricKind, distance
+from adasample.metricspace import MetricKind
 from adasample.miner import (NEG_SOURCES, NegSource, hardest_negatives,
                              loss_grads, mine_triplets)
 from adasample.sampler import (LossTracker, SamplerConfig, adaptive_exponent,
@@ -34,6 +34,7 @@ from adasample.sampler import (LossTracker, SamplerConfig, adaptive_exponent,
 from adasample.tensornet import backward, forward, init_params
 from adasample.trainer import TrainConfig, train
 from finite_diff import finite_diff_grad
+from scalar_distance import distance
 
 # ----------------------------------------------------------------------
 # desk-scale benchmark configuration (shared by the training criteria):

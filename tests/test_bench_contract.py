@@ -1,0 +1,74 @@
+"""What the benchmark in ``bench/`` uses of the package, checked without
+editing it: a change to ``src/`` that would break ``bench/run.py`` (a
+traced function deleted or renamed, a result it counts reshaped, a dataset
+idiom it builds) fails here first."""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from adasample.data import (DatasetSpec, generate_synthetic, read_dataset,
+                            write_dataset)
+from adasample.metricspace import MetricKind
+from adasample.miner import NegMode, mine_triplets
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+layers = bench_module("layers")
+workloads = bench_module("workloads")
+
+
+@pytest.mark.parametrize("module, function",
+                         [entry[:2] for entry in layers.TRACED])
+def test_traced_function_resolves(module, function):
+    assert callable(getattr(importlib.import_module(module), function))
+
+
+def test_input_rows_counter_reads_a_class_array():
+    counter = {f: c for _, f, c in layers.TRACED}["to_input_matrix"]
+    patches = np.zeros((5, 4, 4))
+    assert counter((patches,), {}, None) == {"data.to_input_matrix.rows": 5}
+
+
+@pytest.mark.parametrize("kind", list(MetricKind))
+def test_mined_counter_reads_a_mine_triplets_result(kind):
+    rng = np.random.default_rng(3)
+    A, P = (rng.normal(size=(12, 8)) for _ in range(2))
+    A /= np.linalg.norm(A, axis=1, keepdims=True)
+    P /= np.linalg.norm(P, axis=1, keepdims=True)
+    mined = mine_triplets(A, P, kind, 1.0, NegMode.SAME_ROLE)
+    counts = layers._mined((A, P), {}, mined)
+    assert counts == {"miner.triplets": 12,
+                      "miner.active": int(np.sum(mined.loss > 0.0))}
+
+
+def test_ragged_dataset_round_trips_through_the_file(tmp_path):
+    dataset = generate_synthetic(DatasetSpec(num_classes=12,
+                                             patches_per_class=3,
+                                             patch_size=8, seed=5))
+    ragged = workloads._ragged(dataset, seed=1)
+    lo, hi = workloads.WIDE_K_RANGE
+    sizes = [len(g.patches) for g in ragged]
+    assert all(lo <= k <= hi for k in sizes) and len(set(sizes)) > 1
+    path = tmp_path / "ragged.adsp"
+    write_dataset(ragged, path)
+    back = read_dataset(path)
+    assert [g.class_id for g in back] == [g.class_id for g in ragged]
+    assert [len(g.patches) for g in back] == sizes
+    for want, got in zip(ragged, back):
+        np.testing.assert_array_equal(got.patches,
+                                      want.patches.astype(np.float32))

@@ -255,7 +255,7 @@ class TestCliPipeline:
         blob = bytearray(data_path.read_bytes())
         # the first pixel of the first patch of the second class
         first = read_dataset(data_path)[0]
-        offset = 16 + 8 + 4 * len(first) * first.patches[0].size ** 2 + 8
+        offset = 16 + 8 + 4 * first.patches.size + 8
         blob[offset:offset + 4] = np.float32(np.nan).tobytes()
         data_path.write_bytes(bytes(blob))
         capsys.readouterr()

@@ -5,10 +5,11 @@ import struct
 import numpy as np
 import pytest
 
-from adasample.data import (DATASET_MAGIC, DATASET_VERSION, DatasetSpec,
-                            Patch, generate_positives, generate_synthetic,
-                            read_dataset, rotate_patch, stack_class_inputs,
-                            to_input_matrix, write_dataset)
+from adasample.data import (DATASET_MAGIC, DATASET_VERSION, ClassGroup,
+                            DatasetSpec, generate_positives,
+                            generate_synthetic, read_dataset, rotate_patch,
+                            stack_class_inputs, to_input_matrix,
+                            write_dataset)
 from adasample.errors import DatasetError, FormatError
 from adasample.metricspace import MetricKind, pairwise_distances
 from adasample.tensornet import forward, init_params
@@ -27,23 +28,21 @@ class TestGenerateSynthetic:
         b = generate_synthetic(small_spec())
         for ga, gb in zip(a, b):
             assert ga.class_id == gb.class_id
-            for pa, pb in zip(ga.patches, gb.patches):
-                assert np.array_equal(pa.pixels, pb.pixels)
+            assert np.array_equal(ga.patches, gb.patches)
 
     def test_different_seeds_differ(self):
         a = generate_synthetic(small_spec(seed=3))
         b = generate_synthetic(small_spec(seed=4))
-        assert not np.array_equal(a[0].patches[0].pixels,
-                                  b[0].patches[0].pixels)
+        assert not np.array_equal(a[0].patches[0], b[0].patches[0])
 
     def test_zero_jitter_collapses_views(self):
         spec = small_spec(warp_magnitude=0.0, noise_sigma=0.0,
                           brightness_jitter=0.0)
         ds = generate_synthetic(spec)
         for group in ds:
-            first = group.patches[0].pixels
+            first = group.patches[0]
             for p in group.patches[1:]:
-                np.testing.assert_allclose(p.pixels, first, atol=1e-12)
+                np.testing.assert_allclose(p, first, atol=1e-12)
 
     @pytest.mark.parametrize("field", ["warp_magnitude", "noise_sigma",
                                        "brightness_jitter"])
@@ -58,10 +57,9 @@ class TestGenerateSynthetic:
         assert len(ds) == 6
         for cid, group in enumerate(ds):
             assert group.class_id == cid
-            assert len(group.patches) == 4
-            for pid, p in enumerate(group.patches):
-                assert p.pixels.shape == (8, 8)
-                assert (p.class_id, p.patch_id) == (cid, pid)
+            assert len(group) == 4
+            assert group.patches.shape == (4, 8, 8)
+            assert group.patches.dtype == np.float64
 
     def test_random_network_separates_classes(self):
         """Even an untrained embedding puts matching views closer together
@@ -77,12 +75,12 @@ class TestGenerateSynthetic:
             gi = int(rng.integers(50))
             i, j = rng.choice(4, size=2, replace=False)
             descs, _ = forward(params, to_input_matrix(
-                [ds[gi].patches[int(i)], ds[gi].patches[int(j)]]))
+                ds[gi].patches[[int(i), int(j)]]))
             intra.append(pairwise_distances(descs[:1], descs[1:],
                                             MetricKind.ANGULAR)[0, 0])
             ga, gb = rng.choice(50, size=2, replace=False)
             descs, _ = forward(params, to_input_matrix(
-                [ds[int(ga)].patches[0], ds[int(gb)].patches[0]]))
+                np.stack([ds[int(ga)].patches[0], ds[int(gb)].patches[0]])))
             inter.append(pairwise_distances(descs[:1], descs[1:],
                                             MetricKind.ANGULAR)[0, 0])
         assert np.mean(intra) < np.mean(inter)
@@ -104,21 +102,22 @@ class TestGeneratePositives:
     def test_noop_when_target_equals_current(self):
         g = self.group()
         out = generate_positives(g, 2, np.random.default_rng(0))
-        assert len(out.patches) == 2
-        for a, b in zip(g.patches, out.patches):
-            assert np.array_equal(a.pixels, b.pixels)
+        assert np.array_equal(out.patches, g.patches)
 
     def test_grows_two_to_fifteen(self):
         g = self.group()
         out = generate_positives(g, 15, np.random.default_rng(0))
-        assert len(out.patches) == 15
-        assert len(out.patches) - len(g.patches) == 13
+        assert out.patches.shape == (15, 8, 8)
+        assert len(out) - len(g) == 13
 
-    def test_new_patches_keep_class_and_get_fresh_ids(self):
+    def test_originals_first_and_unchanged_class_id_kept(self):
         g = self.group()
         out = generate_positives(g, 6, np.random.default_rng(0))
-        assert all(p.class_id == g.class_id for p in out.patches)
-        assert sorted(p.patch_id for p in out.patches) == list(range(6))
+        assert out.class_id == g.class_id
+        assert np.array_equal(out.patches[:2], g.patches)
+        # the new views are rotations, none a copy of an original
+        for new in out.patches[2:]:
+            assert not any(np.array_equal(new, old) for old in g.patches)
 
     def test_shrinking_rejected(self):
         with pytest.raises(ValueError, match="below current"):
@@ -141,7 +140,7 @@ def normalize_pixels(pixels):
 
 
 def input_rows(*pixels):
-    return to_input_matrix([Patch(p, 0, i) for i, p in enumerate(pixels)])
+    return to_input_matrix(np.stack(pixels))
 
 
 class TestNormalize:
@@ -170,12 +169,11 @@ class TestNormalize:
 
     def test_input_matrix_matches_per_patch_normalization(self):
         rng = np.random.default_rng(27)
-        patches = [Patch(rng.normal(size=(5, 5)), 0, i) for i in range(4)]
-        patches.append(Patch(np.full((5, 5), 2.0), 0, 4))   # constant row
+        patches = rng.normal(size=(5, 5, 5))
+        patches[4] = 2.0                                   # constant row
         M = to_input_matrix(patches)
         for i, p in enumerate(patches):
-            np.testing.assert_allclose(M[i],
-                                       normalize_pixels(p.pixels)[0].ravel(),
+            np.testing.assert_allclose(M[i], normalize_pixels(p)[0].ravel(),
                                        atol=1e-12)
 
 
@@ -190,6 +188,33 @@ class TestStackClassInputs:
         for c, group in enumerate(ds):
             rows = stacked.rows[stacked.offsets[c]:stacked.offsets[c + 1]]
             assert np.array_equal(rows, to_input_matrix(group.patches))
+
+
+class TestClassArraysUnchanged:
+    """The classes read from a file are views of one buffer, so a function
+    that wrote into a class's array would change other classes too."""
+
+    def test_readers_leave_every_class_unchanged(self, tmp_path):
+        path = tmp_path / "d.adsp"
+        write_dataset(generate_synthetic(small_spec()), path)
+        ds = read_dataset(path)
+        assert ds[0].patches.base is ds[-1].patches.base
+        before = [g.patches.copy() for g in ds]
+        to_input_matrix(ds[2].patches)
+        stack_class_inputs(ds)
+        generate_positives(ds[3], 9, np.random.default_rng(0))
+        write_dataset(ds, tmp_path / "again.adsp")
+        for group, want in zip(ds, before):
+            assert np.array_equal(group.patches, want)
+
+    def test_write_rejects_a_class_of_another_patch_size(self, tmp_path):
+        ds = generate_synthetic(small_spec())
+        ds[3] = ClassGroup(ds[3].class_id, ds[3].patches[:, :6, :6])
+        path = tmp_path / "d.adsp"
+        with pytest.raises(DatasetError, match=r"class 3 holds patches of "
+                                               r"shape \(6, 6\)"):
+            write_dataset(ds, path)
+        assert not path.exists()
 
 
 def adsp_bytes(classes, patch_size=8):
@@ -213,10 +238,9 @@ class TestDatasetIO:
         assert len(back) == len(ds)
         for ga, gb in zip(ds, back):
             assert ga.class_id == gb.class_id
-            for pa, pb in zip(ga.patches, gb.patches):
-                assert (pa.class_id, pa.patch_id) == (pb.class_id, pb.patch_id)
-                np.testing.assert_array_equal(
-                    pa.pixels.astype(np.float32), pb.pixels.astype(np.float32))
+            assert gb.patches.dtype == np.float64
+            np.testing.assert_array_equal(ga.patches.astype(np.float32),
+                                          gb.patches.astype(np.float32))
 
     def test_write_read_write_is_stable(self, tmp_path):
         ds = generate_synthetic(small_spec())
@@ -266,7 +290,7 @@ class TestDatasetIO:
 
     def test_non_finite_pixel_named_on_write(self, tmp_path):
         ds = generate_synthetic(small_spec())
-        ds[4].patches[1].pixels[0, 7] = 1e300      # beyond float32
+        ds[4].patches[1, 0, 7] = 1e300      # beyond float32
         path = tmp_path / "d.adsp"
         with pytest.raises(DatasetError, match="patch 1 of class 4 "):
             write_dataset(ds, path)

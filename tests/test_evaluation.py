@@ -406,16 +406,17 @@ def oracle_evaluate_params(dataset, params, config):
         dataset, params, kind, config.eval.num_pairs, rng)
     fpr95 = fpr_at_recall(pos_d, neg_d, 0.95)
     n_queries = min(config.eval.num_queries, len(dataset))
-    query_patches = []
-    gallery_patches = []
+    query_patches, query_labels = [], []
+    gallery_patches, gallery_labels = [], []
     for g in dataset[:n_queries]:
         query_patches.append(g.patches[0])
+        query_labels.append(g.class_id)
         gallery_patches.extend(g.patches[1:])
+        gallery_labels.extend([g.class_id] * (len(g) - 1))
     q_descs, _ = forward(params, to_input_matrix(query_patches))
     g_descs, _ = forward(params, to_input_matrix(gallery_patches))
-    result = retrieval_map(
-        q_descs, [p.class_id for p in query_patches],
-        g_descs, [p.class_id for p in gallery_patches], kind)
+    result = retrieval_map(q_descs, query_labels, g_descs, gallery_labels,
+                           kind)
     report = EvalReport(fpr95=fpr95, retrieval_map=result.mean_ap)
     return report, pos_d, neg_d
 

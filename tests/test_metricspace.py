@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from adasample import metricspace
 from adasample.metricspace import (ANGULAR_CLAMP_EPS, MetricKind,
-                                   candidate_distances,
-                                   distance, distance_grad,
+                                   candidate_distances, distance_grad,
                                    paired_distance_grads, paired_distances,
                                    pairwise_distances)
+from scalar_distance import distance
 
 
 def unit(v):
@@ -149,6 +149,17 @@ class TestDistanceGrad:
         ga, gb, saturated = distance_grad(a, a.copy(), MetricKind.EUCLIDEAN)
         assert saturated
         assert np.all(ga == 0) and np.all(gb == 0)
+
+    @pytest.mark.parametrize("shape", [(1, 3), (), (3, 1)])
+    def test_input_that_is_not_1d_rejected(self, shape):
+        a = np.ones(shape) / np.sqrt(max(1, np.prod(shape)))
+        with pytest.raises(ValueError, match="1-D"):
+            distance_grad(a, np.array([1.0, 0.0, 0.0]), MetricKind.ANGULAR)
+
+    def test_non_unit_input_rejected(self):
+        with pytest.raises(ValueError, match="not unit-norm"):
+            distance_grad(np.array([1.0, 1.0, 0.0]),
+                          np.array([1.0, 0.0, 0.0]), MetricKind.EUCLIDEAN)
 
 
 def _raw_distance(a, b, kind):

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adasample.metricspace import MetricKind, distance
+from adasample.metricspace import MetricKind
 from adasample.miner import (NEG_SOURCES, MinedTriplets,
                              NegMode, NegSource, hardest_negatives,
                              loss_grads, mine_triplets, triplet_loss)
+from scalar_distance import distance
 from test_metricspace import scalar_distance_grad
 
 

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adasample import trainer
-from adasample.data import (ClassGroup, DatasetSpec, Patch,
-                            generate_synthetic, stack_class_inputs,
-                            to_input_matrix)
+from adasample.data import (ClassGroup, DatasetSpec, generate_synthetic,
+                            stack_class_inputs, to_input_matrix)
 from adasample.errors import DatasetError, NumericError
 from adasample.metricspace import MetricKind, pairwise_distances
 from adasample.miner import loss_grads, mine_triplets
@@ -37,8 +36,8 @@ def tiny_config(**kw):
 
 def batch_of(ds, state, cfg, rng, tracker=None):
     """build_batch over the stacked input rows of ``ds``."""
-    return build_batch(ds, state.params, tracker or state.loss_tracker, cfg,
-                       rng, stack_class_inputs(ds))
+    return build_batch(state.params, tracker or state.loss_tracker, cfg, rng,
+                       stack_class_inputs(ds))
 
 
 def scalar_build_batch(ds, params, tracker, cfg, rng):
@@ -52,10 +51,10 @@ def scalar_build_batch(ds, params, tracker, cfg, rng):
                                                 replace=False)]
     flat_inputs = np.vstack([to_input_matrix(g.patches) for g in groups])
     descs, _ = forward(params, flat_inputs)
-    offsets = np.cumsum([0] + [len(g.patches) for g in groups])
+    offsets = np.cumsum([0] + [len(g) for g in groups])
     anchor, positive, used, chosen_d = [], [], [], []
     for slot, group in enumerate(groups):
-        k = len(group.patches)
+        k = len(group)
         rows = descs[offsets[slot]:offsets[slot + 1]]
         a_idx = int(rng.integers(k))
         cand_idx = [i for i in range(k) if i != a_idx]
@@ -109,14 +108,12 @@ class TestBuildBatch:
             assert batch.weights.mean() == pytest.approx(1.0)
             for i, cid in enumerate(diag.class_ids):
                 patches = by_id[int(cid)].patches
-                a = patches[diag.anchor_index[i]]
-                p = patches[diag.positive_index[i]]
-                assert a.class_id == p.class_id == cid
-                assert a.patch_id != p.patch_id
+                a, p = diag.anchor_index[i], diag.positive_index[i]
+                assert a != p
                 np.testing.assert_array_equal(batch.inputs[i],
-                                              to_input_matrix([a])[0])
+                                              to_input_matrix(patches[[a]])[0])
                 np.testing.assert_array_equal(batch.inputs[n + i],
-                                              to_input_matrix([p])[0])
+                                              to_input_matrix(patches[[p]])[0])
 
     def test_identical_for_fixed_seed(self):
         ds = tiny_dataset()
@@ -209,7 +206,7 @@ class TestBuildBatchOracle:
                                initialized=True))
         params = init_state(cfg, 64).params
         draw = int(rng.integers(1 << 30))
-        batch, diag = build_batch(ds, params, tracker, cfg,
+        batch, diag = build_batch(params, tracker, cfg,
                                   np.random.default_rng(draw),
                                   stack_class_inputs(ds))
         inputs, weights, want = scalar_build_batch(
@@ -229,7 +226,7 @@ class TestBuildBatchOracle:
         tracker = LossTracker(l_avg=0.4, initialized=True)
         rng_kernel, rng_oracle = (np.random.default_rng(11) for _ in "ab")
         for _ in range(5):
-            build_batch(ds, params, tracker, cfg, rng_kernel,
+            build_batch(params, tracker, cfg, rng_kernel,
                         stack_class_inputs(ds))
             scalar_build_batch(ds, params, tracker, cfg, rng_oracle)
             assert rng_kernel.bit_generator.state == \
@@ -239,10 +236,8 @@ class TestBuildBatchOracle:
         """A class of identical patches has row maximum distance 0, so its
         positive is uniform over the k - 1 candidates even at the cap."""
         ds = ragged_dataset([6, 9, 4, 7])
-        same = ds[1].patches[0].pixels
         ds[1] = ClassGroup(ds[1].class_id,
-                           [Patch(same.copy(), p.class_id, p.patch_id)
-                            for p in ds[1].patches])
+                           np.repeat(ds[1].patches[:1], len(ds[1]), axis=0))
         cfg = tiny_config(batch_size=4, metric=MetricKind.EUCLIDEAN,
                           sampler=SamplerConfig(lambda_=float("inf")))
         tracker = LossTracker(l_avg=1.0, initialized=True)
@@ -261,7 +256,7 @@ class TestBuildBatchOracle:
         tracker = LossTracker(l_avg=0.5, initialized=True)
         state = init_state(cfg, 64)
         rng = np.random.default_rng(4)
-        sizes = {g.class_id: len(g.patches) for g in ds}
+        sizes = {g.class_id: len(g) for g in ds}
         for _ in range(10):
             _, diag = batch_of(ds, state, cfg, rng, tracker)
             for cid, a, p, used in zip(diag.class_ids, diag.anchor_index,
@@ -422,7 +417,7 @@ class TestOneForwardPass:
         state, want = init_state(cfg, 64), init_state(cfg, 64)
         class_inputs = stack_class_inputs(ds)
         for _ in range(30):
-            batch, _ = build_batch(ds, state.params, state.loss_tracker, cfg,
+            batch, _ = build_batch(state.params, state.loss_tracker, cfg,
                                    rng, class_inputs)
             state, metrics = train_step(state, batch, cfg)
             want, want_metrics = oracle_train_step(want, batch, cfg)
