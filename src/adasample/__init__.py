@@ -8,8 +8,8 @@ from .evaluation import (EvalReport, fpr_at_recall, info_correlation_probe,
 from .metricspace import MetricKind, distance_grad, paired_distance_grads, \
     paired_distances, pairwise_distances
 from .miner import (MinedTriplet, MinedTriplets, NegMode, NegSource,
-                    first_minimum, hardest_negatives, loss_grads,
-                    mine_triplets, triplet_loss)
+                    hardest_negatives, loss_grads, mine_triplets,
+                    triplet_grads, triplet_loss)
 from .sampler import (LossTracker, SamplerConfig, adaptive_exponent,
                       categorical_sample, expected_rectification,
                       optimal_probs, positive_probs, reweights,

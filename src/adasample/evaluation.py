@@ -21,10 +21,9 @@ import numpy as np
 from scipy.special import ndtr
 
 from .data import ClassGroup, to_input_matrix
-from .errors import UndefinedCorrelationError
-from .metricspace import MetricKind, paired_distance_grads, \
-    paired_distances, pairwise_distances
-from .miner import NegMode, first_minimum, triplet_loss
+from .errors import DatasetError, UndefinedCorrelationError
+from .metricspace import MetricKind, pairwise_distances
+from .miner import NegMode, mine_triplets, triplet_grads
 from .tensornet import ModelParams, forward, group_grad_norms
 
 EXACT_MW_LIMIT = 20
@@ -160,7 +159,7 @@ def info_correlation_probe(dataset: list[ClassGroup], params: ModelParams,
     """
     usable = [g for g in dataset if len(g) >= 2]
     if len(usable) < 2:
-        raise ValueError("probe needs at least 2 classes with k >= 2")
+        raise DatasetError("probe needs at least 2 classes with k >= 2")
     m = min(sample_classes, len(usable))
     picked = [usable[int(i)] for i in rng.choice(len(usable), size=m,
                                                  replace=False)]
@@ -184,39 +183,27 @@ def info_correlation_probe(dataset: list[ClassGroup], params: ModelParams,
 
     descs, cache = forward(params, to_input_matrix(
         np.concatenate([g.patches for g in picked])))
-    A, Ctx, C = descs[anchor_row], descs[context_row], descs[cand_row]
-    dists = paired_distances(A[slot], C, kind)
-    ga, gb, _ = paired_distance_grads(A[slot], C, kind)
-    pos = 2.0 * dists[:, None]
+    own = np.stack([anchor_row[slot], cand_row], axis=1)
+    other = np.stack([anchor_row, context_row], axis=1)
+    mined = mine_triplets(descs[own[:, 0]], descs[own[:, 1]], kind, margin,
+                          neg_mode, opposing=(descs[anchor_row],
+                                              descs[context_row], slot))
+    rows, terms = triplet_grads(descs, own, other, mined, kind,
+                                np.ones(slot.size))
     if pair_term_only:
-        rows = np.stack([anchor_row[slot], cand_row], axis=1)
-        out_grads = np.stack([pos * ga, pos * gb], axis=1)
+        rows, terms = rows[:, :2], terms[:, :2]
     else:
-        # The scored pair's side of the negative is its anchor (side 0) or
-        # the candidate (side 1); the other pair's side is its anchor or
-        # context, as the negative mode dictates.
-        if neg_mode is NegMode.SAME_ROLE:
-            d_neg, j, side = first_minimum(
-                pairwise_distances(A, A, kind)[slot],
-                pairwise_distances(C, Ctx, kind), slot)
-            far = np.where(side == 1, context_row[j], anchor_row[j])
-        else:
-            d_neg, j, side = first_minimum(
-                pairwise_distances(A, Ctx, kind)[slot],
-                pairwise_distances(C, A, kind), slot)
-            far = np.where(side == 1, anchor_row[j], context_row[j])
-        near = np.where(side == 1, cand_row, anchor_row[slot])
-        gna, gnb, _ = paired_distance_grads(descs[near], descs[far], kind)
-        neg = 2.0 * d_neg[:, None]
-        rows = np.stack([anchor_row[slot], cand_row, far], axis=1)
-        out_grads = np.stack([pos * ga, pos * gb, -(neg * gnb)], axis=1)
-        out_grads[np.arange(slot.size), side] -= neg * gna
+        # The scored pair's side of the negative is its anchor or the
+        # candidate: fold its term into that row's.
+        terms[np.arange(slot.size), mined.source % 2] += terms[:, 2]
+        rows, terms = rows[:, [0, 1, 3]], terms[:, [0, 1, 3]]
         # inactive hinges (and the exact boundary) score 0
-        out_grads[triplet_loss(dists, d_neg, margin) <= 0.0] = 0.0
+        terms[mined.loss <= 0.0] = 0.0
     infos = group_grad_norms(params, cache.take(rows.ravel()),
-                             out_grads.reshape(-1, descs.shape[1]),
+                             terms.reshape(-1, descs.shape[1]),
                              rows.shape[1])
 
+    dists = mined.d_pos
     d_sum = np.repeat(np.add.reduceat(dists, first_cand), counts)
     i_sum = np.repeat(np.add.reduceat(infos, first_cand), counts)
     p_dist = np.divide(dists, d_sum, where=d_sum > 0,

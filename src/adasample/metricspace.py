@@ -21,8 +21,6 @@ import numpy as np
 UNIT_NORM_TOL = 1e-3
 ANGULAR_CLAMP_EPS = 1e-9
 _BLOCK_ENTRIES = 1 << 16    # float64 euclidean differences (512 KB)
-# Rows per angular Gram product: OpenBLAS orders its sums by product size.
-_ANGULAR_ROWS = 256
 
 
 class MetricKind(enum.Enum):
@@ -132,11 +130,7 @@ def pairwise_distances(batch_a: Sequence[np.ndarray] | np.ndarray,
     A, B = _unit_rows(batch_a, batch_b)
     if kind is MetricKind.EUCLIDEAN:
         return _euclidean_norms(A[:, None, :], B[None, :, :])
-    out = np.empty((A.shape[0], B.shape[0]))
-    for start in range(0, A.shape[0], _ANGULAR_ROWS):
-        gram = A[start:start + _ANGULAR_ROWS] @ B.T
-        out[start:start + _ANGULAR_ROWS] = np.arccos(np.clip(gram, -1.0, 1.0))
-    return out
+    return np.arccos(np.clip(A @ B.T, -1.0, 1.0))
 
 
 def paired_distances(batch_a: Sequence[np.ndarray] | np.ndarray,

@@ -15,12 +15,16 @@ hardest-in-batch pipelines; ``SAME_ROLE`` is the default.
 
 Ties are broken deterministically: lowest opposing pair index first, and
 the anchor-side candidate before the positive-side candidate.
+
+The opposing pairs may be another set than the batch: the informativeness
+probe mines each candidate against fixed anchors and contexts. Training and
+the probe both differentiate the loss through :func:`triplet_grads`.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -36,10 +40,10 @@ class NegSource(enum.Enum):
     POSITIVE_VS_ANCHOR = "positive_vs_anchor"
 
 
-# Source codes index NEG_SOURCES. Whether the descriptor of pair i (first)
-# and of pair j (second) that form the negative distance is a positive:
+# Source codes index NEG_SOURCES. The descriptor of pair i that forms the
+# negative distance is a positive when ``source % 2``; whether the one of
+# opposing pair j is:
 NEG_SOURCES = tuple(NegSource)
-_FIRST_IS_POSITIVE = np.array([0, 1, 0, 1])
 _SECOND_IS_POSITIVE = np.array([0, 1, 1, 0])
 
 
@@ -103,46 +107,45 @@ class MinedTriplets:
         return (self[i] for i in range(len(self)))
 
 
-def first_minimum(first: np.ndarray, second: np.ndarray,
-                  skip: np.ndarray) -> tuple[np.ndarray, np.ndarray,
-                                             np.ndarray]:
-    """Per row i, the minimum over the candidates ``first[i, j]`` (side 0)
-    and ``second[i, j]`` (side 1) for j != skip[i], with its j and side.
-
-    The scan order over the flattened (j, side) candidates makes the
-    tie-break exact: lowest j wins, and within a j side 0 wins.
-    """
-    C = np.stack([first, second], axis=2)
-    idx = np.arange(C.shape[0])
-    C[idx, skip, :] = np.inf
-    flat = C.reshape(C.shape[0], -1)
-    best = np.argmin(flat, axis=1)
-    j, side = np.divmod(best, 2)
-    return flat[idx, best], j, side
-
-
 def hardest_negatives(anchors: np.ndarray, positives: np.ndarray,
                       kind: MetricKind,
-                      neg_mode: NegMode = NegMode.SAME_ROLE) -> Negatives:
-    """Per pair, the minimum over both candidate distance matrices, with
-    the tie-break of :func:`first_minimum` (the anchor side is side 0)."""
+                      neg_mode: NegMode = NegMode.SAME_ROLE,
+                      opposing: tuple | None = None) -> Negatives:
+    """Per query pair i, the hardest negative against the opposing pairs
+    ``opposing = (anchors, positives, own)``, skipping opposing pair
+    ``own[i]``. The default opposes the batch to itself with own[i] = i.
+
+    The candidates of pair i are the distances on side 0 (its anchor) and
+    side 1 (its positive) to each opposing pair j. Scanning the flattened
+    (j, side) candidates makes the tie-break exact: lowest j wins, and
+    within a j side 0 wins.
+    """
     A = np.atleast_2d(np.asarray(anchors, dtype=np.float64))
     P = np.atleast_2d(np.asarray(positives, dtype=np.float64))
     n = A.shape[0]
     if P.shape[0] != n:
         raise ValueError(f"anchor/positive counts differ: {n} vs {P.shape[0]}")
-    if n < 2:
-        raise ValueError(f"need at least 2 pairs to mine negatives, got {n}")
+    OA, OP, own = (A, P, np.arange(n)) if opposing is None else opposing
+    if OA.shape[0] != OP.shape[0] or np.shape(own) != (n,):
+        raise ValueError(f"opposing pairs do not match {n} query pairs")
+    if OA.shape[0] < 2:
+        raise ValueError(f"need at least 2 pairs to mine negatives, "
+                         f"got {OA.shape[0]}")
     if neg_mode is NegMode.SAME_ROLE:
-        D_first = pairwise_distances(A, A, kind)
-        D_second = pairwise_distances(P, P, kind)
+        D_first = pairwise_distances(A, OA, kind)
+        D_second = pairwise_distances(P, OP, kind)
         first_code = 0
     else:
-        D_first = pairwise_distances(A, P, kind)
-        D_second = pairwise_distances(P, A, kind)
+        D_first = pairwise_distances(A, OP, kind)
+        D_second = pairwise_distances(P, OA, kind)
         first_code = 2
-    d_neg, j, side = first_minimum(D_first, D_second, np.arange(n))
-    return Negatives(d_neg, first_code + side, j)
+    C = np.stack([D_first, D_second], axis=2)
+    idx = np.arange(n)
+    C[idx, own, :] = np.inf
+    flat = C.reshape(n, -1)
+    best = np.argmin(flat, axis=1)
+    j, side = np.divmod(best, 2)
+    return Negatives(flat[idx, best], first_code + side, j)
 
 
 def triplet_loss(d_pos, d_neg, margin: float) -> np.ndarray:
@@ -157,12 +160,41 @@ def triplet_loss(d_pos, d_neg, margin: float) -> np.ndarray:
 
 def mine_triplets(anchors: np.ndarray, positives: np.ndarray,
                   kind: MetricKind, margin: float,
-                  neg_mode: NegMode = NegMode.SAME_ROLE) -> MinedTriplets:
-    """Mine hardest negatives and evaluate the hinge loss for every pair."""
-    neg = hardest_negatives(anchors, positives, kind, neg_mode)
+                  neg_mode: NegMode = NegMode.SAME_ROLE,
+                  opposing: tuple | None = None) -> MinedTriplets:
+    """Mine hardest negatives (against ``opposing``, as
+    :func:`hardest_negatives`) and evaluate the hinge loss for every pair."""
+    neg = hardest_negatives(anchors, positives, kind, neg_mode, opposing)
     d_pos = paired_distances(anchors, positives, kind)
     return MinedTriplets(d_pos=d_pos, d_neg=neg.d_neg, source=neg.source,
                          j=neg.j, loss=triplet_loss(d_pos, neg.d_neg, margin))
+
+
+def triplet_grads(X: np.ndarray, own: np.ndarray, other: np.ndarray,
+                  mined: MinedTriplets, kind: MetricKind,
+                  weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of X and weighted hinge gradients of each mined triplet.
+
+    ``own[t]`` holds the rows of triplet t's anchor and positive,
+    ``other[j]`` those of opposing pair j. Returns ``rows`` (T, 4): the
+    anchor, the positive, and the pair-t and pair-j sides of the mined
+    negative; and ``terms`` (T, 4, D), the gradient of weights[t] * loss_t
+    through each row: 2 d_pos * grad(d_pos) and -2 d_neg * grad(d_neg).
+    Every hinge is taken as active; callers drop or zero the others.
+    """
+    T = len(own)
+    rows = np.stack([own[:, 0], own[:, 1],
+                     own[np.arange(T), mined.source % 2],
+                     other[mined.j, _SECOND_IS_POSITIVE[mined.source]]],
+                    axis=1)
+    ga, gb, _ = paired_distance_grads(
+        X[np.concatenate([rows[:, 0], rows[:, 2]])],
+        X[np.concatenate([rows[:, 1], rows[:, 3]])], kind)
+    pos = (weights * 2.0 * mined.d_pos)[:, None]
+    neg = (weights * 2.0 * mined.d_neg)[:, None]
+    terms = np.stack([pos * ga[:T], pos * gb[:T],
+                      -(neg * ga[T:]), -(neg * gb[T:])], axis=1)
+    return rows, terms
 
 
 def loss_grads(anchors: np.ndarray, positives: np.ndarray,
@@ -171,12 +203,10 @@ def loss_grads(anchors: np.ndarray, positives: np.ndarray,
                ) -> tuple[np.ndarray, np.ndarray]:
     """Descriptor-space gradients of sum_i w_i * loss_i.
 
-    Each active pair contributes 2 d_pos * grad(d_pos) through its own
-    anchor and positive, and -2 d_neg * grad(d_neg) through the two
-    descriptors forming its mined negative distance. Inactive hinges (and
-    the exact hinge boundary) contribute the zero subgradient. A descriptor
-    receives its terms in pair order, and within a pair in the order
-    anchor, positive, pair-i side and pair-j side of the negative.
+    Each active pair contributes the :func:`triplet_grads` terms. Inactive
+    hinges (and the exact hinge boundary) contribute the zero subgradient.
+    A descriptor receives its terms in pair order, and within a pair in the
+    order anchor, positive, pair-i side and pair-j side of the negative.
     """
     A = np.atleast_2d(np.asarray(anchors, dtype=np.float64))
     P = np.atleast_2d(np.asarray(positives, dtype=np.float64))
@@ -193,19 +223,10 @@ def loss_grads(anchors: np.ndarray, positives: np.ndarray,
     # Rows 0..n-1 of X are the anchors, rows n..2n-1 the positives.
     X = np.vstack([A, P])
     act = np.flatnonzero(mined.loss > 0.0)
-    j = j[act]
-    code = mined.source[act]
-    first = act + n * _FIRST_IS_POSITIVE[code]
-    second = j + n * _SECOND_IS_POSITIVE[code]
-    ga, gb, _ = paired_distance_grads(X[np.concatenate([act, first])],
-                                      X[np.concatenate([act + n, second])],
-                                      kind)
-    m = len(act)
-    pos = (w[act] * 2.0 * mined.d_pos[act])[:, None]
-    neg = (w[act] * 2.0 * mined.d_neg[act])[:, None]
-    terms = np.stack([pos * ga[:m], pos * gb[:m],
-                      -(neg * ga[m:]), -(neg * gb[m:])], axis=1)
-    rows = np.stack([act, act + n, first, second], axis=1)
+    active = MinedTriplets(*(np.asarray(getattr(mined, f.name))[act]
+                             for f in fields(MinedTriplets)))
+    pairs = np.arange(n)[:, None] + [0, n]
+    rows, terms = triplet_grads(X, pairs[act], pairs, active, kind, w[act])
     grads = np.zeros_like(X)
     # unbuffered, in index order: each row sums its terms as the
     # per-triplet loop would

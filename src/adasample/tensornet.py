@@ -71,9 +71,7 @@ class ForwardCache:
     """Per-layer intermediates recorded by :func:`forward` for one batch."""
 
     inputs: np.ndarray                      # (B, M_0)
-    pre: list[np.ndarray]                   # pre-activations of layers 1..L-1
     hidden: list[np.ndarray]                # activated outputs of layers 1..L-1
-    raw_output: np.ndarray                  # (B, M_L), before normalization
     output_norms: np.ndarray                # (B,)
     descriptors: np.ndarray                 # (B, M_L), unit rows
 
@@ -85,9 +83,7 @@ class ForwardCache:
         """The cache of the batch made of ``rows`` of this one; the network
         is row-wise, so no forward pass is needed."""
         return ForwardCache(inputs=self.inputs[rows],
-                            pre=[h[rows] for h in self.pre],
                             hidden=[x[rows] for x in self.hidden],
-                            raw_output=self.raw_output[rows],
                             output_norms=self.output_norms[rows],
                             descriptors=self.descriptors[rows])
 
@@ -136,11 +132,12 @@ def _activate(h: np.ndarray, activation: Activation) -> np.ndarray:
     return np.maximum(h, 0.0)
 
 
-def _activate_deriv_from_output(x: np.ndarray, h: np.ndarray,
+def _activate_deriv_from_output(x: np.ndarray,
                                 activation: Activation) -> np.ndarray:
     if activation is Activation.TANH:
         return 1.0 - x * x
-    return (h > 0.0).astype(np.float64)
+    # x = max(h, 0) is positive exactly where h is (NaN in both is not)
+    return (x > 0.0).astype(np.float64)
 
 
 def forward(params: ModelParams,
@@ -156,12 +153,9 @@ def forward(params: ModelParams,
         raise ValueError(f"input dimension {X.shape[1]} does not match first "
                          f"layer fan-in {first.shape[1]}")
     hidden: list[np.ndarray] = []
-    pre: list[np.ndarray] = []
     x = X
     for w in params.layers[:-1]:
-        h = x @ w.T
-        x = _activate(h, params.activation)
-        pre.append(h)
+        x = _activate(x @ w.T, params.activation)
         hidden.append(x)
     z = x @ params.layers[-1].T
     norms = np.linalg.norm(z, axis=1)
@@ -174,8 +168,8 @@ def forward(params: ModelParams,
         raise DegenerateOutputError(
             f"pre-normalization output of sample {bad} is zero")
     descriptors = z / norms[:, None]
-    cache = ForwardCache(inputs=X, pre=pre, hidden=hidden, raw_output=z,
-                         output_norms=norms, descriptors=descriptors)
+    cache = ForwardCache(inputs=X, hidden=hidden, output_norms=norms,
+                         descriptors=descriptors)
     return descriptors, cache
 
 
@@ -201,7 +195,6 @@ def _deltas(params: ModelParams, cache: ForwardCache, output_grads: np.ndarray):
         if l > 0:
             dx = delta @ params.layers[l]
             deriv = _activate_deriv_from_output(cache.hidden[l - 1],
-                                                cache.pre[l - 1],
                                                 params.activation)
             delta = dx * deriv
 

@@ -11,10 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from adasample import evaluation, miner
 from adasample.data import (DatasetSpec, generate_synthetic, read_dataset,
                             write_dataset)
 from adasample.metricspace import MetricKind
 from adasample.miner import NegMode, mine_triplets
+from adasample.tensornet import init_params
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -54,6 +56,28 @@ def test_mined_counter_reads_a_mine_triplets_result(kind):
     counts = layers._mined((A, P), {}, mined)
     assert counts == {"miner.triplets": 12,
                       "miner.active": int(np.sum(mined.loss > 0.0))}
+
+
+def test_probe_mines_once_through_the_traced_name(monkeypatch):
+    """The probe reaches ``miner.mine_triplets`` under the name the tracer
+    rebinds in ``evaluation``, once per call, so ``miner.active_ratio`` is
+    fed by ``eval_probe`` too."""
+    assert evaluation.mine_triplets is miner.mine_triplets
+    results = []
+
+    def counted(*args, **kwargs):
+        results.append(miner.mine_triplets(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(evaluation, "mine_triplets", counted)
+    dataset = generate_synthetic(DatasetSpec(num_classes=6,
+                                             patches_per_class=4,
+                                             patch_size=8, seed=2))
+    probe = evaluation.info_correlation_probe(
+        dataset, init_params([64, 12, 6], seed=1), MetricKind.ANGULAR,
+        np.random.default_rng(0), sample_classes=5)
+    assert len(results) == 1
+    assert len(results[0]) == probe.p_dist.size == 5 * 3
 
 
 def test_ragged_dataset_round_trips_through_the_file(tmp_path):

@@ -328,6 +328,26 @@ class TestCliPipeline:
         assert "retrieval gallery is empty: each of the first 3 classes" \
             in capsys.readouterr().err
 
+    def test_diagnose_without_two_probe_classes_exits_1(self, config_file,
+                                                        tmp_path, capsys):
+        """Only one class holds two patches, so the probe has no context
+        pair: a fault of the data, not of the config."""
+        dataset = generate_synthetic(DatasetSpec(num_classes=4,
+                                                 patches_per_class=4,
+                                                 patch_size=8, seed=3))
+        dataset[1:] = [ClassGroup(g.class_id, g.patches[:1])
+                       for g in dataset[1:]]
+        data_path = tmp_path / "d.adsp"
+        write_dataset(dataset, data_path)
+        params_path = tmp_path / "p.adnw"
+        write_params(init_params([64, 12, 6], seed=1), params_path)
+        code = main(["diagnose", "--config", str(config_file),
+                     "--params", str(params_path), "--dataset",
+                     str(data_path), "--out", str(tmp_path / "d")])
+        assert code == 1
+        assert "error: probe needs at least 2 classes with k >= 2" \
+            in capsys.readouterr().err
+
     def test_unknown_config_key_exits_with_usage_code(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("zorp = 1\n")

@@ -26,26 +26,30 @@ def negative_rows(neg):
             for d, s, j in zip(neg.d_neg, neg.source, neg.j)]
 
 
-def brute_force_hardest(A, P, kind, neg_mode=NegMode.SAME_ROLE):
+def brute_force_hardest(A, P, kind, neg_mode=NegMode.SAME_ROLE,
+                        opposing=None):
     """Plain double loop over every (j, source) candidate, scanning j
     ascending with the anchor-side source first and keeping strict minima,
-    so the tie-break order matches the contract."""
+    so the tie-break order matches the contract. Query pair i is mined
+    against the opposing pairs ``(OA, OP, own)`` and skips ``own[i]``; by
+    default the batch opposes itself."""
     n = A.shape[0]
+    OA, OP, own = (A, P, range(n)) if opposing is None else opposing
     out = []
     for i in range(n):
         best = (np.inf, None, None)
-        for j in range(n):
-            if j == i:
+        for j in range(len(OA)):
+            if j == own[i]:
                 continue
             if neg_mode is NegMode.SAME_ROLE:
-                cands = [(distance(A[i], A[j], kind),
+                cands = [(distance(A[i], OA[j], kind),
                           NegSource.ANCHOR_VS_ANCHOR),
-                         (distance(P[i], P[j], kind),
+                         (distance(P[i], OP[j], kind),
                           NegSource.POSITIVE_VS_POSITIVE)]
             else:
-                cands = [(distance(A[i], P[j], kind),
+                cands = [(distance(A[i], OP[j], kind),
                           NegSource.ANCHOR_VS_POSITIVE),
-                         (distance(P[i], A[j], kind),
+                         (distance(P[i], OA[j], kind),
                           NegSource.POSITIVE_VS_ANCHOR)]
             for d, src in cands:
                 if d < best[0]:
@@ -70,19 +74,44 @@ class TestHardestNegatives:
 
     @pytest.mark.parametrize("kind", list(MetricKind))
     @pytest.mark.parametrize("neg_mode", list(NegMode))
-    def test_matches_brute_force_on_random_batches(self, kind, neg_mode):
+    @pytest.mark.parametrize("opposed", [False, True])
+    def test_matches_brute_force_on_random_batches(self, kind, neg_mode,
+                                                   opposed):
+        """The batch against itself, or (``opposed``) against other pairs,
+        each query skipping the pair it stands in for and sharing its
+        anchor, as the probe mines its candidates."""
         rng = np.random.default_rng(14)
         for _ in range(60):
             n = int(rng.integers(2, 17))
             A, P = unit_rows(rng, n), unit_rows(rng, n)
-            got = negative_rows(hardest_negatives(A, P, kind, neg_mode))
-            want = brute_force_hardest(A, P, kind, neg_mode)
+            opposing = None
+            if opposed:
+                m = int(rng.integers(2, 9))
+                OA, OP = unit_rows(rng, m), unit_rows(rng, m)
+                own = rng.integers(0, m, size=n)
+                A, opposing = OA[own], (OA, OP, own)
+            got = negative_rows(hardest_negatives(A, P, kind, neg_mode,
+                                                  opposing))
+            want = brute_force_hardest(A, P, kind, neg_mode, opposing)
             for (dg, sg, jg), (dw, sw, jw) in zip(got, want):
                 assert jg == jw and sg is sw
                 assert dg == pytest.approx(dw, abs=1e-12)
-            for t in mine_triplets(A, P, kind, 1.0, neg_mode):
+            for t in mine_triplets(A, P, kind, 1.0, neg_mode, opposing):
                 i = t.pair_index
                 assert abs(t.d_pos - distance(A[i], P[i], kind)) < 1e-12
+
+    def test_mismatched_opposing_pairs_rejected(self):
+        rng = np.random.default_rng(24)
+        OA, OP = unit_rows(rng, 4), unit_rows(rng, 4)
+        A, P = unit_rows(rng, 3), unit_rows(rng, 3)
+        for opposing in ((OA, OP[:3], np.zeros(3, int)),
+                         (OA, OP, np.zeros(2, int))):
+            with pytest.raises(ValueError, match="opposing"):
+                hardest_negatives(A, P, MetricKind.EUCLIDEAN,
+                                  opposing=opposing)
+        with pytest.raises(ValueError, match="at least 2"):
+            hardest_negatives(A, P, MetricKind.EUCLIDEAN,
+                              opposing=(OA[:1], OP[:1], np.zeros(3, int)))
 
     def test_tie_break_prefers_lowest_index_then_anchor_source(self):
         # identical anchors at three slots: every candidate distance ties

@@ -163,10 +163,9 @@ def per_sample_norms_loop(params, cache, output_grads):
         sq_norms += np.sum(delta * delta, axis=1) * np.sum(x_prev * x_prev,
                                                            axis=1)
         if l > 0:
-            h = cache.pre[l - 1]
-            deriv = (1.0 - cache.hidden[l - 1] ** 2
-                     if params.activation is Activation.TANH
-                     else (h > 0.0).astype(np.float64))
+            x = cache.hidden[l - 1]
+            deriv = (1.0 - x ** 2 if params.activation is Activation.TANH
+                     else (x > 0.0).astype(np.float64))
             delta = (delta @ params.layers[l]) * deriv
     return np.sqrt(sq_norms)
 
