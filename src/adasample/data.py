@@ -186,21 +186,32 @@ def stack_class_inputs(dataset: list[ClassGroup]) -> ClassInputs:
                        np.array([g.class_id for g in dataset]))
 
 
-def _check_finite(pixels: np.ndarray, classes: list[tuple[int, int]]) -> None:
+def _check_patches(pixels: np.ndarray, classes: list[tuple[int, int]]) -> None:
     """Raise :class:`DatasetError` naming the first patch holding a NaN or an
-    infinity; ``pixels`` holds the (class id, patch count) ``classes`` one
-    after another. One pass over all pixels; the patch is located only on
-    failure."""
-    finite = np.isfinite(pixels)
-    if finite.all():
+    infinity, or whose pixels are all equal (its input row would be zero,
+    and so would the network's output); ``pixels`` holds the (class id,
+    patch count) ``classes`` one after another. One vectorized pass over
+    all pixels; the patch is located only on failure."""
+    flat = pixels.reshape(len(pixels), -1)
+    finite = np.isfinite(flat).all(axis=1)
+    usable = finite & (flat != flat[:, :1]).any(axis=1)
+    if usable.all():
         return
-    index = int(np.argmin(finite.reshape(len(pixels), -1).all(axis=1)))
+    index = int(np.argmin(usable))
+    problem = "is constant" if finite[index] else \
+        "has a pixel that is not a finite float32"
     for class_id, k in classes:
         if index < k:
             break
         index -= k
-    raise DatasetError(f"patch {index} of class {class_id} has a pixel "
-                       f"that is not a finite float32")
+    raise DatasetError(f"patch {index} of class {class_id} {problem}")
+
+
+def _check_unique_ids(class_ids: list[int]) -> None:
+    ids, counts = np.unique(class_ids, return_counts=True)
+    if counts.max() > 1:
+        raise DatasetError(f"class id {ids[np.argmax(counts)]} is used by "
+                           f"more than one class")
 
 
 def write_dataset(dataset: list[ClassGroup], path) -> None:
@@ -208,6 +219,7 @@ def write_dataset(dataset: list[ClassGroup], path) -> None:
         raise DatasetError("refusing to write an empty dataset")
     if any(not len(group) for group in dataset):
         raise DatasetError("every class must hold at least one patch")
+    _check_unique_ids([g.class_id for g in dataset])
     patch_size = dataset[0].patches.shape[-1]
     for group in dataset:
         if group.patches.shape[1:] != (patch_size, patch_size):
@@ -218,7 +230,7 @@ def write_dataset(dataset: list[ClassGroup], path) -> None:
     # values beyond the float32 range become infinities, rejected below
     with np.errstate(over="ignore"):
         pixels = np.concatenate([g.patches for g in dataset], dtype="<f4")
-    _check_finite(pixels, [(g.class_id, len(g)) for g in dataset])
+    _check_patches(pixels, [(g.class_id, len(g)) for g in dataset])
     with open(path, "wb") as fh:
         fh.write(DATASET_MAGIC)
         fh.write(struct.pack("<III", DATASET_VERSION, len(dataset), patch_size))
@@ -237,7 +249,8 @@ def read_dataset(path) -> list[ClassGroup]:
     def take(n: int, what: str) -> bytes:
         nonlocal offset
         if offset + n > len(blob):
-            raise FormatError(f"truncated file while reading {what}", offset)
+            raise FormatError(f"truncated file while reading {what}",
+                              len(blob))
         chunk = blob[offset:offset + n]
         offset += n
         return chunk
@@ -248,6 +261,8 @@ def read_dataset(path) -> list[ClassGroup]:
     version, num_classes, patch_size = struct.unpack("<III", take(12, "header"))
     if version != DATASET_VERSION:
         raise FormatError(f"unsupported version {version}", 4)
+    if patch_size == 0:
+        raise FormatError("patch size is zero", 12)
     if num_classes == 0:
         raise DatasetError("dataset holds no classes")
     classes = []
@@ -261,9 +276,10 @@ def read_dataset(path) -> list[ClassGroup]:
         classes.append((class_id, k))
     if offset != len(blob):
         raise FormatError("trailing bytes after last class", offset)
+    _check_unique_ids([class_id for class_id, _ in classes])
     starts = np.cumsum([0] + [k for _, k in classes]).tolist()
     pixels = np.frombuffer(b"".join(chunks), dtype="<f4").astype(np.float64)
     pixels = pixels.reshape(starts[-1], patch_size, patch_size)
-    _check_finite(pixels, classes)
+    _check_patches(pixels, classes)
     return [ClassGroup(class_id, pixels[start:start + k])
             for (class_id, k), start in zip(classes, starts)]

@@ -7,13 +7,12 @@
   per-sample full-parameter gradient norm of the mined triplet loss, and
   reports their Pearson correlation.
 * A one-sided Mann-Whitney U test (alternative: sample a is stochastically
-  smaller than sample b) with an exact branch for small pooled sizes and a
+  smaller than sample b), exact with ties for small pooled sizes and a
   tie-corrected normal approximation otherwise.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -214,11 +213,8 @@ def info_correlation_probe(dataset: list[ClassGroup], params: ModelParams,
     # ordering signal (identical views still differ in the last few ulps).
     if _relative_spread(p_dist) < 1e-6 or _relative_spread(p_info) < 1e-6:
         return InfoProbeResult(p_dist, p_info, float("nan"), True)
-    try:
-        r = pearson(p_dist, p_info)
-        return InfoProbeResult(p_dist, p_info, r, False)
-    except UndefinedCorrelationError:
-        return InfoProbeResult(p_dist, p_info, float("nan"), True)
+    # both spreads are positive, so pearson cannot see a zero variance
+    return InfoProbeResult(p_dist, p_info, pearson(p_dist, p_info), False)
 
 
 class MannWhitneyResult(NamedTuple):
@@ -227,96 +223,47 @@ class MannWhitneyResult(NamedTuple):
     exact: bool
 
 
-def _u_statistic(a: np.ndarray, b: np.ndarray) -> float:
-    gt = (a[:, None] > b[None, :]).sum()
-    ties = (a[:, None] == b[None, :]).sum()
-    return float(gt) + 0.5 * float(ties)
-
-
-def _exact_distribution_no_ties(n1: int, n2: int) -> np.ndarray:
-    """Counts of rank arrangements per U value.
-
-    Recurrence on the largest pooled rank: it belongs either to sample a
-    (beating all j b's, so U shifts by j) or to sample b:
-    f(i, j, u) = f(i-1, j, u-j) + f(i, j-1, u).
-    """
-    prev = [np.ones(1) for _ in range(n2 + 1)]          # f(0, j, .) = [1]
-    for i in range(1, n1 + 1):
-        cur = [np.ones(1)]                              # f(i, 0, .) = [1]
-        for j in range(1, n2 + 1):
-            arr = np.zeros(i * j + 1)
-            arr[:cur[j - 1].size] += cur[j - 1]
-            arr[j:j + prev[j].size] += prev[j]
-            cur.append(arr)
-        prev = cur
-    return prev[n2]
-
-
-def _exact_p_no_ties(n1: int, n2: int, u_obs: float) -> float:
-    counts = _exact_distribution_no_ties(n1, n2)
-    total = counts.sum()
-    us = np.arange(counts.size)
-    return float(counts[us <= u_obs + 1e-12].sum() / total)
-
-
-def _exact_p_enumeration(pooled: np.ndarray, n1: int, u_obs: float) -> float:
-    """P(U <= u_obs) over all assignments of pooled values to sample a."""
-    n = pooled.size
-    cmp = (pooled[:, None] > pooled[None, :]).astype(np.float64)
-    cmp += 0.5 * (pooled[:, None] == pooled[None, :])
-    np.fill_diagonal(cmp, 0.0)
-    rowsums = cmp.sum(axis=1)
-    le = 0
-    total = 0
-    combos = itertools.combinations(range(n), n1)
-    chunk: list[tuple[int, ...]] = []
-    for combo in combos:
-        chunk.append(combo)
-        if len(chunk) == 20000:
-            le, total = _enum_chunk(np.array(chunk), cmp, rowsums, u_obs,
-                                    le, total)
-            chunk = []
-    if chunk:
-        le, total = _enum_chunk(np.array(chunk), cmp, rowsums, u_obs,
-                                le, total)
-    return le / total
-
-
-def _enum_chunk(idx: np.ndarray, cmp: np.ndarray, rowsums: np.ndarray,
-                u_obs: float, le: int, total: int) -> tuple[int, int]:
-    term1 = rowsums[idx].sum(axis=1)
-    inner = cmp[idx[:, :, None], idx[:, None, :]].sum(axis=(1, 2))
-    u = term1 - inner
-    return le + int(np.sum(u <= u_obs + 1e-12)), total + idx.shape[0]
-
-
 def mann_whitney_u(sample_a: np.ndarray,
                    sample_b: np.ndarray) -> MannWhitneyResult:
     """One-sided test that sample_a is stochastically smaller than sample_b.
 
     U counts pairs where a exceeds b (ties count one half), so small U
-    supports the alternative. Exact distribution for pooled size <= 20
-    (full enumeration when ties are present), tie-corrected normal
-    approximation with continuity correction otherwise.
+    supports the alternative. Exact distribution for pooled size <= 20,
+    ties included, tie-corrected normal approximation with continuity
+    correction otherwise.
+
+    Both branches read U from twice the 1-based mid-ranks of the pooled
+    values, which are integers: 2U = sum of a's doubled ranks - n1(n1 + 1).
+    The exact p is a subset count over those ranks (the shift algorithm of
+    Streitberg & Roehmel 1986): ``counts[i, s]`` is the number of i-subsets
+    of the pooled values whose doubled ranks sum to s.
     """
     a = np.asarray(sample_a, dtype=np.float64).ravel()
     b = np.asarray(sample_b, dtype=np.float64).ravel()
     if a.size == 0 or b.size == 0:
         raise ValueError("both samples must be nonempty")
-    u_obs = _u_statistic(a, b)
+    pooled = np.concatenate([a, b])
+    if np.isnan(pooled).any():
+        raise ValueError("a NaN has no rank")
     n1, n2 = a.size, b.size
     n = n1 + n2
-    pooled = np.concatenate([a, b])
-    has_ties = np.unique(pooled).size < n
+    ordered = np.sort(pooled)
+    below = np.searchsorted(ordered, pooled, "left")
+    through = np.searchsorted(ordered, pooled, "right")
+    ranks2 = below + through + 1
+    rank_sum2 = int(ranks2[:n1].sum())
+    u_obs = (rank_sum2 - n1 * (n1 + 1)) / 2
     if n <= EXACT_MW_LIMIT:
-        if has_ties:
-            p = _exact_p_enumeration(pooled, n1, u_obs)
-        else:
-            p = _exact_p_no_ties(n1, n2, u_obs)
-        return MannWhitneyResult(u_obs, p, True)
+        counts = np.zeros((n1 + 1, n * (n + 1) + 1), dtype=np.int64)
+        counts[0, 0] = 1
+        for r in ranks2.tolist():
+            counts[1:, r:] = counts[1:, r:] + counts[:-1, :-r]
+        p = counts[n1, :rank_sum2 + 1].sum() / counts[n1].sum()
+        return MannWhitneyResult(u_obs, float(p), True)
     mean = n1 * n2 / 2.0
-    _, tie_counts = np.unique(pooled, return_counts=True)
-    tie_term = float(np.sum(tie_counts ** 3 - tie_counts)) / (n * (n - 1))
+    # a value tied t times contributes t(t^2 - 1), i.e. t^2 - 1 per copy
+    ties = through - below
+    tie_term = float(np.sum(ties * ties - 1)) / (n * (n - 1))
     var = n1 * n2 / 12.0 * ((n + 1) - tie_term)
     if var <= 0:
         return MannWhitneyResult(u_obs, 1.0, False)

@@ -270,7 +270,8 @@ def read_params(path) -> ModelParams:
     def take(n: int, what: str) -> bytes:
         nonlocal offset
         if offset + n > len(blob):
-            raise FormatError(f"truncated file while reading {what}", offset)
+            raise FormatError(f"truncated file while reading {what}",
+                              len(blob))
         chunk = blob[offset:offset + n]
         offset += n
         return chunk
@@ -285,6 +286,9 @@ def read_params(path) -> ModelParams:
         raise FormatError("layer count is zero", 8)
     dims = struct.unpack(f"<{layer_count + 1}I",
                          take(4 * (layer_count + 1), "dims"))
+    if 0 in dims:
+        raise FormatError(f"dimension {dims.index(0)} is zero",
+                          12 + 4 * dims.index(0))
     (act_code,) = struct.unpack("<I", take(4, "activation"))
     if act_code not in (0, 1):
         raise FormatError(f"unknown activation code {act_code}", offset - 4)

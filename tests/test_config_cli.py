@@ -348,6 +348,32 @@ class TestCliPipeline:
         assert "error: probe needs at least 2 classes with k >= 2" \
             in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "evaluate", "diagnose"])
+    def test_constant_patch_exits_1_naming_the_patch(
+            self, config_file, tmp_path, capsys, command):
+        """A constant patch normalizes to a zero input row, which the
+        network maps to a zero descriptor; every command refuses the
+        dataset when it reads it, whichever rows it would have used."""
+        data_path = tmp_path / "d.adsp"
+        write_dataset(generate_synthetic(DatasetSpec(
+            num_classes=12, patches_per_class=4, patch_size=8, seed=3)),
+            data_path)
+        blob = bytearray(data_path.read_bytes())
+        # patch 2 of class 7: 16-byte header, 8-byte class headers, four
+        # 8x8 float32 patches per class
+        offset = 16 + 7 * (8 + 4 * 256) + 8 + 2 * 256
+        blob[offset:offset + 256] = np.full(64, 0.5, "<f4").tobytes()
+        data_path.write_bytes(bytes(blob))
+        params_path = tmp_path / "p.adnw"
+        write_params(init_params([64, 12, 6], seed=1), params_path)
+        extra = [] if command == "train" else ["--params", str(params_path)]
+        capsys.readouterr()
+        code = main([command, "--config", str(config_file), "--dataset",
+                     str(data_path), "--out", str(tmp_path / "r"), *extra])
+        assert code == 1
+        assert "error: patch 2 of class 7 is constant" \
+            in capsys.readouterr().err
+
     def test_unknown_config_key_exits_with_usage_code(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("zorp = 1\n")

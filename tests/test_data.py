@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from adasample.data import (DATASET_MAGIC, DATASET_VERSION, ClassGroup,
                             DatasetSpec, generate_positives,
@@ -218,15 +220,82 @@ class TestClassArraysUnchanged:
 
 
 def adsp_bytes(classes, patch_size=8):
-    """An ``.adsp`` file holding ``(class_id, patch count)`` classes of
-    zero-filled patches, written by hand so it may break the format's
-    invariants."""
+    """An ``.adsp`` file holding ``(class_id, patch count)`` classes whose
+    patches are the ramp 0, 1, 2, ..., written by hand so it may break the
+    format's invariants."""
     blob = DATASET_MAGIC + struct.pack("<III", DATASET_VERSION,
                                        len(classes), patch_size)
+    ramp = np.arange(patch_size * patch_size, dtype="<f4").tobytes()
     for class_id, k in classes:
         blob += struct.pack("<II", class_id, k)
-        blob += bytes(4 * k * patch_size * patch_size)
+        blob += ramp * k
     return blob
+
+
+# Small datasets: distinct class ids, 1-3 classes of 1-3 patches of 2-4
+# pixels a side, pixels from a seeded normal draw.
+small_datasets = st.builds(
+    lambda ids, sizes, patch_size, seed: [
+        ClassGroup(class_id, np.random.default_rng(seed + c).normal(
+            size=(k, patch_size, patch_size)).astype(np.float32)
+                   .astype(np.float64))
+        for c, (class_id, k) in enumerate(zip(ids, sizes))],
+    st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=3,
+             unique=True),
+    st.lists(st.integers(1, 3), min_size=3, max_size=3),
+    st.integers(2, 4), st.integers(0, 2 ** 16))
+file_settings = settings(max_examples=15, deadline=None, derandomize=True,
+                         suppress_health_check=[
+                             HealthCheck.function_scoped_fixture])
+
+
+class TestDatasetFormatFuzz:
+    @file_settings
+    @given(dataset=small_datasets)
+    def test_round_trip(self, tmp_path, dataset):
+        path = tmp_path / "d.adsp"
+        write_dataset(dataset, path)
+        back = read_dataset(path)
+        assert [g.class_id for g in back] == [g.class_id for g in dataset]
+        for got, want in zip(back, dataset):
+            np.testing.assert_array_equal(got.patches, want.patches)
+
+    @file_settings
+    @given(dataset=small_datasets)
+    def test_truncation_at_every_offset_names_that_offset(self, tmp_path,
+                                                          dataset):
+        path = tmp_path / "d.adsp"
+        write_dataset(dataset, path)
+        blob = path.read_bytes()
+        for end in range(len(blob)):
+            path.write_bytes(blob[:end])
+            with pytest.raises(FormatError, match="truncated") as err:
+                read_dataset(path)
+            assert err.value.offset == end
+
+    @file_settings
+    @given(dataset=small_datasets,
+           magic=st.binary(min_size=4, max_size=4).filter(
+               lambda m: m != DATASET_MAGIC))
+    def test_bad_magic_at_offset_zero(self, tmp_path, dataset, magic):
+        path = tmp_path / "d.adsp"
+        write_dataset(dataset, path)
+        path.write_bytes(magic + path.read_bytes()[4:])
+        with pytest.raises(FormatError, match="bad magic") as err:
+            read_dataset(path)
+        assert err.value.offset == 0
+
+    @file_settings
+    @given(dataset=small_datasets, extra=st.binary(min_size=1, max_size=9))
+    def test_trailing_bytes_at_the_end_of_the_data(self, tmp_path, dataset,
+                                                   extra):
+        path = tmp_path / "d.adsp"
+        write_dataset(dataset, path)
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes() + extra)
+        with pytest.raises(FormatError, match="trailing") as err:
+            read_dataset(path)
+        assert err.value.offset == size
 
 
 class TestDatasetIO:
@@ -307,3 +376,56 @@ class TestDatasetIO:
         path.write_bytes(adsp_bytes([]))
         with pytest.raises(DatasetError, match="no classes"):
             read_dataset(path)
+
+    def test_zero_patch_size_is_a_format_error_at_its_field(self, tmp_path):
+        path = tmp_path / "d.adsp"
+        path.write_bytes(adsp_bytes([(0, 2), (1, 3)], patch_size=0))
+        with pytest.raises(FormatError, match="patch size is zero") as err:
+            read_dataset(path)
+        assert err.value.offset == 12
+
+    def test_repeated_class_id_named_on_read(self, tmp_path):
+        path = tmp_path / "d.adsp"
+        path.write_bytes(adsp_bytes([(5, 2), (9, 3), (5, 2)]))
+        with pytest.raises(DatasetError, match="class id 5 is used by more"):
+            read_dataset(path)
+
+    def test_repeated_class_id_named_on_write(self, tmp_path):
+        ds = generate_synthetic(small_spec())
+        ds[4] = ClassGroup(ds[1].class_id, ds[4].patches)
+        path = tmp_path / "d.adsp"
+        with pytest.raises(DatasetError, match="class id 1 is used by more"):
+            write_dataset(ds, path)
+        assert not path.exists()
+
+    def test_constant_patch_named_on_read(self, tmp_path):
+        ds = generate_synthetic(small_spec())
+        path = tmp_path / "d.adsp"
+        write_dataset(ds, path)
+        blob = bytearray(path.read_bytes())
+        # patch 3 of class 2 (16-byte header, 8-byte class headers, four
+        # 8x8 float32 patches per class)
+        offset = 16 + 2 * (8 + 4 * 256) + 8 + 3 * 256
+        blob[offset:offset + 256] = np.full(64, 0.25, "<f4").tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DatasetError, match="patch 3 of class 2 is "
+                                               "constant"):
+            read_dataset(path)
+
+    def test_constant_patch_named_on_write(self, tmp_path):
+        ds = generate_synthetic(small_spec())
+        ds[5].patches[0] = -1.5
+        path = tmp_path / "d.adsp"
+        with pytest.raises(DatasetError, match="patch 0 of class 5 is "
+                                               "constant"):
+            write_dataset(ds, path)
+        assert not path.exists()
+
+    def test_patch_constant_only_at_float32_refused_on_write(self, tmp_path):
+        """The check sees the float32 pixels the file would hold."""
+        ds = generate_synthetic(small_spec())
+        ds[0].patches[2] = 1.0
+        ds[0].patches[2, 4, 4] += 1e-12
+        with pytest.raises(DatasetError, match="patch 2 of class 0 is "
+                                               "constant"):
+            write_dataset(ds, tmp_path / "d.adsp")

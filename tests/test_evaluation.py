@@ -2,11 +2,13 @@
 rank-sum test."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from adasample import cli
 from adasample.cli import evaluate_params, split_holdout, \
@@ -15,13 +17,16 @@ from adasample.config import EvalOptions, RunConfig, substream_seed
 from adasample.data import (ClassGroup, DatasetSpec, generate_synthetic,
                             stack_class_inputs, to_input_matrix)
 from adasample.errors import DatasetError, UndefinedCorrelationError
-from adasample.evaluation import (EvalReport, InfoProbeResult,
-                                  fpr_at_recall, info_correlation_probe,
-                                  mann_whitney_u, pearson, retrieval_map)
-from adasample.metricspace import MetricKind, distance_grad, paired_distances
-from adasample.miner import NegMode, loss_grads, mine_triplets
+from adasample.evaluation import (EXACT_MW_LIMIT, EvalReport,
+                                  InfoProbeResult, fpr_at_recall,
+                                  info_correlation_probe, mann_whitney_u,
+                                  pearson, retrieval_map)
+from adasample.metricspace import MetricKind, paired_distances
+from adasample.miner import NegMode, mine_triplets
 from adasample.tensornet import Activation, backward, forward, init_params
 from adasample.trainer import TrainConfig
+from scalar_distance import scalar_distance_grad
+from scalar_loss import scalar_loss_grads
 
 
 def brute_force_fpr(pos, neg, recall):
@@ -39,8 +44,10 @@ def scalar_info_correlation_probe(dataset, params, kind, rng,
                                   sample_classes=32, margin=1.0,
                                   neg_mode=NegMode.SAME_ROLE,
                                   pair_term_only=False):
-    """One full forward/mine/backward pass per (class, candidate): the
-    oracle for the batched info_correlation_probe."""
+    """One full forward/mine/backward pass per (class, candidate), with the
+    loss gradient from the scalar loop of ``scalar_loss``: the oracle for
+    the batched info_correlation_probe. It shares neither the mining
+    bookkeeping nor ``miner.triplet_grads`` with the probe."""
     usable = [g for g in dataset if len(g.patches) >= 2]
     if len(usable) < 2:
         raise ValueError("probe needs at least 2 classes with k >= 2")
@@ -77,13 +84,14 @@ def scalar_info_correlation_probe(dataset, params, kind, rng,
             onehot[slot] = 1.0
             if pair_term_only:
                 d_pos = mined[slot].d_pos
-                ga, gb, _ = distance_grad(desc_a[slot], desc_p[slot], kind)
+                ga, gb, _ = scalar_distance_grad(desc_a[slot], desc_p[slot],
+                                                 kind)
                 out_grads = np.zeros_like(descs)
                 out_grads[slot] = 2.0 * d_pos * ga
                 out_grads[m + slot] = 2.0 * d_pos * gb
             elif mined[slot].loss > 0.0:
-                grad_a, grad_p = loss_grads(desc_a, desc_p, mined, kind,
-                                            onehot)
+                grad_a, grad_p = scalar_loss_grads(desc_a, desc_p, mined,
+                                                   kind, onehot)
                 out_grads = np.vstack([grad_a, grad_p])
             else:
                 infos[ci] = 0.0
@@ -105,10 +113,7 @@ def scalar_info_correlation_probe(dataset, params, kind, rng,
 
     if spread(p_dist) < 1e-6 or spread(p_info) < 1e-6:
         return InfoProbeResult(p_dist, p_info, float("nan"), True)
-    try:
-        return InfoProbeResult(p_dist, p_info, pearson(p_dist, p_info), False)
-    except UndefinedCorrelationError:
-        return InfoProbeResult(p_dist, p_info, float("nan"), True)
+    return InfoProbeResult(p_dist, p_info, pearson(p_dist, p_info), False)
 
 
 def ragged_dataset(sizes, seed, **kw):
@@ -595,15 +600,39 @@ class TestMannWhitney:
             b = rng.normal(loc=rng.uniform(-1, 1), size=10)
             exact = mann_whitney_u(a, b)
             assert exact.exact
-            # force the normal branch by replicating the geometry: compute
-            # it directly from the same statistic
-            from adasample.evaluation import _u_statistic
-            import scipy.special as sp
-            u = _u_statistic(a, b)
+            # the normal approximation of the same statistic, counted by
+            # brute force
+            u = (a[:, None] > b[None, :]).sum() \
+                + 0.5 * (a[:, None] == b[None, :]).sum()
+            assert exact.u == u
             mean = 100 / 2.0
             var = 100 * 21 / 12.0
-            approx = float(sp.ndtr((u - mean + 0.5) / np.sqrt(var)))
+            approx = float(ndtr((u - mean + 0.5) / np.sqrt(var)))
             assert abs(exact.p_value - approx) < 0.02
+
+    @pytest.mark.parametrize("pooled", range(11, EXACT_MW_LIMIT + 1))
+    def test_exact_branch_matches_enumeration_with_ties_up_to_the_limit(
+            self, pooled):
+        """The subset count equals enumeration with ties at every pooled
+        size above the enumeration tests' 10, up to the exact branch's
+        limit; the split is the most balanced one with at most 32,000
+        assignments, so the whole set enumerates in a few seconds."""
+        n1 = max(k for k in range(1, pooled // 2 + 1)
+                 if math.comb(pooled, k) <= 32_000)
+        rng = np.random.default_rng(pooled)
+        values = rng.integers(0, pooled // 3, size=pooled).astype(float)
+        assert np.unique(values).size < pooled
+        a, b = values[:n1], values[n1:]
+        res = mann_whitney_u(a, b)
+        assert res.exact
+        assert res.p_value == pytest.approx(enumerate_exact_p(a, b),
+                                            abs=1e-12)
+
+    @pytest.mark.parametrize("a, b", [([1.0, np.nan], [2.0, 3.0]),
+                                      ([1.0], [np.nan] * 25)])
+    def test_nan_sample_rejected(self, a, b):
+        with pytest.raises(ValueError, match="NaN"):
+            mann_whitney_u(a, b)
 
     def test_one_sided_direction(self):
         low = [0.1, 0.2, 0.3, 0.35, 0.15]

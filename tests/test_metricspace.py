@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adasample import metricspace
-from adasample.metricspace import (ANGULAR_CLAMP_EPS, MetricKind,
-                                   candidate_distances, distance_grad,
-                                   paired_distance_grads, paired_distances,
-                                   pairwise_distances)
-from scalar_distance import distance
+from adasample.metricspace import (MetricKind, candidate_distances,
+                                   distance_grad, paired_distance_grads,
+                                   paired_distances, pairwise_distances)
+from scalar_distance import distance, scalar_distance_grad
 
 
 def unit(v):
@@ -22,23 +21,6 @@ def unit(v):
 
 def random_unit(rng, d=6):
     return unit(rng.normal(size=d))
-
-
-def scalar_distance_grad(a, b, kind):
-    """One pair at a time with np.dot and 1-D np.linalg.norm: the oracle
-    for paired_distance_grads and its one-row case distance_grad."""
-    if kind is MetricKind.EUCLIDEAN:
-        diff = a - b
-        d = float(np.linalg.norm(diff))
-        if d < 1e-12:
-            return np.zeros_like(a), np.zeros_like(a), True
-        return diff / d, -diff / d, False
-    s = float(np.dot(a, b))
-    limit = 1.0 - ANGULAR_CLAMP_EPS
-    saturated = abs(s) >= limit
-    s = float(np.clip(s, -limit, limit))
-    factor = -1.0 / np.sqrt(1.0 - s * s)
-    return factor * b, factor * a, saturated
 
 
 class TestDistance:

@@ -12,7 +12,7 @@ from adasample.miner import (NEG_SOURCES, MinedTriplets,
                              NegMode, NegSource, hardest_negatives,
                              loss_grads, mine_triplets, triplet_loss)
 from scalar_distance import distance
-from test_metricspace import scalar_distance_grad
+from scalar_loss import scalar_loss_grads
 
 
 def unit_rows(rng, n, d=6):
@@ -191,40 +191,6 @@ class TestMinedTriplets:
 
 def total_loss(A, P, kind, margin, weights):
     return float(np.dot(weights, mine_triplets(A, P, kind, margin).loss))
-
-
-def scalar_loss_grads(A, P, mined, kind, weights):
-    """Per-triplet loop over scalar distance gradients: the oracle for
-    loss_grads, which must equal it bit for bit."""
-    n = A.shape[0]
-    grad_a = np.zeros_like(A)
-    grad_p = np.zeros_like(P)
-    for t in mined:
-        i, j = t.pair_index, t.neg_pair_index
-        if t.loss <= 0.0:
-            continue
-        ga, gp, _ = scalar_distance_grad(A[i], P[i], kind)
-        grad_a[i] += weights[i] * 2.0 * t.d_pos * ga
-        grad_p[i] += weights[i] * 2.0 * t.d_pos * gp
-        scale = weights[i] * 2.0 * t.d_neg
-        if t.neg_source is NegSource.ANCHOR_VS_ANCHOR:
-            gx, gy, _ = scalar_distance_grad(A[i], A[j], kind)
-            grad_a[i] -= scale * gx
-            grad_a[j] -= scale * gy
-        elif t.neg_source is NegSource.POSITIVE_VS_POSITIVE:
-            gx, gy, _ = scalar_distance_grad(P[i], P[j], kind)
-            grad_p[i] -= scale * gx
-            grad_p[j] -= scale * gy
-        elif t.neg_source is NegSource.ANCHOR_VS_POSITIVE:
-            gx, gy, _ = scalar_distance_grad(A[i], P[j], kind)
-            grad_a[i] -= scale * gx
-            grad_p[j] -= scale * gy
-        else:
-            gx, gy, _ = scalar_distance_grad(P[i], A[j], kind)
-            grad_p[i] -= scale * gx
-            grad_a[j] -= scale * gy
-    assert len(mined) == n
-    return grad_a, grad_p
 
 
 class TestLossGrads:

@@ -4,6 +4,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from adasample.errors import DegenerateOutputError, FormatError
 from adasample.tensornet import (Activation, ForwardCache, GradEstimate,
@@ -319,6 +321,81 @@ class TestSerialization:
         path.write_bytes(blob[:len(blob) - 9])
         with pytest.raises(FormatError, match="truncated"):
             read_params(path)
+
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_zero_dimension_is_a_format_error_at_its_field(self, tmp_path,
+                                                           position):
+        path = tmp_path / "weights.adnw"
+        write_params(init_params([6, 5, 4], seed=13), path)
+        blob = bytearray(path.read_bytes())
+        # magic, version and layer count, then the dimension chain
+        field = 12 + 4 * position
+        blob[field:field + 4] = bytes(4)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="is zero") as err:
+            read_params(path)
+        assert err.value.offset == field
+
+
+# Small networks: 1-3 layers of 1-5 units, either activation.
+small_params = st.builds(
+    lambda dims, activation, seed: init_params(dims, seed, activation),
+    st.lists(st.integers(1, 5), min_size=2, max_size=4),
+    st.sampled_from(list(Activation)), st.integers(0, 2 ** 16))
+file_settings = settings(max_examples=15, deadline=None, derandomize=True,
+                         suppress_health_check=[
+                             HealthCheck.function_scoped_fixture])
+
+
+class TestParamsFormatFuzz:
+    @file_settings
+    @given(params=small_params)
+    def test_round_trip(self, tmp_path, params):
+        path = tmp_path / "weights.adnw"
+        write_params(params, path)
+        back = read_params(path)
+        assert back.activation is params.activation
+        assert len(back.layers) == len(params.layers)
+        for got, want in zip(back.layers, params.layers):
+            np.testing.assert_array_equal(got, want)
+
+    @file_settings
+    @given(params=small_params)
+    def test_truncation_at_every_offset_names_that_offset(self, tmp_path,
+                                                          params):
+        path = tmp_path / "weights.adnw"
+        write_params(params, path)
+        blob = path.read_bytes()
+        for end in range(len(blob)):
+            path.write_bytes(blob[:end])
+            with pytest.raises(FormatError, match="truncated") as err:
+                read_params(path)
+            assert err.value.offset == end
+
+    @file_settings
+    @given(params=small_params,
+           magic=st.binary(min_size=4, max_size=4).filter(
+               lambda m: m != b"ADNW"))
+    def test_bad_magic_at_offset_zero(self, tmp_path, params, magic):
+        path = tmp_path / "weights.adnw"
+        write_params(params, path)
+        path.write_bytes(magic + path.read_bytes()[4:])
+        with pytest.raises(FormatError, match="bad magic") as err:
+            read_params(path)
+        assert err.value.offset == 0
+
+    @file_settings
+    @given(params=small_params, extra=st.binary(min_size=1, max_size=9))
+    def test_trailing_bytes_at_the_end_of_the_weights(self, tmp_path, params,
+                                                      extra):
+        path = tmp_path / "weights.adnw"
+        write_params(params, path)
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes() + extra)
+        with pytest.raises(FormatError, match="trailing") as err:
+            read_params(path)
+        assert err.value.offset == size
 
 
 class TestGradEstimate:
