@@ -102,7 +102,11 @@ def _warp_crop(canvas_img: np.ndarray, patch_size: int, angle_deg: float,
 
 
 def generate_synthetic(spec: DatasetSpec) -> list[ClassGroup]:
-    """Build ``num_classes`` classes of ``patches_per_class`` warped views."""
+    """Build ``num_classes`` classes of ``patches_per_class`` warped views.
+
+    Finite but huge jitter values can overflow to non-finite pixels; each
+    class is checked once, as a file is on read, and such a patch raises
+    :class:`DatasetError` naming its class and index."""
     spec.validate()
     canvas = 2 * spec.patch_size
     root = np.random.SeedSequence(spec.seed)
@@ -128,6 +132,7 @@ def generate_synthetic(spec: DatasetSpec) -> list[ClassGroup]:
             view[...] = _warp_crop(src, spec.patch_size, angle, scale, shift)
             view += rng.normal(0.0, spec.noise_sigma, size=view.shape)
             view += rng.uniform(-spec.brightness_jitter, spec.brightness_jitter)
+        _check_patches(views, [(class_id, len(views))])
         dataset.append(ClassGroup(class_id, views))
     return dataset
 
@@ -199,7 +204,7 @@ def _check_patches(pixels: np.ndarray, classes: list[tuple[int, int]]) -> None:
         return
     index = int(np.argmin(usable))
     problem = "is constant" if finite[index] else \
-        "has a pixel that is not a finite float32"
+        f"has a pixel that is not a finite {pixels.dtype}"
     for class_id, k in classes:
         if index < k:
             break

@@ -22,7 +22,7 @@ from scipy.special import ndtr
 from .data import ClassGroup, to_input_matrix
 from .errors import DatasetError, UndefinedCorrelationError
 from .metricspace import MetricKind, pairwise_distances
-from .miner import NegMode, mine_triplets, triplet_grads
+from .miner import NegMode, _triplet_grads, mine_triplets
 from .tensornet import ModelParams, forward, group_grad_norms
 
 EXACT_MW_LIMIT = 20
@@ -163,9 +163,10 @@ def info_correlation_probe(dataset: list[ClassGroup], params: ModelParams,
     picked = [usable[int(i)] for i in rng.choice(len(usable), size=m,
                                                  replace=False)]
     sizes = np.array([len(g) for g in picked])
-    anchor = np.array([int(rng.integers(k)) for k in sizes.tolist()])
+    # Array bounds draw as the per-class scalar calls rng.integers(k) would.
+    anchor = rng.integers(0, sizes)
     # the context is drawn among the k - 1 patches other than the anchor
-    context = np.array([int(rng.integers(k - 1)) for k in sizes.tolist()])
+    context = rng.integers(0, sizes - 1)
     context += context >= anchor
 
     # Row offsets into the one forward pass over every picked patch.
@@ -187,8 +188,9 @@ def info_correlation_probe(dataset: list[ClassGroup], params: ModelParams,
     mined = mine_triplets(descs[own[:, 0]], descs[own[:, 1]], kind, margin,
                           neg_mode, opposing=(descs[anchor_row],
                                               descs[context_row], slot))
-    rows, terms = triplet_grads(descs, own, other, mined, kind,
-                                np.ones(slot.size))
+    # mine_triplets has checked these rows
+    rows, terms = _triplet_grads(descs, own, other, mined, kind,
+                                 np.ones(slot.size))
     if pair_term_only:
         rows, terms = rows[:, :2], terms[:, :2]
     else:

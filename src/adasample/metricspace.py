@@ -9,6 +9,12 @@ The angular dot product is clamped to [-(1 - eps), 1 - eps] before arccos
 and before the gradient chain factor -1/sqrt(1 - s^2), because matching
 descriptors frequently nearly coincide early in training; callers are told
 via a ``saturated`` flag instead of receiving NaNs.
+
+Rows are checked for unit norm once, where a caller's rows enter: each
+public function checks its inputs and runs one private kernel, which
+checks nothing. Code that holds rows known to be unit-norm (the network's
+output, or rows a public entry point has already checked) calls the
+kernels directly.
 """
 
 from __future__ import annotations
@@ -75,8 +81,12 @@ def paired_distance_grads(batch_a: Sequence[np.ndarray] | np.ndarray,
     1 - 1e-9 the gradient is evaluated at the clamped point and flagged.
     """
     A, B = _unit_rows(batch_a, batch_b)
-    if A.shape[0] != B.shape[0]:
-        raise ValueError(f"row counts differ: {A.shape[0]} vs {B.shape[0]}")
+    _same_rows(A, B)
+    return _paired_grads(A, B, kind)
+
+
+def _paired_grads(A: np.ndarray, B: np.ndarray,
+                  kind: MetricKind) -> DistanceGrads:
     if kind is MetricKind.EUCLIDEAN:
         diff = A - B
         # sqrt of the dot, as 1-D np.linalg.norm computes it
@@ -94,19 +104,28 @@ def paired_distance_grads(batch_a: Sequence[np.ndarray] | np.ndarray,
     return DistanceGrads(factor * B, factor * A, saturated)
 
 
-def _unit_rows(batch_a, batch_b) -> tuple[np.ndarray, np.ndarray]:
-    """Both batches as 2-D float64 arrays of unit-norm rows of equal width."""
-    A = np.atleast_2d(np.asarray(batch_a, dtype=np.float64))
-    B = np.atleast_2d(np.asarray(batch_b, dtype=np.float64))
-    if A.shape[1] != B.shape[1]:
-        raise ValueError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
-    for M, name in ((A, "batch_a"), (B, "batch_b")):
+def _unit_rows(*batches, names: Sequence[str] = ("batch_a", "batch_b")
+               ) -> tuple[np.ndarray, ...]:
+    """The batches as 2-D float64 arrays of unit-norm rows of equal width;
+    a failure names the batch (from ``names``) and the row."""
+    out = tuple(np.atleast_2d(np.asarray(b, dtype=np.float64))
+                for b in batches)
+    widths = {M.shape[1] for M in out}
+    if len(widths) > 1:
+        raise ValueError(f"dimension mismatch: "
+                         f"{' vs '.join(str(M.shape[1]) for M in out)}")
+    for M, name in zip(out, names):
         norms = np.linalg.norm(M, axis=1)
         if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
             bad = int(np.argmax(np.abs(norms - 1.0)))
             raise ValueError(f"{name}[{bad}] is not unit-norm "
                              f"(norm {norms[bad]:.6g})")
-    return A, B
+    return out
+
+
+def _same_rows(A: np.ndarray, B: np.ndarray) -> None:
+    if A.shape[0] != B.shape[0]:
+        raise ValueError(f"row counts differ: {A.shape[0]} vs {B.shape[0]}")
 
 
 def _euclidean_norms(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -127,7 +146,10 @@ def pairwise_distances(batch_a: Sequence[np.ndarray] | np.ndarray,
                        batch_b: Sequence[np.ndarray] | np.ndarray,
                        kind: MetricKind) -> np.ndarray:
     """Matrix with entry (i, j) = distance(a_i, b_j, kind)."""
-    A, B = _unit_rows(batch_a, batch_b)
+    return _pairwise(*_unit_rows(batch_a, batch_b), kind)
+
+
+def _pairwise(A: np.ndarray, B: np.ndarray, kind: MetricKind) -> np.ndarray:
     if kind is MetricKind.EUCLIDEAN:
         return _euclidean_norms(A[:, None, :], B[None, :, :])
     return np.arccos(np.clip(A @ B.T, -1.0, 1.0))
@@ -138,8 +160,11 @@ def paired_distances(batch_a: Sequence[np.ndarray] | np.ndarray,
                      kind: MetricKind) -> np.ndarray:
     """Vector with entry i = distance(a_i, b_i, kind)."""
     A, B = _unit_rows(batch_a, batch_b)
-    if A.shape[0] != B.shape[0]:
-        raise ValueError(f"row counts differ: {A.shape[0]} vs {B.shape[0]}")
+    _same_rows(A, B)
+    return _paired(A, B, kind)
+
+
+def _paired(A: np.ndarray, B: np.ndarray, kind: MetricKind) -> np.ndarray:
     if kind is MetricKind.EUCLIDEAN:
         return _euclidean_norms(A, B)
     return np.arccos(np.clip(np.sum(A * B, axis=1), -1.0, 1.0))
@@ -157,17 +182,23 @@ def candidate_distances(anchors: np.ndarray, candidates: np.ndarray,
     """
     X = np.asarray(candidates, dtype=np.float64)
     counts = np.asarray(counts)
+    A, _ = _unit_rows(anchors, X[np.arange(X.shape[1]) < counts[:, None]],
+                      names=("anchors", "candidates"))
+    if A.shape[0] != X.shape[0]:
+        raise ValueError(f"{A.shape[0]} anchors for {X.shape[0]} candidate "
+                         f"rows")
+    return _candidates(A, X, counts, kind)
+
+
+def _candidates(A: np.ndarray, X: np.ndarray, counts: np.ndarray,
+                kind: MetricKind) -> np.ndarray:
     n, K = X.shape[:2]
-    real = np.arange(K) < counts[:, None]
-    A, _ = _unit_rows(anchors, X[real])
-    if A.shape[0] != n:
-        raise ValueError(f"{A.shape[0]} anchors for {n} candidate rows")
     if kind is MetricKind.EUCLIDEAN:
         out = _euclidean_norms(X, A[:, None, :])
     else:
-        dots = np.zeros((n, K))
+        out = np.zeros((n, K))
         for m in np.unique(counts):
             rows = counts == m
-            dots[rows, :m] = (X[rows, :m] @ A[rows, :, None])[:, :, 0]
-        out = np.arccos(np.clip(dots, -1.0, 1.0))
-    return np.where(real, out, 0.0)
+            out[rows, :m] = (X[rows, :m] @ A[rows, :, None])[:, :, 0]
+        out = np.arccos(np.clip(out, -1.0, 1.0))
+    return np.where(np.arange(K) < counts[:, None], out, 0.0)

@@ -19,6 +19,10 @@ the anchor-side candidate before the positive-side candidate.
 The opposing pairs may be another set than the batch: the informativeness
 probe mines each candidate against fixed anchors and contexts. Training and
 the probe both differentiate the loss through :func:`triplet_grads`.
+
+Each public function checks once that its descriptor rows are unit-norm
+(:func:`mine_triplets` through :func:`hardest_negatives`) and then runs
+the unchecked ``metricspace`` kernels.
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .metricspace import MetricKind, paired_distance_grads, \
-    paired_distances, pairwise_distances
+from .metricspace import MetricKind, _paired, _paired_grads, _pairwise, \
+    _unit_rows
 
 
 class NegSource(enum.Enum):
@@ -45,6 +49,8 @@ class NegSource(enum.Enum):
 # opposing pair j is:
 NEG_SOURCES = tuple(NegSource)
 _SECOND_IS_POSITIVE = np.array([0, 1, 1, 0])
+_ROW_NAMES = ("anchors", "positives", "opposing anchors",
+              "opposing positives")
 
 
 class NegMode(enum.Enum):
@@ -120,24 +126,28 @@ def hardest_negatives(anchors: np.ndarray, positives: np.ndarray,
     (j, side) candidates makes the tie-break exact: lowest j wins, and
     within a j side 0 wins.
     """
-    A = np.atleast_2d(np.asarray(anchors, dtype=np.float64))
-    P = np.atleast_2d(np.asarray(positives, dtype=np.float64))
+    if opposing is None:
+        A, P = _unit_rows(anchors, positives, names=_ROW_NAMES)
+        OA, OP, own = A, P, np.arange(A.shape[0])
+    else:
+        A, P, OA, OP = _unit_rows(anchors, positives, *opposing[:2],
+                                  names=_ROW_NAMES)
+        own = opposing[2]
     n = A.shape[0]
     if P.shape[0] != n:
         raise ValueError(f"anchor/positive counts differ: {n} vs {P.shape[0]}")
-    OA, OP, own = (A, P, np.arange(n)) if opposing is None else opposing
     if OA.shape[0] != OP.shape[0] or np.shape(own) != (n,):
         raise ValueError(f"opposing pairs do not match {n} query pairs")
     if OA.shape[0] < 2:
         raise ValueError(f"need at least 2 pairs to mine negatives, "
                          f"got {OA.shape[0]}")
     if neg_mode is NegMode.SAME_ROLE:
-        D_first = pairwise_distances(A, OA, kind)
-        D_second = pairwise_distances(P, OP, kind)
+        D_first = _pairwise(A, OA, kind)
+        D_second = _pairwise(P, OP, kind)
         first_code = 0
     else:
-        D_first = pairwise_distances(A, OP, kind)
-        D_second = pairwise_distances(P, OA, kind)
+        D_first = _pairwise(A, OP, kind)
+        D_second = _pairwise(P, OA, kind)
         first_code = 2
     C = np.stack([D_first, D_second], axis=2)
     idx = np.arange(n)
@@ -163,9 +173,12 @@ def mine_triplets(anchors: np.ndarray, positives: np.ndarray,
                   neg_mode: NegMode = NegMode.SAME_ROLE,
                   opposing: tuple | None = None) -> MinedTriplets:
     """Mine hardest negatives (against ``opposing``, as
-    :func:`hardest_negatives`) and evaluate the hinge loss for every pair."""
+    :func:`hardest_negatives`, which checks the rows) and evaluate the
+    hinge loss for every pair."""
     neg = hardest_negatives(anchors, positives, kind, neg_mode, opposing)
-    d_pos = paired_distances(anchors, positives, kind)
+    d_pos = _paired(np.atleast_2d(np.asarray(anchors, dtype=np.float64)),
+                    np.atleast_2d(np.asarray(positives, dtype=np.float64)),
+                    kind)
     return MinedTriplets(d_pos=d_pos, d_neg=neg.d_neg, source=neg.source,
                          j=neg.j, loss=triplet_loss(d_pos, neg.d_neg, margin))
 
@@ -182,12 +195,19 @@ def triplet_grads(X: np.ndarray, own: np.ndarray, other: np.ndarray,
     through each row: 2 d_pos * grad(d_pos) and -2 d_neg * grad(d_neg).
     Every hinge is taken as active; callers drop or zero the others.
     """
+    X, = _unit_rows(X, names=("X",))
+    return _triplet_grads(X, own, other, mined, kind, weights)
+
+
+def _triplet_grads(X: np.ndarray, own: np.ndarray, other: np.ndarray,
+                   mined: MinedTriplets, kind: MetricKind,
+                   weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     T = len(own)
     rows = np.stack([own[:, 0], own[:, 1],
                      own[np.arange(T), mined.source % 2],
                      other[mined.j, _SECOND_IS_POSITIVE[mined.source]]],
                     axis=1)
-    ga, gb, _ = paired_distance_grads(
+    ga, gb, _ = _paired_grads(
         X[np.concatenate([rows[:, 0], rows[:, 2]])],
         X[np.concatenate([rows[:, 1], rows[:, 3]])], kind)
     pos = (weights * 2.0 * mined.d_pos)[:, None]
@@ -208,9 +228,10 @@ def loss_grads(anchors: np.ndarray, positives: np.ndarray,
     A descriptor receives its terms in pair order, and within a pair in the
     order anchor, positive, pair-i side and pair-j side of the negative.
     """
-    A = np.atleast_2d(np.asarray(anchors, dtype=np.float64))
-    P = np.atleast_2d(np.asarray(positives, dtype=np.float64))
+    A, P = _unit_rows(anchors, positives, names=_ROW_NAMES)
     n = A.shape[0]
+    if P.shape[0] != n:
+        raise ValueError(f"anchor/positive counts differ: {n} vs {P.shape[0]}")
     w = np.ones(n) if weights is None else np.asarray(weights, np.float64)
     if w.shape != (n,):
         raise ValueError(f"weights shape {w.shape} does not match batch size {n}")
@@ -226,9 +247,12 @@ def loss_grads(anchors: np.ndarray, positives: np.ndarray,
     active = MinedTriplets(*(np.asarray(getattr(mined, f.name))[act]
                              for f in fields(MinedTriplets)))
     pairs = np.arange(n)[:, None] + [0, n]
-    rows, terms = triplet_grads(X, pairs[act], pairs, active, kind, w[act])
-    grads = np.zeros_like(X)
-    # unbuffered, in index order: each row sums its terms as the
-    # per-triplet loop would
-    np.add.at(grads, rows.ravel(), terms.reshape(-1, X.shape[1]))
+    rows, terms = _triplet_grads(X, pairs[act], pairs, active, kind, w[act])
+    # One scatter over the flat indices row * D + column. bincount adds each
+    # entry's terms in index order, starting from 0.0, as the per-triplet
+    # loop (and np.add.at) would.
+    D = X.shape[1]
+    flat = (rows.reshape(-1, 1) * D + np.arange(D)).ravel()
+    grads = np.bincount(flat, weights=terms.ravel(),
+                        minlength=X.size).reshape(X.shape)
     return grads[:n], grads[n:]

@@ -374,6 +374,17 @@ class TestCliPipeline:
         assert "error: patch 2 of class 7 is constant" \
             in capsys.readouterr().err
 
+    def test_classes_with_one_patch_exit_1_naming_the_classes(
+            self, config_file, tmp_path, capsys):
+        data_path = tmp_path / "d.adsp"
+        data_path.write_bytes(adsp_bytes([(0, 4), (1, 1), (2, 4), (3, 4),
+                                          (4, 4), (15, 1), (6, 4)]))
+        code = main(["train", "--config", str(config_file), "--dataset",
+                     str(data_path), "--out", str(tmp_path / "r")])
+        assert code == 1
+        assert "error: classes with fewer than 2 patches: [1, 15]" \
+            in capsys.readouterr().err
+
     def test_unknown_config_key_exits_with_usage_code(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("zorp = 1\n")
@@ -537,3 +548,47 @@ class TestCliPipeline:
                      "--strategies", strategies, "--seeds", "1,2,3"]) == 2
         assert not (out / "compare.csv").exists()
         assert "config error" in capsys.readouterr().err
+
+
+def _exit_case_argv(case, config_file, tmp_path):
+    """Command-line arguments that end in the error class ``case``."""
+    data_path = tmp_path / "d.adsp"
+    run = ["--dataset", str(data_path), "--out", str(tmp_path / "r")]
+    if case == "usage":
+        return ["train", "--config", str(config_file)]
+    if case == "config":
+        config_file.write_text(TINY_CONFIG + "zorp = 1\n")
+    elif case == "missing file":
+        pass
+    elif case == "format":
+        data_path.write_bytes(b"JUNK" + bytes(12))
+    elif case == "dataset":
+        data_path.write_bytes(adsp_bytes([(0, 4), (1, 1), (2, 4), (3, 4),
+                                          (4, 4)]))
+    elif case == "numeric":
+        config_file.write_text(TINY_CONFIG + "train.lr = 1e100\n")
+        assert main(["gen-data", "--config", str(config_file), "--out",
+                     str(data_path)]) == 0
+    return ["train", "--config", str(config_file), *run]
+
+
+# Each error class: the exit code and the start of standard error.
+EXIT_TABLE = [
+    ("format", 1, "error: bad magic"),
+    ("dataset", 1, "error: classes with fewer than 2 patches"),
+    ("numeric", 1, "training aborted: "),
+    ("missing file", 1, "file error: "),
+    ("config", 2, "config error: "),
+    ("usage", 2, "usage: adasample train"),
+]
+
+
+@pytest.mark.parametrize("case, code, prefix", EXIT_TABLE,
+                         ids=[row[0] for row in EXIT_TABLE])
+def test_error_class_maps_to_exit_code_and_stderr_prefix(
+        case, code, prefix, config_file, tmp_path, capsys):
+    argv = _exit_case_argv(case, config_file, tmp_path)
+    capsys.readouterr()
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(argv) == code
+    assert capsys.readouterr().err.startswith(prefix)

@@ -54,6 +54,13 @@ class TestGenerateSynthetic:
                                              f"finite value"):
             generate_synthetic(small_spec(**{field: value}))
 
+    def test_overflowing_noise_names_the_patch(self):
+        """A finite noise_sigma passes validation, but at 1e308 the noise
+        overflows to infinite pixels; the output is checked once."""
+        with pytest.raises(DatasetError, match="patch 0 of class 0 has a "
+                                               "pixel that is not a finite"):
+            generate_synthetic(small_spec(noise_sigma=1e308))
+
     def test_shapes_and_ids(self):
         ds = generate_synthetic(small_spec())
         assert len(ds) == 6

@@ -330,6 +330,38 @@ class TestInfoCorrelationProbe:
         assert np.array_equal(r1.p_info, r2.p_info)
 
 
+class TestProbeDraws:
+    """The probe draws its anchors and contexts as two array calls; the
+    per-class scalar calls they replace are the oracle."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(sizes=st.lists(st.integers(2, 40), min_size=1, max_size=64),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_array_draws_equal_per_class_calls(self, sizes, seed):
+        sizes = np.array(sizes)
+        rng, oracle = (np.random.default_rng(seed) for _ in "ab")
+        anchor = rng.integers(0, sizes)
+        context = rng.integers(0, sizes - 1)
+        want_anchor = [int(oracle.integers(k)) for k in sizes.tolist()]
+        want_context = [int(oracle.integers(k - 1)) for k in sizes.tolist()]
+        assert anchor.tolist() == want_anchor
+        assert context.tolist() == want_context
+        assert rng.bit_generator.state == oracle.bit_generator.state
+
+    def test_probe_consumes_the_per_class_stream(self):
+        dataset = ragged_dataset([5, 2, 9, 1, 7, 3, 4], seed=12)
+        params = init_params([36, 10, 5], seed=2)
+        rng, oracle = (np.random.default_rng(8) for _ in "ab")
+        info_correlation_probe(dataset, params, MetricKind.ANGULAR, rng,
+                               sample_classes=4)
+        usable = [g for g in dataset if len(g) >= 2]
+        sizes = [len(usable[int(i)]) for i in
+                 oracle.choice(len(usable), size=4, replace=False)]
+        [int(oracle.integers(k)) for k in sizes]
+        [int(oracle.integers(k - 1)) for k in sizes]
+        assert rng.bit_generator.state == oracle.bit_generator.state
+
+
 class TestInfoCorrelationProbeOracle:
     """The batched probe against the per-candidate loop it replaced."""
 

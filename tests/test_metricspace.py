@@ -8,9 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adasample import metricspace
+from adasample.evaluation import retrieval_map
 from adasample.metricspace import (MetricKind, candidate_distances,
                                    distance_grad, paired_distance_grads,
                                    paired_distances, pairwise_distances)
+from adasample.miner import (hardest_negatives, loss_grads, mine_triplets,
+                             triplet_grads)
 from scalar_distance import distance, scalar_distance_grad
 
 
@@ -378,3 +381,54 @@ class TestEuclideanKernel:
         finally:
             tracemalloc.stop()
         assert peak < out.nbytes + 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+
+
+def _mined(A, P, kind):
+    return mine_triplets(A, P, kind, 4.0)
+
+
+# Every public function that takes descriptor rows, called on rows A and B
+# (B may be 3-D for the candidates); ``good`` is a unit-norm copy of A.
+ROW_TAKERS = {
+    "pairwise_distances": lambda A, B, kind, good: pairwise_distances(
+        A, B, kind),
+    "paired_distances": lambda A, B, kind, good: paired_distances(A, B, kind),
+    "candidate_distances": lambda A, B, kind, good: candidate_distances(
+        A, B[:, None, :], np.ones(len(A), int), kind),
+    "paired_distance_grads": lambda A, B, kind, good: paired_distance_grads(
+        A, B, kind),
+    "distance_grad": lambda A, B, kind, good: [
+        distance_grad(a, b, kind) for a, b in zip(A, B)],
+    "hardest_negatives": lambda A, B, kind, good: hardest_negatives(
+        A, B, kind),
+    "mine_triplets": lambda A, B, kind, good: mine_triplets(A, B, kind, 1.0),
+    "mine_triplets, opposing": lambda A, B, kind, good: mine_triplets(
+        good, good, kind, 1.0, opposing=(A, B, np.roll(np.arange(len(A)),
+                                                        1))),
+    "triplet_grads": lambda A, B, kind, good: triplet_grads(
+        np.vstack([A, B]), np.arange(len(A))[:, None] + [0, len(A)],
+        np.arange(len(A))[:, None] + [0, len(A)], _mined(good, good, kind),
+        kind, np.ones(len(A))),
+    "loss_grads": lambda A, B, kind, good: loss_grads(
+        A, B, _mined(good, good, kind), kind),
+    "retrieval_map": lambda A, B, kind, good: retrieval_map(
+        A, np.arange(len(A)), B, np.arange(len(B)), kind),
+}
+
+
+class TestUnitNormBoundary:
+    """Rows are checked once where a caller's rows enter; the kernels
+    behind the public functions check nothing, so each public function
+    must still reject a non-unit row, on either side."""
+
+    @pytest.mark.parametrize("name", list(ROW_TAKERS))
+    @pytest.mark.parametrize("side", [0, 1])
+    @pytest.mark.parametrize("kind", list(MetricKind))
+    def test_non_unit_row_rejected(self, name, side, kind):
+        rng = np.random.default_rng(31)
+        good = np.stack([random_unit(rng) for _ in range(5)])
+        rows = [good.copy(), np.stack([random_unit(rng) for _ in range(5)])]
+        ROW_TAKERS[name](*rows, kind, good)
+        rows[side][3] *= 1.01
+        with pytest.raises(ValueError, match="not unit-norm"):
+            ROW_TAKERS[name](*rows, kind, good)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adasample import trainer
+from adasample import metricspace, miner, trainer
 from adasample.data import (ClassGroup, DatasetSpec, generate_synthetic,
                             stack_class_inputs, to_input_matrix)
 from adasample.errors import DatasetError, NumericError
@@ -442,6 +442,34 @@ class TestOneForwardPass:
         assert rows == [cfg.batch_size * 4] * len(log)
 
 
+class TestUnitRowChecks:
+    def test_a_step_checks_rows_twice_and_build_batch_never(self,
+                                                           monkeypatch):
+        """The rows a step works on come out of ``forward`` unit-norm, so
+        they are checked only where they enter ``miner``'s public
+        functions: once in mine_triplets, once in loss_grads."""
+        calls = []
+        real = metricspace._unit_rows
+
+        def counted(*batches, **kwargs):
+            calls.append(len(batches))
+            return real(*batches, **kwargs)
+
+        monkeypatch.setattr(metricspace, "_unit_rows", counted)
+        monkeypatch.setattr(miner, "_unit_rows", counted)
+        ds = ragged_dataset([2, 9, 16, 5, 3, 12])
+        for metric in MetricKind:
+            cfg = tiny_config(batch_size=5, metric=metric)
+            state = init_state(cfg, 64)
+            rng = np.random.default_rng(12)
+            for tracker in (None, LossTracker(l_avg=0.4, initialized=True)):
+                batch, _ = batch_of(ds, state, cfg, rng, tracker)
+                assert calls == []
+                train_step(state, batch, cfg)
+                assert calls == [2, 2]
+                calls.clear()
+
+
 class TestSchedule:
     def test_effective_lr_drops_by_tens(self):
         drops = (4, 8, 10)
@@ -485,6 +513,20 @@ class TestTrain:
                 train(cfg, tiny_dataset())
         assert info.value.partial_log == log
         assert [row["step"] for row in log] == [1, 2]
+
+    def test_classes_with_one_patch_rejected_before_the_first_batch(
+            self, monkeypatch):
+        """Checked once per run, naming the class ids, before any batch."""
+        def no_batch(*args):
+            raise AssertionError("build_batch ran")
+
+        monkeypatch.setattr(trainer, "build_batch", no_batch)
+        ds = tiny_dataset()
+        for i in (2, 5):
+            ds[i] = ClassGroup(ds[i].class_id, ds[i].patches[:1])
+        with pytest.raises(DatasetError, match=r"classes with fewer than 2 "
+                                               r"patches: \[2, 5\]"):
+            train(tiny_config(), ds)
 
     def test_same_seed_gives_bitwise_identical_logs(self):
         ds = tiny_dataset()
