@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation as ev
+from . import stream
 from . import trainer as tr
 from .config import (RunConfig, _parse_lambda, load_run_config,
                      substream_seed, with_lambda, with_seed)
@@ -56,24 +57,93 @@ def build_dataset(config: RunConfig) -> list[ClassGroup]:
 def verification_distances(descs: np.ndarray, offsets: np.ndarray, kind,
                            num_pairs: int, rng: np.random.Generator
                            ) -> tuple[np.ndarray, np.ndarray]:
-    """Distances of sampled matching and non-matching pairs of the rows of
-    ``descs``; class ``c`` owns rows ``offsets[c]:offsets[c + 1]``."""
-    sizes = np.diff(offsets).tolist()
-    starts = offsets.tolist()
-    usable = [c for c, k in enumerate(sizes) if k >= 2]
-    if len(usable) < 2:
-        raise DatasetError("verification needs >= 2 classes with k >= 2")
-    rows = []
-    for _ in range(num_pairs):
-        c = usable[int(rng.integers(len(usable)))]
-        i, j = rng.choice(sizes[c], size=2, replace=False)
-        rows += [starts[c] + int(i), starts[c] + int(j)]
-    for _ in range(num_pairs):
-        ca, cb = rng.choice(len(sizes), size=2, replace=False)
-        rows.append(starts[ca] + int(rng.integers(sizes[ca])))
-        rows.append(starts[cb] + int(rng.integers(sizes[cb])))
-    d = paired_distances(descs[rows[0::2]], descs[rows[1::2]], kind)
+    """Distances of the matching and the non-matching pairs of the rows
+    of ``descs`` that :func:`verification_pairs` draws, bit for bit as
+    its per-pair loop of ``rng`` calls would (see :mod:`adasample.stream`
+    for the facts of numpy's stream this rests on)."""
+    rows = verification_pairs(offsets, num_pairs, rng)
+    d = paired_distances(descs[rows[0]], descs[rows[1]], kind)
     return d[:num_pairs], d[num_pairs:]
+
+
+def verification_pairs(offsets: np.ndarray, num_pairs: int,
+                       rng: np.random.Generator) -> np.ndarray:
+    """The (2, 2 * num_pairs) rows of ``num_pairs`` sampled matching pairs
+    and then ``num_pairs`` non-matching pairs, where class ``c`` owns rows
+    ``offsets[c]:offsets[c + 1]``.
+
+    The pairs, and the state ``rng`` is left in, are those of the loop ::
+
+        for each of num_pairs matching pairs:     # usable: classes, k >= 2
+            c = usable[rng.integers(len(usable))]
+            i, j = rng.choice(k[c], 2, replace=False)
+        for each of num_pairs non-matching pairs:
+            ca, cb = rng.choice(len(k), 2, replace=False)
+            i, j = rng.integers(k[ca]), rng.integers(k[cb])
+
+    replayed from one block of the generator's words (the stream facts are
+    in :mod:`adasample.stream`). A matching pair reads at most 4 words and
+    a non-matching one at most 5, unless a word is rejected; a block of
+    9 words per pair that the pairs overrun is drawn again twice as long.
+    """
+    if num_pairs < 1:
+        raise ValueError(f"num_pairs must be >= 1, got {num_pairs}")
+    sizes = np.diff(offsets)
+    usable = np.flatnonzero(sizes >= 2)
+    if usable.size < 2:
+        raise DatasetError("verification needs >= 2 classes with k >= 2")
+    if sizes.min() < 1:
+        raise DatasetError("verification needs every class to hold a patch")
+
+    def matching(block, pos):
+        c, pos = stream.bounded(block, pos, usable.size - 1)
+        c = usable[c]
+        i, j, pos = stream.distinct_pair(block, pos, sizes[c])
+        return offsets[c] + i, offsets[c] + j, pos
+
+    def non_matching(block, pos):
+        ca, cb, pos = stream.distinct_pair(block, pos, sizes.size)
+        i, pos = stream.bounded(block, pos, sizes[ca] - 1)
+        j, pos = stream.bounded(block, pos, sizes[cb] - 1)
+        return offsets[ca] + i, offsets[cb] + j, pos
+
+    state = rng.bit_generator.state
+    scale = 1
+    while True:
+        block = stream.words(rng, 9 * num_pairs * scale)
+        rows, used = [], 0
+        for pair_at, stop in ((matching, 4 * num_pairs * scale),
+                              (non_matching, len(block))):
+            drawn = _draw_pairs(block, used, stop, num_pairs, pair_at)
+            if drawn is None:
+                break
+            rows.append(drawn[0])
+            used = drawn[1]
+        else:   # both phases fit in the block
+            break
+        rng.bit_generator.state = state
+        scale *= 2
+    rng.bit_generator.state = state
+    stream.words(rng, used)
+    return np.concatenate(rows, axis=1)
+
+
+def _draw_pairs(block: np.ndarray, start: int, stop: int, count: int,
+                pair_at) -> tuple[np.ndarray, int] | None:
+    """The (2, count) rows of ``count`` consecutive pairs drawn from word
+    ``start`` of ``block``, and the word position after them; None when
+    that position would pass ``stop``. ``pair_at(block, pos)`` gives, for
+    every word position in ``pos``, the rows of the pair drawn from there
+    and the position after it."""
+    # positions run at most a few words past the block
+    dtype = np.int32 if len(block) < 2**31 - 64 else np.int64
+    pos = np.arange(start, stop + 1, dtype=dtype)
+    a, b, ends = pair_at(block, pos)
+    chain = stream.walk(ends - start, count)
+    if chain is None:
+        return None
+    starts = chain[:-1]
+    return np.stack([a[starts], b[starts]]), start + int(chain[-1])
 
 
 def evaluate_params(dataset: list[ClassGroup], params,

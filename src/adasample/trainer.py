@@ -151,12 +151,9 @@ def build_batch(params: ModelParams, tracker: LossTracker,
 
     The anchors and uniforms come from one ``integers`` call that replays
     the per-class loop ``rng.integers(k); rng.random()`` draw for draw,
-    generator state included. Its bounds alternate k - 1 and 2**64 - 1:
-    a bounded entry runs the Lemire draw on the generator's buffered 32-bit
-    half that ``rng.integers(k)`` runs, and a full-range entry is one raw
-    64-bit output, of which ``(raw >> 11) * 2**-53`` is exactly what
-    ``Generator.random()`` returns for PCG64, the generator :func:`train`
-    builds.
+    generator state included. Its bounds alternate k - 1 and 2**64 - 1;
+    :mod:`adasample.stream` states the facts of numpy's stream that make
+    each entry equal its scalar draw.
     """
     n = config.batch_size
     num_classes = len(class_inputs.class_ids)
