@@ -184,9 +184,15 @@ def stack_class_inputs(dataset: list[ClassGroup]) -> ClassInputs:
     with per-class offsets."""
     offsets = np.concatenate([[0], np.cumsum([len(g) for g in dataset])])
     rows = np.empty((offsets[-1], dataset[0].patches[0].size))
-    # class by class: no temporary the size of the whole dataset
-    for c, group in enumerate(dataset):
-        rows[offsets[c]:offsets[c + 1]] = to_input_matrix(group.patches)
+    # Runs of whole classes of at most 2**16 pixels (512 KB), or one larger
+    # class, per call: rows are normalized one by one, whatever the run.
+    step, start = max(1, (1 << 16) // rows.shape[1]), 0
+    while start < len(dataset):
+        stop = max(start + 1, np.searchsorted(offsets, offsets[start] + step,
+                                              "right") - 1)
+        rows[offsets[start]:offsets[stop]] = to_input_matrix(
+            np.concatenate([g.patches for g in dataset[start:stop]]))
+        start = stop
     return ClassInputs(rows, offsets,
                        np.array([g.class_id for g in dataset]))
 

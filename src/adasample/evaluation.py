@@ -1,7 +1,7 @@
 """Verification metrics, the informativeness diagnostic, and rank testing.
 
 * FPR at fixed recall over matching/non-matching distance samples.
-* Retrieval mean average precision with deterministic tie handling.
+* Retrieval mean average precision, distance ties broken by gallery index.
 * A probe that compares, per class, the positive-sampling probabilities
   induced by descriptor distance against the ones induced by the true
   per-sample full-parameter gradient norm of the mined triplet loss, and
@@ -72,8 +72,9 @@ def retrieval_map(query_descs: np.ndarray, query_labels: Sequence[int],
                   kind: MetricKind) -> RetrievalResult:
     """Mean average precision of distance-ranked galleries.
 
-    Ranking ties are broken by gallery index. Queries without any gallery
-    match are excluded from the mean and counted in the result.
+    A query ranks gallery item r at 1 + #{g : d_g < d_r} + #{g < r : d_g =
+    d_r}: by distance, ties broken by gallery index. Queries without any
+    gallery match are excluded from the mean and counted in the result.
     """
     Q = np.atleast_2d(np.asarray(query_descs, dtype=np.float64))
     G = np.atleast_2d(np.asarray(gallery_descs, dtype=np.float64))
@@ -84,20 +85,28 @@ def retrieval_map(query_descs: np.ndarray, query_labels: Sequence[int],
     if Q.shape[0] == 0 or G.shape[0] == 0:
         raise ValueError("queries and gallery must be nonempty")
     dists = pairwise_distances(Q, G, kind)
-    aps = []
-    excluded = 0
-    for qi in range(Q.shape[0]):
-        relevant = gl == ql[qi]
-        if not np.any(relevant):
-            excluded += 1
-            continue
-        order = np.argsort(dists[qi], kind="stable")
-        hits = relevant[order]
-        ranks = np.nonzero(hits)[0] + 1
-        precision_at_hits = np.cumsum(hits)[hits.nonzero()] / ranks
-        aps.append(float(np.mean(precision_at_hits)))
-    mean_ap = float(np.mean(aps)) if aps else float("nan")
-    return RetrievalResult(mean_ap, len(aps), excluded)
+    n = G.shape[0]
+    query, item = np.divmod(np.flatnonzero(gl == ql[:, None]), n)
+    d = dists[query, item]
+    # Complex numbers order lexicographically, so the (query, distance) keys
+    # of the sorted rows form one sorted vector to search for every match.
+    keys = 1j * np.sort(dists, axis=1)
+    keys.real = np.arange(Q.shape[0])[:, None]
+    below, through = (np.searchsorted(keys.ravel(), query + 1j * d, side)
+                      - query * n for side in ("left", "right"))
+    tied = np.flatnonzero(through - below > 1)
+    ranks = below + 1
+    ranks[tied] += np.sum((dists[query[tied]] == d[tied, None])
+                          & (np.arange(n) < item[tied, None]), axis=1)
+    matched = np.unique(query, return_counts=True)[1]
+    aps = np.empty(matched.size)
+    for m in np.unique(matched):
+        of_m = matched == m
+        # each mean sums m values, as np.mean of one query's vector does
+        ranked = np.sort(ranks[np.repeat(of_m, matched)].reshape(-1, m))
+        aps[of_m] = np.mean(np.arange(1, m + 1) / ranked, axis=1)
+    mean_ap = float(np.mean(aps)) if aps.size else float("nan")
+    return RetrievalResult(mean_ap, matched.size, Q.shape[0] - matched.size)
 
 
 def pearson(x: np.ndarray, y: np.ndarray) -> float:

@@ -116,7 +116,7 @@ def _unit_rows(*batches, names: Sequence[str] = ("batch_a", "batch_b")
                          f"{' vs '.join(str(M.shape[1]) for M in out)}")
     for M, name in zip(out, names):
         norms = np.linalg.norm(M, axis=1)
-        if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
+        if not np.all(np.abs(norms - 1.0) <= UNIT_NORM_TOL):  # NaN fails
             bad = int(np.argmax(np.abs(norms - 1.0)))
             raise ValueError(f"{name}[{bad}] is not unit-norm "
                              f"(norm {norms[bad]:.6g})")

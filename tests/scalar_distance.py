@@ -13,7 +13,7 @@ def check_unit(v: np.ndarray, name: str) -> np.ndarray:
     if v.ndim != 1:
         raise ValueError(f"{name} must be a 1-D vector, got shape {v.shape}")
     norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > UNIT_NORM_TOL:
+    if not abs(norm - 1.0) <= UNIT_NORM_TOL:        # NaN fails too
         raise ValueError(f"{name} is not unit-norm: ||{name}|| = {norm:.6g}")
     return v
 

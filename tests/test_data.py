@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from adasample import data
 from adasample.data import (DATASET_MAGIC, DATASET_VERSION, ClassGroup,
                             DatasetSpec, generate_positives,
                             generate_synthetic, read_dataset, rotate_patch,
@@ -199,19 +200,70 @@ class TestStackClassInputs:
             assert np.array_equal(rows, to_input_matrix(group.patches))
 
 
+def random_classes(sizes, patch_size, seed=28):
+    rng = np.random.default_rng(seed)
+    return [ClassGroup(c, rng.normal(size=(k, patch_size, patch_size)))
+            for c, k in enumerate(sizes)]
+
+
+# more pixels than one run of stack_class_inputs holds (2**16): 256 rows of
+# 16 x 16, and a class larger than that
+MANY_RUNS = [300, 5, 200, 40, 1, 120, 150]
+
+
+class TestBlockedStacking:
+    """stack_class_inputs normalizes runs of whole classes of at most 2**16
+    pixels, or one larger class, per to_input_matrix call."""
+
+    @pytest.mark.parametrize("patch_size, sizes, runs", [
+        # 256 rows per run: class 2 straddles row 256, class 4 exceeds it
+        (16, [100, 100, 100, 60, 300, 7], [200, 160, 300, 7]),
+        # D = 81 and 1089 do not divide 2**16: 809 and 60 rows per run
+        (9, [500, 300, 9, 900, 3], [809, 900, 3]),
+        (33, [25, 25, 25, 61, 1, 2], [50, 25, 61, 3]),
+    ])
+    def test_runs_equal_per_class_input_matrices(self, monkeypatch,
+                                                 patch_size, sizes, runs):
+        ds = random_classes(sizes, patch_size)
+        ds[1].patches[0] = 1.5                  # a zero row
+        calls = []
+
+        def recording(patches):
+            calls.append(len(patches))
+            return to_input_matrix(patches)
+
+        monkeypatch.setattr(data, "to_input_matrix", recording)
+        stacked = stack_class_inputs(ds)
+        assert calls == runs
+        for c, group in enumerate(ds):
+            rows = stacked.rows[stacked.offsets[c]:stacked.offsets[c + 1]]
+            assert np.array_equal(rows, to_input_matrix(group.patches))
+
+    def test_classes_read_from_a_file(self, tmp_path):
+        path = tmp_path / "d.adsp"
+        write_dataset(random_classes(MANY_RUNS, 16), path)
+        ds = read_dataset(path)
+        assert ds[0].patches.base is ds[-1].patches.base
+        stacked = stack_class_inputs(ds)
+        assert np.array_equal(stacked.rows, np.concatenate(
+            [to_input_matrix(g.patches) for g in ds]))
+
+
 class TestClassArraysUnchanged:
     """The classes read from a file are views of one buffer, so a function
     that wrote into a class's array would change other classes too."""
 
-    def test_readers_leave_every_class_unchanged(self, tmp_path):
+    @pytest.mark.parametrize("many_runs", [False, True])
+    def test_readers_leave_every_class_unchanged(self, tmp_path, many_runs):
         path = tmp_path / "d.adsp"
-        write_dataset(generate_synthetic(small_spec()), path)
+        write_dataset(random_classes(MANY_RUNS, 16) if many_runs
+                      else generate_synthetic(small_spec()), path)
         ds = read_dataset(path)
         assert ds[0].patches.base is ds[-1].patches.base
         before = [g.patches.copy() for g in ds]
         to_input_matrix(ds[2].patches)
         stack_class_inputs(ds)
-        generate_positives(ds[3], 9, np.random.default_rng(0))
+        generate_positives(ds[3], len(ds[3]) + 5, np.random.default_rng(0))
         write_dataset(ds, tmp_path / "again.adsp")
         for group, want in zip(ds, before):
             assert np.array_equal(group.patches, want)

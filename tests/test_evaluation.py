@@ -21,12 +21,15 @@ from adasample.evaluation import (EXACT_MW_LIMIT, EvalReport,
                                   InfoProbeResult, fpr_at_recall,
                                   info_correlation_probe, mann_whitney_u,
                                   pearson, retrieval_map)
-from adasample.metricspace import MetricKind, paired_distances
+from adasample.metricspace import (MetricKind, paired_distances,
+                                   pairwise_distances)
 from adasample.miner import NegMode, mine_triplets
 from adasample.tensornet import Activation, backward, forward, init_params
 from adasample.trainer import TrainConfig
 from scalar_distance import scalar_distance_grad
 from scalar_loss import scalar_loss_grads
+from scalar_retrieval import scalar_retrieval_map
+from test_miner import unit_rows
 
 
 def brute_force_fpr(pos, neg, recall):
@@ -178,15 +181,32 @@ class TestFprAtRecall:
             fpr_at_recall(np.array([]), np.array([1.0]))
 
 
-def brute_force_ap(dists, relevant):
-    order = np.argsort(dists, kind="stable")
-    hits = 0
-    precisions = []
-    for rank, idx in enumerate(order, start=1):
-        if relevant[idx]:
-            hits += 1
-            precisions.append(hits / rank)
-    return float(np.mean(precisions)) if precisions else float("nan")
+def retrieval_inputs(seed, num_queries, gallery_size, dim, num_labels,
+                     duplicate):
+    """Random unit rows and labels; with ``duplicate`` every gallery row is
+    one of about a third as many distinct rows and every other query is a
+    copy of a gallery row, so distances tie exactly, at 0 and above."""
+    rng = np.random.default_rng(seed)
+    Q = unit_rows(rng, num_queries, dim)
+    G = unit_rows(rng, gallery_size, dim)
+    if duplicate:
+        G = G[rng.integers(0, max(1, gallery_size // 3), size=gallery_size)]
+        Q[::2] = G[rng.integers(0, gallery_size, size=len(Q[::2]))]
+    return (Q, rng.integers(0, num_labels, size=num_queries),
+            G, rng.integers(0, num_labels, size=gallery_size))
+
+
+def assert_retrieval_matches_oracle(Q, ql, G, gl, kind):
+    """retrieval_map equals the per-query argsort loop bit for bit."""
+    got = retrieval_map(Q, ql, G, gl, kind)
+    want = scalar_retrieval_map(Q, ql, G, gl, kind)
+    assert (got.num_queries, got.num_excluded) == \
+        (want.num_queries, want.num_excluded)
+    if want.num_queries == 0:
+        assert math.isnan(got.mean_ap)
+    else:
+        assert got.mean_ap == want.mean_ap
+    return got
 
 
 class TestRetrievalMap:
@@ -209,23 +229,69 @@ class TestRetrievalMap:
         res = retrieval_map(q, [5], g, [3, 5], MetricKind.ANGULAR)
         assert res.mean_ap == pytest.approx(0.5)
 
-    def test_matches_brute_force_average_precision(self):
-        rng = np.random.default_rng(34)
-        Q = rng.normal(size=(10, 5))
-        Q /= np.linalg.norm(Q, axis=1, keepdims=True)
-        G = rng.normal(size=(30, 5))
-        G /= np.linalg.norm(G, axis=1, keepdims=True)
-        ql = rng.integers(0, 4, size=10)
-        gl = rng.integers(0, 4, size=30)
-        res = retrieval_map(Q, ql, G, gl, MetricKind.EUCLIDEAN)
-        aps = []
-        from adasample.metricspace import pairwise_distances
-        D = pairwise_distances(Q, G, MetricKind.EUCLIDEAN)
-        for i in range(10):
-            rel = gl == ql[i]
-            if rel.any():
-                aps.append(brute_force_ap(D[i], rel))
-        assert res.mean_ap == pytest.approx(np.mean(aps))
+    @pytest.mark.parametrize("kind", list(MetricKind))
+    def test_ties_are_broken_by_gallery_index(self, kind):
+        """Items 1-3 coincide with the query: ranked 1, 2, 3 by index, the
+        matches 2 and 0 sit at ranks 2 and 4 (AP 1/2), not 1 and 4."""
+        q = np.array([[1.0, 0.0]])
+        g = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
+        res = assert_retrieval_matches_oracle(q, [0], g, [0, 9, 0, 9], kind)
+        assert res.mean_ap == 0.5
+
+    @pytest.mark.parametrize("kind", list(MetricKind))
+    def test_matches_the_oracle(self, kind):
+        assert_retrieval_matches_oracle(*retrieval_inputs(34, 10, 30, 5, 4,
+                                                          False), kind)
+
+    @pytest.mark.parametrize("kind", list(MetricKind))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_exact_ties_from_duplicated_gallery_rows(self, kind, seed):
+        Q, ql, G, gl = retrieval_inputs(seed, 12, 60, 4, 3, True)
+        dists = pairwise_distances(Q, G, kind)
+        assert any(np.unique(row).size < row.size for row in dists)
+        assert np.any(dists == 0.0)
+        assert_retrieval_matches_oracle(Q, ql, G, gl, kind)
+
+    @pytest.mark.parametrize("kind", list(MetricKind))
+    def test_every_gallery_row_tied(self, kind):
+        rng = np.random.default_rng(36)
+        G = np.repeat(unit_rows(rng, 1, 5), 20, axis=0)
+        ql, gl = rng.integers(0, 3, size=7), rng.integers(0, 3, size=20)
+        assert_retrieval_matches_oracle(unit_rows(rng, 7, 5), ql, G, gl,
+                                        kind)
+
+    @pytest.mark.parametrize("kind", list(MetricKind))
+    def test_queries_without_a_match(self, kind):
+        Q, ql, G, gl = retrieval_inputs(37, 9, 25, 4, 3, True)
+        ql[::3] = 7                                 # no gallery item is 7
+        res = assert_retrieval_matches_oracle(Q, ql, G, gl, kind)
+        assert (res.num_queries, res.num_excluded) == (6, 3)
+        res = assert_retrieval_matches_oracle(Q, np.full(9, 7), G, gl, kind)
+        assert (res.num_queries, res.num_excluded) == (0, 9)
+
+    @pytest.mark.parametrize("kind", list(MetricKind))
+    @pytest.mark.parametrize("duplicate", [False, True])
+    def test_relevant_counts_from_1_to_16(self, kind, duplicate):
+        """Query c has c + 1 matches among 136 class items and 30
+        distractors, every count in one call."""
+        Q, _, G, _ = retrieval_inputs(38, 16, 166, 6, 1, duplicate)
+        gl = np.concatenate([np.repeat(np.arange(16), np.arange(1, 17)),
+                             np.full(30, -1)])
+        gl = np.random.default_rng(39).permutation(gl)
+        res = assert_retrieval_matches_oracle(Q, np.arange(16), G, gl, kind)
+        assert res.num_queries == 16
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**16), num_queries=st.integers(1, 20),
+           gallery_size=st.integers(1, 60), dim=st.integers(1, 6),
+           num_labels=st.integers(1, 8), duplicate=st.booleans(),
+           kind=st.sampled_from(list(MetricKind)))
+    def test_matches_the_oracle_on_drawn_shapes(self, seed, num_queries,
+                                                gallery_size, dim,
+                                                num_labels, duplicate, kind):
+        assert_retrieval_matches_oracle(
+            *retrieval_inputs(seed, num_queries, gallery_size, dim,
+                              num_labels, duplicate), kind)
 
     def test_unmatched_queries_are_excluded_and_counted(self):
         q = np.eye(2)
@@ -435,7 +501,8 @@ def oracle_verification_distances(dataset, params, kind, num_pairs, rng):
 
 def oracle_evaluate_params(dataset, params, config):
     """Patch lists and one forward pass each for the verification pairs,
-    the queries and the gallery: the oracle for cli.evaluate_params.
+    the queries and the gallery, and the per-query retrieval loop: the
+    oracle for cli.evaluate_params.
     Returns the report and the verification distances."""
     rng = np.random.default_rng(substream_seed(config.seed, "eval"))
     kind = config.train.metric
@@ -452,8 +519,8 @@ def oracle_evaluate_params(dataset, params, config):
         gallery_labels.extend([g.class_id] * (len(g) - 1))
     q_descs, _ = forward(params, to_input_matrix(query_patches))
     g_descs, _ = forward(params, to_input_matrix(gallery_patches))
-    result = retrieval_map(q_descs, query_labels, g_descs, gallery_labels,
-                           kind)
+    result = scalar_retrieval_map(q_descs, query_labels, g_descs,
+                                  gallery_labels, kind)
     report = EvalReport(fpr95=fpr95, retrieval_map=result.mean_ap)
     return report, pos_d, neg_d
 

@@ -48,6 +48,8 @@ class TestDistance:
         b = np.array([1.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="unit-norm"):
             distance(a, b, MetricKind.ANGULAR)
+        with pytest.raises(ValueError, match="unit-norm"):
+            distance(np.array([np.nan, 0.0, 0.0]), b, MetricKind.ANGULAR)
 
     def test_symmetry_is_exact(self):
         rng = np.random.default_rng(4)
@@ -431,4 +433,21 @@ class TestUnitNormBoundary:
         ROW_TAKERS[name](*rows, kind, good)
         rows[side][3] *= 1.01
         with pytest.raises(ValueError, match="not unit-norm"):
+            ROW_TAKERS[name](*rows, kind, good)
+
+    @pytest.mark.parametrize("name", list(ROW_TAKERS))
+    @pytest.mark.parametrize("side", [0, 1])
+    @pytest.mark.parametrize("kind", list(MetricKind))
+    @pytest.mark.parametrize("value, norm", [(np.nan, "nan"),
+                                             (np.inf, "inf"),
+                                             (-np.inf, "inf")])
+    def test_nan_or_inf_row_rejected(self, name, side, kind, value, norm):
+        """A NaN norm compares False with any tolerance, so the check must
+        accept a row only when its distance from 1 is within it."""
+        rng = np.random.default_rng(32)
+        good = np.stack([random_unit(rng) for _ in range(5)])
+        rows = [good.copy(), np.stack([random_unit(rng) for _ in range(5)])]
+        rows[side][3, 1] = value
+        with pytest.raises(ValueError,
+                           match=rf"not unit-norm \(norm {norm}\)"):
             ROW_TAKERS[name](*rows, kind, good)
