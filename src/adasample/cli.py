@@ -20,6 +20,7 @@ import csv
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,10 +29,10 @@ from . import stream
 from . import trainer as tr
 from .config import (RunConfig, _parse_lambda, load_run_config,
                      substream_seed, with_lambda, with_seed)
-from .data import (ClassGroup, generate_positives, generate_synthetic,
-                   read_dataset, stack_class_inputs, write_dataset)
+from .data import (ClassGroup, Dataset, as_dataset, generate_positives,
+                   generate_synthetic, read_dataset, write_dataset)
 from .errors import DatasetError, FormatError, NumericError
-from .metricspace import paired_distances
+from .metricspace import _paired, paired_distances
 from .tensornet import forward, read_params, write_params
 
 EXIT_OK = 0
@@ -146,35 +147,62 @@ def _draw_pairs(block: np.ndarray, start: int, stop: int, count: int,
     return np.stack([a[starts], b[starts]]), start + int(chain[-1])
 
 
-def evaluate_params(dataset: list[ClassGroup], params,
-                    config: RunConfig) -> ev.EvalReport:
-    """Verification FPR95 and retrieval mAP from one forward pass over
-    every patch. Retrieval queries are the first patch of each of the
-    first ``eval.num_queries`` classes; the rest of those classes is the
-    gallery."""
-    inputs = stack_class_inputs(dataset)
-    descs, _ = forward(params, inputs.rows)
-    kind = config.train.metric
-    pos_d, neg_d = verification_distances(descs, inputs.offsets, kind,
-                                          config.eval.num_pairs,
-                                          _eval_rng(config))
-    fpr95 = ev.fpr_at_recall(pos_d, neg_d, 0.95)
+class EvalPlan(NamedTuple):
+    """The rows :func:`evaluate_params` compares and their labels: they
+    depend on the dataset and the eval seed and options, not on params."""
 
-    n_queries = min(config.eval.num_queries, len(dataset))
-    queries = inputs.offsets[:n_queries]
-    gallery = np.delete(np.arange(inputs.offsets[n_queries]), queries)
-    if gallery.size == 0:
-        raise DatasetError(f"retrieval gallery is empty: each of the first "
-                           f"{n_queries} classes (eval.num_queries) holds 1")
-    labels = np.repeat(inputs.class_ids, np.diff(inputs.offsets))
-    result = ev.retrieval_map(descs[queries], labels[queries],
-                              descs[gallery], labels[gallery], kind)
+    pairs: np.ndarray           # (2, 2 * num_pairs): matching, non-matching
+    queries: np.ndarray
+    query_labels: np.ndarray
+    gallery: np.ndarray
+    gallery_labels: np.ndarray
+
+
+def evaluation_plan(dataset: Dataset, config: RunConfig) -> EvalPlan:
+    """The verification pairs a fresh :func:`_eval_rng` draws, and the
+    retrieval split: the first patch of each of the first
+    ``eval.num_queries`` classes is a query, the rest of those classes the
+    gallery. Drawn once per (eval seed, ``eval.num_pairs``,
+    ``eval.num_queries``) and held in ``dataset.plans``."""
+    seed = substream_seed(config.seed, "eval")
+    key = (seed, config.eval.num_pairs, config.eval.num_queries)
+    if key not in dataset.plans:
+        pairs = verification_pairs(dataset.offsets, config.eval.num_pairs,
+                                   np.random.default_rng(seed))
+        n_queries = min(config.eval.num_queries, len(dataset))
+        queries = dataset.offsets[:n_queries]
+        gallery = np.delete(np.arange(dataset.offsets[n_queries]), queries)
+        if gallery.size == 0:
+            raise DatasetError(f"retrieval gallery is empty: each of the "
+                               f"first {n_queries} classes "
+                               f"(eval.num_queries) holds 1")
+        labels = np.repeat(dataset.class_ids, np.diff(dataset.offsets))
+        dataset.plans[key] = EvalPlan(pairs, queries, labels[queries],
+                                      gallery, labels[gallery])
+    return dataset.plans[key]
+
+
+def evaluate_params(dataset: Dataset | list[ClassGroup], params,
+                    config: RunConfig) -> ev.EvalReport:
+    """Verification FPR95 and retrieval mAP of :func:`evaluation_plan`'s
+    rows, from one forward pass over the input rows the dataset holds."""
+    dataset = as_dataset(dataset)
+    descs, _ = forward(params, dataset.inputs.rows)
+    kind = config.train.metric
+    plan = evaluation_plan(dataset, config)
+    # forward's rows are unit-norm, so the unchecked kernel runs on them
+    d = _paired(descs[plan.pairs[0]], descs[plan.pairs[1]], kind)
+    n = config.eval.num_pairs
+    fpr95 = ev.fpr_at_recall(d[:n], d[n:], 0.95)
+    result = ev.retrieval_map(descs[plan.queries], plan.query_labels,
+                              descs[plan.gallery], plan.gallery_labels, kind)
     return ev.EvalReport(fpr95=fpr95, retrieval_map=result.mean_ap)
 
 
-def split_holdout(dataset: list[ClassGroup],
-                  fraction: float) -> tuple[list[ClassGroup], list[ClassGroup]]:
+def split_holdout(dataset: Dataset | list[ClassGroup],
+                  fraction: float) -> tuple[Dataset, Dataset]:
     """Trailing ``fraction`` of classes becomes the held-out split."""
+    dataset = as_dataset(dataset)
     n_hold = max(1, int(round(fraction * len(dataset))))
     if n_hold >= len(dataset):
         raise DatasetError("holdout fraction leaves no training classes")

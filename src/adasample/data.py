@@ -1,5 +1,5 @@
-"""Synthetic patch dataset generation, normalization into stacked input
-rows, and on-disk format.
+"""Synthetic patch dataset generation, the dataset value with its
+normalized input rows, and the on-disk format.
 
 Each class is a smooth random texture prototype rendered at a canvas twice
 the patch size; its k views are produced by small random similarity warps
@@ -10,18 +10,24 @@ per class.
 
 A class holds its k views as one (k, P, P) array; a patch is identified
 by its class id and its index in that array. Pixels travel as float64 in
-memory and float32 on disk. The classes read from a file are views into
-one buffer, so nothing here writes into a class's array.
+memory and float32 on disk. A file reads into a :class:`Dataset`: every
+patch in one read-only (N, P, P) array, with per-class offsets, whose
+normalized input rows are computed on first use and then held. Its
+classes are views of that array, so nothing here writes into a class's
+array.
+
+scipy's ``ndimage`` is imported by the generation functions that use it,
+not with this module: reading, normalizing and evaluating do not need it,
+and it takes most of the package's import time.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import DatasetError, FormatError
 
@@ -29,7 +35,7 @@ DATASET_MAGIC = b"ADSP"
 DATASET_VERSION = 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClassGroup:
     class_id: int
     patches: np.ndarray         # (k, P, P) float64; patch i is view i
@@ -73,6 +79,7 @@ class DatasetSpec:
 def _texture_prototype(canvas: int, octaves: int,
                        rng: np.random.Generator) -> np.ndarray:
     """Sum of band-limited noise layers, standardized to mean 0, std 1."""
+    from scipy import ndimage
     tex = np.zeros((canvas, canvas))
     for o in range(octaves):
         sigma = max(canvas / (2.0 ** (o + 2)), 0.6)
@@ -90,6 +97,7 @@ def _warp_crop(canvas_img: np.ndarray, patch_size: int, angle_deg: float,
                scale: float, shift: np.ndarray) -> np.ndarray:
     """Rotate/scale/shift about the canvas center, bilinear, reflect padding,
     then crop the central patch."""
+    from scipy import ndimage
     c = (np.asarray(canvas_img.shape) - 1) / 2.0
     theta = np.deg2rad(angle_deg)
     rot = np.array([[np.cos(theta), -np.sin(theta)],
@@ -179,22 +187,91 @@ class ClassInputs(NamedTuple):
     class_ids: np.ndarray       # (classes,)
 
 
-def stack_class_inputs(dataset: list[ClassGroup]) -> ClassInputs:
-    """The input matrix of every patch, as from :func:`to_input_matrix`,
-    with per-class offsets."""
-    offsets = np.concatenate([[0], np.cumsum([len(g) for g in dataset])])
-    rows = np.empty((offsets[-1], dataset[0].patches[0].size))
-    # Runs of whole classes of at most 2**16 pixels (512 KB), or one larger
-    # class, per call: rows are normalized one by one, whatever the run.
-    step, start = max(1, (1 << 16) // rows.shape[1]), 0
-    while start < len(dataset):
-        stop = max(start + 1, np.searchsorted(offsets, offsets[start] + step,
-                                              "right") - 1)
-        rows[offsets[start]:offsets[stop]] = to_input_matrix(
-            np.concatenate([g.patches for g in dataset[start:stop]]))
-        start = stop
-    return ClassInputs(rows, offsets,
-                       np.array([g.class_id for g in dataset]))
+def _read_only(array: np.ndarray) -> np.ndarray:
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
+class Dataset:
+    """Every patch of a dataset in one read-only (N, P, P) float64 pixel
+    array, class after class: class ``c`` has id ``class_ids[c]`` and owns
+    patches ``offsets[c]:offsets[c + 1]``.
+
+    Its input rows (:attr:`inputs`) are computed on first use and then
+    held, and so are the evaluation plans that ``cli.evaluate_params``
+    draws from it (:attr:`plans`). Both depend on the arrays alone, which
+    are read-only so that neither can go stale.
+
+    ``len`` counts classes. An int index gives the class as a
+    :class:`ClassGroup` view of the pixels, iteration gives every class,
+    and a slice gives the :class:`Dataset` of a run of classes.
+    """
+
+    def __init__(self, pixels: np.ndarray, offsets, class_ids) -> None:
+        self._pixels = _read_only(np.asarray(pixels, dtype=np.float64))
+        self._offsets = _read_only(np.asarray(offsets, dtype=np.int64))
+        self._class_ids = _read_only(np.asarray(class_ids, dtype=np.int64))
+        self._inputs: ClassInputs | None = None
+        # (eval seed, pairs, queries) -> plan, filled by cli.evaluation_plan
+        self.plans: dict = {}
+
+    pixels = property(lambda self: self._pixels)
+    offsets = property(lambda self: self._offsets)
+    class_ids = property(lambda self: self._class_ids)
+
+    def __len__(self) -> int:
+        return len(self._class_ids)
+
+    def __iter__(self):
+        return (self[c] for c in range(len(self)))
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            run = range(len(self))[key]
+            if run.step != 1:
+                raise ValueError("a dataset slices into runs of classes")
+            start, stop = run.start, max(run.start, run.stop)
+            first, last = self._offsets[start], self._offsets[stop]
+            return Dataset(self._pixels[first:last],
+                           self._offsets[start:stop + 1] - first,
+                           self._class_ids[start:stop])
+        c = range(len(self))[key]
+        return ClassGroup(int(self._class_ids[c]),
+                          self._pixels[self._offsets[c]:self._offsets[c + 1]])
+
+    @property
+    def inputs(self) -> ClassInputs:
+        """The input matrix of every patch, as from :func:`to_input_matrix`,
+        with per-class offsets; computed on first use, then held."""
+        if self._inputs is None:
+            offsets, pixels = self._offsets, self._pixels
+            rows = np.empty((len(pixels), int(np.prod(pixels.shape[1:]))))
+            # Runs of whole classes of at most 2**16 pixels (512 KB), or one
+            # larger class, per call: rows are normalized one by one,
+            # whatever the run.
+            step, start = max(1, (1 << 16) // max(1, rows.shape[1])), 0
+            while start < len(self):
+                stop = max(start + 1, np.searchsorted(
+                    offsets, offsets[start] + step, "right") - 1)
+                rows[offsets[start]:offsets[stop]] = to_input_matrix(
+                    pixels[offsets[start]:offsets[stop]])
+                start = stop
+            self._inputs = ClassInputs(_read_only(rows), offsets,
+                                       self._class_ids)
+        return self._inputs
+
+
+def as_dataset(dataset: Dataset | Iterable[ClassGroup]) -> Dataset:
+    """``dataset`` itself, or its classes stacked into a :class:`Dataset`."""
+    if isinstance(dataset, Dataset):
+        return dataset
+    groups = list(dataset)
+    sizes = [len(g.patches) for g in groups]
+    pixels = np.concatenate([g.patches for g in groups]) if groups \
+        else np.empty((0, 0, 0))
+    return Dataset(pixels, np.concatenate([[0], np.cumsum(sizes)]),
+                   [g.class_id for g in groups])
 
 
 def _check_patches(pixels: np.ndarray, classes: list[tuple[int, int]]) -> None:
@@ -225,7 +302,7 @@ def _check_unique_ids(class_ids: list[int]) -> None:
                            f"more than one class")
 
 
-def write_dataset(dataset: list[ClassGroup], path) -> None:
+def write_dataset(dataset: Dataset | list[ClassGroup], path) -> None:
     if not dataset:
         raise DatasetError("refusing to write an empty dataset")
     if any(not len(group) for group in dataset):
@@ -252,7 +329,7 @@ def write_dataset(dataset: list[ClassGroup], path) -> None:
             start += len(group)
 
 
-def read_dataset(path) -> list[ClassGroup]:
+def read_dataset(path) -> Dataset:
     with open(path, "rb") as fh:
         blob = fh.read()
     offset = 0
@@ -292,5 +369,4 @@ def read_dataset(path) -> list[ClassGroup]:
     pixels = np.frombuffer(b"".join(chunks), dtype="<f4").astype(np.float64)
     pixels = pixels.reshape(starts[-1], patch_size, patch_size)
     _check_patches(pixels, classes)
-    return [ClassGroup(class_id, pixels[start:start + k])
-            for (class_id, k), start in zip(classes, starts)]
+    return Dataset(pixels, starts, [class_id for class_id, _ in classes])

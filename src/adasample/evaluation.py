@@ -17,9 +17,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
-from .data import ClassGroup, to_input_matrix
+from .data import ClassGroup, Dataset, as_dataset
 from .errors import DatasetError, UndefinedCorrelationError
 from .metricspace import MetricKind, pairwise_distances
 from .miner import NegMode, _triplet_grads, mine_triplets
@@ -136,7 +135,8 @@ def _relative_spread(v: np.ndarray) -> float:
     return float(v.std() / scale) if scale > 0 else 0.0
 
 
-def info_correlation_probe(dataset: list[ClassGroup], params: ModelParams,
+def info_correlation_probe(dataset: Dataset | list[ClassGroup],
+                           params: ModelParams,
                            kind: MetricKind, rng: np.random.Generator,
                            sample_classes: int = 32, margin: float = 1.0,
                            neg_mode: NegMode = NegMode.SAME_ROLE,
@@ -158,20 +158,22 @@ def info_correlation_probe(dataset: list[ClassGroup], params: ModelParams,
     network that maps every candidate to the same point, all hinges
     inactive) is flagged degenerate instead of raising.
 
-    Every patch of the sampled classes runs through the network once. The
-    network is row-wise, so a candidate's batch differs from the others
+    Every patch of the sampled classes runs through the network once, from
+    the input rows the dataset holds (see :class:`~adasample.data.Dataset`).
+    The network is row-wise, so a candidate's batch differs from the others
     only in its own positive row: its triplet is mined alone against the
     fixed anchors and contexts, and its loss gradient touches at most three
     rows (its anchor, itself and the other-pair side of the negative),
     whose summed gradient norm comes from per-layer Gram matrices.
     """
-    usable = [g for g in dataset if len(g) >= 2]
-    if len(usable) < 2:
+    inputs = as_dataset(dataset).inputs
+    all_sizes = np.diff(inputs.offsets)
+    usable = np.flatnonzero(all_sizes >= 2)
+    if usable.size < 2:
         raise DatasetError("probe needs at least 2 classes with k >= 2")
-    m = min(sample_classes, len(usable))
-    picked = [usable[int(i)] for i in rng.choice(len(usable), size=m,
-                                                 replace=False)]
-    sizes = np.array([len(g) for g in picked])
+    m = min(sample_classes, usable.size)
+    picked = usable[rng.choice(usable.size, size=m, replace=False)]
+    sizes = all_sizes[picked]
     # Array bounds draw as the per-class scalar calls rng.integers(k) would.
     anchor = rng.integers(0, sizes)
     # the context is drawn among the k - 1 patches other than the anchor
@@ -190,8 +192,10 @@ def info_correlation_probe(dataset: list[ClassGroup], params: ModelParams,
     cand = np.arange(slot.size) - first_cand[slot]
     cand_row = first_row[slot] + cand + (cand >= anchor[slot])
 
-    descs, cache = forward(params, to_input_matrix(
-        np.concatenate([g.patches for g in picked])))
+    # the held rows of the picked classes, class after class
+    gather = np.repeat(inputs.offsets[picked] - first_row, sizes) \
+        + np.arange(sizes.sum())
+    descs, cache = forward(params, inputs.rows[gather])
     own = np.stack([anchor_row[slot], cand_row], axis=1)
     other = np.stack([anchor_row, context_row], axis=1)
     mined = mine_triplets(descs[own[:, 0]], descs[own[:, 1]], kind, margin,
@@ -279,4 +283,6 @@ def mann_whitney_u(sample_a: np.ndarray,
     if var <= 0:
         return MannWhitneyResult(u_obs, 1.0, False)
     z = (u_obs - mean + 0.5) / np.sqrt(var)
+    # imported here: scipy.special takes most of the package's import time
+    from scipy.special import ndtr
     return MannWhitneyResult(u_obs, float(ndtr(z)), False)

@@ -47,7 +47,7 @@ from typing import Callable, Iterable, NamedTuple
 import numpy as np
 
 from . import sampler as smp
-from .data import ClassGroup, ClassInputs, stack_class_inputs
+from .data import ClassGroup, ClassInputs, Dataset, as_dataset
 from .errors import DatasetError, NumericError
 from .metricspace import MetricKind, _candidates
 from .miner import NegMode, loss_grads, mine_triplets
@@ -142,9 +142,9 @@ class BatchDiagnostics:
 def build_batch(params: ModelParams, tracker: LossTracker,
                 config: TrainConfig, rng: np.random.Generator,
                 class_inputs: ClassInputs) -> tuple[Batch, BatchDiagnostics]:
-    """Select n distinct classes of ``class_inputs`` (from
-    :func:`stack_class_inputs`; every class holds at least 2 patches, as
-    :func:`train` checks) and one weighted (anchor, positive) each.
+    """Select n distinct classes of ``class_inputs`` (a dataset's
+    :attr:`~adasample.data.Dataset.inputs`; every class holds at least 2
+    patches, as :func:`train` checks) and one weighted (anchor, positive) each.
 
     The batch carries the rows of this call's forward pass with ``params``,
     so it is for a :func:`train_step` with the same params.
@@ -269,15 +269,17 @@ def init_state(config: TrainConfig, input_dim: int) -> TrainState:
                       epoch=0, step=0, lr=config.lr)
 
 
-def train(config: TrainConfig, dataset: list[ClassGroup],
+def train(config: TrainConfig, dataset: Dataset | list[ClassGroup],
           epoch_callback: Callable[[int, TrainState], None] | None = None
           ) -> tuple[ModelParams, list[dict]]:
     """Run the full schedule; returns final params and one metrics row per
-    step (columns per ``METRICS_COLUMNS``)."""
+    step (columns per ``METRICS_COLUMNS``). The dataset's input rows are
+    computed once and held by it (see :class:`~adasample.data.Dataset`)."""
     config.validate()
+    dataset = as_dataset(dataset)
     if not dataset:
         raise DatasetError("dataset is empty")
-    class_inputs = stack_class_inputs(dataset)
+    class_inputs = dataset.inputs
     small = class_inputs.class_ids[np.diff(class_inputs.offsets) < 2]
     if small.size:
         raise DatasetError(f"classes with fewer than 2 patches: "

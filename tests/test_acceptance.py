@@ -20,8 +20,7 @@ from scipy.stats import chisquare, wilcoxon
 
 from adasample.cli import verification_distances
 from adasample.config import substream_seed
-from adasample.data import (DatasetSpec, generate_synthetic,
-                            stack_class_inputs)
+from adasample.data import DatasetSpec, as_dataset, generate_synthetic
 from adasample.evaluation import (fpr_at_recall, info_correlation_probe,
                                   mann_whitney_u)
 from adasample.metricspace import MetricKind
@@ -80,7 +79,7 @@ def heldout_fpr95(benchmark_data, lam: float, seed: int) -> float:
     """Train one (lambda, seed) cell and score it on the held-out split."""
     train_split, holdout = benchmark_data
     params, _ = train(bench_config(lam, seed), train_split)
-    inputs = stack_class_inputs(holdout)
+    inputs = as_dataset(holdout).inputs
     descs, _ = forward(params, inputs.rows)
     rng = np.random.default_rng(substream_seed(seed, "eval"))
     pos, neg = verification_distances(descs, inputs.offsets,

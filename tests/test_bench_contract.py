@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adasample import evaluation, miner
+from adasample import cli, evaluation, miner
 from adasample.data import (DatasetSpec, generate_synthetic, read_dataset,
                             write_dataset)
 from adasample.metricspace import MetricKind
@@ -96,3 +96,29 @@ def test_ragged_dataset_round_trips_through_the_file(tmp_path):
     for want, got in zip(ragged, back):
         np.testing.assert_array_equal(got.patches,
                                       want.patches.astype(np.float32))
+
+
+def test_workload_idioms_work_on_a_read_dataset(tmp_path):
+    """``bench/workloads.py`` reads ``g.class_id`` and ``len(g.patches)``
+    over a ``read_dataset`` result, grows one with ``_ragged`` and
+    evaluates the held-out split of one."""
+    path = tmp_path / "d.adsp"
+    write_dataset(generate_synthetic(DatasetSpec(num_classes=12,
+                                                 patches_per_class=3,
+                                                 patch_size=8, seed=5)),
+                  path)
+    dataset = read_dataset(path)
+    assert [g.class_id for g in dataset] == list(range(12))
+    assert [len(g.patches) for g in dataset] == [3] * 12
+    lo, hi = workloads.WIDE_K_RANGE
+    sizes = [len(g.patches) for g in workloads._ragged(dataset, seed=1)]
+    assert all(lo <= k <= hi for k in sizes) and len(set(sizes)) > 1
+    rc = workloads._run_config(1, data={"num_classes": 12, "patch_size": 8})
+    inputs = workloads.Inputs(config=rc, dataset=dataset, digest="")
+    props = workloads.properties("eval_probe", inputs)
+    assert props["classes"] == 12 and props["class_size_hist"] == {3: 12}
+    params = init_params(rc.train.layer_dims(64), seed=1)
+    holdout = cli.split_holdout(dataset, rc.eval.holdout_fraction)[1]
+    checks = workloads.Checks()
+    assert len(workloads._evaluate(checks, holdout, params, rc)) == 3
+    assert checks.attempted == 6 and checks.failed == 0

@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 
 from adasample import data
 from adasample.data import (DATASET_MAGIC, DATASET_VERSION, ClassGroup,
-                            DatasetSpec, generate_positives,
+                            DatasetSpec, as_dataset, generate_positives,
                             generate_synthetic, read_dataset, rotate_patch,
-                            stack_class_inputs, to_input_matrix,
-                            write_dataset)
+                            to_input_matrix, write_dataset)
 from adasample.errors import DatasetError, FormatError
 from adasample.metricspace import MetricKind, pairwise_distances
 from adasample.tensornet import forward, init_params
@@ -190,9 +189,9 @@ class TestNormalize:
 class TestStackClassInputs:
     def test_rows_are_per_class_input_matrices_at_their_offsets(self):
         ds = generate_synthetic(small_spec())
-        ds[2].patches = ds[2].patches[:1]
-        ds[4].patches = ds[4].patches[:3]
-        stacked = stack_class_inputs(ds)
+        ds[2] = ClassGroup(ds[2].class_id, ds[2].patches[:1])
+        ds[4] = ClassGroup(ds[4].class_id, ds[4].patches[:3])
+        stacked = as_dataset(ds).inputs
         assert stacked.offsets.tolist() == [0, 4, 8, 9, 13, 16, 20]
         assert stacked.class_ids.tolist() == [g.class_id for g in ds]
         for c, group in enumerate(ds):
@@ -206,13 +205,13 @@ def random_classes(sizes, patch_size, seed=28):
             for c, k in enumerate(sizes)]
 
 
-# more pixels than one run of stack_class_inputs holds (2**16): 256 rows of
+# more pixels than one run of Dataset.inputs holds (2**16): 256 rows of
 # 16 x 16, and a class larger than that
 MANY_RUNS = [300, 5, 200, 40, 1, 120, 150]
 
 
 class TestBlockedStacking:
-    """stack_class_inputs normalizes runs of whole classes of at most 2**16
+    """Dataset.inputs normalizes runs of whole classes of at most 2**16
     pixels, or one larger class, per to_input_matrix call."""
 
     @pytest.mark.parametrize("patch_size, sizes, runs", [
@@ -233,7 +232,7 @@ class TestBlockedStacking:
             return to_input_matrix(patches)
 
         monkeypatch.setattr(data, "to_input_matrix", recording)
-        stacked = stack_class_inputs(ds)
+        stacked = as_dataset(ds).inputs
         assert calls == runs
         for c, group in enumerate(ds):
             rows = stacked.rows[stacked.offsets[c]:stacked.offsets[c + 1]]
@@ -244,7 +243,7 @@ class TestBlockedStacking:
         write_dataset(random_classes(MANY_RUNS, 16), path)
         ds = read_dataset(path)
         assert ds[0].patches.base is ds[-1].patches.base
-        stacked = stack_class_inputs(ds)
+        stacked = as_dataset(ds).inputs
         assert np.array_equal(stacked.rows, np.concatenate(
             [to_input_matrix(g.patches) for g in ds]))
 
@@ -262,7 +261,7 @@ class TestClassArraysUnchanged:
         assert ds[0].patches.base is ds[-1].patches.base
         before = [g.patches.copy() for g in ds]
         to_input_matrix(ds[2].patches)
-        stack_class_inputs(ds)
+        as_dataset(ds).inputs
         generate_positives(ds[3], len(ds[3]) + 5, np.random.default_rng(0))
         write_dataset(ds, tmp_path / "again.adsp")
         for group, want in zip(ds, before):

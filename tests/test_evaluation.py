@@ -10,12 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from adasample import cli
+from adasample import cli, data
 from adasample.cli import evaluate_params, split_holdout, \
     verification_distances
 from adasample.config import EvalOptions, RunConfig, substream_seed
-from adasample.data import (ClassGroup, DatasetSpec, generate_synthetic,
-                            stack_class_inputs, to_input_matrix)
+from adasample.data import (ClassGroup, DatasetSpec, as_dataset,
+                            generate_synthetic, to_input_matrix)
 from adasample.errors import DatasetError, UndefinedCorrelationError
 from adasample.evaluation import (EXACT_MW_LIMIT, EvalReport,
                                   InfoProbeResult, fpr_at_recall,
@@ -538,7 +538,7 @@ def assert_evaluation_matches_oracle(dataset, params, config):
     got = evaluate_params(dataset, params, config)
     assert got.fpr95 == want.fpr95
     assert got.retrieval_map == want.retrieval_map
-    inputs = stack_class_inputs(dataset)
+    inputs = as_dataset(dataset).inputs
     descs, _ = forward(params, inputs.rows)
     rng = np.random.default_rng(substream_seed(config.seed, "eval"))
     pos, neg = verification_distances(descs, inputs.offsets,
@@ -606,23 +606,31 @@ class TestEvaluateParamsOracle:
             ds, params, eval_config(seed, metric, num_pairs, num_queries))
 
     def test_one_stack_and_one_forward_per_call(self, monkeypatch):
-        calls = {"stack": 0, "forward": []}
-        real_stack, real_forward = cli.stack_class_inputs, cli.forward
+        """A list of classes is stacked and normalized on every call, a
+        Dataset on its first call only; every call runs one forward pass
+        over every patch."""
+        calls = {"normalized": [], "forward": []}
+        real_normalize, real_forward = data.to_input_matrix, cli.forward
 
-        def counting_stack(dataset):
-            calls["stack"] += 1
-            return real_stack(dataset)
+        def counting_normalize(patches):
+            calls["normalized"].append(len(patches))
+            return real_normalize(patches)
 
         def counting_forward(params, inputs):
             calls["forward"].append(len(inputs))
             return real_forward(params, inputs)
 
-        monkeypatch.setattr(cli, "stack_class_inputs", counting_stack)
+        monkeypatch.setattr(data, "to_input_matrix", counting_normalize)
         monkeypatch.setattr(cli, "forward", counting_forward)
         ds = ragged_dataset([1, 3, 6, 2, 5], seed=9)
-        evaluate_params(ds, init_params([36, 10, 5], seed=1),
-                        eval_config(1, MetricKind.ANGULAR, 2000, 3))
-        assert calls == {"stack": 1, "forward": [17]}
+        params = init_params([36, 10, 5], seed=1)
+        config = eval_config(1, MetricKind.ANGULAR, 2000, 3)
+        evaluate_params(ds, params, config)
+        assert calls == {"normalized": [17], "forward": [17]}
+        held = as_dataset(ds)
+        for _ in range(2):
+            evaluate_params(held, params, config)
+        assert calls == {"normalized": [17, 17], "forward": [17, 17, 17]}
 
     def test_too_few_classes_with_pairs_rejected(self):
         ds = ragged_dataset([1, 4, 1], seed=9)

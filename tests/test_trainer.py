@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adasample import metricspace, miner, trainer
-from adasample.data import (ClassGroup, DatasetSpec, generate_synthetic,
-                            stack_class_inputs, to_input_matrix)
+from adasample.data import (ClassGroup, DatasetSpec, as_dataset,
+                            generate_synthetic, to_input_matrix)
 from adasample.errors import DatasetError, NumericError
 from adasample.metricspace import MetricKind, pairwise_distances
 from adasample.miner import loss_grads, mine_triplets
@@ -37,7 +37,7 @@ def tiny_config(**kw):
 def batch_of(ds, state, cfg, rng, tracker=None):
     """build_batch over the stacked input rows of ``ds``."""
     return build_batch(state.params, tracker or state.loss_tracker, cfg, rng,
-                       stack_class_inputs(ds))
+                       as_dataset(ds).inputs)
 
 
 def scalar_build_batch(ds, params, tracker, cfg, rng):
@@ -208,7 +208,7 @@ class TestBuildBatchOracle:
         draw = int(rng.integers(1 << 30))
         batch, diag = build_batch(params, tracker, cfg,
                                   np.random.default_rng(draw),
-                                  stack_class_inputs(ds))
+                                  as_dataset(ds).inputs)
         inputs, weights, want = scalar_build_batch(
             ds, params, tracker, cfg, np.random.default_rng(draw))
         np.testing.assert_array_equal(batch.inputs, inputs)
@@ -227,7 +227,7 @@ class TestBuildBatchOracle:
         rng_kernel, rng_oracle = (np.random.default_rng(11) for _ in "ab")
         for _ in range(5):
             build_batch(params, tracker, cfg, rng_kernel,
-                        stack_class_inputs(ds))
+                        as_dataset(ds).inputs)
             scalar_build_batch(ds, params, tracker, cfg, rng_oracle)
             assert rng_kernel.bit_generator.state == \
                 rng_oracle.bit_generator.state
@@ -415,7 +415,7 @@ class TestOneForwardPass:
         cfg = tiny_config(batch_size=6, metric=metric, activation=activation,
                           lr=0.02, momentum=0.5, weight_decay=1e-3)
         state, want = init_state(cfg, 64), init_state(cfg, 64)
-        class_inputs = stack_class_inputs(ds)
+        class_inputs = as_dataset(ds).inputs
         for _ in range(30):
             batch, _ = build_batch(state.params, state.loss_tracker, cfg,
                                    rng, class_inputs)
