@@ -1,8 +1,9 @@
 """Descriptor-learning laboratory with adaptive hard-positive sampling."""
 
 from .config import EvalOptions, RunConfig, load_run_config, substream_seed
-from .data import (ClassGroup, DatasetSpec, generate_positives,
-                   generate_synthetic, read_dataset, write_dataset)
+from .data import (ClassGroup, Dataset, DatasetSpec, as_dataset,
+                   generate_positives, generate_synthetic, read_dataset,
+                   write_dataset)
 from .evaluation import (EvalReport, fpr_at_recall, info_correlation_probe,
                          mann_whitney_u, pearson, retrieval_map)
 from .metricspace import MetricKind, distance_grad, paired_distance_grads, \

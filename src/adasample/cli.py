@@ -29,7 +29,7 @@ from . import stream
 from . import trainer as tr
 from .config import (RunConfig, _parse_lambda, load_run_config,
                      substream_seed, with_lambda, with_seed)
-from .data import (ClassGroup, Dataset, as_dataset, generate_positives,
+from .data import (Dataset, as_dataset, generate_positives,
                    generate_synthetic, read_dataset, write_dataset)
 from .errors import DatasetError, FormatError, NumericError
 from .metricspace import _paired, paired_distances
@@ -44,14 +44,14 @@ def _eval_rng(config: RunConfig) -> np.random.Generator:
     return np.random.default_rng(substream_seed(config.seed, "eval"))
 
 
-def build_dataset(config: RunConfig) -> list[ClassGroup]:
+def build_dataset(config: RunConfig) -> Dataset:
     dataset = generate_synthetic(config.dataset)
     if config.expand_to_k:
         rng = np.random.default_rng(
             np.random.SeedSequence([config.dataset.seed, 3]))
-        dataset = [generate_positives(g, config.expand_to_k, rng,
-                                      config.rotation_range)
-                   for g in dataset]
+        dataset = as_dataset(generate_positives(g, config.expand_to_k, rng,
+                                                config.rotation_range)
+                             for g in dataset)
     return dataset
 
 
@@ -61,7 +61,11 @@ def verification_distances(descs: np.ndarray, offsets: np.ndarray, kind,
     """Distances of the matching and the non-matching pairs of the rows
     of ``descs`` that :func:`verification_pairs` draws, bit for bit as
     its per-pair loop of ``rng`` calls would (see :mod:`adasample.stream`
-    for the facts of numpy's stream this rests on)."""
+    for the facts of numpy's stream this rests on).
+
+    No command calls it: evaluation draws through :func:`evaluation_plan`.
+    It stays because the tests call it and the benchmark's layer trace
+    names it."""
     rows = verification_pairs(offsets, num_pairs, rng)
     d = paired_distances(descs[rows[0]], descs[rows[1]], kind)
     return d[:num_pairs], d[num_pairs:]
@@ -182,12 +186,11 @@ def evaluation_plan(dataset: Dataset, config: RunConfig) -> EvalPlan:
     return dataset.plans[key]
 
 
-def evaluate_params(dataset: Dataset | list[ClassGroup], params,
+def evaluate_params(dataset: Dataset, params,
                     config: RunConfig) -> ev.EvalReport:
     """Verification FPR95 and retrieval mAP of :func:`evaluation_plan`'s
     rows, from one forward pass over the input rows the dataset holds."""
-    dataset = as_dataset(dataset)
-    descs, _ = forward(params, dataset.inputs.rows)
+    descs, _ = forward(params, dataset.rows)
     kind = config.train.metric
     plan = evaluation_plan(dataset, config)
     # forward's rows are unit-norm, so the unchecked kernel runs on them
@@ -199,10 +202,9 @@ def evaluate_params(dataset: Dataset | list[ClassGroup], params,
     return ev.EvalReport(fpr95=fpr95, retrieval_map=result.mean_ap)
 
 
-def split_holdout(dataset: Dataset | list[ClassGroup],
+def split_holdout(dataset: Dataset,
                   fraction: float) -> tuple[Dataset, Dataset]:
     """Trailing ``fraction`` of classes becomes the held-out split."""
-    dataset = as_dataset(dataset)
     n_hold = max(1, int(round(fraction * len(dataset))))
     if n_hold >= len(dataset):
         raise DatasetError("holdout fraction leaves no training classes")

@@ -15,6 +15,7 @@ pinned explicitly via ``data.seed``.
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -85,6 +86,18 @@ def _parse_lambda(text: str) -> float:
     return float(text)
 
 
+def _enum_parser(kind: type[enum.Enum], what: str):
+    """Parser of a value of ``kind``, case-insensitive; an unknown name
+    raises a ValueError that calls it a ``what``."""
+    def parse(name: str):
+        try:
+            return kind(name.strip().lower())
+        except ValueError:
+            raise ValueError(f"unknown {what} {name!r}; expected one of "
+                             f"{[m.value for m in kind]}") from None
+    return parse
+
+
 # key -> (section, field name, parser)
 _KEYMAP = {
     "seed": ("root", "seed", int),
@@ -101,17 +114,20 @@ _KEYMAP = {
     "data.rotation_range": ("root", "rotation_range", float),
     "train.batch_size": ("train", "batch_size", int),
     "train.margin": ("train", "margin", float),
-    "train.metric": ("train", "metric", MetricKind.parse),
+    "train.metric": ("train", "metric",
+                     _enum_parser(MetricKind, "metric kind")),
     "train.lr": ("train", "lr", float),
     "train.momentum": ("train", "momentum", float),
     "train.weight_decay": ("train", "weight_decay", float),
     "train.epochs": ("train", "epochs", int),
     "train.lr_drop_epochs": ("train", "lr_drop_epochs", _parse_int_list),
     "train.pairs_per_epoch": ("train", "pairs_per_epoch", int),
-    "train.neg_mode": ("train", "neg_mode", NegMode.parse),
+    "train.neg_mode": ("train", "neg_mode",
+                       _enum_parser(NegMode, "neg_mode")),
     "train.hidden_dims": ("train", "hidden_dims", _parse_int_list),
     "train.descriptor_dim": ("train", "descriptor_dim", int),
-    "train.activation": ("train", "activation", Activation.parse),
+    "train.activation": ("train", "activation",
+                         _enum_parser(Activation, "activation")),
     "sampler.lambda": ("sampler", "lambda_", _parse_lambda),
     "sampler.ema_decay": ("sampler", "ema_decay", float),
     "sampler.exponent_cap": ("sampler", "exponent_cap", float),

@@ -10,11 +10,11 @@ per class.
 
 A class holds its k views as one (k, P, P) array; a patch is identified
 by its class id and its index in that array. Pixels travel as float64 in
-memory and float32 on disk. A file reads into a :class:`Dataset`: every
-patch in one read-only (N, P, P) array, with per-class offsets, whose
-normalized input rows are computed on first use and then held. Its
-classes are views of that array, so nothing here writes into a class's
-array.
+memory and float32 on disk. Generation and reading both give a
+:class:`Dataset`: every patch in one read-only (N, P, P) array, with
+per-class offsets, whose normalized input rows are computed on first use
+and then held. Its classes are views of that array, so nothing here
+writes into a class's array.
 
 scipy's ``ndimage`` is imported by the generation functions that use it,
 not with this module: reading, normalizing and evaluating do not need it,
@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
-from .errors import DatasetError, FormatError
+from .errors import ByteReader, DatasetError, FormatError
 
 DATASET_MAGIC = b"ADSP"
 DATASET_VERSION = 1
@@ -109,8 +109,12 @@ def _warp_crop(canvas_img: np.ndarray, patch_size: int, angle_deg: float,
     return warped[lo:lo + patch_size, lo:lo + patch_size].copy()
 
 
-def generate_synthetic(spec: DatasetSpec) -> list[ClassGroup]:
+def generate_synthetic(spec: DatasetSpec) -> Dataset:
     """Build ``num_classes`` classes of ``patches_per_class`` warped views.
+
+    Each class is generated into its own array and the classes are stacked
+    once at the end: work run after generation can then reuse the heap the
+    per-class arrays leave free, which one shared array does not leave.
 
     Finite but huge jitter values can overflow to non-finite pixels; each
     class is checked once, as a file is on read, and such a patch raises
@@ -142,7 +146,7 @@ def generate_synthetic(spec: DatasetSpec) -> list[ClassGroup]:
             view += rng.uniform(-spec.brightness_jitter, spec.brightness_jitter)
         _check_patches(views, [(class_id, len(views))])
         dataset.append(ClassGroup(class_id, views))
-    return dataset
+    return as_dataset(dataset)
 
 
 def rotate_patch(pixels: np.ndarray, angle_deg: float) -> np.ndarray:
@@ -178,15 +182,6 @@ def to_input_matrix(patches: np.ndarray) -> np.ndarray:
     return np.divide(X, std, out=np.zeros_like(X), where=std > 0)
 
 
-class ClassInputs(NamedTuple):
-    """Input rows of every patch of a dataset, stacked in dataset order;
-    class ``c`` owns rows ``offsets[c]:offsets[c + 1]``."""
-
-    rows: np.ndarray            # (total patches, D)
-    offsets: np.ndarray         # (classes + 1,)
-    class_ids: np.ndarray       # (classes,)
-
-
 def _read_only(array: np.ndarray) -> np.ndarray:
     view = array.view()
     view.flags.writeable = False
@@ -198,7 +193,7 @@ class Dataset:
     array, class after class: class ``c`` has id ``class_ids[c]`` and owns
     patches ``offsets[c]:offsets[c + 1]``.
 
-    Its input rows (:attr:`inputs`) are computed on first use and then
+    Its input rows (:attr:`rows`) are computed on first use and then
     held, and so are the evaluation plans that ``cli.evaluate_params``
     draws from it (:attr:`plans`). Both depend on the arrays alone, which
     are read-only so that neither can go stale.
@@ -212,7 +207,7 @@ class Dataset:
         self._pixels = _read_only(np.asarray(pixels, dtype=np.float64))
         self._offsets = _read_only(np.asarray(offsets, dtype=np.int64))
         self._class_ids = _read_only(np.asarray(class_ids, dtype=np.int64))
-        self._inputs: ClassInputs | None = None
+        self._rows: np.ndarray | None = None
         # (eval seed, pairs, queries) -> plan, filled by cli.evaluation_plan
         self.plans: dict = {}
 
@@ -241,10 +236,11 @@ class Dataset:
                           self._pixels[self._offsets[c]:self._offsets[c + 1]])
 
     @property
-    def inputs(self) -> ClassInputs:
-        """The input matrix of every patch, as from :func:`to_input_matrix`,
-        with per-class offsets; computed on first use, then held."""
-        if self._inputs is None:
+    def rows(self) -> np.ndarray:
+        """The read-only (N, P*P) input matrix of every patch, as from
+        :func:`to_input_matrix`; computed on first use, then held. Class
+        ``c`` owns rows ``offsets[c]:offsets[c + 1]``."""
+        if self._rows is None:
             offsets, pixels = self._offsets, self._pixels
             rows = np.empty((len(pixels), int(np.prod(pixels.shape[1:]))))
             # Runs of whole classes of at most 2**16 pixels (512 KB), or one
@@ -257,13 +253,22 @@ class Dataset:
                 rows[offsets[start]:offsets[stop]] = to_input_matrix(
                     pixels[offsets[start]:offsets[stop]])
                 start = stop
-            self._inputs = ClassInputs(_read_only(rows), offsets,
-                                       self._class_ids)
-        return self._inputs
+            self._rows = _read_only(rows)
+        return self._rows
+
+    def gather(self, classes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The input rows of every patch of ``classes`` (class indices),
+        class after class, and the row at which each class starts."""
+        sizes = self._offsets[classes + 1] - self._offsets[classes]
+        first = np.cumsum(sizes) - sizes
+        flat = np.repeat(self._offsets[classes] - first, sizes) \
+            + np.arange(sizes.sum())
+        return self.rows[flat], first
 
 
 def as_dataset(dataset: Dataset | Iterable[ClassGroup]) -> Dataset:
-    """``dataset`` itself, or its classes stacked into a :class:`Dataset`."""
+    """``dataset`` itself, or its classes stacked into a :class:`Dataset`:
+    the one constructor of a dataset from class groups."""
     if isinstance(dataset, Dataset):
         return dataset
     groups = list(dataset)
@@ -302,7 +307,10 @@ def _check_unique_ids(class_ids: list[int]) -> None:
                            f"more than one class")
 
 
-def write_dataset(dataset: Dataset | list[ClassGroup], path) -> None:
+def write_dataset(dataset: Iterable[ClassGroup], path) -> None:
+    """Write the classes of ``dataset`` (a :class:`Dataset` or any iterable
+    of class groups) to ``path``."""
+    dataset = list(dataset)
     if not dataset:
         raise DatasetError("refusing to write an empty dataset")
     if any(not len(group) for group in dataset):
@@ -331,18 +339,8 @@ def write_dataset(dataset: Dataset | list[ClassGroup], path) -> None:
 
 def read_dataset(path) -> Dataset:
     with open(path, "rb") as fh:
-        blob = fh.read()
-    offset = 0
-
-    def take(n: int, what: str) -> bytes:
-        nonlocal offset
-        if offset + n > len(blob):
-            raise FormatError(f"truncated file while reading {what}",
-                              len(blob))
-        chunk = blob[offset:offset + n]
-        offset += n
-        return chunk
-
+        reader = ByteReader(fh.read())
+    take = reader.take
     magic = take(4, "magic")
     if magic != DATASET_MAGIC:
         raise FormatError(f"bad magic {magic!r}, expected {DATASET_MAGIC!r}", 0)
@@ -362,8 +360,8 @@ def read_dataset(path) -> Dataset:
         chunks.append(take(4 * k * patch_size * patch_size,
                            f"the {k} patches of class {class_id}"))
         classes.append((class_id, k))
-    if offset != len(blob):
-        raise FormatError("trailing bytes after last class", offset)
+    if reader.offset != len(reader.blob):
+        raise FormatError("trailing bytes after last class", reader.offset)
     _check_unique_ids([class_id for class_id, _ in classes])
     starts = np.cumsum([0] + [k for _, k in classes]).tolist()
     pixels = np.frombuffer(b"".join(chunks), dtype="<f4").astype(np.float64)

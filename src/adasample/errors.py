@@ -42,3 +42,20 @@ class FormatError(ValueError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at byte offset {offset})")
         self.offset = offset
+
+
+class ByteReader:
+    """Bounds-checked reads from the front of a file's bytes; ``offset``
+    is the byte position the next read starts at."""
+
+    def __init__(self, blob: bytes):
+        self.blob = blob
+        self.offset = 0
+
+    def take(self, n: int, what: str) -> bytes:
+        if self.offset + n > len(self.blob):
+            raise FormatError(f"truncated file while reading {what}",
+                              len(self.blob))
+        chunk = self.blob[self.offset:self.offset + n]
+        self.offset += n
+        return chunk

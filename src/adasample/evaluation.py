@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .data import ClassGroup, Dataset, as_dataset
+from .data import Dataset
 from .errors import DatasetError, UndefinedCorrelationError
 from .metricspace import MetricKind, pairwise_distances
 from .miner import NegMode, _triplet_grads, mine_triplets
@@ -135,8 +135,7 @@ def _relative_spread(v: np.ndarray) -> float:
     return float(v.std() / scale) if scale > 0 else 0.0
 
 
-def info_correlation_probe(dataset: Dataset | list[ClassGroup],
-                           params: ModelParams,
+def info_correlation_probe(dataset: Dataset, params: ModelParams,
                            kind: MetricKind, rng: np.random.Generator,
                            sample_classes: int = 32, margin: float = 1.0,
                            neg_mode: NegMode = NegMode.SAME_ROLE,
@@ -166,8 +165,7 @@ def info_correlation_probe(dataset: Dataset | list[ClassGroup],
     rows (its anchor, itself and the other-pair side of the negative),
     whose summed gradient norm comes from per-layer Gram matrices.
     """
-    inputs = as_dataset(dataset).inputs
-    all_sizes = np.diff(inputs.offsets)
+    all_sizes = np.diff(dataset.offsets)
     usable = np.flatnonzero(all_sizes >= 2)
     if usable.size < 2:
         raise DatasetError("probe needs at least 2 classes with k >= 2")
@@ -180,8 +178,10 @@ def info_correlation_probe(dataset: Dataset | list[ClassGroup],
     context = rng.integers(0, sizes - 1)
     context += context >= anchor
 
-    # Row offsets into the one forward pass over every picked patch.
-    first_row = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    # One forward pass over every picked patch, class after class; class i
+    # starts at row first_row[i].
+    inputs, first_row = dataset.gather(picked)
+    descs, cache = forward(params, inputs)
     anchor_row = first_row + anchor
     context_row = first_row + context
     # Candidates in class order; candidate c of a class is its patch
@@ -191,11 +191,6 @@ def info_correlation_probe(dataset: Dataset | list[ClassGroup],
     first_cand = np.concatenate([[0], np.cumsum(counts)[:-1]])
     cand = np.arange(slot.size) - first_cand[slot]
     cand_row = first_row[slot] + cand + (cand >= anchor[slot])
-
-    # the held rows of the picked classes, class after class
-    gather = np.repeat(inputs.offsets[picked] - first_row, sizes) \
-        + np.arange(sizes.sum())
-    descs, cache = forward(params, inputs.rows[gather])
     own = np.stack([anchor_row[slot], cand_row], axis=1)
     other = np.stack([anchor_row, context_row], axis=1)
     mined = mine_triplets(descs[own[:, 0]], descs[own[:, 1]], kind, margin,

@@ -33,14 +33,6 @@ class MetricKind(enum.Enum):
     EUCLIDEAN = "euclidean"
     ANGULAR = "angular"
 
-    @classmethod
-    def parse(cls, name: str) -> "MetricKind":
-        try:
-            return cls(name.strip().lower())
-        except ValueError:
-            raise ValueError(f"unknown metric kind {name!r}; expected one of "
-                             f"{[m.value for m in cls]}") from None
-
 
 class DistanceGrads(NamedTuple):
     grad_a: np.ndarray

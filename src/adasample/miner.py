@@ -57,14 +57,6 @@ class NegMode(enum.Enum):
     SAME_ROLE = "same_role"
     CROSS_ROLE = "cross_role"
 
-    @classmethod
-    def parse(cls, name: str) -> "NegMode":
-        try:
-            return cls(name.strip().lower())
-        except ValueError:
-            raise ValueError(f"unknown neg_mode {name!r}; expected one of "
-                             f"{[m.value for m in cls]}") from None
-
 
 @dataclass(frozen=True)
 class MinedTriplet:

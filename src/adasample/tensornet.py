@@ -19,7 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateOutputError, FormatError, NumericError
+from .errors import ByteReader, DegenerateOutputError, FormatError, \
+    NumericError
 
 PARAMS_MAGIC = b"ADNW"
 PARAMS_VERSION = 1
@@ -28,14 +29,6 @@ PARAMS_VERSION = 1
 class Activation(enum.Enum):
     TANH = "tanh"
     RELU = "relu"
-
-    @classmethod
-    def parse(cls, name: str) -> "Activation":
-        try:
-            return cls(name.strip().lower())
-        except ValueError:
-            raise ValueError(f"unknown activation {name!r}; expected one of "
-                             f"{[a.value for a in cls]}") from None
 
 
 @dataclass
@@ -264,18 +257,8 @@ def write_params(params: ModelParams, path) -> None:
 
 def read_params(path) -> ModelParams:
     with open(path, "rb") as fh:
-        blob = fh.read()
-    offset = 0
-
-    def take(n: int, what: str) -> bytes:
-        nonlocal offset
-        if offset + n > len(blob):
-            raise FormatError(f"truncated file while reading {what}",
-                              len(blob))
-        chunk = blob[offset:offset + n]
-        offset += n
-        return chunk
-
+        reader = ByteReader(fh.read())
+    take = reader.take
     magic = take(4, "magic")
     if magic != PARAMS_MAGIC:
         raise FormatError(f"bad magic {magic!r}, expected {PARAMS_MAGIC!r}", 0)
@@ -291,15 +274,16 @@ def read_params(path) -> ModelParams:
                           12 + 4 * dims.index(0))
     (act_code,) = struct.unpack("<I", take(4, "activation"))
     if act_code not in (0, 1):
-        raise FormatError(f"unknown activation code {act_code}", offset - 4)
+        raise FormatError(f"unknown activation code {act_code}",
+                          reader.offset - 4)
     activation = Activation.TANH if act_code == 0 else Activation.RELU
     layers = []
     for l in range(layer_count):
         rows, cols = dims[l + 1], dims[l]
         raw = take(8 * rows * cols, f"layer {l} weights")
         layers.append(np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy())
-    if offset != len(blob):
-        raise FormatError("trailing bytes after weights", offset)
+    if reader.offset != len(reader.blob):
+        raise FormatError("trailing bytes after weights", reader.offset)
     params = ModelParams(layers, activation)
     params.validate()
     return params

@@ -47,7 +47,7 @@ from typing import Callable, Iterable, NamedTuple
 import numpy as np
 
 from . import sampler as smp
-from .data import ClassGroup, ClassInputs, Dataset, as_dataset
+from .data import Dataset
 from .errors import DatasetError, NumericError
 from .metricspace import MetricKind, _candidates
 from .miner import NegMode, loss_grads, mine_triplets
@@ -141,10 +141,10 @@ class BatchDiagnostics:
 
 def build_batch(params: ModelParams, tracker: LossTracker,
                 config: TrainConfig, rng: np.random.Generator,
-                class_inputs: ClassInputs) -> tuple[Batch, BatchDiagnostics]:
-    """Select n distinct classes of ``class_inputs`` (a dataset's
-    :attr:`~adasample.data.Dataset.inputs`; every class holds at least 2
-    patches, as :func:`train` checks) and one weighted (anchor, positive) each.
+                dataset: Dataset) -> tuple[Batch, BatchDiagnostics]:
+    """Select n distinct classes of ``dataset`` (every class holds at least
+    2 patches, as :func:`train` checks) and one weighted (anchor, positive)
+    each.
 
     The batch carries the rows of this call's forward pass with ``params``,
     so it is for a :func:`train_step` with the same params.
@@ -156,11 +156,11 @@ def build_batch(params: ModelParams, tracker: LossTracker,
     each entry equal its scalar draw.
     """
     n = config.batch_size
-    num_classes = len(class_inputs.class_ids)
+    num_classes = len(dataset)
     if num_classes < n:
         raise DatasetError(f"dataset has {num_classes} classes but the batch "
                            f"needs {n}")
-    sizes = np.diff(class_inputs.offsets)
+    sizes = np.diff(dataset.offsets)
     exponent = smp.adaptive_exponent(tracker, config.sampler) \
         if tracker.initialized else 0.0
     chosen_classes = rng.choice(num_classes, size=n, replace=False)
@@ -173,10 +173,8 @@ def build_batch(params: ModelParams, tracker: LossTracker,
 
     # One batched descriptor extraction over every patch of the selected
     # classes, class after class; class i starts at row first[i].
-    starts = class_inputs.offsets[chosen_classes]
-    first = np.cumsum(k) - k
-    flat = np.repeat(starts - first, k) + np.arange(k.sum())
-    descs, cache = forward(params, class_inputs.rows[flat])
+    inputs, first = dataset.gather(chosen_classes)
+    descs, cache = forward(params, inputs)
 
     # Pad columns repeat the anchor; the counts mask them everywhere.
     c = np.arange(k.max() - 1)
@@ -193,7 +191,7 @@ def build_batch(params: ModelParams, tracker: LossTracker,
     weights, clamped = smp.reweights(dists[slots, pick])
     rows = np.concatenate([first + anchor_index, first + positive_index])
     diag = BatchDiagnostics(
-        class_ids=class_inputs.class_ids[chosen_classes],
+        class_ids=dataset.class_ids[chosen_classes],
         anchor_index=anchor_index, positive_index=positive_index,
         probability_used=probs[slots, pick], exponent=exponent,
         weight_clamped=clamped)
@@ -269,22 +267,20 @@ def init_state(config: TrainConfig, input_dim: int) -> TrainState:
                       epoch=0, step=0, lr=config.lr)
 
 
-def train(config: TrainConfig, dataset: Dataset | list[ClassGroup],
+def train(config: TrainConfig, dataset: Dataset,
           epoch_callback: Callable[[int, TrainState], None] | None = None
           ) -> tuple[ModelParams, list[dict]]:
     """Run the full schedule; returns final params and one metrics row per
     step (columns per ``METRICS_COLUMNS``). The dataset's input rows are
     computed once and held by it (see :class:`~adasample.data.Dataset`)."""
     config.validate()
-    dataset = as_dataset(dataset)
     if not dataset:
         raise DatasetError("dataset is empty")
-    class_inputs = dataset.inputs
-    small = class_inputs.class_ids[np.diff(class_inputs.offsets) < 2]
+    small = dataset.class_ids[np.diff(dataset.offsets) < 2]
     if small.size:
         raise DatasetError(f"classes with fewer than 2 patches: "
                            f"{small[:5].tolist()}")
-    state = init_state(config, class_inputs.rows.shape[1])
+    state = init_state(config, dataset.rows.shape[1])
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     log: list[dict] = []
     steps_per_epoch = max(1, config.pairs_per_epoch // config.batch_size)
@@ -294,7 +290,7 @@ def train(config: TrainConfig, dataset: Dataset | list[ClassGroup],
             state.lr = effective_lr(config.lr, epoch, config.lr_drop_epochs)
             for _ in range(steps_per_epoch):
                 batch, diag = build_batch(state.params, state.loss_tracker,
-                                          config, rng, class_inputs)
+                                          config, rng, dataset)
                 state, metrics = train_step(state, batch, config)
                 log.append({"epoch": epoch, "step": state.step,
                             "mean_loss": metrics["mean_loss"],

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from adasample import cli, evaluation, miner
-from adasample.data import (DatasetSpec, generate_synthetic, read_dataset,
-                            write_dataset)
+from adasample.data import (Dataset, DatasetSpec, generate_synthetic,
+                            read_dataset, write_dataset)
 from adasample.metricspace import MetricKind
 from adasample.miner import NegMode, mine_triplets
 from adasample.tensornet import init_params
@@ -122,3 +122,16 @@ def test_workload_idioms_work_on_a_read_dataset(tmp_path):
     checks = workloads.Checks()
     assert len(workloads._evaluate(checks, holdout, params, rc)) == 3
     assert checks.attempted == 6 and checks.failed == 0
+
+
+@pytest.mark.parametrize("name", ["eval_probe", "compare_small"])
+def test_setup_holds_a_dataset_its_properties_read(tmp_path, name):
+    """The benchmark's own set-up, run as it runs: a change that narrows
+    what the package accepts or returns fails here, not in a benchmark
+    run."""
+    inputs = workloads.setup(name, 1, tmp_path)
+    assert isinstance(inputs.dataset, Dataset)
+    props = workloads.properties(name, inputs)
+    assert props == inputs.properties
+    assert props["classes"] == len(inputs.dataset) == 200
+    assert props["class_size_hist"] == {8: 200}

@@ -12,7 +12,9 @@ from adasample.data import (ClassGroup, DatasetSpec, generate_synthetic,
                             read_dataset, write_dataset)
 from adasample.errors import DatasetError
 from adasample.metricspace import MetricKind
-from adasample.tensornet import init_params, read_params, write_params
+from adasample.miner import NegMode
+from adasample.tensornet import (Activation, init_params, read_params,
+                                 write_params)
 from test_data import adsp_bytes
 
 TINY_CONFIG = """
@@ -97,6 +99,28 @@ class TestConfigParsing:
     def test_metric_parsing(self):
         sections = parse_config_text("train.metric = euclidean\n")
         assert sections["train"]["metric"] is MetricKind.EUCLIDEAN
+
+    @pytest.mark.parametrize("key, value, member", [
+        ("metric", " Angular ", MetricKind.ANGULAR),
+        ("neg_mode", "CROSS_ROLE", NegMode.CROSS_ROLE),
+        ("activation", "relu", Activation.RELU)])
+    def test_enum_values_parse_ignoring_case_and_spaces(self, key, value,
+                                                        member):
+        sections = parse_config_text(f"train.{key} = {value}\n")
+        assert sections["train"][key] is member
+
+    @pytest.mark.parametrize("key, message", [
+        ("metric", "unknown metric kind 'cosine'; expected one of "
+                   "['euclidean', 'angular']"),
+        ("neg_mode", "unknown neg_mode 'cosine'; expected one of "
+                     "['same_role', 'cross_role']"),
+        ("activation", "unknown activation 'cosine'; expected one of "
+                       "['tanh', 'relu']")])
+    def test_unknown_enum_value_names_the_choices(self, key, message):
+        with pytest.raises(ValueError) as err:
+            parse_config_text(f"train.{key} = cosine\n")
+        assert str(err.value) == \
+            f"<config>:1: bad value for 'train.{key}': {message}"
 
 
 class TestSplitHoldout:
@@ -309,9 +333,9 @@ class TestCliPipeline:
     def test_empty_retrieval_gallery_exits_1(self, tmp_path, capsys):
         """Each of the first eval.num_queries classes holds one patch, so no
         gallery is left: a fault of the data, not of the config."""
-        dataset = generate_synthetic(DatasetSpec(num_classes=6,
-                                                 patches_per_class=4,
-                                                 patch_size=8, seed=3))
+        dataset = list(generate_synthetic(DatasetSpec(num_classes=6,
+                                                      patches_per_class=4,
+                                                      patch_size=8, seed=3)))
         dataset[:3] = [ClassGroup(g.class_id, g.patches[:1])
                        for g in dataset[:3]]
         data_path = tmp_path / "d.adsp"
@@ -332,9 +356,9 @@ class TestCliPipeline:
                                                         tmp_path, capsys):
         """Only one class holds two patches, so the probe has no context
         pair: a fault of the data, not of the config."""
-        dataset = generate_synthetic(DatasetSpec(num_classes=4,
-                                                 patches_per_class=4,
-                                                 patch_size=8, seed=3))
+        dataset = list(generate_synthetic(DatasetSpec(num_classes=4,
+                                                      patches_per_class=4,
+                                                      patch_size=8, seed=3)))
         dataset[1:] = [ClassGroup(g.class_id, g.patches[:1])
                        for g in dataset[1:]]
         data_path = tmp_path / "d.adsp"

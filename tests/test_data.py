@@ -24,6 +24,11 @@ def small_spec(**kw):
     return DatasetSpec(**base)
 
 
+def writable_classes(dataset):
+    """The classes of ``dataset`` as a list of writable copies."""
+    return [ClassGroup(g.class_id, g.patches.copy()) for g in dataset]
+
+
 class TestGenerateSynthetic:
     def test_same_seed_gives_identical_dataset(self):
         a = generate_synthetic(small_spec())
@@ -188,10 +193,10 @@ class TestNormalize:
 
 class TestStackClassInputs:
     def test_rows_are_per_class_input_matrices_at_their_offsets(self):
-        ds = generate_synthetic(small_spec())
+        ds = list(generate_synthetic(small_spec()))
         ds[2] = ClassGroup(ds[2].class_id, ds[2].patches[:1])
         ds[4] = ClassGroup(ds[4].class_id, ds[4].patches[:3])
-        stacked = as_dataset(ds).inputs
+        stacked = as_dataset(ds)
         assert stacked.offsets.tolist() == [0, 4, 8, 9, 13, 16, 20]
         assert stacked.class_ids.tolist() == [g.class_id for g in ds]
         for c, group in enumerate(ds):
@@ -205,13 +210,13 @@ def random_classes(sizes, patch_size, seed=28):
             for c, k in enumerate(sizes)]
 
 
-# more pixels than one run of Dataset.inputs holds (2**16): 256 rows of
+# more pixels than one run of Dataset.rows holds (2**16): 256 rows of
 # 16 x 16, and a class larger than that
 MANY_RUNS = [300, 5, 200, 40, 1, 120, 150]
 
 
 class TestBlockedStacking:
-    """Dataset.inputs normalizes runs of whole classes of at most 2**16
+    """Dataset.rows normalizes runs of whole classes of at most 2**16
     pixels, or one larger class, per to_input_matrix call."""
 
     @pytest.mark.parametrize("patch_size, sizes, runs", [
@@ -232,7 +237,8 @@ class TestBlockedStacking:
             return to_input_matrix(patches)
 
         monkeypatch.setattr(data, "to_input_matrix", recording)
-        stacked = as_dataset(ds).inputs
+        stacked = as_dataset(ds)
+        stacked.rows
         assert calls == runs
         for c, group in enumerate(ds):
             rows = stacked.rows[stacked.offsets[c]:stacked.offsets[c + 1]]
@@ -243,8 +249,7 @@ class TestBlockedStacking:
         write_dataset(random_classes(MANY_RUNS, 16), path)
         ds = read_dataset(path)
         assert ds[0].patches.base is ds[-1].patches.base
-        stacked = as_dataset(ds).inputs
-        assert np.array_equal(stacked.rows, np.concatenate(
+        assert np.array_equal(ds.rows, np.concatenate(
             [to_input_matrix(g.patches) for g in ds]))
 
 
@@ -261,14 +266,14 @@ class TestClassArraysUnchanged:
         assert ds[0].patches.base is ds[-1].patches.base
         before = [g.patches.copy() for g in ds]
         to_input_matrix(ds[2].patches)
-        as_dataset(ds).inputs
+        ds.rows
         generate_positives(ds[3], len(ds[3]) + 5, np.random.default_rng(0))
         write_dataset(ds, tmp_path / "again.adsp")
         for group, want in zip(ds, before):
             assert np.array_equal(group.patches, want)
 
     def test_write_rejects_a_class_of_another_patch_size(self, tmp_path):
-        ds = generate_synthetic(small_spec())
+        ds = list(generate_synthetic(small_spec()))
         ds[3] = ClassGroup(ds[3].class_id, ds[3].patches[:, :6, :6])
         path = tmp_path / "d.adsp"
         with pytest.raises(DatasetError, match=r"class 3 holds patches of "
@@ -416,7 +421,7 @@ class TestDatasetIO:
             read_dataset(path)
 
     def test_non_finite_pixel_named_on_write(self, tmp_path):
-        ds = generate_synthetic(small_spec())
+        ds = writable_classes(generate_synthetic(small_spec()))
         ds[4].patches[1, 0, 7] = 1e300      # beyond float32
         path = tmp_path / "d.adsp"
         with pytest.raises(DatasetError, match="patch 1 of class 4 "):
@@ -449,7 +454,7 @@ class TestDatasetIO:
             read_dataset(path)
 
     def test_repeated_class_id_named_on_write(self, tmp_path):
-        ds = generate_synthetic(small_spec())
+        ds = list(generate_synthetic(small_spec()))
         ds[4] = ClassGroup(ds[1].class_id, ds[4].patches)
         path = tmp_path / "d.adsp"
         with pytest.raises(DatasetError, match="class id 1 is used by more"):
@@ -471,7 +476,7 @@ class TestDatasetIO:
             read_dataset(path)
 
     def test_constant_patch_named_on_write(self, tmp_path):
-        ds = generate_synthetic(small_spec())
+        ds = writable_classes(generate_synthetic(small_spec()))
         ds[5].patches[0] = -1.5
         path = tmp_path / "d.adsp"
         with pytest.raises(DatasetError, match="patch 0 of class 5 is "
@@ -481,7 +486,7 @@ class TestDatasetIO:
 
     def test_patch_constant_only_at_float32_refused_on_write(self, tmp_path):
         """The check sees the float32 pixels the file would hold."""
-        ds = generate_synthetic(small_spec())
+        ds = writable_classes(generate_synthetic(small_spec()))
         ds[0].patches[2] = 1.0
         ds[0].patches[2, 4, 4] += 1e-12
         with pytest.raises(DatasetError, match="patch 2 of class 0 is "

@@ -1,6 +1,7 @@
 """Tests for the dataset value: read-only pixels and rows, views and
 slices, input rows and evaluation plans computed once, and the same
-results from a Dataset as from a list of the same classes."""
+results from a Dataset read from a file as from one stacked from copies
+of its classes."""
 
 import dataclasses
 import os
@@ -13,11 +14,11 @@ import pytest
 
 import adasample
 from adasample import data
-from adasample.cli import evaluate_params, main, split_holdout
+from adasample.cli import build_dataset, evaluate_params, main, split_holdout
 from adasample.config import EvalOptions, RunConfig
 from adasample.data import (ClassGroup, Dataset, DatasetSpec, as_dataset,
-                            generate_synthetic, read_dataset,
-                            to_input_matrix, write_dataset)
+                            generate_positives, generate_synthetic,
+                            read_dataset, to_input_matrix, write_dataset)
 from adasample.errors import DatasetError
 from adasample.evaluation import info_correlation_probe
 from adasample.metricspace import MetricKind
@@ -57,7 +58,7 @@ class TestDatasetValue:
     def test_arrays_are_read_only_and_views_frozen(self, tmp_path):
         held, _ = held_and_list(tmp_path, "ragged")
         for array in (held.pixels, held.offsets, held.class_ids,
-                      held[3].patches, held.inputs.rows, held[2:5].pixels):
+                      held[3].patches, held.rows, held[2:5].pixels):
             with pytest.raises(ValueError, match="read-only"):
                 array.flat[0] = 1
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -81,9 +82,8 @@ class TestDatasetValue:
         assert run.offsets[0] == 0
         assert np.array_equal(run.pixels, np.concatenate(
             [g.patches for g in groups[5:21]]))
-        assert np.array_equal(run.inputs.rows,
-                              held.inputs.rows[held.offsets[5]:
-                                               held.offsets[21]])
+        assert np.array_equal(run.rows,
+                              held.rows[held.offsets[5]:held.offsets[21]])
         assert len(held[7:2]) == 0
         with pytest.raises(ValueError, match="runs of classes"):
             held[::2]
@@ -99,9 +99,9 @@ class TestDatasetValue:
         monkeypatch.setattr(data, "to_input_matrix", counting)
         split_holdout(held, 0.25)
         assert rows == []
-        first = held.inputs
-        assert held.inputs is first and sum(rows) == 24 * 6
-        assert np.array_equal(first.rows, np.concatenate(
+        first = held.rows
+        assert held.rows is first and sum(rows) == 24 * 6
+        assert np.array_equal(first, np.concatenate(
             [to_input_matrix(g.patches) for g in groups]))
 
     def test_as_dataset(self, tmp_path):
@@ -114,13 +114,83 @@ class TestDatasetValue:
         assert len(as_dataset([])) == 0
 
 
+class TestEveryProducerGivesADataset:
+    SPEC = DatasetSpec(num_classes=6, patches_per_class=3, patch_size=8,
+                       seed=5)
+
+    def test_generate_synthetic(self):
+        ds = generate_synthetic(self.SPEC)
+        assert isinstance(ds, Dataset)
+        assert ds.offsets.tolist() == [0, 3, 6, 9, 12, 15, 18]
+        assert ds.class_ids.tolist() == list(range(6))
+
+    @pytest.mark.parametrize("expand_to_k", [0, 5])
+    def test_build_dataset(self, expand_to_k):
+        """The generated classes, each grown class by class as the list
+        of classes was before it became one dataset."""
+        ds = build_dataset(RunConfig(dataset=self.SPEC,
+                                     expand_to_k=expand_to_k))
+        assert isinstance(ds, Dataset)
+        want = list(generate_synthetic(self.SPEC))
+        if expand_to_k:
+            rng = np.random.default_rng(np.random.SeedSequence([5, 3]))
+            want = [generate_positives(g, expand_to_k, rng, 30.0)
+                    for g in want]
+        assert len(ds) == len(want)
+        for got, group in zip(ds, want):
+            assert got.class_id == group.class_id
+            assert np.array_equal(got.patches, group.patches)
+        assert np.diff(ds.offsets).tolist() == [expand_to_k or 3] * 6
+
+    def test_read_dataset_and_split_holdout(self, tmp_path):
+        path = tmp_path / "d.adsp"
+        write_dataset(generate_synthetic(self.SPEC), path)
+        ds = read_dataset(path)
+        assert isinstance(ds, Dataset)
+        train_split, holdout = split_holdout(ds, 0.3)
+        assert isinstance(train_split, Dataset)
+        assert isinstance(holdout, Dataset)
+        assert holdout.class_ids.tolist() == [4, 5]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_writing_a_dataset_writes_its_classes(self, tmp_path, shape):
+        ds = as_dataset(classes(shape))
+        write_dataset(ds, tmp_path / "dataset.adsp")
+        write_dataset(list(ds), tmp_path / "list.adsp")
+        write_dataset(iter(classes(shape)), tmp_path / "groups.adsp")
+        want = (tmp_path / "list.adsp").read_bytes()
+        assert (tmp_path / "dataset.adsp").read_bytes() == want
+        assert (tmp_path / "groups.adsp").read_bytes() == want
+
+
+class TestGather:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rows_of_shuffled_classes_of_a_ragged_dataset(self, seed):
+        """Each class's rows, class after class in the order asked for,
+        and the row at which each starts."""
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(1, 8, size=9)
+        ds = as_dataset(ClassGroup(10 + c, rng.normal(size=(k, 5, 5)))
+                        for c, k in enumerate(sizes))
+        picked = rng.permutation(9)[:int(rng.integers(1, 10))]
+        rows, first = ds.gather(picked)
+        want = [to_input_matrix(ds[int(c)].patches) for c in picked]
+        assert np.array_equal(rows, np.concatenate(want))
+        assert first.tolist() == np.cumsum(
+            [0] + [len(w) for w in want[:-1]]).tolist()
+
+
 @pytest.mark.parametrize("metric", list(MetricKind))
 @pytest.mark.parametrize("shape", SHAPES)
 class TestSameResultsFromDatasetAndList:
+    """A dataset read from a file gives the results of one stacked by
+    ``as_dataset`` from copies of its classes, and held rows and plans do
+    not change them."""
+
     def test_evaluate_params(self, tmp_path, metric, shape):
         held, groups = held_and_list(tmp_path, shape)
         params = init_params([256, 64, 32], seed=3)
-        want = {seed: evaluate_params(groups, params,
+        want = {seed: evaluate_params(as_dataset(groups), params,
                                       eval_config(seed, metric))
                 for seed in (5, 6)}
         first = evaluate_params(held, params, eval_config(5, metric))
@@ -132,7 +202,7 @@ class TestSameResultsFromDatasetAndList:
         assert len(held.plans) == 2
         # a plan is keyed by its eval options too
         fewer = evaluate_params(held, params, eval_config(5, metric, 300, 4))
-        assert fewer == evaluate_params(groups, params,
+        assert fewer == evaluate_params(as_dataset(groups), params,
                                         eval_config(5, metric, 300, 4))
         assert len(held.plans) == 3
 
@@ -140,7 +210,7 @@ class TestSameResultsFromDatasetAndList:
         held, groups = held_and_list(tmp_path, shape)
         params = init_params([256, 64, 32], seed=4)
         results, states = [], []
-        for dataset in (groups, held, held):
+        for dataset in (as_dataset(groups), held, held):
             rng = np.random.default_rng(8)
             results.append(info_correlation_probe(dataset, params, metric,
                                                   rng, sample_classes=10))
@@ -157,7 +227,7 @@ class TestSameResultsFromDatasetAndList:
         config = TrainConfig(metric=metric, batch_size=8, epochs=2,
                              pairs_per_epoch=48, hidden_dims=(16,),
                              descriptor_dim=8, seed=2)
-        want_params, want_log = train(config, groups)
+        want_params, want_log = train(config, as_dataset(groups))
         for _ in range(2):
             got_params, got_log = train(config, held)
             assert got_log == want_log

@@ -126,8 +126,8 @@ def ragged_dataset(sizes, seed, **kw):
                 patch_size=6, outlier_fraction=0.0, seed=seed)
     spec.update(kw)
     full = generate_synthetic(DatasetSpec(**spec))
-    return [ClassGroup(g.class_id, g.patches[:k])
-            for g, k in zip(full, sizes)]
+    return as_dataset(ClassGroup(g.class_id, g.patches[:k])
+                      for g, k in zip(full, sizes))
 
 
 def assert_probe_matches_oracle(dataset, params, kind, seed, **kw):
@@ -538,10 +538,9 @@ def assert_evaluation_matches_oracle(dataset, params, config):
     got = evaluate_params(dataset, params, config)
     assert got.fpr95 == want.fpr95
     assert got.retrieval_map == want.retrieval_map
-    inputs = as_dataset(dataset).inputs
-    descs, _ = forward(params, inputs.rows)
+    descs, _ = forward(params, dataset.rows)
     rng = np.random.default_rng(substream_seed(config.seed, "eval"))
-    pos, neg = verification_distances(descs, inputs.offsets,
+    pos, neg = verification_distances(descs, dataset.offsets,
                                       config.train.metric,
                                       config.eval.num_pairs, rng)
     assert np.array_equal(pos, want_pos)
@@ -606,9 +605,8 @@ class TestEvaluateParamsOracle:
             ds, params, eval_config(seed, metric, num_pairs, num_queries))
 
     def test_one_stack_and_one_forward_per_call(self, monkeypatch):
-        """A list of classes is stacked and normalized on every call, a
-        Dataset on its first call only; every call runs one forward pass
-        over every patch."""
+        """A dataset is normalized on its first call only; every call runs
+        one forward pass over every patch."""
         calls = {"normalized": [], "forward": []}
         real_normalize, real_forward = data.to_input_matrix, cli.forward
 
@@ -627,10 +625,9 @@ class TestEvaluateParamsOracle:
         config = eval_config(1, MetricKind.ANGULAR, 2000, 3)
         evaluate_params(ds, params, config)
         assert calls == {"normalized": [17], "forward": [17]}
-        held = as_dataset(ds)
         for _ in range(2):
-            evaluate_params(held, params, config)
-        assert calls == {"normalized": [17, 17], "forward": [17, 17, 17]}
+            evaluate_params(ds, params, config)
+        assert calls == {"normalized": [17], "forward": [17, 17, 17]}
 
     def test_too_few_classes_with_pairs_rejected(self):
         ds = ragged_dataset([1, 4, 1], seed=9)

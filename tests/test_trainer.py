@@ -35,9 +35,9 @@ def tiny_config(**kw):
 
 
 def batch_of(ds, state, cfg, rng, tracker=None):
-    """build_batch over the stacked input rows of ``ds``."""
+    """build_batch over ``ds``, a dataset or a list of its classes."""
     return build_batch(state.params, tracker or state.loss_tracker, cfg, rng,
-                       as_dataset(ds).inputs)
+                       as_dataset(ds))
 
 
 def scalar_build_batch(ds, params, tracker, cfg, rng):
@@ -208,7 +208,7 @@ class TestBuildBatchOracle:
         draw = int(rng.integers(1 << 30))
         batch, diag = build_batch(params, tracker, cfg,
                                   np.random.default_rng(draw),
-                                  as_dataset(ds).inputs)
+                                  as_dataset(ds))
         inputs, weights, want = scalar_build_batch(
             ds, params, tracker, cfg, np.random.default_rng(draw))
         np.testing.assert_array_equal(batch.inputs, inputs)
@@ -226,8 +226,7 @@ class TestBuildBatchOracle:
         tracker = LossTracker(l_avg=0.4, initialized=True)
         rng_kernel, rng_oracle = (np.random.default_rng(11) for _ in "ab")
         for _ in range(5):
-            build_batch(params, tracker, cfg, rng_kernel,
-                        as_dataset(ds).inputs)
+            build_batch(params, tracker, cfg, rng_kernel, as_dataset(ds))
             scalar_build_batch(ds, params, tracker, cfg, rng_oracle)
             assert rng_kernel.bit_generator.state == \
                 rng_oracle.bit_generator.state
@@ -415,10 +414,10 @@ class TestOneForwardPass:
         cfg = tiny_config(batch_size=6, metric=metric, activation=activation,
                           lr=0.02, momentum=0.5, weight_decay=1e-3)
         state, want = init_state(cfg, 64), init_state(cfg, 64)
-        class_inputs = as_dataset(ds).inputs
+        dataset = as_dataset(ds)
         for _ in range(30):
             batch, _ = build_batch(state.params, state.loss_tracker, cfg,
-                                   rng, class_inputs)
+                                   rng, dataset)
             state, metrics = train_step(state, batch, cfg)
             want, want_metrics = oracle_train_step(want, batch, cfg)
             assert metrics == want_metrics
@@ -521,12 +520,12 @@ class TestTrain:
             raise AssertionError("build_batch ran")
 
         monkeypatch.setattr(trainer, "build_batch", no_batch)
-        ds = tiny_dataset()
+        ds = list(tiny_dataset())
         for i in (2, 5):
             ds[i] = ClassGroup(ds[i].class_id, ds[i].patches[:1])
         with pytest.raises(DatasetError, match=r"classes with fewer than 2 "
                                                r"patches: \[2, 5\]"):
-            train(tiny_config(), ds)
+            train(tiny_config(), as_dataset(ds))
 
     def test_same_seed_gives_bitwise_identical_logs(self):
         ds = tiny_dataset()
