@@ -10,7 +10,7 @@ from .metricspace import MetricKind, distance_grad, paired_distance_grads, \
     paired_distances, pairwise_distances
 from .miner import (MinedTriplet, MinedTriplets, NegMode, NegSource,
                     hardest_negatives, loss_grads, mine_triplets,
-                    triplet_grads, triplet_loss)
+                    triplet_loss)
 from .sampler import (LossTracker, SamplerConfig, adaptive_exponent,
                       categorical_sample, expected_rectification,
                       optimal_probs, positive_probs, reweights,

@@ -20,28 +20,24 @@ import csv
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
 from . import evaluation as ev
-from . import stream
 from . import trainer as tr
-from .config import (RunConfig, _parse_lambda, load_run_config,
-                     substream_seed, with_lambda, with_seed)
+from .config import (RunConfig, _parse_lambda, load_run_config, with_lambda,
+                     with_seed)
 from .data import (Dataset, as_dataset, generate_positives,
                    generate_synthetic, read_dataset, write_dataset)
 from .errors import DatasetError, FormatError, NumericError
-from .metricspace import _paired, paired_distances
-from .tensornet import forward, read_params, write_params
+from .evaluation import evaluate_params, split_holdout
+# bound here only for the benchmark's layer trace (ROADMAP items 1 and 9)
+from .evaluation import verification_distances  # noqa: F401
+from .tensornet import read_params, write_params
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
-
-
-def _eval_rng(config: RunConfig) -> np.random.Generator:
-    return np.random.default_rng(substream_seed(config.seed, "eval"))
 
 
 def build_dataset(config: RunConfig) -> Dataset:
@@ -53,162 +49,6 @@ def build_dataset(config: RunConfig) -> Dataset:
                                                 config.rotation_range)
                              for g in dataset)
     return dataset
-
-
-def verification_distances(descs: np.ndarray, offsets: np.ndarray, kind,
-                           num_pairs: int, rng: np.random.Generator
-                           ) -> tuple[np.ndarray, np.ndarray]:
-    """Distances of the matching and the non-matching pairs of the rows
-    of ``descs`` that :func:`verification_pairs` draws, bit for bit as
-    its per-pair loop of ``rng`` calls would (see :mod:`adasample.stream`
-    for the facts of numpy's stream this rests on).
-
-    No command calls it: evaluation draws through :func:`evaluation_plan`.
-    It stays because the tests call it and the benchmark's layer trace
-    names it."""
-    rows = verification_pairs(offsets, num_pairs, rng)
-    d = paired_distances(descs[rows[0]], descs[rows[1]], kind)
-    return d[:num_pairs], d[num_pairs:]
-
-
-def verification_pairs(offsets: np.ndarray, num_pairs: int,
-                       rng: np.random.Generator) -> np.ndarray:
-    """The (2, 2 * num_pairs) rows of ``num_pairs`` sampled matching pairs
-    and then ``num_pairs`` non-matching pairs, where class ``c`` owns rows
-    ``offsets[c]:offsets[c + 1]``.
-
-    The pairs, and the state ``rng`` is left in, are those of the loop ::
-
-        for each of num_pairs matching pairs:     # usable: classes, k >= 2
-            c = usable[rng.integers(len(usable))]
-            i, j = rng.choice(k[c], 2, replace=False)
-        for each of num_pairs non-matching pairs:
-            ca, cb = rng.choice(len(k), 2, replace=False)
-            i, j = rng.integers(k[ca]), rng.integers(k[cb])
-
-    replayed from one block of the generator's words (the stream facts are
-    in :mod:`adasample.stream`). A matching pair reads at most 4 words and
-    a non-matching one at most 5, unless a word is rejected; a block of
-    9 words per pair that the pairs overrun is drawn again twice as long.
-    """
-    if num_pairs < 1:
-        raise ValueError(f"num_pairs must be >= 1, got {num_pairs}")
-    sizes = np.diff(offsets)
-    usable = np.flatnonzero(sizes >= 2)
-    if usable.size < 2:
-        raise DatasetError("verification needs >= 2 classes with k >= 2")
-    if sizes.min() < 1:
-        raise DatasetError("verification needs every class to hold a patch")
-
-    def matching(block, pos):
-        c, pos = stream.bounded(block, pos, usable.size - 1)
-        c = usable[c]
-        i, j, pos = stream.distinct_pair(block, pos, sizes[c])
-        return offsets[c] + i, offsets[c] + j, pos
-
-    def non_matching(block, pos):
-        ca, cb, pos = stream.distinct_pair(block, pos, sizes.size)
-        i, pos = stream.bounded(block, pos, sizes[ca] - 1)
-        j, pos = stream.bounded(block, pos, sizes[cb] - 1)
-        return offsets[ca] + i, offsets[cb] + j, pos
-
-    state = rng.bit_generator.state
-    scale = 1
-    while True:
-        block = stream.words(rng, 9 * num_pairs * scale)
-        rows, used = [], 0
-        for pair_at, stop in ((matching, 4 * num_pairs * scale),
-                              (non_matching, len(block))):
-            drawn = _draw_pairs(block, used, stop, num_pairs, pair_at)
-            if drawn is None:
-                break
-            rows.append(drawn[0])
-            used = drawn[1]
-        else:   # both phases fit in the block
-            break
-        rng.bit_generator.state = state
-        scale *= 2
-    rng.bit_generator.state = state
-    stream.words(rng, used)
-    return np.concatenate(rows, axis=1)
-
-
-def _draw_pairs(block: np.ndarray, start: int, stop: int, count: int,
-                pair_at) -> tuple[np.ndarray, int] | None:
-    """The (2, count) rows of ``count`` consecutive pairs drawn from word
-    ``start`` of ``block``, and the word position after them; None when
-    that position would pass ``stop``. ``pair_at(block, pos)`` gives, for
-    every word position in ``pos``, the rows of the pair drawn from there
-    and the position after it."""
-    # positions run at most a few words past the block
-    dtype = np.int32 if len(block) < 2**31 - 64 else np.int64
-    pos = np.arange(start, stop + 1, dtype=dtype)
-    a, b, ends = pair_at(block, pos)
-    chain = stream.walk(ends - start, count)
-    if chain is None:
-        return None
-    starts = chain[:-1]
-    return np.stack([a[starts], b[starts]]), start + int(chain[-1])
-
-
-class EvalPlan(NamedTuple):
-    """The rows :func:`evaluate_params` compares and their labels: they
-    depend on the dataset and the eval seed and options, not on params."""
-
-    pairs: np.ndarray           # (2, 2 * num_pairs): matching, non-matching
-    queries: np.ndarray
-    query_labels: np.ndarray
-    gallery: np.ndarray
-    gallery_labels: np.ndarray
-
-
-def evaluation_plan(dataset: Dataset, config: RunConfig) -> EvalPlan:
-    """The verification pairs a fresh :func:`_eval_rng` draws, and the
-    retrieval split: the first patch of each of the first
-    ``eval.num_queries`` classes is a query, the rest of those classes the
-    gallery. Drawn once per (eval seed, ``eval.num_pairs``,
-    ``eval.num_queries``) and held in ``dataset.plans``."""
-    seed = substream_seed(config.seed, "eval")
-    key = (seed, config.eval.num_pairs, config.eval.num_queries)
-    if key not in dataset.plans:
-        pairs = verification_pairs(dataset.offsets, config.eval.num_pairs,
-                                   np.random.default_rng(seed))
-        n_queries = min(config.eval.num_queries, len(dataset))
-        queries = dataset.offsets[:n_queries]
-        gallery = np.delete(np.arange(dataset.offsets[n_queries]), queries)
-        if gallery.size == 0:
-            raise DatasetError(f"retrieval gallery is empty: each of the "
-                               f"first {n_queries} classes "
-                               f"(eval.num_queries) holds 1")
-        labels = np.repeat(dataset.class_ids, np.diff(dataset.offsets))
-        dataset.plans[key] = EvalPlan(pairs, queries, labels[queries],
-                                      gallery, labels[gallery])
-    return dataset.plans[key]
-
-
-def evaluate_params(dataset: Dataset, params,
-                    config: RunConfig) -> ev.EvalReport:
-    """Verification FPR95 and retrieval mAP of :func:`evaluation_plan`'s
-    rows, from one forward pass over the input rows the dataset holds."""
-    descs, _ = forward(params, dataset.rows)
-    kind = config.train.metric
-    plan = evaluation_plan(dataset, config)
-    # forward's rows are unit-norm, so the unchecked kernel runs on them
-    d = _paired(descs[plan.pairs[0]], descs[plan.pairs[1]], kind)
-    n = config.eval.num_pairs
-    fpr95 = ev.fpr_at_recall(d[:n], d[n:], 0.95)
-    result = ev.retrieval_map(descs[plan.queries], plan.query_labels,
-                              descs[plan.gallery], plan.gallery_labels, kind)
-    return ev.EvalReport(fpr95=fpr95, retrieval_map=result.mean_ap)
-
-
-def split_holdout(dataset: Dataset,
-                  fraction: float) -> tuple[Dataset, Dataset]:
-    """Trailing ``fraction`` of classes becomes the held-out split."""
-    n_hold = max(1, int(round(fraction * len(dataset))))
-    if n_hold >= len(dataset):
-        raise DatasetError("holdout fraction leaves no training classes")
-    return dataset[:-n_hold], dataset[-n_hold:]
 
 
 def write_metrics_csv(log: list[dict], path) -> None:
@@ -268,9 +108,8 @@ def cmd_diagnose(args) -> int:
     config = load_run_config(args.config, args.seed, args.lam)
     params = read_params(args.params)
     dataset = read_dataset(args.dataset)
-    rng = _eval_rng(config)
     result = ev.info_correlation_probe(
-        dataset, params, config.train.metric, rng,
+        dataset, params, config.train.metric, ev.eval_rng(config),
         sample_classes=config.eval.probe_classes,
         margin=config.train.margin, neg_mode=config.train.neg_mode)
     out_dir = Path(args.out)

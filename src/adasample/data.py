@@ -194,9 +194,10 @@ class Dataset:
     patches ``offsets[c]:offsets[c + 1]``.
 
     Its input rows (:attr:`rows`) are computed on first use and then
-    held, and so are the evaluation plans that ``cli.evaluate_params``
-    draws from it (:attr:`plans`). Both depend on the arrays alone, which
-    are read-only so that neither can go stale.
+    held, and so are its evaluation plans (:attr:`plans`), which live as
+    long as the dataset; ``evaluation.evaluation_plan`` is their only
+    writer. Both depend on the arrays alone, which are read-only so that
+    neither can go stale.
 
     ``len`` counts classes. An int index gives the class as a
     :class:`ClassGroup` view of the pixels, iteration gives every class,
@@ -208,7 +209,7 @@ class Dataset:
         self._offsets = _read_only(np.asarray(offsets, dtype=np.int64))
         self._class_ids = _read_only(np.asarray(class_ids, dtype=np.int64))
         self._rows: np.ndarray | None = None
-        # (eval seed, pairs, queries) -> plan, filled by cli.evaluation_plan
+        # (run seed, pairs, queries) -> plan
         self.plans: dict = {}
 
     pixels = property(lambda self: self._pixels)

@@ -1,7 +1,11 @@
-"""Verification metrics, the informativeness diagnostic, and rank testing.
+"""Held-out evaluation, the informativeness diagnostic, and rank testing.
 
 * FPR at fixed recall over matching/non-matching distance samples.
 * Retrieval mean average precision, distance ties broken by gallery index.
+* Held-out evaluation (:func:`evaluate_params`): the verification pairs of
+  the run's eval substream (drawn with :mod:`adasample.stream`) and the
+  retrieval split, planned once per dataset, run seed and eval options,
+  scored from one forward pass over the dataset's input rows.
 * A probe that compares, per class, the positive-sampling probabilities
   induced by descriptor distance against the ones induced by the true
   per-sample full-parameter gradient norm of the mined triplet loss, and
@@ -18,13 +22,16 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from . import stream
+from .config import RunConfig, substream_seed
 from .data import Dataset
 from .errors import DatasetError, UndefinedCorrelationError
-from .metricspace import MetricKind, pairwise_distances
+from .metricspace import MetricKind, _paired, _unit_rows, pairwise_distances
 from .miner import NegMode, _triplet_grads, mine_triplets
 from .tensornet import ModelParams, forward, group_grad_norms
 
 EXACT_MW_LIMIT = 20
+_PAIR_BLOCK = 1024      # pairs gathered at a time: two (1024, D) blocks
 
 
 @dataclass
@@ -106,6 +113,178 @@ def retrieval_map(query_descs: np.ndarray, query_labels: Sequence[int],
         aps[of_m] = np.mean(np.arange(1, m + 1) / ranked, axis=1)
     mean_ap = float(np.mean(aps)) if aps.size else float("nan")
     return RetrievalResult(mean_ap, matched.size, Q.shape[0] - matched.size)
+
+
+def eval_rng(config: RunConfig) -> np.random.Generator:
+    """A fresh generator of the run's eval substream."""
+    return np.random.default_rng(substream_seed(config.seed, "eval"))
+
+
+def verification_pairs(offsets: np.ndarray, num_pairs: int,
+                       rng: np.random.Generator) -> np.ndarray:
+    """The (2, 2 * num_pairs) rows of ``num_pairs`` sampled matching pairs
+    and then ``num_pairs`` non-matching pairs, where class ``c`` owns rows
+    ``offsets[c]:offsets[c + 1]``.
+
+    The pairs, and the state ``rng`` is left in, are those of the loop ::
+
+        for each of num_pairs matching pairs:     # usable: classes, k >= 2
+            c = usable[rng.integers(len(usable))]
+            i, j = rng.choice(k[c], 2, replace=False)
+        for each of num_pairs non-matching pairs:
+            ca, cb = rng.choice(len(k), 2, replace=False)
+            i, j = rng.integers(k[ca]), rng.integers(k[cb])
+
+    replayed from one block of the generator's words (the stream facts are
+    in :mod:`adasample.stream`). A matching pair reads at most 4 words and
+    a non-matching one at most 5, unless a word is rejected; a block of
+    9 words per pair that the pairs overrun is drawn again twice as long.
+    """
+    if num_pairs < 1:
+        raise ValueError(f"num_pairs must be >= 1, got {num_pairs}")
+    sizes = np.diff(offsets)
+    usable = np.flatnonzero(sizes >= 2)
+    if usable.size < 2:
+        raise DatasetError("verification needs >= 2 classes with k >= 2")
+    if sizes.min() < 1:
+        raise DatasetError("verification needs every class to hold a patch")
+
+    def matching(block, pos):
+        c, pos = stream.bounded(block, pos, usable.size - 1)
+        c = usable[c]
+        i, j, pos = stream.distinct_pair(block, pos, sizes[c])
+        return offsets[c] + i, offsets[c] + j, pos
+
+    def non_matching(block, pos):
+        ca, cb, pos = stream.distinct_pair(block, pos, sizes.size)
+        i, pos = stream.bounded(block, pos, sizes[ca] - 1)
+        j, pos = stream.bounded(block, pos, sizes[cb] - 1)
+        return offsets[ca] + i, offsets[cb] + j, pos
+
+    state = rng.bit_generator.state
+    scale = 1
+    while True:
+        block = stream.words(rng, 9 * num_pairs * scale)
+        rows, used = [], 0
+        for pair_at, stop in ((matching, 4 * num_pairs * scale),
+                              (non_matching, len(block))):
+            drawn = _draw_pairs(block, used, stop, num_pairs, pair_at)
+            if drawn is None:
+                break
+            rows.append(drawn[0])
+            used = drawn[1]
+        else:   # both phases fit in the block
+            break
+        rng.bit_generator.state = state
+        scale *= 2
+    rng.bit_generator.state = state
+    stream.words(rng, used)
+    return np.concatenate(rows, axis=1)
+
+
+def _draw_pairs(block: np.ndarray, start: int, stop: int, count: int,
+                pair_at) -> tuple[np.ndarray, int] | None:
+    """The (2, count) rows of ``count`` consecutive pairs drawn from word
+    ``start`` of ``block``, and the word position after them; None when
+    that position would pass ``stop``. ``pair_at(block, pos)`` gives, for
+    every word position in ``pos``, the rows of the pair drawn from there
+    and the position after it."""
+    # positions run at most a few words past the block
+    dtype = np.int32 if len(block) < 2**31 - 64 else np.int64
+    pos = np.arange(start, stop + 1, dtype=dtype)
+    a, b, ends = pair_at(block, pos)
+    chain = stream.walk(ends - start, count)
+    if chain is None:
+        return None
+    starts = chain[:-1]
+    return np.stack([a[starts], b[starts]]), start + int(chain[-1])
+
+
+def _pair_distances(descs: np.ndarray, pairs: np.ndarray,
+                    kind: MetricKind) -> np.ndarray:
+    """Entry i = distance(descs[pairs[0, i]], descs[pairs[1, i]], kind),
+    for unit-norm ``descs``, gathered and measured in blocks of
+    ``_PAIR_BLOCK`` pairs so that the temporaries stay cache-sized (each
+    distance depends on its own pair alone, so the blocks change no bit)."""
+    out = np.empty(pairs.shape[1])
+    for start in range(0, out.size, _PAIR_BLOCK):
+        a, b = pairs[:, start:start + _PAIR_BLOCK]
+        out[start:start + _PAIR_BLOCK] = _paired(descs[a], descs[b], kind)
+    return out
+
+
+def verification_distances(descs: np.ndarray, offsets: np.ndarray, kind,
+                           num_pairs: int, rng: np.random.Generator
+                           ) -> tuple[np.ndarray, np.ndarray]:
+    """Distances of the matching and the non-matching pairs of the rows
+    of ``descs`` that :func:`verification_pairs` draws from ``rng``.
+
+    No command calls it: evaluation draws through :func:`evaluation_plan`.
+    It stays because the tests call it and the benchmark's layer trace
+    names it."""
+    descs, = _unit_rows(descs, names=("descs",))
+    d = _pair_distances(descs, verification_pairs(offsets, num_pairs, rng),
+                        kind)
+    return d[:num_pairs], d[num_pairs:]
+
+
+class EvalPlan(NamedTuple):
+    """The rows :func:`evaluate_params` compares and their labels: they
+    depend on the dataset and the eval seed and options, not on params."""
+
+    pairs: np.ndarray           # (2, 2 * num_pairs): matching, non-matching
+    queries: np.ndarray
+    query_labels: np.ndarray
+    gallery: np.ndarray
+    gallery_labels: np.ndarray
+
+
+def evaluation_plan(dataset: Dataset, config: RunConfig) -> EvalPlan:
+    """The verification pairs a fresh :func:`eval_rng` draws, and the
+    retrieval split: the first patch of each of the first
+    ``eval.num_queries`` classes is a query, the rest of those classes the
+    gallery. Drawn once per (run seed, ``eval.num_pairs``,
+    ``eval.num_queries``) and held in ``dataset.plans``."""
+    key = (config.seed, config.eval.num_pairs, config.eval.num_queries)
+    if key not in dataset.plans:
+        pairs = verification_pairs(dataset.offsets, config.eval.num_pairs,
+                                   eval_rng(config))
+        n_queries = min(config.eval.num_queries, len(dataset))
+        queries = dataset.offsets[:n_queries]
+        gallery = np.delete(np.arange(dataset.offsets[n_queries]), queries)
+        if gallery.size == 0:
+            raise DatasetError(f"retrieval gallery is empty: each of the "
+                               f"first {n_queries} classes "
+                               f"(eval.num_queries) holds 1")
+        labels = np.repeat(dataset.class_ids, np.diff(dataset.offsets))
+        dataset.plans[key] = EvalPlan(pairs, queries, labels[queries],
+                                      gallery, labels[gallery])
+    return dataset.plans[key]
+
+
+def evaluate_params(dataset: Dataset, params: ModelParams,
+                    config: RunConfig) -> EvalReport:
+    """Verification FPR95 and retrieval mAP of :func:`evaluation_plan`'s
+    rows, from one forward pass over the input rows the dataset holds."""
+    descs, _ = forward(params, dataset.rows)
+    kind = config.train.metric
+    plan = evaluation_plan(dataset, config)
+    # forward's rows are unit-norm, so the unchecked kernel runs on them
+    d = _pair_distances(descs, plan.pairs, kind)
+    n = config.eval.num_pairs
+    fpr95 = fpr_at_recall(d[:n], d[n:], 0.95)
+    result = retrieval_map(descs[plan.queries], plan.query_labels,
+                           descs[plan.gallery], plan.gallery_labels, kind)
+    return EvalReport(fpr95=fpr95, retrieval_map=result.mean_ap)
+
+
+def split_holdout(dataset: Dataset,
+                  fraction: float) -> tuple[Dataset, Dataset]:
+    """Trailing ``fraction`` of classes becomes the held-out split."""
+    n_hold = max(1, int(round(fraction * len(dataset))))
+    if n_hold >= len(dataset):
+        raise DatasetError("holdout fraction leaves no training classes")
+    return dataset[:-n_hold], dataset[-n_hold:]
 
 
 def pearson(x: np.ndarray, y: np.ndarray) -> float:

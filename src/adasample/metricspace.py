@@ -162,28 +162,16 @@ def _paired(A: np.ndarray, B: np.ndarray, kind: MetricKind) -> np.ndarray:
     return np.arccos(np.clip(np.sum(A * B, axis=1), -1.0, 1.0))
 
 
-def candidate_distances(anchors: np.ndarray, candidates: np.ndarray,
-                        counts: np.ndarray, kind: MetricKind) -> np.ndarray:
-    """Matrix with entry (i, c) = distance(candidates[i, c], anchors[i], kind)
-    for c < counts[i]; the pad columns c >= counts[i] hold 0.
-
-    Row i equals, bit for bit, ``pairwise_distances(candidates[i,
-    :counts[i]], anchors[i:i + 1], kind)[:, 0]``. BLAS orders the sums of a
-    matrix-vector product by its row count, so the angular dot products run
-    as one batched product per distinct count.
-    """
-    X = np.asarray(candidates, dtype=np.float64)
-    counts = np.asarray(counts)
-    A, _ = _unit_rows(anchors, X[np.arange(X.shape[1]) < counts[:, None]],
-                      names=("anchors", "candidates"))
-    if A.shape[0] != X.shape[0]:
-        raise ValueError(f"{A.shape[0]} anchors for {X.shape[0]} candidate "
-                         f"rows")
-    return _candidates(A, X, counts, kind)
-
-
 def _candidates(A: np.ndarray, X: np.ndarray, counts: np.ndarray,
                 kind: MetricKind) -> np.ndarray:
+    """Matrix with entry (i, c) = distance(X[i, c], A[i], kind) for
+    c < counts[i]; the pad columns c >= counts[i] hold 0.
+
+    Row i equals, bit for bit, ``pairwise_distances(X[i, :counts[i]],
+    A[i:i + 1], kind)[:, 0]``. BLAS orders the sums of a matrix-vector
+    product by its row count, so the angular dot products run as one
+    batched product per distinct count.
+    """
     n, K = X.shape[:2]
     if kind is MetricKind.EUCLIDEAN:
         out = _euclidean_norms(X, A[:, None, :])

@@ -18,7 +18,7 @@ the anchor-side candidate before the positive-side candidate.
 
 The opposing pairs may be another set than the batch: the informativeness
 probe mines each candidate against fixed anchors and contexts. Training and
-the probe both differentiate the loss through :func:`triplet_grads`.
+the probe both differentiate the loss through ``_triplet_grads``.
 
 Each public function checks once that its descriptor rows are unit-norm
 (:func:`mine_triplets` through :func:`hardest_negatives`) and then runs
@@ -175,9 +175,9 @@ def mine_triplets(anchors: np.ndarray, positives: np.ndarray,
                          j=neg.j, loss=triplet_loss(d_pos, neg.d_neg, margin))
 
 
-def triplet_grads(X: np.ndarray, own: np.ndarray, other: np.ndarray,
-                  mined: MinedTriplets, kind: MetricKind,
-                  weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _triplet_grads(X: np.ndarray, own: np.ndarray, other: np.ndarray,
+                   mined: MinedTriplets, kind: MetricKind,
+                   weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The rows of X and weighted hinge gradients of each mined triplet.
 
     ``own[t]`` holds the rows of triplet t's anchor and positive,
@@ -187,13 +187,6 @@ def triplet_grads(X: np.ndarray, own: np.ndarray, other: np.ndarray,
     through each row: 2 d_pos * grad(d_pos) and -2 d_neg * grad(d_neg).
     Every hinge is taken as active; callers drop or zero the others.
     """
-    X, = _unit_rows(X, names=("X",))
-    return _triplet_grads(X, own, other, mined, kind, weights)
-
-
-def _triplet_grads(X: np.ndarray, own: np.ndarray, other: np.ndarray,
-                   mined: MinedTriplets, kind: MetricKind,
-                   weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     T = len(own)
     rows = np.stack([own[:, 0], own[:, 1],
                      own[np.arange(T), mined.source % 2],
@@ -215,7 +208,7 @@ def loss_grads(anchors: np.ndarray, positives: np.ndarray,
                ) -> tuple[np.ndarray, np.ndarray]:
     """Descriptor-space gradients of sum_i w_i * loss_i.
 
-    Each active pair contributes the :func:`triplet_grads` terms. Inactive
+    Each active pair contributes the ``_triplet_grads`` terms. Inactive
     hinges (and the exact hinge boundary) contribute the zero subgradient.
     A descriptor receives its terms in pair order, and within a pair in the
     order anchor, positive, pair-i side and pair-j side of the negative.

@@ -3,9 +3,7 @@ the generator's raw 32-bit words.
 
 The stream facts, for ``np.random.Generator`` over PCG64 (the generator
 every command builds), that :func:`adasample.trainer.build_batch` and
-:func:`adasample.cli.verification_pairs` (which
-:func:`adasample.cli.evaluation_plan` draws evaluation's pairs through)
-rely on:
+:func:`adasample.evaluation.verification_pairs` rely on:
 
 * PCG64 makes 64-bit outputs. A 32-bit draw takes the low half of a fresh
   output and keeps the high half in the generator's buffer; the next

@@ -1,6 +1,7 @@
 """A per-triplet loop over the scalar distance gradients: the oracle for
-``miner.loss_grads`` and, through it, for every user of
-``miner.triplet_grads``. It shares no code with the batched kernels."""
+``miner.loss_grads`` and, through it, for ``miner._triplet_grads``, the
+kernel it shares with the probe. It shares no code with the batched
+kernels."""
 
 import numpy as np
 

@@ -1,6 +1,6 @@
 """One ``rng.integers`` or ``rng.choice`` call per draw: the oracle for
-``adasample.cli.verification_pairs``, which replays this loop's random
-stream from one block of words."""
+``adasample.evaluation.verification_pairs``, which replays this loop's
+random stream from one block of words."""
 
 import numpy as np
 

@@ -18,10 +18,9 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare, wilcoxon
 
-from adasample.cli import verification_distances
-from adasample.config import substream_seed
+from adasample.config import EvalOptions, RunConfig, substream_seed
 from adasample.data import DatasetSpec, generate_synthetic
-from adasample.evaluation import (fpr_at_recall, info_correlation_probe,
+from adasample.evaluation import (evaluate_params, info_correlation_probe,
                                   mann_whitney_u)
 from adasample.metricspace import MetricKind
 from adasample.miner import (NEG_SOURCES, NegSource, hardest_negatives,
@@ -76,14 +75,13 @@ def benchmark_data():
 
 
 def heldout_fpr95(benchmark_data, lam: float, seed: int) -> float:
-    """Train one (lambda, seed) cell and score it on the held-out split."""
+    """Train one (lambda, seed) cell and score it on the held-out split as
+    ``evaluate`` and ``compare`` do."""
     train_split, holdout = benchmark_data
-    params, _ = train(bench_config(lam, seed), train_split)
-    descs, _ = forward(params, holdout.rows)
-    rng = np.random.default_rng(substream_seed(seed, "eval"))
-    pos, neg = verification_distances(descs, holdout.offsets,
-                                      MetricKind.ANGULAR, EVAL_PAIRS, rng)
-    return fpr_at_recall(pos, neg, 0.95)
+    config = RunConfig(seed=seed, train=bench_config(lam, seed),
+                       eval=EvalOptions(num_pairs=EVAL_PAIRS))
+    params, _ = train(config.train, train_split)
+    return evaluate_params(holdout, params, config).fpr95
 
 
 @pytest.fixture(scope="module")

@@ -40,6 +40,16 @@ def test_traced_function_resolves(module, function):
     assert callable(getattr(importlib.import_module(module), function))
 
 
+@pytest.mark.parametrize("function", ["evaluate_params", "split_holdout",
+                                      "verification_distances"])
+def test_cli_binds_the_evaluation_function_itself(function):
+    """The benchmark calls and traces these under ``cli``. The tracer
+    rebinds a traced object in every module that holds it, so ``cli`` must
+    hold ``evaluation``'s own function: a wrapper would split the traced
+    span from the code it measures."""
+    assert getattr(cli, function) is getattr(evaluation, function)
+
+
 def test_input_rows_counter_reads_a_class_array():
     counter = {f: c for _, f, c in layers.TRACED}["to_input_matrix"]
     patches = np.zeros((5, 4, 4))

@@ -5,12 +5,13 @@ import csv
 import numpy as np
 import pytest
 
-from adasample.cli import main, split_holdout
+from adasample.cli import main
 from adasample.config import (load_run_config, parse_config_text,
                               substream_seed, with_lambda, with_seed)
 from adasample.data import (ClassGroup, DatasetSpec, generate_synthetic,
                             read_dataset, write_dataset)
 from adasample.errors import DatasetError
+from adasample.evaluation import split_holdout
 from adasample.metricspace import MetricKind
 from adasample.miner import NegMode
 from adasample.tensornet import (Activation, init_params, read_params,

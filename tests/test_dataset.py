@@ -14,13 +14,14 @@ import pytest
 
 import adasample
 from adasample import data
-from adasample.cli import build_dataset, evaluate_params, main, split_holdout
+from adasample.cli import build_dataset, main
 from adasample.config import EvalOptions, RunConfig
 from adasample.data import (ClassGroup, Dataset, DatasetSpec, as_dataset,
                             generate_positives, generate_synthetic,
                             read_dataset, to_input_matrix, write_dataset)
 from adasample.errors import DatasetError
-from adasample.evaluation import info_correlation_probe
+from adasample.evaluation import (evaluate_params, info_correlation_probe,
+                                  split_holdout)
 from adasample.metricspace import MetricKind
 from adasample.tensornet import init_params
 from adasample.trainer import TrainConfig, train

@@ -10,17 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from adasample import cli, data
-from adasample.cli import evaluate_params, split_holdout, \
-    verification_distances
+from adasample import data, evaluation
 from adasample.config import EvalOptions, RunConfig, substream_seed
 from adasample.data import (ClassGroup, DatasetSpec, as_dataset,
                             generate_synthetic, to_input_matrix)
 from adasample.errors import DatasetError, UndefinedCorrelationError
 from adasample.evaluation import (EXACT_MW_LIMIT, EvalReport,
-                                  InfoProbeResult, fpr_at_recall,
-                                  info_correlation_probe, mann_whitney_u,
-                                  pearson, retrieval_map)
+                                  InfoProbeResult, evaluate_params,
+                                  fpr_at_recall, info_correlation_probe,
+                                  mann_whitney_u, pearson, retrieval_map,
+                                  split_holdout, verification_distances)
 from adasample.metricspace import (MetricKind, paired_distances,
                                    pairwise_distances)
 from adasample.miner import NegMode, mine_triplets
@@ -50,7 +49,7 @@ def scalar_info_correlation_probe(dataset, params, kind, rng,
     """One full forward/mine/backward pass per (class, candidate), with the
     loss gradient from the scalar loop of ``scalar_loss``: the oracle for
     the batched info_correlation_probe. It shares neither the mining
-    bookkeeping nor ``miner.triplet_grads`` with the probe."""
+    bookkeeping nor ``miner._triplet_grads`` with the probe."""
     usable = [g for g in dataset if len(g.patches) >= 2]
     if len(usable) < 2:
         raise ValueError("probe needs at least 2 classes with k >= 2")
@@ -478,7 +477,8 @@ class TestInfoCorrelationProbeOracle:
 
 def oracle_verification_distances(dataset, params, kind, num_pairs, rng):
     """Lists of sampled patches and a forward pass over them: the oracle
-    for cli.verification_distances, which draws the same random stream."""
+    for evaluation.verification_distances, which draws the same random
+    stream."""
     usable = [g for g in dataset if len(g.patches) >= 2]
     if len(usable) < 2:
         raise DatasetError("verification needs >= 2 classes with k >= 2")
@@ -502,7 +502,7 @@ def oracle_verification_distances(dataset, params, kind, num_pairs, rng):
 def oracle_evaluate_params(dataset, params, config):
     """Patch lists and one forward pass each for the verification pairs,
     the queries and the gallery, and the per-query retrieval loop: the
-    oracle for cli.evaluate_params.
+    oracle for evaluation.evaluate_params.
     Returns the report and the verification distances."""
     rng = np.random.default_rng(substream_seed(config.seed, "eval"))
     kind = config.train.metric
@@ -577,14 +577,17 @@ class TestEvaluateParamsOracle:
         assert 0.0 < got.retrieval_map <= 1.0
 
     @pytest.mark.parametrize("metric", list(MetricKind))
-    def test_holdout_split_matches_the_oracle(self, metric):
+    @pytest.mark.parametrize("num_pairs", [
+        5000, evaluation._PAIR_BLOCK + evaluation._PAIR_BLOCK // 4 + 1])
+    def test_holdout_split_matches_the_oracle(self, metric, num_pairs):
         """The desk-scale held-out split compare evaluates: the trailing 50
-        of 200 classes, 5000 pairs."""
+        of 200 classes, 5000 pairs; and a pair count whose distances fill
+        two blocks of ``_PAIR_BLOCK`` and part of a third."""
         ds = generate_synthetic(DatasetSpec(seed=11))
         holdout = split_holdout(ds, 0.25)[1]
         params = init_params(self.DIMS, seed=2)
-        assert_evaluation_matches_oracle(holdout, params,
-                                         eval_config(4, metric, 5000, 200))
+        assert_evaluation_matches_oracle(
+            holdout, params, eval_config(4, metric, num_pairs, 200))
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(sizes=st.lists(st.integers(1, 9), min_size=10, max_size=16)
@@ -608,7 +611,8 @@ class TestEvaluateParamsOracle:
         """A dataset is normalized on its first call only; every call runs
         one forward pass over every patch."""
         calls = {"normalized": [], "forward": []}
-        real_normalize, real_forward = data.to_input_matrix, cli.forward
+        real_normalize, real_forward = (data.to_input_matrix,
+                                        evaluation.forward)
 
         def counting_normalize(patches):
             calls["normalized"].append(len(patches))
@@ -619,7 +623,7 @@ class TestEvaluateParamsOracle:
             return real_forward(params, inputs)
 
         monkeypatch.setattr(data, "to_input_matrix", counting_normalize)
-        monkeypatch.setattr(cli, "forward", counting_forward)
+        monkeypatch.setattr(evaluation, "forward", counting_forward)
         ds = ragged_dataset([1, 3, 6, 2, 5], seed=9)
         params = init_params([36, 10, 5], seed=1)
         config = eval_config(1, MetricKind.ANGULAR, 2000, 3)

@@ -8,12 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adasample import metricspace
-from adasample.evaluation import retrieval_map
-from adasample.metricspace import (MetricKind, candidate_distances,
-                                   distance_grad, paired_distance_grads,
-                                   paired_distances, pairwise_distances)
-from adasample.miner import (hardest_negatives, loss_grads, mine_triplets,
-                             triplet_grads)
+from adasample.evaluation import retrieval_map, verification_distances
+from adasample.metricspace import (MetricKind, _candidates, distance_grad,
+                                   paired_distance_grads, paired_distances,
+                                   pairwise_distances)
+from adasample.miner import hardest_negatives, loss_grads, mine_triplets
 from scalar_distance import distance, scalar_distance_grad
 
 
@@ -199,7 +198,7 @@ class TestPairwiseDistances:
         def all_three():
             return (pairwise_distances(A, A, kind),
                     paired_distances(A, A[::-1], kind),
-                    candidate_distances(A[:2], C, counts, kind))
+                    _candidates(A[:2], C, counts, kind))
 
         want = all_three()
         monkeypatch.setattr(metricspace, "_BLOCK_ENTRIES", budget)
@@ -282,15 +281,16 @@ class TestPairedDistanceGrads:
                                   MetricKind.ANGULAR)
 
 
-class TestCandidateDistances:
+class TestCandidates:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(n=st.integers(1, 20), width=st.integers(1, 16),
            dim=st.integers(2, 40), kind=st.sampled_from(list(MetricKind)),
            ragged=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
     def test_rows_equal_per_row_pairwise(self, n, width, dim, kind, ragged,
                                          seed):
-        """Each row equals, bit for bit, pairwise_distances on that row's
-        own candidates, and its pad columns are 0."""
+        """Each row of the kernel build_batch runs equals, bit for bit,
+        pairwise_distances on that row's own candidates, and its pad
+        columns are 0."""
         rng = np.random.default_rng(seed)
         anchors = np.stack([random_unit(rng, dim) for _ in range(n)])
         cands = np.stack([np.stack([random_unit(rng, dim)
@@ -298,24 +298,13 @@ class TestCandidateDistances:
                           for _ in range(n)])
         counts = (rng.integers(1, width + 1, size=n) if ragged
                   else np.full(n, width))
-        D = candidate_distances(anchors, cands, counts, kind)
+        D = _candidates(anchors, cands, counts, kind)
         assert D.shape == (n, width)
         for i, m in enumerate(counts):
             want = pairwise_distances(cands[i, :m], anchors[i:i + 1],
                                       kind)[:, 0]
             np.testing.assert_array_equal(D[i, :m], want)
             assert np.all(D[i, m:] == 0.0)
-
-    def test_non_unit_real_row_rejected_and_pads_ignored(self):
-        anchors = np.eye(3)[:2]
-        cands = np.stack([np.eye(3)[1:], np.eye(3)[1:]])
-        cands[1, 1] *= 7.0              # a pad column of row 1
-        D = candidate_distances(anchors, cands, np.array([2, 1]),
-                                MetricKind.ANGULAR)
-        assert D[1, 1] == 0.0
-        with pytest.raises(ValueError, match="not unit-norm"):
-            candidate_distances(anchors, cands, np.array([2, 2]),
-                                MetricKind.ANGULAR)
 
 
 def euclidean_oracle(a, b):
@@ -364,8 +353,7 @@ class TestEuclideanKernel:
         anchors = unit_rows(rng, n, 64)
         cands = unit_rows(rng, n, width, 64)
         counts = rng.integers(1, width + 1, size=n)
-        got = candidate_distances(anchors, cands, counts,
-                                  MetricKind.EUCLIDEAN)
+        got = _candidates(anchors, cands, counts, MetricKind.EUCLIDEAN)
         for i, m in enumerate(counts):
             want = [euclidean_oracle(c, anchors[i]) for c in cands[i, :m]]
             assert np.array_equal(got[i, :m], want)
@@ -389,32 +377,33 @@ def _mined(A, P, kind):
     return mine_triplets(A, P, kind, 4.0)
 
 
-# Every public function that takes descriptor rows, called on rows A and B
-# (B may be 3-D for the candidates); ``good`` is a unit-norm copy of A.
+# Every public function that takes descriptor rows, called on rows A and B;
+# ``good`` is a unit-norm copy of A.
 ROW_TAKERS = {
     "pairwise_distances": lambda A, B, kind, good: pairwise_distances(
         A, B, kind),
     "paired_distances": lambda A, B, kind, good: paired_distances(A, B, kind),
-    "candidate_distances": lambda A, B, kind, good: candidate_distances(
-        A, B[:, None, :], np.ones(len(A), int), kind),
     "paired_distance_grads": lambda A, B, kind, good: paired_distance_grads(
         A, B, kind),
     "distance_grad": lambda A, B, kind, good: [
         distance_grad(a, b, kind) for a, b in zip(A, B)],
     "hardest_negatives": lambda A, B, kind, good: hardest_negatives(
         A, B, kind),
+    "hardest_negatives, opposing": lambda A, B, kind, good:
+        hardest_negatives(good, good, kind,
+                          opposing=(A, B, np.roll(np.arange(len(A)), 1))),
     "mine_triplets": lambda A, B, kind, good: mine_triplets(A, B, kind, 1.0),
     "mine_triplets, opposing": lambda A, B, kind, good: mine_triplets(
         good, good, kind, 1.0, opposing=(A, B, np.roll(np.arange(len(A)),
                                                         1))),
-    "triplet_grads": lambda A, B, kind, good: triplet_grads(
-        np.vstack([A, B]), np.arange(len(A))[:, None] + [0, len(A)],
-        np.arange(len(A))[:, None] + [0, len(A)], _mined(good, good, kind),
-        kind, np.ones(len(A))),
     "loss_grads": lambda A, B, kind, good: loss_grads(
         A, B, _mined(good, good, kind), kind),
     "retrieval_map": lambda A, B, kind, good: retrieval_map(
         A, np.arange(len(A)), B, np.arange(len(B)), kind),
+    "verification_distances": lambda A, B, kind, good:
+        verification_distances(np.vstack([A, B]), np.arange(0, 2 * len(A) + 1,
+                                                             2),  # k = 2
+                               kind, 8, np.random.default_rng(0)),
 }
 
 

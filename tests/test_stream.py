@@ -1,5 +1,5 @@
 """Bounded draws replayed from a block of words (``adasample.stream``) and
-the verification pairs drawn with them (``cli.verification_pairs``),
+the verification pairs drawn with them (``evaluation.verification_pairs``),
 against the scalar draws they replay: the same values and the same
 generator state afterwards."""
 
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from adasample import stream
-from adasample.cli import verification_pairs
+from adasample.evaluation import verification_pairs
 from adasample.errors import DatasetError
 from scalar_verification import scalar_verification_pairs
 
