@@ -71,6 +71,9 @@ class RunConfig:
         if self.expand_to_k and self.expand_to_k < self.dataset.patches_per_class:
             raise ValueError("data.expand_to_k must be 0 or >= "
                              "data.patches_per_class")
+        if not np.isfinite(self.rotation_range):
+            raise ValueError(f"data.rotation_range must be finite, "
+                             f"got {self.rotation_range}")
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:

@@ -42,14 +42,15 @@ class DistanceGrads(NamedTuple):
 
 def distance_grad(a: np.ndarray, b: np.ndarray, kind: MetricKind) -> DistanceGrads:
     """Gradients of the distance between unit-norm vectors a and b under
-    ``kind`` with respect to each; the one-row case of
-    :func:`paired_distance_grads`."""
+    ``kind`` with respect to each: the one-row case of :func:`_paired_grads`,
+    kept for the benchmark's trace."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 1 or b.ndim != 1:
         raise ValueError(f"a and b must be 1-D vectors, got shapes "
                          f"{a.shape} and {b.shape}")
-    grad_a, grad_b, saturated = paired_distance_grads(a[None], b[None], kind)
+    grad_a, grad_b, saturated = _paired_grads(*_unit_rows(a[None], b[None]),
+                                              kind)
     return DistanceGrads(grad_a[0], grad_b[0], bool(saturated[0]))
 
 
@@ -60,11 +61,10 @@ def _row_dots(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return (X[:, None, :] @ Y[:, :, None])[:, 0, 0]
 
 
-def paired_distance_grads(batch_a: Sequence[np.ndarray] | np.ndarray,
-                          batch_b: Sequence[np.ndarray] | np.ndarray,
-                          kind: MetricKind) -> DistanceGrads:
-    """Row i holds the gradients of ``distance(a_i, b_i, kind)`` with respect
-    to a_i and b_i; ``saturated`` is a boolean vector.
+def _paired_grads(A: np.ndarray, B: np.ndarray,
+                  kind: MetricKind) -> DistanceGrads:
+    """Row i holds the gradients of ``distance(A[i], B[i], kind)`` with
+    respect to A[i] and B[i]; ``saturated`` is a boolean vector.
 
     Euclidean: grad_a = (a - b)/d. At d = 0 the distance is not
     differentiable; the zero subgradient is returned with ``saturated``.
@@ -72,13 +72,6 @@ def paired_distance_grads(batch_a: Sequence[np.ndarray] | np.ndarray,
     Angular: grad_a = -b / sqrt(1 - s^2) with s = a . b. When |s| exceeds
     1 - 1e-9 the gradient is evaluated at the clamped point and flagged.
     """
-    A, B = _unit_rows(batch_a, batch_b)
-    _same_rows(A, B)
-    return _paired_grads(A, B, kind)
-
-
-def _paired_grads(A: np.ndarray, B: np.ndarray,
-                  kind: MetricKind) -> DistanceGrads:
     if kind is MetricKind.EUCLIDEAN:
         diff = A - B
         # sqrt of the dot, as 1-D np.linalg.norm computes it
@@ -115,11 +108,6 @@ def _unit_rows(*batches, names: Sequence[str] = ("batch_a", "batch_b")
     return out
 
 
-def _same_rows(A: np.ndarray, B: np.ndarray) -> None:
-    if A.shape[0] != B.shape[0]:
-        raise ValueError(f"row counts differ: {A.shape[0]} vs {B.shape[0]}")
-
-
 def _euclidean_norms(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """``np.linalg.norm(X - Y, axis=-1)`` of X and Y broadcast together, bit
     for bit (each entry still sums its own D squares), in leading-axis blocks
@@ -147,16 +135,8 @@ def _pairwise(A: np.ndarray, B: np.ndarray, kind: MetricKind) -> np.ndarray:
     return np.arccos(np.clip(A @ B.T, -1.0, 1.0))
 
 
-def paired_distances(batch_a: Sequence[np.ndarray] | np.ndarray,
-                     batch_b: Sequence[np.ndarray] | np.ndarray,
-                     kind: MetricKind) -> np.ndarray:
-    """Vector with entry i = distance(a_i, b_i, kind)."""
-    A, B = _unit_rows(batch_a, batch_b)
-    _same_rows(A, B)
-    return _paired(A, B, kind)
-
-
 def _paired(A: np.ndarray, B: np.ndarray, kind: MetricKind) -> np.ndarray:
+    """Vector with entry i = distance(A[i], B[i], kind)."""
     if kind is MetricKind.EUCLIDEAN:
         return _euclidean_norms(A, B)
     return np.arccos(np.clip(np.sum(A * B, axis=1), -1.0, 1.0))

@@ -24,7 +24,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DegenerateDistributionError, StateError
-from .tensornet import GradEstimate
 
 DISTANCE_FLOOR = 1e-6
 
@@ -45,10 +44,13 @@ class SamplerConfig:
             raise ValueError(f"lambda must be >= 0, got {self.lambda_}")
         if not 0.0 < self.ema_decay < 1.0:
             raise ValueError(f"ema_decay must be in (0, 1), got {self.ema_decay}")
-        if self.exponent_cap <= 0:
-            raise ValueError(f"exponent_cap must be > 0, got {self.exponent_cap}")
-        if self.loss_floor <= 0:
-            raise ValueError(f"loss_floor must be > 0, got {self.loss_floor}")
+        # NaN fails the comparisons; inf fails the upper bounds
+        if not 0 < self.exponent_cap < np.inf:
+            raise ValueError(f"exponent_cap must be finite and > 0, "
+                             f"got {self.exponent_cap}")
+        if not 0 < self.loss_floor < np.inf:
+            raise ValueError(f"loss_floor must be finite and > 0, "
+                             f"got {self.loss_floor}")
 
 
 @dataclass(frozen=True)
@@ -230,26 +232,21 @@ def unbiased_weights(probs: np.ndarray, losses: np.ndarray, alpha: float,
     return np.divide(target, p, out=np.zeros_like(target), where=positive)
 
 
-def _as_flat(grad) -> np.ndarray:
-    if isinstance(grad, GradEstimate):
-        return grad.flatten()
-    return np.asarray(grad, dtype=np.float64).ravel()
-
-
 def trace_variance(probs: np.ndarray, weights: np.ndarray,
                    grads: Sequence) -> float:
     """tr Var[G] = sum_i p_i w_i^2 ||g_i||^2 - ||sum_i p_i w_i g_i||^2.
 
-    ``grads`` may hold flat vectors or :class:`GradEstimate` objects.
+    ``grads`` holds flat gradient vectors (a ``GradEstimate.flatten()``).
     """
     p = np.asarray(probs, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
-    flat = [_as_flat(g) for g in grads]
+    flat = [np.asarray(g, dtype=np.float64) for g in grads]
     if not (p.shape == w.shape and p.ndim == 1 and p.size == len(flat)):
         raise ValueError("probs, weights and grads must have matching lengths")
-    dims = {g.size for g in flat}
-    if len(dims) != 1:
-        raise ValueError(f"gradient vectors have mismatched sizes {dims}")
+    shapes = {g.shape for g in flat}
+    if len(shapes) != 1 or flat[0].ndim != 1:
+        raise ValueError(f"grads must be flat vectors of one size, got "
+                         f"shapes {sorted(shapes)}")
     # np.array stacks the equal-size rows as np.stack does, at a fraction
     # of its per-call cost
     G = np.array(flat)
@@ -275,7 +272,7 @@ def expected_rectification(theta: np.ndarray, theta_star: np.ndarray,
         raise ValueError(f"eta must be positive, got {eta}")
     p = np.asarray(probs, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
-    flat = [_as_flat(g) for g in grads]
+    flat = [np.asarray(g, dtype=np.float64) for g in grads]
     if any(g.shape != th.shape for g in flat):
         raise ValueError("gradient vectors must match theta's shape")
     G = np.stack(flat)

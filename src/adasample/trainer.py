@@ -83,14 +83,17 @@ class TrainConfig:
     def validate(self) -> None:
         if self.batch_size < 2:
             raise ValueError(f"batch size must be >= 2, got {self.batch_size}")
-        if self.margin <= 0:
-            raise ValueError(f"margin must be > 0, got {self.margin}")
-        if self.lr < 0:
-            raise ValueError(f"lr must be >= 0, got {self.lr}")
+        # NaN fails the comparisons; inf fails the upper bounds
+        if not 0 < self.margin < np.inf:
+            raise ValueError(f"margin must be finite and > 0, "
+                             f"got {self.margin}")
+        if not 0 <= self.lr < np.inf:
+            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
+        if not 0 <= self.weight_decay < np.inf:
+            raise ValueError(f"weight_decay must be finite and >= 0, "
+                             f"got {self.weight_decay}")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.pairs_per_epoch < self.batch_size:
@@ -119,11 +122,6 @@ class Batch(NamedTuple):
 
     cache: ForwardCache         # 2n rows
     weights: np.ndarray         # (n,)
-
-    @property
-    def inputs(self) -> np.ndarray:
-        """The (2n, D) input rows."""
-        return self.cache.inputs
 
 
 @dataclass
@@ -293,13 +291,7 @@ def train(config: TrainConfig, dataset: Dataset,
                                           config, rng, dataset)
                 state, metrics = train_step(state, batch, config)
                 log.append({"epoch": epoch, "step": state.step,
-                            "mean_loss": metrics["mean_loss"],
-                            "l_avg": metrics["l_avg"],
-                            "exponent": diag.exponent,
-                            "mean_dpos": metrics["mean_dpos"],
-                            "mean_dneg": metrics["mean_dneg"],
-                            "active_fraction": metrics["active_fraction"],
-                            "lr": metrics["lr"]})
+                            "exponent": diag.exponent, **metrics})
             if epoch_callback is not None:
                 epoch_callback(epoch, state)
     except NumericError as exc:

@@ -31,7 +31,8 @@ def distance(a: np.ndarray, b: np.ndarray, kind: MetricKind) -> float:
 
 def scalar_distance_grad(a, b, kind):
     """One pair at a time with np.dot and 1-D np.linalg.norm: the oracle
-    for paired_distance_grads and its one-row case distance_grad."""
+    for the row-wise kernel ``_paired_grads`` and its one-row case
+    ``distance_grad``."""
     if kind is MetricKind.EUCLIDEAN:
         diff = a - b
         d = float(np.linalg.norm(diff))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from adasample.cli import main
-from adasample.config import (load_run_config, parse_config_text,
+from adasample.config import (_KEYMAP, load_run_config, parse_config_text,
                               substream_seed, with_lambda, with_seed)
 from adasample.data import (ClassGroup, DatasetSpec, generate_synthetic,
                             read_dataset, write_dataset)
@@ -70,9 +70,13 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="KEY = VALUE"):
             parse_config_text("seed 3\n")
 
-    def test_lambda_cap_token(self):
+    def test_lambda_cap_token(self, tmp_path):
         sections = parse_config_text("sampler.lambda = cap\n")
         assert sections["sampler"]["lambda_"] == float("inf")
+        # an infinite lambda loads; an infinite exponent_cap does not
+        path = tmp_path / "cap.cfg"
+        path.write_text(TINY_CONFIG + "sampler.lambda = inf\n")
+        assert load_run_config(path).train.sampler.lambda_ == float("inf")
 
     def test_seed_and_lambda_overrides(self, config_file):
         cfg = load_run_config(config_file, seed_override=77,
@@ -122,6 +126,41 @@ class TestConfigParsing:
             parse_config_text(f"train.{key} = cosine\n")
         assert str(err.value) == \
             f"<config>:1: bad value for 'train.{key}': {message}"
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", ["train.margin", "train.lr",
+                                     "train.weight_decay",
+                                     "sampler.exponent_cap",
+                                     "sampler.loss_floor"])
+    def test_non_finite_value_rejected_naming_the_field(self, tmp_path, key,
+                                                        value):
+        path = tmp_path / "bad.cfg"
+        path.write_text(TINY_CONFIG + f"{key} = {value}\n")
+        field = key.split(".")[1]
+        with pytest.raises(ValueError,
+                           match=rf"^{field} must be finite .* got {value}$"):
+            load_run_config(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", [key for key, (_, _, parse)
+                                     in _KEYMAP.items() if parse is float])
+    def test_every_float_key_rejects_a_non_finite_value(self, tmp_path, key,
+                                                        value):
+        """No float key loads a value the run cannot use; the error names
+        the key, bare or with its section."""
+        path = tmp_path / "bad.cfg"
+        path.write_text(TINY_CONFIG + f"{key} = {value}\n")
+        field = key.split(".")[1]
+        with pytest.raises(ValueError, match=rf"^(\w+\.)?{field}\b"):
+            load_run_config(path)
+
+    @pytest.mark.parametrize("value", ["nan", "-inf"])
+    def test_nan_or_negative_lambda_rejected(self, tmp_path, value):
+        path = tmp_path / "bad.cfg"
+        path.write_text(TINY_CONFIG + f"sampler.lambda = {value}\n")
+        with pytest.raises(ValueError,
+                           match=rf"^lambda must be >= 0, got {value}$"):
+            load_run_config(path)
 
 
 class TestSplitHoldout:
@@ -329,6 +368,28 @@ class TestCliPipeline:
         assert main(["gen-data", "--config", str(path),
                      "--out", str(tmp_path / "d.adsp")]) == 2
         assert "need a finite value >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "d.adsp").exists()
+
+    def test_nan_margin_exits_with_usage_code_before_training(
+            self, config_file, tmp_path, capsys):
+        config_file.write_text(TINY_CONFIG + "train.margin = nan\n")
+        assert main(["train", "--config", str(config_file), "--dataset",
+                     str(tmp_path / "d.adsp"), "--out",
+                     str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == \
+            "config error: margin must be finite and > 0, got nan\n"
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_rotation_range_exits_with_usage_code(
+            self, tmp_path, capsys, value):
+        path = tmp_path / "bad.cfg"
+        path.write_text(TINY_CONFIG + "data.expand_to_k = 6\n"
+                        f"data.rotation_range = {value}\n")
+        assert main(["gen-data", "--config", str(path),
+                     "--out", str(tmp_path / "d.adsp")]) == 2
+        assert capsys.readouterr().err == ("config error: data.rotation_range "
+                                           f"must be finite, got {value}\n")
         assert not (tmp_path / "d.adsp").exists()
 
     def test_empty_retrieval_gallery_exits_1(self, tmp_path, capsys):

@@ -20,8 +20,7 @@ from adasample.evaluation import (EXACT_MW_LIMIT, EvalReport,
                                   fpr_at_recall, info_correlation_probe,
                                   mann_whitney_u, pearson, retrieval_map,
                                   split_holdout, verification_distances)
-from adasample.metricspace import (MetricKind, paired_distances,
-                                   pairwise_distances)
+from adasample.metricspace import MetricKind, _paired, pairwise_distances
 from adasample.miner import NegMode, mine_triplets
 from adasample.tensornet import Activation, backward, forward, init_params
 from adasample.trainer import TrainConfig
@@ -495,7 +494,7 @@ def oracle_verification_distances(dataset, params, kind, num_pairs, rng):
         patches.append(pa[int(rng.integers(len(pa)))])
         patches.append(pb[int(rng.integers(len(pb)))])
     descs, _ = forward(params, to_input_matrix(patches))
-    d = paired_distances(descs[0::2], descs[1::2], kind)
+    d = _paired(descs[0::2], descs[1::2], kind)     # forward's unit rows
     return d[:num_pairs], d[num_pairs:]
 
 

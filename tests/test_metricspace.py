@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from adasample import metricspace
 from adasample.evaluation import retrieval_map, verification_distances
-from adasample.metricspace import (MetricKind, _candidates, distance_grad,
-                                   paired_distance_grads, paired_distances,
+from adasample.metricspace import (MetricKind, _candidates, _paired,
+                                   _paired_grads, distance_grad,
                                    pairwise_distances)
 from adasample.miner import hardest_negatives, loss_grads, mine_triplets
 from scalar_distance import distance, scalar_distance_grad
@@ -180,7 +180,7 @@ class TestPairwiseDistances:
         for i in range(4):
             for j in range(5):
                 assert abs(D[i, j] - distance(A[i], B[j], kind)) < 1e-12
-        d = paired_distances(A, B[:4], kind)
+        d = _paired(A, B[:4], kind)
         for i in range(4):
             assert abs(d[i] - distance(A[i], B[i], kind)) < 1e-12
 
@@ -197,7 +197,7 @@ class TestPairwiseDistances:
 
         def all_three():
             return (pairwise_distances(A, A, kind),
-                    paired_distances(A, A[::-1], kind),
+                    _paired(A, A[::-1], kind),
                     _candidates(A[:2], C, counts, kind))
 
         want = all_three()
@@ -208,8 +208,6 @@ class TestPairwiseDistances:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             pairwise_distances(np.eye(3), np.eye(4), MetricKind.ANGULAR)
-        with pytest.raises(ValueError, match="row counts differ"):
-            paired_distances(np.eye(3), np.eye(3)[:2], MetricKind.ANGULAR)
 
     def test_non_unit_row_rejected(self):
         A = np.eye(3)
@@ -219,6 +217,8 @@ class TestPairwiseDistances:
 
 
 class TestPairedDistances:
+    """The row-wise kernel behind mining and verification, on unit rows."""
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(n=st.integers(1, 40), dim=st.integers(2, 48),
            kind=st.sampled_from(list(MetricKind)),
@@ -227,13 +227,16 @@ class TestPairedDistances:
         rng = np.random.default_rng(seed)
         A = np.stack([random_unit(rng, dim) for _ in range(n)])
         B = np.stack([random_unit(rng, dim) for _ in range(n)])
-        d = paired_distances(A, B, kind)
+        d = _paired(A, B, kind)
         assert d.shape == (n,)
         for i in range(n):
             assert abs(d[i] - distance(A[i], B[i], kind)) < 1e-12
 
 
 class TestPairedDistanceGrads:
+    """The row-wise gradient kernel behind ``loss_grads``, on unit rows, and
+    ``distance_grad``, its one-row case, against the one-pair oracle."""
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(n=st.integers(1, 40), dim=st.integers(2, 48),
            kind=st.sampled_from(list(MetricKind)),
@@ -242,7 +245,7 @@ class TestPairedDistanceGrads:
         rng = np.random.default_rng(seed)
         A = np.stack([random_unit(rng, dim) for _ in range(n)])
         B = np.stack([random_unit(rng, dim) for _ in range(n)])
-        ga, gb, saturated = paired_distance_grads(A, B, kind)
+        ga, gb, saturated = _paired_grads(A, B, kind)
         for i in range(n):
             want = scalar_distance_grad(A[i], B[i], kind)
             for got in ((ga[i], gb[i], saturated[i]),
@@ -260,7 +263,7 @@ class TestPairedDistanceGrads:
         a, b = random_unit(rng), random_unit(rng)
         A = np.stack([a, a, b, a])
         B = np.stack([a.copy(), -a, a, b])
-        ga, gb, saturated = paired_distance_grads(A, B, kind)
+        ga, gb, saturated = _paired_grads(A, B, kind)
         if kind is MetricKind.ANGULAR:
             assert saturated.tolist() == [True, True, False, False]
         else:
@@ -276,9 +279,9 @@ class TestPairedDistanceGrads:
         assert np.all(np.isfinite(ga)) and np.all(np.isfinite(gb))
 
     def test_non_unit_row_rejected(self):
-        with pytest.raises(ValueError, match="not unit-norm"):
-            paired_distance_grads(np.eye(3), np.eye(3) * 1.5,
-                                  MetricKind.ANGULAR)
+        with pytest.raises(ValueError, match=r"batch_b\[0\] is not unit-norm"):
+            distance_grad(np.eye(3)[0], np.eye(3)[1] * 1.5,
+                          MetricKind.ANGULAR)
 
 
 class TestCandidates:
@@ -343,7 +346,7 @@ class TestEuclideanKernel:
     def test_paired_equals_oracle(self, n):
         rng = np.random.default_rng(n)
         A, B = unit_rows(rng, n, 64), unit_rows(rng, n, 64)
-        got = paired_distances(A, B, MetricKind.EUCLIDEAN)
+        got = _paired(A, B, MetricKind.EUCLIDEAN)
         want = np.array([euclidean_oracle(a, b) for a, b in zip(A, B)])
         assert np.array_equal(got, want)
 
@@ -381,9 +384,6 @@ def _mined(A, P, kind):
 # ``good`` is a unit-norm copy of A.
 ROW_TAKERS = {
     "pairwise_distances": lambda A, B, kind, good: pairwise_distances(
-        A, B, kind),
-    "paired_distances": lambda A, B, kind, good: paired_distances(A, B, kind),
-    "paired_distance_grads": lambda A, B, kind, good: paired_distance_grads(
         A, B, kind),
     "distance_grad": lambda A, B, kind, good: [
         distance_grad(a, b, kind) for a, b in zip(A, B)],

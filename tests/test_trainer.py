@@ -103,17 +103,18 @@ class TestBuildBatch:
         n = cfg.batch_size
         for tracker in (None, LossTracker(l_avg=0.5, initialized=True)):
             batch, diag = batch_of(ds, state, cfg, rng, tracker)
-            assert batch.inputs.shape == (2 * n, 64)
+            assert batch.cache.inputs.shape == (2 * n, 64)
             assert batch.weights.shape == (n,)
             assert batch.weights.mean() == pytest.approx(1.0)
             for i, cid in enumerate(diag.class_ids):
                 patches = by_id[int(cid)].patches
                 a, p = diag.anchor_index[i], diag.positive_index[i]
                 assert a != p
-                np.testing.assert_array_equal(batch.inputs[i],
-                                              to_input_matrix(patches[[a]])[0])
-                np.testing.assert_array_equal(batch.inputs[n + i],
-                                              to_input_matrix(patches[[p]])[0])
+                np.testing.assert_array_equal(
+                    batch.cache.inputs[i], to_input_matrix(patches[[a]])[0])
+                np.testing.assert_array_equal(
+                    batch.cache.inputs[n + i],
+                    to_input_matrix(patches[[p]])[0])
 
     def test_identical_for_fixed_seed(self):
         ds = tiny_dataset()
@@ -124,7 +125,7 @@ class TestBuildBatch:
         np.testing.assert_array_equal(d1.class_ids, d2.class_ids)
         np.testing.assert_array_equal(d1.anchor_index, d2.anchor_index)
         np.testing.assert_array_equal(d1.positive_index, d2.positive_index)
-        np.testing.assert_array_equal(b1.inputs, b2.inputs)
+        np.testing.assert_array_equal(b1.cache.inputs, b2.cache.inputs)
         np.testing.assert_array_equal(b1.weights, b2.weights)
 
     def test_classes_are_distinct(self):
@@ -211,7 +212,7 @@ class TestBuildBatchOracle:
                                   as_dataset(ds))
         inputs, weights, want = scalar_build_batch(
             ds, params, tracker, cfg, np.random.default_rng(draw))
-        np.testing.assert_array_equal(batch.inputs, inputs)
+        np.testing.assert_array_equal(batch.cache.inputs, inputs)
         np.testing.assert_array_equal(batch.weights, weights)
         for name in ("class_ids", "anchor_index", "positive_index",
                      "probability_used"):
@@ -269,7 +270,7 @@ class TestBuildBatchOracle:
 def manual_update(state, batch, config):
     """Compose the expected single-step update directly."""
     n = len(batch.weights)
-    descs, cache = forward(state.params, batch.inputs)
+    descs, cache = forward(state.params, batch.cache.inputs)
     mined = mine_triplets(descs[:n], descs[n:], config.metric, config.margin,
                           config.neg_mode)
     ga, gp = loss_grads(descs[:n], descs[n:], mined, config.metric,
@@ -305,7 +306,7 @@ class TestTrainStep:
         cfg = tiny_config(margin=1e-9, weight_decay=0.0)
         state, batch = self.setup_batch(cfg, seed=1)
         n = len(batch.weights)
-        descs, _ = forward(state.params, batch.inputs)
+        descs, _ = forward(state.params, batch.cache.inputs)
         mined = mine_triplets(descs[:n], descs[n:], cfg.metric, cfg.margin)
         assert all(t.loss == 0 for t in mined)
         new_state, _ = train_step(state, batch, cfg)
@@ -326,7 +327,7 @@ class TestTrainStep:
         n = len(batch.weights)
 
         def weighted_loss(params):
-            descs, _ = forward(params, batch.inputs)
+            descs, _ = forward(params, batch.cache.inputs)
             mined = mine_triplets(descs[:n], descs[n:], cfg.metric,
                                   cfg.margin)
             return float(np.dot(batch.weights, [t.loss for t in mined]))
@@ -342,7 +343,7 @@ def oracle_train_step(state, batch, config):
     runs its own forward on the batch rows. train_step must equal it bit
     for bit."""
     n = len(batch.weights)
-    descs, cache = forward(state.params, batch.inputs)
+    descs, cache = forward(state.params, batch.cache.inputs)
     desc_a, desc_p = descs[:n], descs[n:]
 
     mined = mine_triplets(desc_a, desc_p, config.metric, config.margin,
