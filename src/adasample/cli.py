@@ -205,15 +205,14 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _add_common(p: argparse.ArgumentParser, *, dataset=False, params=False,
-                out=True) -> None:
+def _add_common(p: argparse.ArgumentParser, *, dataset=False,
+                params=False) -> None:
     p.add_argument("--config", required=True, help="run config file")
     if dataset:
         p.add_argument("--dataset", required=True, help="ADSP dataset file")
     if params:
         p.add_argument("--params", required=True, help="ADNW params file")
-    if out:
-        p.add_argument("--out", required=True, help="output path")
+    p.add_argument("--out", required=True, help="output path")
     p.add_argument("--seed", type=int, default=None,
                    help="override the config seed")
     p.add_argument("--lambda", dest="lam", type=float, default=None,

@@ -1,10 +1,6 @@
 """Exception types shared across the package."""
 
 
-class StateError(RuntimeError):
-    """An operation was called before its required state was established."""
-
-
 class NumericError(ArithmeticError):
     """A computation produced non-finite values and the run cannot continue.
 

@@ -18,12 +18,12 @@ exercised against exhaustive-expectation oracles in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DegenerateDistributionError, StateError
+from .errors import DegenerateDistributionError
 
 DISTANCE_FLOOR = 1e-6
 
@@ -53,37 +53,30 @@ class SamplerConfig:
                              f"got {self.loss_floor}")
 
 
-@dataclass(frozen=True)
-class LossTracker:
-    """Exponential moving average of batch mean losses."""
-
-    l_avg: float = 0.0
-    initialized: bool = False
-
-
 class Reweights(NamedTuple):
     weights: np.ndarray
     clamped: bool
 
 
-def update_loss_avg(tracker: LossTracker, batch_mean_loss: float,
-                    config: SamplerConfig) -> LossTracker:
-    """EMA update; the first observation initializes the average directly."""
+def update_loss_avg(l_avg: float | None, batch_mean_loss: float,
+                    config: SamplerConfig) -> float:
+    """Exponential moving average of batch mean losses; ``l_avg`` is None
+    before the first observation, which becomes the average directly."""
     if not np.isfinite(batch_mean_loss) or batch_mean_loss < 0:
         raise ValueError(f"batch mean loss must be finite and >= 0, "
                          f"got {batch_mean_loss}")
-    if not tracker.initialized:
-        return LossTracker(l_avg=float(batch_mean_loss), initialized=True)
+    if l_avg is None:
+        return float(batch_mean_loss)
     beta = config.ema_decay
-    return replace(tracker,
-                   l_avg=beta * tracker.l_avg + (1.0 - beta) * batch_mean_loss)
+    return beta * l_avg + (1.0 - beta) * batch_mean_loss
 
 
-def adaptive_exponent(tracker: LossTracker, config: SamplerConfig) -> float:
-    """min(lambda / max(L_avg, loss_floor), exponent_cap)."""
-    if not tracker.initialized:
-        raise StateError("loss tracker has no observations yet")
-    return float(min(config.lambda_ / max(tracker.l_avg, config.loss_floor),
+def adaptive_exponent(l_avg: float | None, config: SamplerConfig) -> float:
+    """min(lambda / max(L_avg, loss_floor), exponent_cap), and 0 (uniform
+    sampling) before any loss is observed."""
+    if l_avg is None:
+        return 0.0
+    return float(min(config.lambda_ / max(l_avg, config.loss_floor),
                      config.exponent_cap))
 
 
@@ -236,7 +229,8 @@ def trace_variance(probs: np.ndarray, weights: np.ndarray,
                    grads: Sequence) -> float:
     """tr Var[G] = sum_i p_i w_i^2 ||g_i||^2 - ||sum_i p_i w_i g_i||^2.
 
-    ``grads`` holds flat gradient vectors (a ``GradEstimate.flatten()``).
+    ``grads`` holds flat gradient vectors, each the concatenation of a
+    :func:`~adasample.tensornet.backward` result's raveled layers.
     """
     p = np.asarray(probs, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -40,9 +40,6 @@ class ModelParams:
 
     def layer_dims(self) -> list[int]:
         return [self.layers[0].shape[1]] + [w.shape[0] for w in self.layers]
-
-    def copy(self) -> "ModelParams":
-        return ModelParams([w.copy() for w in self.layers], self.activation)
 
     def validate(self) -> None:
         if not self.layers:
@@ -79,23 +76,6 @@ class ForwardCache:
                             hidden=[x[rows] for x in self.hidden],
                             output_norms=self.output_norms[rows],
                             descriptors=self.descriptors[rows])
-
-
-@dataclass
-class GradEstimate:
-    """Per-layer gradient matrices, shape-matched to :class:`ModelParams`."""
-
-    layers: list[np.ndarray] = field(default_factory=list)
-
-    @classmethod
-    def zeros_like(cls, params: ModelParams) -> "GradEstimate":
-        return cls([np.zeros_like(w) for w in params.layers])
-
-    def flatten(self) -> np.ndarray:
-        return np.concatenate([g.ravel() for g in self.layers])
-
-    def norm(self) -> float:
-        return float(np.sqrt(sum(float(np.sum(g * g)) for g in self.layers)))
 
 
 def init_params(layer_dims: Sequence[int], seed: int,
@@ -210,26 +190,27 @@ def _group_sq_norms(delta: np.ndarray, x_prev: np.ndarray,
 
 
 def backward(params: ModelParams, cache: ForwardCache,
-             output_grads: np.ndarray) -> GradEstimate:
+             output_grads: np.ndarray) -> list[np.ndarray]:
     """Reverse-mode pass from descriptor-space gradients to weight gradients.
 
     ``output_grads`` holds dLoss/dDescriptor per sample. Returns the
-    gradient summed over the batch; the per-sample gradient norms are
+    gradient summed over the batch, one matrix per layer in the order and
+    shapes of ``params.layers``; the per-sample gradient norms are
     ``group_grad_norms(params, cache, output_grads, 1)``.
     """
-    grads: list[np.ndarray] = [None] * len(params.layers)  # type: ignore
-    for l, delta, x_prev in _deltas(params, cache, output_grads):
-        grads[l] = delta.T @ x_prev
-    return GradEstimate(grads)
+    # _deltas runs from the top layer down
+    return [delta.T @ x_prev
+            for _, delta, x_prev in _deltas(params, cache, output_grads)][::-1]
 
 
 def group_grad_norms(params: ModelParams, cache: ForwardCache,
                      output_grads: np.ndarray, group: int) -> np.ndarray:
     """Full-parameter gradient norm of each group of ``group`` consecutive
-    rows: entry g is ``backward(...).norm()`` of rows g*group ..
-    (g+1)*group - 1 alone, computed from per-layer Gram matrices without
-    forming any weight gradient (Goodfellow 2015, arXiv:1510.01799).
-    ``group = 1`` gives the per-sample gradient norms.
+    rows: entry g is the Euclidean norm, over every layer, of
+    ``backward(...)`` of rows g*group .. (g+1)*group - 1 alone, computed
+    from per-layer Gram matrices without forming any weight gradient
+    (Goodfellow 2015, arXiv:1510.01799). ``group = 1`` gives the
+    per-sample gradient norms.
     """
     if group < 1 or cache.batch_size % group:
         raise ValueError(f"batch of {cache.batch_size} rows does not split "

@@ -33,9 +33,10 @@ default run train about 19% more pairs per second, with byte-identical
 output (alternating runs of ``bench/run.py --workload train_default``
 before and after, on a 2-core machine).
 
-The very first step samples positives uniformly because the loss average
-has no observations yet; the tracker initializes from that step's mean
-loss. The learning rate is divided by 10 at the end of each configured
+A step carries the weights, one momentum buffer per weight matrix and
+the loss average L_avg, which is None until the first step's mean loss
+sets it; until then the exponent is 0 and positives are drawn uniformly.
+The learning rate is divided by 10 at the end of each configured
 drop epoch. Runs are reproducible from (config, dataset, seed).
 """
 
@@ -51,9 +52,9 @@ from .data import Dataset
 from .errors import DatasetError, NumericError
 from .metricspace import MetricKind, _candidates
 from .miner import NegMode, loss_grads, mine_triplets
-from .sampler import LossTracker, SamplerConfig
-from .tensornet import Activation, ForwardCache, GradEstimate, ModelParams, \
-    backward, forward, init_params
+from .sampler import SamplerConfig
+from .tensornet import Activation, ForwardCache, ModelParams, backward, \
+    forward, init_params
 
 METRICS_COLUMNS = ("epoch", "step", "mean_loss", "l_avg", "exponent",
                    "mean_dpos", "mean_dneg", "active_fraction", "lr")
@@ -109,9 +110,8 @@ class TrainConfig:
 @dataclass
 class TrainState:
     params: ModelParams
-    momentum_buffers: GradEstimate
-    loss_tracker: LossTracker
-    epoch: int = 0
+    momentum_buffers: list[np.ndarray]  # shaped like params.layers
+    l_avg: float | None                 # None before the first step
     step: int = 0
     lr: float = 0.0
 
@@ -137,7 +137,7 @@ class BatchDiagnostics:
     weight_clamped: bool
 
 
-def build_batch(params: ModelParams, tracker: LossTracker,
+def build_batch(params: ModelParams, l_avg: float | None,
                 config: TrainConfig, rng: np.random.Generator,
                 dataset: Dataset) -> tuple[Batch, BatchDiagnostics]:
     """Select n distinct classes of ``dataset`` (every class holds at least
@@ -159,8 +159,7 @@ def build_batch(params: ModelParams, tracker: LossTracker,
         raise DatasetError(f"dataset has {num_classes} classes but the batch "
                            f"needs {n}")
     sizes = np.diff(dataset.offsets)
-    exponent = smp.adaptive_exponent(tracker, config.sampler) \
-        if tracker.initialized else 0.0
+    exponent = smp.adaptive_exponent(l_avg, config.sampler)
     chosen_classes = rng.choice(num_classes, size=n, replace=False)
     k = sizes[chosen_classes]
     highs = np.full(2 * n, np.iinfo(np.uint64).max, dtype=np.uint64)
@@ -218,8 +217,8 @@ def train_step(state: TrainState, batch: Batch,
 
     new_layers = []
     new_buffers = []
-    for theta, g, v in zip(state.params.layers, param_grads.layers,
-                           state.momentum_buffers.layers):
+    for theta, g, v in zip(state.params.layers, param_grads,
+                           state.momentum_buffers):
         g_total = g + config.weight_decay * theta
         v_new = config.momentum * v + g_total
         theta_new = theta - state.lr * v_new
@@ -228,18 +227,17 @@ def train_step(state: TrainState, batch: Batch,
         new_layers.append(theta_new)
         new_buffers.append(v_new)
 
-    tracker = smp.update_loss_avg(state.loss_tracker, mean_loss, config.sampler)
+    l_avg = smp.update_loss_avg(state.l_avg, mean_loss, config.sampler)
     new_state = TrainState(
         params=ModelParams(new_layers, state.params.activation),
-        momentum_buffers=GradEstimate(new_buffers),
-        loss_tracker=tracker,
-        epoch=state.epoch,
+        momentum_buffers=new_buffers,
+        l_avg=l_avg,
         step=state.step + 1,
         lr=state.lr,
     )
     metrics = {
         "mean_loss": mean_loss,
-        "l_avg": tracker.l_avg,
+        "l_avg": l_avg,
         "mean_dpos": float(np.mean(mined.d_pos)),
         "mean_dneg": float(np.mean(mined.d_neg)),
         "active_fraction": float(np.mean(mined.loss > 0)),
@@ -260,9 +258,9 @@ def init_state(config: TrainConfig, input_dim: int) -> TrainState:
     params = init_params(config.layer_dims(input_dim), config.seed,
                          config.activation)
     return TrainState(params=params,
-                      momentum_buffers=GradEstimate.zeros_like(params),
-                      loss_tracker=LossTracker(),
-                      epoch=0, step=0, lr=config.lr)
+                      momentum_buffers=[np.zeros_like(w)
+                                        for w in params.layers],
+                      l_avg=None, step=0, lr=config.lr)
 
 
 def train(config: TrainConfig, dataset: Dataset,
@@ -284,11 +282,10 @@ def train(config: TrainConfig, dataset: Dataset,
     steps_per_epoch = max(1, config.pairs_per_epoch // config.batch_size)
     try:
         for epoch in range(1, config.epochs + 1):
-            state.epoch = epoch
             state.lr = effective_lr(config.lr, epoch, config.lr_drop_epochs)
             for _ in range(steps_per_epoch):
-                batch, diag = build_batch(state.params, state.loss_tracker,
-                                          config, rng, dataset)
+                batch, diag = build_batch(state.params, state.l_avg, config,
+                                          rng, dataset)
                 state, metrics = train_step(state, batch, config)
                 log.append({"epoch": epoch, "step": state.step,
                             "exponent": diag.exponent, **metrics})

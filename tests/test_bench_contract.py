@@ -11,12 +11,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adasample import cli, evaluation, miner
+from adasample import cli, evaluation, metricspace, miner
+from adasample.config import EvalOptions, RunConfig
 from adasample.data import (Dataset, DatasetSpec, generate_synthetic,
                             read_dataset, write_dataset)
 from adasample.metricspace import MetricKind
 from adasample.miner import NegMode, mine_triplets
 from adasample.tensornet import init_params
+from adasample.trainer import TrainConfig, train
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -145,3 +147,129 @@ def test_setup_holds_a_dataset_its_properties_read(tmp_path, name):
     assert props == inputs.properties
     assert props["classes"] == len(inputs.dataset) == 200
     assert props["class_size_hist"] == {8: 200}
+
+
+COUNTED = ("positive_probs", "reweights", "pairwise_distances",
+           "distance_grad", "forward", "backward")
+TRAIN = dict(batch_size=4, epochs=1, pairs_per_epoch=16, hidden_dims=(12,),
+             descriptor_dim=6, seed=1)
+CLASS_SIZE = 4
+
+
+def counter_of(function):
+    return {f: c for _, f, c in layers.TRACED}[function]
+
+
+@pytest.fixture(scope="module")
+def recorded():
+    """The real ``(args, kwargs, result)`` of every call to each counted
+    function during a 1-epoch ``train`` and one ``evaluate_params``. Each
+    function is wrapped in every package module that holds it, as the
+    tracer rebinds it; ``distance_grad`` has no caller, so it is called
+    directly."""
+    calls = {function: [] for function in COUNTED}
+    with pytest.MonkeyPatch.context() as mp:
+        for module, function, _ in layers.TRACED:
+            if function not in calls:
+                continue
+            real = getattr(importlib.import_module(module), function)
+
+            def wrapped(*args, _real=real, _calls=calls[function], **kwargs):
+                result = _real(*args, **kwargs)
+                _calls.append((args, kwargs, result))
+                return result
+
+            for name, mod in list(sys.modules.items()):
+                if name.split(".")[0] == "adasample":
+                    for attr, value in list(vars(mod).items()):
+                        if value is real:
+                            mp.setattr(mod, attr, wrapped)
+
+        dataset = generate_synthetic(DatasetSpec(
+            num_classes=10, patches_per_class=CLASS_SIZE, patch_size=8,
+            seed=4))
+        config = RunConfig(seed=1, train=TrainConfig(**TRAIN),
+                           eval=EvalOptions(num_pairs=40, num_queries=6))
+        params, log = train(config.train, dataset)
+        evaluation.evaluate_params(dataset, params, config)
+        rng = np.random.default_rng(5)
+        for kind in MetricKind:
+            a, b = (v / np.linalg.norm(v) for v in rng.normal(size=(2, 6)))
+            metricspace.distance_grad(a, b, kind)
+            metricspace.distance_grad(a, a, kind)
+    assert len(log) == TRAIN["pairs_per_epoch"] // TRAIN["batch_size"]
+    return calls
+
+
+def applied(recorded, function):
+    calls = recorded[function]
+    assert calls, f"{function} was not called"
+    return [counter_of(function)(*call) for call in calls], calls
+
+
+def test_candidates_counter_reads_a_positive_probs_call(recorded):
+    counts, _ = applied(recorded, "positive_probs")
+    assert len(counts) == TRAIN["pairs_per_epoch"] // TRAIN["batch_size"]
+    for c in counts:
+        assert set(c) == {"sampler.candidates"}
+        assert isinstance(c["sampler.candidates"], int)
+        assert c["sampler.candidates"] >= 1
+
+
+def test_clamped_counter_reads_a_reweights_result(recorded):
+    counts, _ = applied(recorded, "reweights")
+    for c in counts:
+        assert set(c) == {"sampler.weight_clamped_batches"}
+        assert c["sampler.weight_clamped_batches"] in (0, 1)
+
+
+def test_entries_counter_reads_a_pairwise_distances_result(recorded):
+    counts, calls = applied(recorded, "pairwise_distances")
+    for c, (args, _, _) in zip(counts, calls):
+        assert set(c) == {"metricspace.pairwise_distances.entries"}
+        assert c["metricspace.pairwise_distances.entries"] == \
+            len(args[0]) * len(args[1])
+
+
+def test_saturated_counter_reads_a_distance_grad_result(recorded):
+    counts, calls = applied(recorded, "distance_grad")
+    for c, (_, _, result) in zip(counts, calls):
+        assert set(c) == {"metricspace.distance_grad.saturated"}
+        assert c["metricspace.distance_grad.saturated"] == int(result[2])
+    # per metric, distinct random vectors do not saturate; a == a does
+    assert [c["metricspace.distance_grad.saturated"] for c in counts] == \
+        [0, 1] * len(MetricKind)
+
+
+def layer_products(dims):
+    """(out * in) of each layer of a network with these layer dims."""
+    return [o * i for i, o in zip(dims[:-1], dims[1:])]
+
+
+def test_forward_counter_matches_the_batch_and_layer_shapes(recorded):
+    counts, _ = applied(recorded, "forward")
+    dims = [64, *TRAIN["hidden_dims"], TRAIN["descriptor_dim"]]
+    steps = TRAIN["pairs_per_epoch"] // TRAIN["batch_size"]
+    # one forward per step over the chosen classes' patches, then
+    # evaluate_params' pass over every row of the dataset
+    rows = [TRAIN["batch_size"] * CLASS_SIZE] * steps + [10 * CLASS_SIZE]
+    assert [c["tensornet.forward.rows"] for c in counts] == rows
+    for c, r in zip(counts, rows):
+        assert set(c) == {"tensornet.forward.rows", "tensornet.forward.flop"}
+        assert c["tensornet.forward.flop"] == 2 * r * sum(layer_products(dims))
+
+
+def test_backward_counter_matches_the_batch_and_layer_shapes(recorded):
+    counts, calls = applied(recorded, "backward")
+    dims = [64, *TRAIN["hidden_dims"], TRAIN["descriptor_dim"]]
+    steps = TRAIN["pairs_per_epoch"] // TRAIN["batch_size"]
+    assert len(counts) == steps
+    rows = 2 * TRAIN["batch_size"]      # anchors, then positives
+    # weight gradients for every layer, input gradients above the first
+    products = layer_products(dims)
+    flop = 2 * rows * (products[0] + 2 * sum(products[1:]))
+    for c, (args, _, result) in zip(counts, calls):
+        assert c == {"tensornet.backward.rows": rows,
+                     "tensornet.backward.flop": flop}
+        assert [g.shape for g in result] == \
+            [w.shape for w in args[0].layers]

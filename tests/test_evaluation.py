@@ -24,6 +24,7 @@ from adasample.metricspace import MetricKind, _paired, pairwise_distances
 from adasample.miner import NegMode, mine_triplets
 from adasample.tensornet import Activation, backward, forward, init_params
 from adasample.trainer import TrainConfig
+from finite_diff import norm
 from scalar_distance import scalar_distance_grad
 from scalar_loss import scalar_loss_grads
 from scalar_retrieval import scalar_retrieval_map
@@ -98,7 +99,7 @@ def scalar_info_correlation_probe(dataset, params, kind, rng,
                 infos[ci] = 0.0
                 continue
             grads = backward(params, cache, out_grads)
-            infos[ci] = grads.norm()
+            infos[ci] = norm(grads)
         d_sum, i_sum = dists.sum(), infos.sum()
         p_dist_parts.append(dists / d_sum if d_sum > 0
                             else np.full(dists.size, 1.0 / dists.size))

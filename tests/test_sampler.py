@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adasample.errors import DegenerateDistributionError, StateError
-from adasample.sampler import (LossTracker, SamplerConfig, adaptive_exponent,
+from adasample.errors import DegenerateDistributionError
+from adasample.sampler import (SamplerConfig, adaptive_exponent,
                                categorical_sample, expected_rectification,
                                optimal_probs, positive_probs, reweights,
                                trace_variance, unbiased_weights,
@@ -38,45 +38,38 @@ def scalar_categorical_sample(probs, u):
     return min(idx, len(probs) - 1)
 
 
-class TestLossTracker:
+class TestLossAverage:
     def test_first_observation_initializes(self):
-        t = update_loss_avg(LossTracker(), 2.0, CFG)
-        assert t.initialized and t.l_avg == 2.0
+        assert update_loss_avg(None, 2.0, CFG) == 2.0
 
     def test_fixed_point(self):
-        t = LossTracker(l_avg=1.0, initialized=True)
-        assert update_loss_avg(t, 1.0, CFG).l_avg == pytest.approx(1.0)
+        assert update_loss_avg(1.0, 1.0, CFG) == pytest.approx(1.0)
 
     def test_ema_arithmetic(self):
-        t = LossTracker(l_avg=1.0, initialized=True)
         cfg = SamplerConfig(ema_decay=0.9)
-        assert update_loss_avg(t, 0.0, cfg).l_avg == pytest.approx(0.9)
+        assert update_loss_avg(1.0, 0.0, cfg) == pytest.approx(0.9)
 
     def test_negative_loss_rejected(self):
         with pytest.raises(ValueError):
-            update_loss_avg(LossTracker(), -0.1, CFG)
+            update_loss_avg(None, -0.1, CFG)
 
 
 class TestAdaptiveExponent:
     def test_default_lambda_over_unit_loss(self):
-        t = LossTracker(l_avg=1.0, initialized=True)
-        assert adaptive_exponent(t, SamplerConfig(lambda_=10.0)) == 10.0
+        assert adaptive_exponent(1.0, SamplerConfig(lambda_=10.0)) == 10.0
 
     def test_zero_lambda_means_uniform(self):
-        t = LossTracker(l_avg=0.7, initialized=True)
-        assert adaptive_exponent(t, SamplerConfig(lambda_=0.0)) == 0.0
+        assert adaptive_exponent(0.7, SamplerConfig(lambda_=0.0)) == 0.0
 
     def test_cap_engages_for_tiny_loss(self):
-        t = LossTracker(l_avg=1e-9, initialized=True)
-        assert adaptive_exponent(t, SamplerConfig(lambda_=10.0)) == 50.0
+        assert adaptive_exponent(1e-9, SamplerConfig(lambda_=10.0)) == 50.0
 
     def test_infinite_lambda_pins_to_cap(self):
-        t = LossTracker(l_avg=3.0, initialized=True)
-        assert adaptive_exponent(t, SamplerConfig(lambda_=np.inf)) == 50.0
+        assert adaptive_exponent(3.0, SamplerConfig(lambda_=np.inf)) == 50.0
 
-    def test_uninitialized_tracker_rejected(self):
-        with pytest.raises(StateError):
-            adaptive_exponent(LossTracker(), CFG)
+    @pytest.mark.parametrize("lam", [0.0, 10.0, np.inf])
+    def test_uniform_before_first_observation(self, lam):
+        assert adaptive_exponent(None, SamplerConfig(lambda_=lam)) == 0.0
 
 
 class TestPositiveProbs:

@@ -11,10 +11,9 @@ from adasample.data import (ClassGroup, DatasetSpec, as_dataset,
 from adasample.errors import DatasetError, NumericError
 from adasample.metricspace import MetricKind, pairwise_distances
 from adasample.miner import loss_grads, mine_triplets
-from adasample.sampler import (LossTracker, SamplerConfig, adaptive_exponent,
-                               reweights, update_loss_avg)
-from adasample.tensornet import (Activation, GradEstimate, ModelParams,
-                                 backward, forward)
+from adasample.sampler import (SamplerConfig, adaptive_exponent, reweights,
+                               update_loss_avg)
+from adasample.tensornet import Activation, ModelParams, backward, forward
 from adasample.trainer import (TrainConfig, TrainState, build_batch,
                                effective_lr, init_state, train, train_step)
 from test_sampler import scalar_categorical_sample, scalar_positive_probs
@@ -34,19 +33,18 @@ def tiny_config(**kw):
     return TrainConfig(**base)
 
 
-def batch_of(ds, state, cfg, rng, tracker=None):
-    """build_batch over ``ds``, a dataset or a list of its classes."""
-    return build_batch(state.params, tracker or state.loss_tracker, cfg, rng,
-                       as_dataset(ds))
+def batch_of(ds, state, cfg, rng, l_avg=None):
+    """build_batch with ``state``'s params over ``ds``, a dataset or a list
+    of its classes."""
+    return build_batch(state.params, l_avg, cfg, rng, as_dataset(ds))
 
 
-def scalar_build_batch(ds, params, tracker, cfg, rng):
+def scalar_build_batch(ds, params, l_avg, cfg, rng):
     """Per-class loop over one candidate vector at a time: the oracle for
     build_batch, which must equal it bit for bit and draw the same random
     stream. Returns the batch rows, the weights and the diagnostics."""
     n = cfg.batch_size
-    exponent = adaptive_exponent(tracker, cfg.sampler) \
-        if tracker.initialized else 0.0
+    exponent = adaptive_exponent(l_avg, cfg.sampler)
     groups = [ds[int(ci)] for ci in rng.choice(len(ds), size=n,
                                                 replace=False)]
     flat_inputs = np.vstack([to_input_matrix(g.patches) for g in groups])
@@ -101,8 +99,8 @@ class TestBuildBatch:
         rng = np.random.default_rng(3)
         by_id = {g.class_id: g for g in ds}
         n = cfg.batch_size
-        for tracker in (None, LossTracker(l_avg=0.5, initialized=True)):
-            batch, diag = batch_of(ds, state, cfg, rng, tracker)
+        for l_avg in (None, 0.5):
+            batch, diag = batch_of(ds, state, cfg, rng, l_avg)
             assert batch.cache.inputs.shape == (2 * n, 64)
             assert batch.weights.shape == (n,)
             assert batch.weights.mean() == pytest.approx(1.0)
@@ -143,14 +141,15 @@ class TestBuildBatch:
         ds = tiny_dataset(num_classes=3, k=4)
         cfg = tiny_config(batch_size=2,
                           sampler=SamplerConfig(lambda_=0.0))
-        # initialized tracker so the exponent path (not the bootstrap) runs
-        tracker = LossTracker(l_avg=1.0, initialized=True)
+        # an observed loss average, so the exponent is lambda's (not the
+        # first step's)
+        l_avg = 1.0
         state = init_state(cfg, 64)
         rng = np.random.default_rng(7)
         counts = {}
         builds = 4000
         for _ in range(builds):
-            _, diag = batch_of(ds, state, cfg, rng, tracker)
+            _, diag = batch_of(ds, state, cfg, rng, l_avg)
             assert diag.exponent == 0.0
             for key in zip(diag.class_ids, diag.anchor_index,
                            diag.positive_index):
@@ -202,16 +201,14 @@ class TestBuildBatchOracle:
         cfg = tiny_config(batch_size=int(rng.integers(2, num_classes + 1)),
                           metric=metric,
                           sampler=SamplerConfig(lambda_=lam or 0.0))
-        tracker = (LossTracker() if lam is None else
-                   LossTracker(l_avg=float(rng.uniform(0.05, 2.0)),
-                               initialized=True))
+        l_avg = None if lam is None else float(rng.uniform(0.05, 2.0))
         params = init_state(cfg, 64).params
         draw = int(rng.integers(1 << 30))
-        batch, diag = build_batch(params, tracker, cfg,
+        batch, diag = build_batch(params, l_avg, cfg,
                                   np.random.default_rng(draw),
                                   as_dataset(ds))
         inputs, weights, want = scalar_build_batch(
-            ds, params, tracker, cfg, np.random.default_rng(draw))
+            ds, params, l_avg, cfg, np.random.default_rng(draw))
         np.testing.assert_array_equal(batch.cache.inputs, inputs)
         np.testing.assert_array_equal(batch.weights, weights)
         for name in ("class_ids", "anchor_index", "positive_index",
@@ -224,11 +221,11 @@ class TestBuildBatchOracle:
         ds = ragged_dataset([2, 9, 16, 5, 3, 12])
         cfg = tiny_config(batch_size=5)
         params = init_state(cfg, 64).params
-        tracker = LossTracker(l_avg=0.4, initialized=True)
+        l_avg = 0.4
         rng_kernel, rng_oracle = (np.random.default_rng(11) for _ in "ab")
         for _ in range(5):
-            build_batch(params, tracker, cfg, rng_kernel, as_dataset(ds))
-            scalar_build_batch(ds, params, tracker, cfg, rng_oracle)
+            build_batch(params, l_avg, cfg, rng_kernel, as_dataset(ds))
+            scalar_build_batch(ds, params, l_avg, cfg, rng_oracle)
             assert rng_kernel.bit_generator.state == \
                 rng_oracle.bit_generator.state
 
@@ -240,9 +237,8 @@ class TestBuildBatchOracle:
                            np.repeat(ds[1].patches[:1], len(ds[1]), axis=0))
         cfg = tiny_config(batch_size=4, metric=MetricKind.EUCLIDEAN,
                           sampler=SamplerConfig(lambda_=float("inf")))
-        tracker = LossTracker(l_avg=1.0, initialized=True)
         state = init_state(cfg, 64)
-        _, diag = batch_of(ds, state, cfg, np.random.default_rng(2), tracker)
+        _, diag = batch_of(ds, state, cfg, np.random.default_rng(2), 1.0)
         slot = int(np.flatnonzero(diag.class_ids == ds[1].class_id)[0])
         assert diag.exponent == 50.0
         assert diag.probability_used[slot] == 1.0 / 8
@@ -253,12 +249,11 @@ class TestBuildBatchOracle:
     def test_two_patch_classes_are_forced_in_a_ragged_batch(self):
         ds = ragged_dataset([2, 16, 2, 9, 2, 5])
         cfg = tiny_config(batch_size=6)
-        tracker = LossTracker(l_avg=0.5, initialized=True)
         state = init_state(cfg, 64)
         rng = np.random.default_rng(4)
         sizes = {g.class_id: len(g) for g in ds}
         for _ in range(10):
-            _, diag = batch_of(ds, state, cfg, rng, tracker)
+            _, diag = batch_of(ds, state, cfg, rng, 0.5)
             for cid, a, p, used in zip(diag.class_ids, diag.anchor_index,
                                        diag.positive_index,
                                        diag.probability_used):
@@ -277,8 +272,8 @@ def manual_update(state, batch, config):
                         batch.weights)
     grads = backward(state.params, cache, np.vstack([ga, gp]))
     new_layers = []
-    for theta, g, v in zip(state.params.layers, grads.layers,
-                           state.momentum_buffers.layers):
+    for theta, g, v in zip(state.params.layers, grads,
+                           state.momentum_buffers):
         g_total = g + config.weight_decay * theta
         v_new = config.momentum * v + g_total
         new_layers.append(theta - state.lr * v_new)
@@ -292,14 +287,14 @@ class TestTrainStep:
         batch, _ = batch_of(ds, state, cfg, np.random.default_rng(seed))
         return state, batch
 
-    def test_zero_learning_rate_keeps_params_and_updates_tracker(self):
+    def test_zero_learning_rate_keeps_params_and_updates_loss_average(self):
         cfg = tiny_config(lr=0.0)
         state, batch = self.setup_batch(cfg)
         new_state, metrics = train_step(state, batch, cfg)
         for a, b in zip(state.params.layers, new_state.params.layers):
             np.testing.assert_array_equal(a, b)
-        assert new_state.loss_tracker.initialized
-        assert metrics["mean_loss"] >= 0
+        assert state.l_avg is None
+        assert new_state.l_avg == metrics["mean_loss"] >= 0
 
     def test_inactive_hinges_without_decay_keep_params(self):
         # seed 1 yields a batch whose hinges are all inactive at this margin
@@ -359,8 +354,8 @@ def oracle_train_step(state, batch, config):
 
     new_layers = []
     new_buffers = []
-    for theta, g, v in zip(state.params.layers, param_grads.layers,
-                           state.momentum_buffers.layers):
+    for theta, g, v in zip(state.params.layers, param_grads,
+                           state.momentum_buffers):
         g_total = g + config.weight_decay * theta
         v_new = config.momentum * v + g_total
         theta_new = theta - state.lr * v_new
@@ -369,18 +364,17 @@ def oracle_train_step(state, batch, config):
         new_layers.append(theta_new)
         new_buffers.append(v_new)
 
-    tracker = update_loss_avg(state.loss_tracker, mean_loss, config.sampler)
+    l_avg = update_loss_avg(state.l_avg, mean_loss, config.sampler)
     new_state = TrainState(
         params=ModelParams(new_layers, state.params.activation),
-        momentum_buffers=GradEstimate(new_buffers),
-        loss_tracker=tracker,
-        epoch=state.epoch,
+        momentum_buffers=new_buffers,
+        l_avg=l_avg,
         step=state.step + 1,
         lr=state.lr,
     )
     metrics = {
         "mean_loss": mean_loss,
-        "l_avg": tracker.l_avg,
+        "l_avg": l_avg,
         "mean_dpos": float(np.mean(mined.d_pos)),
         "mean_dneg": float(np.mean(mined.d_neg)),
         "active_fraction": float(np.mean(mined.loss > 0)),
@@ -390,13 +384,14 @@ def oracle_train_step(state, batch, config):
 
 
 def assert_states_equal(got, want):
-    for name in ("params", "momentum_buffers"):
-        for a, b in zip(getattr(got, name).layers,
-                        getattr(want, name).layers, strict=True):
+    for name, a_layers, b_layers in (
+            ("params", got.params.layers, want.params.layers),
+            ("momentum_buffers", got.momentum_buffers,
+             want.momentum_buffers)):
+        for a, b in zip(a_layers, b_layers, strict=True):
             assert np.array_equal(a, b), name
     assert got.params.activation is want.params.activation
-    assert got.loss_tracker == want.loss_tracker
-    assert (got.epoch, got.step, got.lr) == (want.epoch, want.step, want.lr)
+    assert (got.l_avg, got.step, got.lr) == (want.l_avg, want.step, want.lr)
 
 
 class TestOneForwardPass:
@@ -406,7 +401,7 @@ class TestOneForwardPass:
     def test_steps_equal_the_step_with_its_own_forward(self, metric,
                                                        activation, ragged):
         """From the same state and batch, every step equals the oracle step
-        that runs its own forward: params, momentum buffers, loss tracker
+        that runs its own forward: params, momentum buffers, loss average
         and metrics row, over 30 steps of one trajectory."""
         rng = np.random.default_rng(len(metric.value) + 2 * ragged)
         sizes = (rng.integers(2, 17, size=12) if ragged
@@ -417,13 +412,13 @@ class TestOneForwardPass:
         state, want = init_state(cfg, 64), init_state(cfg, 64)
         dataset = as_dataset(ds)
         for _ in range(30):
-            batch, _ = build_batch(state.params, state.loss_tracker, cfg,
-                                   rng, dataset)
+            batch, _ = build_batch(state.params, state.l_avg, cfg, rng,
+                                   dataset)
             state, metrics = train_step(state, batch, cfg)
             want, want_metrics = oracle_train_step(want, batch, cfg)
             assert metrics == want_metrics
             assert_states_equal(state, want)
-        assert state.loss_tracker.initialized
+        assert state.l_avg is not None
 
     def test_train_runs_one_forward_pass_per_step(self, monkeypatch):
         """train with no epoch callback runs no evaluation, so every forward
@@ -462,8 +457,8 @@ class TestUnitRowChecks:
             cfg = tiny_config(batch_size=5, metric=metric)
             state = init_state(cfg, 64)
             rng = np.random.default_rng(12)
-            for tracker in (None, LossTracker(l_avg=0.4, initialized=True)):
-                batch, _ = batch_of(ds, state, cfg, rng, tracker)
+            for l_avg in (None, 0.4):
+                batch, _ = batch_of(ds, state, cfg, rng, l_avg)
                 assert calls == []
                 train_step(state, batch, cfg)
                 assert calls == [2, 2]
