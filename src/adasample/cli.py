@@ -127,14 +127,6 @@ def cmd_diagnose(args) -> int:
     return EXIT_OK
 
 
-def _compare_cell(config: RunConfig, train_split, holdout,
-                  lam: float, seed: int) -> float:
-    cell_cfg = with_lambda(with_seed(config, seed), lam)
-    params, _ = tr.train(cell_cfg.train, train_split)
-    report = evaluate_params(holdout, params, cell_cfg)
-    return report.fpr95
-
-
 def cmd_compare(args) -> int:
     config = load_run_config(args.config, args.seed, args.lam)
     strategies = [_parse_lambda(tok) for tok in args.strategies.split(",")]
@@ -145,20 +137,36 @@ def cmd_compare(args) -> int:
     if len(seeds) < 3:
         print("compare needs at least 3 seeds", file=sys.stderr)
         return EXIT_USAGE
+    if len(set(seeds)) < len(seeds):
+        # a repeated seed would train a copy of a cell and count it twice
+        print(f"compare needs distinct seeds, got {args.seeds}",
+              file=sys.stderr)
+        return EXIT_USAGE
     for lam in strategies:
         replace(config.train.sampler, lambda_=lam).validate()
     dataset = read_dataset(args.dataset)
     train_split, holdout = split_holdout(dataset,
                                          config.eval.holdout_fraction)
+    # A repeated strategy names the same cells, which train once.
+    cells = list(dict.fromkeys((lam, seed) for lam in strategies
+                               for seed in seeds))
+    configs = [with_lambda(with_seed(config, seed), lam)
+               for lam, seed in cells]
+    try:
+        outcomes = tr.train_cells([c.train for c in configs], train_split)
+    except (DatasetError, ValueError) as exc:
+        outcomes = [exc] * len(cells)
     results: dict[tuple[float, int], float] = {}
     failures: dict[tuple[float, int], str] = {}
-    for lam in strategies:
-        for seed in seeds:
-            try:
-                results[(lam, seed)] = _compare_cell(config, train_split,
-                                                     holdout, lam, seed)
-            except (NumericError, DatasetError, ValueError) as exc:
-                failures[(lam, seed)] = str(exc)
+    for cell, cell_cfg, outcome in zip(cells, configs, outcomes):
+        if isinstance(outcome, Exception):
+            failures[cell] = str(outcome)
+            continue
+        try:
+            results[cell] = evaluate_params(holdout, outcome[0],
+                                            cell_cfg).fpr95
+        except (NumericError, DatasetError, ValueError) as exc:
+            failures[cell] = str(exc)
 
     rows = []
     base = strategies[0]

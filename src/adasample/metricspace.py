@@ -14,7 +14,10 @@ Rows are checked for unit norm once, where a caller's rows enter: each
 public function checks its inputs and runs one private kernel, which
 checks nothing. Code that holds rows known to be unit-norm (the network's
 output, or rows a public entry point has already checked) calls the
-kernels directly.
+kernels directly. The kernels and the row check also take a stack of
+batches, with leading axes before the (rows, D) ones: the lockstep trainer
+runs one call for the batches of all its cells, and every entry equals,
+bit for bit, that of the call on its own batch.
 """
 
 from __future__ import annotations
@@ -95,25 +98,31 @@ def _unit_rows(*batches, names: Sequence[str] = ("batch_a", "batch_b")
     a failure names the batch (from ``names``) and the row."""
     out = tuple(np.atleast_2d(np.asarray(b, dtype=np.float64))
                 for b in batches)
-    widths = {M.shape[1] for M in out}
+    widths = {M.shape[-1] for M in out}
     if len(widths) > 1:
         raise ValueError(f"dimension mismatch: "
-                         f"{' vs '.join(str(M.shape[1]) for M in out)}")
+                         f"{' vs '.join(str(M.shape[-1]) for M in out)}")
     for M, name in zip(out, names):
-        norms = np.linalg.norm(M, axis=1)
-        if not np.all(np.abs(norms - 1.0) <= UNIT_NORM_TOL):  # NaN fails
-            bad = int(np.argmax(np.abs(norms - 1.0)))
-            raise ValueError(f"{name}[{bad}] is not unit-norm "
-                             f"(norm {norms[bad]:.6g})")
+        norms = np.sqrt((M * M).sum(axis=-1))
+        if not (np.abs(norms - 1.0) <= UNIT_NORM_TOL).all():  # NaN fails
+            bad = np.unravel_index(np.argmax(np.abs(norms - 1.0)),
+                                   norms.shape)
+            raise ValueError(f"{name}[{', '.join(map(str, bad))}] is not "
+                             f"unit-norm (norm {norms[bad]:.6g})")
     return out
 
 
 def _euclidean_norms(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """``np.linalg.norm(X - Y, axis=-1)`` of X and Y broadcast together, bit
     for bit (each entry still sums its own D squares), in leading-axis blocks
-    of at most ``_BLOCK_ENTRIES`` differences squared in place."""
+    of at most ``_BLOCK_ENTRIES`` differences squared in place. More than
+    three axes run one leading index at a time."""
     X, Y = np.broadcast_arrays(X, Y)
     out = np.empty(X.shape[:-1])
+    if X.ndim > 3:
+        for i in range(len(out)):
+            out[i] = _euclidean_norms(X[i], Y[i])
+        return out
     step = max(1, _BLOCK_ENTRIES // max(1, int(np.prod(X.shape[1:]))))
     for start in range(0, len(out), step):
         diff = X[start:start + step] - Y[start:start + step]
@@ -130,16 +139,19 @@ def pairwise_distances(batch_a: Sequence[np.ndarray] | np.ndarray,
 
 
 def _pairwise(A: np.ndarray, B: np.ndarray, kind: MetricKind) -> np.ndarray:
+    """Entry (..., i, j) = distance(A[..., i, :], B[..., j, :], kind). A
+    stacked product runs the 2-D product of each batch (a batch times its
+    own transpose included), so each batch's entries are its own call's."""
     if kind is MetricKind.EUCLIDEAN:
-        return _euclidean_norms(A[:, None, :], B[None, :, :])
-    return np.arccos(np.clip(A @ B.T, -1.0, 1.0))
+        return _euclidean_norms(A[..., :, None, :], B[..., None, :, :])
+    return np.arccos(np.clip(A @ B.swapaxes(-1, -2), -1.0, 1.0))
 
 
 def _paired(A: np.ndarray, B: np.ndarray, kind: MetricKind) -> np.ndarray:
-    """Vector with entry i = distance(A[i], B[i], kind)."""
+    """Entry (..., i) = distance(A[..., i, :], B[..., i, :], kind)."""
     if kind is MetricKind.EUCLIDEAN:
         return _euclidean_norms(A, B)
-    return np.arccos(np.clip(np.sum(A * B, axis=1), -1.0, 1.0))
+    return np.arccos(np.clip(np.sum(A * B, axis=-1), -1.0, 1.0))
 
 
 def _candidates(A: np.ndarray, X: np.ndarray, counts: np.ndarray,

@@ -23,12 +23,16 @@ the probe both differentiate the loss through ``_triplet_grads``.
 Each public function checks once that its descriptor rows are unit-norm
 (:func:`mine_triplets` through :func:`hardest_negatives`) and then runs
 the unchecked ``metricspace`` kernels.
+
+A batch's arrays may carry leading axes: (S, n, D) descriptors are S
+batches, one per lockstep training cell, mined and differentiated in one
+call. Every batch gets the values its own call gives, bit for bit.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -80,7 +84,10 @@ class Negatives(NamedTuple):
 @dataclass(frozen=True)
 class MinedTriplets:
     """The mined triplets of a batch as arrays; entry i belongs to pair i.
-    Indexing gives the :class:`MinedTriplet` of one pair."""
+    Indexing gives the :class:`MinedTriplet` of one pair.
+
+    The arrays of stacked batches have shape (S, n); ``len`` then counts
+    all S * n triplets, and indexing runs over them batch after batch."""
 
     d_pos: np.ndarray
     d_neg: np.ndarray
@@ -89,17 +96,18 @@ class MinedTriplets:
     loss: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.loss)
+        return self.loss.size
 
     def __getitem__(self, i: int) -> MinedTriplet:
         if not -len(self) <= i < len(self):
             raise IndexError(f"pair {i} out of range for {len(self)} pairs")
         i %= len(self)
-        return MinedTriplet(pair_index=i, d_pos=float(self.d_pos[i]),
-                            d_neg=float(self.d_neg[i]),
-                            neg_source=NEG_SOURCES[self.source[i]],
-                            neg_pair_index=int(self.j[i]),
-                            loss=float(self.loss[i]))
+        return MinedTriplet(pair_index=i % self.loss.shape[-1],
+                            d_pos=float(self.d_pos.flat[i]),
+                            d_neg=float(self.d_neg.flat[i]),
+                            neg_source=NEG_SOURCES[self.source.flat[i]],
+                            neg_pair_index=int(self.j.flat[i]),
+                            loss=float(self.loss.flat[i]))
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
@@ -111,28 +119,30 @@ def hardest_negatives(anchors: np.ndarray, positives: np.ndarray,
                       opposing: tuple | None = None) -> Negatives:
     """Per query pair i, the hardest negative against the opposing pairs
     ``opposing = (anchors, positives, own)``, skipping opposing pair
-    ``own[i]``. The default opposes the batch to itself with own[i] = i.
+    ``own[i]``. The default opposes the batch to itself with own[i] = i;
+    stacked (S, n, D) batches are each opposed to themselves.
 
     The candidates of pair i are the distances on side 0 (its anchor) and
-    side 1 (its positive) to each opposing pair j. Scanning the flattened
-    (j, side) candidates makes the tie-break exact: lowest j wins, and
-    within a j side 0 wins.
+    side 1 (its positive) to each opposing pair j. The hardest is the
+    first minimum in (j, side) order: lowest j wins, and within a j side 0
+    wins.
     """
     if opposing is None:
         A, P = _unit_rows(anchors, positives, names=_ROW_NAMES)
-        OA, OP, own = A, P, np.arange(A.shape[0])
+        OA, OP, own = A, P, np.arange(A.shape[-2])
     else:
         A, P, OA, OP = _unit_rows(anchors, positives, *opposing[:2],
                                   names=_ROW_NAMES)
         own = opposing[2]
-    n = A.shape[0]
-    if P.shape[0] != n:
-        raise ValueError(f"anchor/positive counts differ: {n} vs {P.shape[0]}")
-    if OA.shape[0] != OP.shape[0] or np.shape(own) != (n,):
+    n = A.shape[-2]
+    if P.shape[:-1] != A.shape[:-1]:
+        raise ValueError(f"anchor/positive counts differ: {n} vs "
+                         f"{P.shape[-2]}")
+    if OA.shape[:-1] != OP.shape[:-1] or np.shape(own) != (n,):
         raise ValueError(f"opposing pairs do not match {n} query pairs")
-    if OA.shape[0] < 2:
+    if OA.shape[-2] < 2:
         raise ValueError(f"need at least 2 pairs to mine negatives, "
-                         f"got {OA.shape[0]}")
+                         f"got {OA.shape[-2]}")
     if neg_mode is NegMode.SAME_ROLE:
         D_first = _pairwise(A, OA, kind)
         D_second = _pairwise(P, OP, kind)
@@ -141,20 +151,25 @@ def hardest_negatives(anchors: np.ndarray, positives: np.ndarray,
         D_first = _pairwise(A, OP, kind)
         D_second = _pairwise(P, OA, kind)
         first_code = 2
-    C = np.stack([D_first, D_second], axis=2)
-    idx = np.arange(n)
-    C[idx, own, :] = np.inf
-    flat = C.reshape(n, -1)
-    best = np.argmin(flat, axis=1)
-    j, side = np.divmod(best, 2)
-    return Negatives(flat[idx, best], first_code + side, j)
+    # The first minimum over (j, side) is at the first j that minimizes
+    # min(D_first, D_second), on side 1 only where D_second is smaller.
+    nearest = np.minimum(D_first, D_second)
+    nearest[..., np.arange(n), own] = np.inf
+    m = nearest.shape[-1]
+    nearest = nearest.reshape(-1, m)
+    j = np.argmin(nearest, axis=1)
+    r = np.arange(len(j))
+    second = D_second.reshape(-1, m)[r, j] < D_first.reshape(-1, m)[r, j]
+    shape = D_first.shape[:-1]
+    return Negatives(nearest[r, j].reshape(shape),
+                     (first_code + second).reshape(shape), j.reshape(shape))
 
 
 def triplet_loss(d_pos, d_neg, margin: float) -> np.ndarray:
     """Element-wise max(margin + d_pos^2 - d_neg^2, 0)."""
     d_pos = np.asarray(d_pos, dtype=np.float64)
     d_neg = np.asarray(d_neg, dtype=np.float64)
-    if not (np.all(np.isfinite(d_pos)) and np.all(np.isfinite(d_neg))
+    if not (np.isfinite(d_pos).all() and np.isfinite(d_neg).all()
             and np.isfinite(margin)):
         raise ValueError("triplet loss inputs must be finite")
     return np.maximum(margin + d_pos * d_pos - d_neg * d_neg, 0.0)
@@ -212,32 +227,41 @@ def loss_grads(anchors: np.ndarray, positives: np.ndarray,
     hinges (and the exact hinge boundary) contribute the zero subgradient.
     A descriptor receives its terms in pair order, and within a pair in the
     order anchor, positive, pair-i side and pair-j side of the negative.
+    Stacked (S, n, D) batches, with (S, n) mined arrays and weights, give
+    (S, n, D) gradients, each batch's as its own call gives them.
     """
     A, P = _unit_rows(anchors, positives, names=_ROW_NAMES)
-    n = A.shape[0]
-    if P.shape[0] != n:
-        raise ValueError(f"anchor/positive counts differ: {n} vs {P.shape[0]}")
-    w = np.ones(n) if weights is None else np.asarray(weights, np.float64)
-    if w.shape != (n,):
+    n, D = A.shape[-2:]
+    if P.shape != A.shape:
+        raise ValueError(f"anchor/positive counts differ: {n} vs "
+                         f"{P.shape[-2]}")
+    w = np.ones(A.shape[:-1]) if weights is None \
+        else np.asarray(weights, np.float64)
+    if w.shape != A.shape[:-1]:
         raise ValueError(f"weights shape {w.shape} does not match batch size {n}")
     j = np.asarray(mined.j)
-    stale = (j < 0) | (j >= n) | (j == np.arange(len(j)))
-    if len(mined) != n or np.any(stale):
-        bad = int(np.argmax(stale)) if np.any(stale) else len(j)
+    stale = (j < 0) | (j >= n) | (j == np.arange(j.shape[-1]))
+    if mined.loss.shape != w.shape or stale.any():
+        bad = int(np.argmax(stale)) if stale.any() else len(mined)
         raise ValueError(f"mined triplets have stale indices (pair {bad} of "
                          f"{len(mined)}) for batch size {n}")
-    # Rows 0..n-1 of X are the anchors, rows n..2n-1 the positives.
-    X = np.vstack([A, P])
+    # Batch s owns rows 2ns..2ns+n-1 of X for its anchors and the next n
+    # for its positives; its pair i is pair sn + i of the stack.
+    X = np.concatenate([A.reshape(-1, n, D), P.reshape(-1, n, D)],
+                       axis=1).reshape(-1, D)
     act = np.flatnonzero(mined.loss > 0.0)
-    active = MinedTriplets(*(np.asarray(getattr(mined, f.name))[act]
-                             for f in fields(MinedTriplets)))
-    pairs = np.arange(n)[:, None] + [0, n]
-    rows, terms = _triplet_grads(X, pairs[act], pairs, active, kind, w[act])
+    d_pos, d_neg, source, j, loss = (
+        np.asarray(a).ravel()[act]
+        for a in (mined.d_pos, mined.d_neg, mined.source, j, mined.loss))
+    active = MinedTriplets(d_pos, d_neg, source, act - act % n + j, loss)
+    pair = np.arange(X.shape[0] // 2)
+    pairs = (pair + pair // n * n)[:, None] + [0, n]
+    rows, terms = _triplet_grads(X, pairs[act], pairs, active, kind,
+                                 w.ravel()[act])
     # One scatter over the flat indices row * D + column. bincount adds each
     # entry's terms in index order, starting from 0.0, as the per-triplet
     # loop (and np.add.at) would.
-    D = X.shape[1]
     flat = (rows.reshape(-1, 1) * D + np.arange(D)).ravel()
     grads = np.bincount(flat, weights=terms.ravel(),
-                        minlength=X.size).reshape(X.shape)
-    return grads[:n], grads[n:]
+                        minlength=X.size).reshape(-1, 2 * n, D)
+    return (grads[:, :n].reshape(A.shape), grads[:, n:].reshape(A.shape))

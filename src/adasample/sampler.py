@@ -18,7 +18,7 @@ exercised against exhaustive-expectation oracles in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -55,29 +55,48 @@ class SamplerConfig:
 
 class Reweights(NamedTuple):
     weights: np.ndarray
-    clamped: bool
+    clamped: int    # batches holding a distance at or below the floor
 
 
-def update_loss_avg(l_avg: float | None, batch_mean_loss: float,
-                    config: SamplerConfig) -> float:
+def stacked(configs: Sequence[SamplerConfig]) -> SamplerConfig:
+    """The samplers of cells in lockstep as one config whose fields are
+    vectors, entry s from ``configs[s]``. :func:`update_loss_avg` and
+    :func:`adaptive_exponent` take it with one loss average per cell."""
+    return SamplerConfig(*(np.array([getattr(c, f.name) for c in configs],
+                                    dtype=np.float64)
+                           for f in fields(SamplerConfig)))
+
+
+def update_loss_avg(l_avg: float | np.ndarray | None,
+                    batch_mean_loss: float | np.ndarray,
+                    config: SamplerConfig) -> float | np.ndarray:
     """Exponential moving average of batch mean losses; ``l_avg`` is None
-    before the first observation, which becomes the average directly."""
-    if not np.isfinite(batch_mean_loss) or batch_mean_loss < 0:
+    (or NaN) before the first observation, which becomes the average
+    directly.
+
+    Cells in lockstep pass vectors, one entry per cell, with a
+    :func:`stacked` config; each entry is the float its scalar call
+    gives."""
+    loss = np.asarray(batch_mean_loss, dtype=np.float64)
+    if not np.isfinite(loss).all() or (loss < 0).any():
         raise ValueError(f"batch mean loss must be finite and >= 0, "
                          f"got {batch_mean_loss}")
-    if l_avg is None:
-        return float(batch_mean_loss)
+    prev = np.asarray(np.nan if l_avg is None else l_avg, dtype=np.float64)
     beta = config.ema_decay
-    return beta * l_avg + (1.0 - beta) * batch_mean_loss
+    out = np.where(np.isnan(prev), loss, beta * prev + (1.0 - beta) * loss)
+    return out if out.ndim else float(out)
 
 
-def adaptive_exponent(l_avg: float | None, config: SamplerConfig) -> float:
+def adaptive_exponent(l_avg: float | np.ndarray | None,
+                      config: SamplerConfig) -> float | np.ndarray:
     """min(lambda / max(L_avg, loss_floor), exponent_cap), and 0 (uniform
-    sampling) before any loss is observed."""
-    if l_avg is None:
-        return 0.0
-    return float(min(config.lambda_ / max(l_avg, config.loss_floor),
-                     config.exponent_cap))
+    sampling) before any loss is observed (``l_avg`` None or NaN); vectors
+    per cell as in :func:`update_loss_avg`."""
+    l_avg = np.asarray(np.nan if l_avg is None else l_avg, dtype=np.float64)
+    out = np.where(np.isnan(l_avg), 0.0, np.minimum(
+        config.lambda_ / np.maximum(l_avg, config.loss_floor),
+        config.exponent_cap))
+    return out if out.ndim else float(out)
 
 
 def _real_columns(values: np.ndarray, counts
@@ -91,18 +110,21 @@ def _real_columns(values: np.ndarray, counts
     v = np.atleast_2d(v)
     n, K = v.shape
     counts = np.full(n, K) if counts is None else np.asarray(counts)
-    if counts.shape != (n,) or np.any(counts < 1) or np.any(counts > K):
+    if counts.shape != (n,) or (counts < 1).any() or (counts > K).any():
         raise ValueError(f"counts must be {n} values in [1, {K}]")
     return v, counts, np.arange(K) < counts[:, None]
 
 
-def positive_probs(distances: np.ndarray, exponent: float, *,
+def positive_probs(distances: np.ndarray, exponent: float | np.ndarray, *,
                    counts: np.ndarray | None = None) -> np.ndarray:
     """Row-wise p_i = d_i^e / sum_j d_j^e over the candidate positives.
 
     Row r of a 2-D ``distances`` holds its ``counts[r]`` candidates first;
     the pad columns after them are ignored and get probability 0. A 1-D
-    vector is the one-row case and gives a 1-D result.
+    vector is the one-row case and gives a 1-D result. ``exponent`` is one
+    value for every row or a vector of one per row. (numpy raises to a
+    scalar power of 2 or 0.5 with ``square`` or ``sqrt``, whose last bit
+    may differ from that of the same power given per row.)
 
     Distances are rescaled by their row maximum before exponentiation so
     that large exponents cannot overflow or underflow the normalization. An
@@ -111,16 +133,21 @@ def positive_probs(distances: np.ndarray, exponent: float, *,
     """
     d, counts, real = _real_columns(distances, counts)
     d = np.where(real, d, 0.0)
-    if not np.all(np.isfinite(d)):
+    if not np.isfinite(d).all():
         raise ValueError("distances must be finite")
-    if np.any(d < 0):
+    if (d < 0).any():
         raise ValueError("distances must be nonnegative")
-    if exponent < 0:
+    e = np.asarray(exponent, dtype=np.float64)
+    if e.shape not in ((), (len(d),)):
+        raise ValueError(f"need one exponent or one per row, got shape "
+                         f"{e.shape} for {len(d)} rows")
+    if (e < 0).any():
         raise ValueError(f"exponent must be >= 0, got {exponent}")
     d_max = d.max(axis=1)
-    uniform = (d_max == 0.0) | (exponent == 0.0)
+    uniform = (d_max == 0.0) | (e == 0.0)
     # pad columns stay 0 on the rows that are not uniform, where e > 0
-    scaled = (d / np.where(uniform, 1.0, d_max)[:, None]) ** exponent
+    scaled = (d / np.where(uniform, 1.0, d_max)[:, None]) \
+        ** (e[:, None] if e.ndim else exponent)
     # numpy's pairwise summation groups terms by the length it is given, so
     # each row is summed over exactly its real columns, one length at a time
     total = np.empty(len(d))
@@ -133,21 +160,23 @@ def positive_probs(distances: np.ndarray, exponent: float, *,
 
 
 def reweights(distances: np.ndarray) -> Reweights:
-    """Inverse-distance weights normalized to batch mean 1.
+    """Inverse-distance weights normalized to batch mean 1, for a batch or
+    for each row of a matrix of batches.
 
-    Distances at or below ``DISTANCE_FLOOR`` are clamped to the floor and
-    the result is flagged.
+    Distances at or below ``DISTANCE_FLOOR`` are clamped to the floor;
+    ``clamped`` counts the batches that held one.
     """
     d = np.asarray(distances, dtype=np.float64)
-    if d.ndim != 1 or d.size == 0:
-        raise ValueError("distances must be a nonempty 1-D vector")
-    if not np.all(np.isfinite(d)):
+    if d.ndim not in (1, 2) or d.size == 0:
+        raise ValueError("distances must be a nonempty 1-D vector or 2-D "
+                         "matrix")
+    if not np.isfinite(d).all():
         raise ValueError("distances must be finite")
-    if np.any(d < 0):
+    if (d < 0).any():
         raise ValueError("distances must be nonnegative")
-    clamped = bool(np.any(d <= DISTANCE_FLOOR))
+    clamped = np.count_nonzero((d <= DISTANCE_FLOOR).any(axis=-1))
     inv = 1.0 / np.maximum(d, DISTANCE_FLOOR)
-    return Reweights(inv / inv.mean(), clamped)
+    return Reweights(inv / inv.mean(axis=-1, keepdims=True), clamped)
 
 
 def categorical_sample(probs: np.ndarray, uniforms: float | np.ndarray, *,
@@ -167,10 +196,10 @@ def categorical_sample(probs: np.ndarray, uniforms: float | np.ndarray, *,
     if u.shape != (len(p),):
         raise ValueError(f"need one uniform per row, got {u.size} for "
                          f"{len(p)} rows")
-    if np.any(p < 0):
+    if (p < 0).any():
         raise ValueError("probabilities must be nonnegative")
     total = p.sum(axis=1)
-    if np.any(np.abs(total - 1.0) > 1e-9):
+    if (np.abs(total - 1.0) > 1e-9).any():
         bad = int(np.argmax(np.abs(total - 1.0)))
         raise ValueError(f"probabilities must sum to 1, got {total[bad]!r} "
                          f"in row {bad}")

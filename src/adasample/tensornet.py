@@ -132,11 +132,11 @@ def forward(params: ModelParams,
         hidden.append(x)
     z = x @ params.layers[-1].T
     norms = np.linalg.norm(z, axis=1)
-    if not np.all(np.isfinite(norms)):
+    if not np.isfinite(norms).all():
         bad = int(np.argmin(np.isfinite(norms)))
         raise NumericError(
             f"pre-normalization output of sample {bad} is not finite")
-    if np.any(norms < 1e-300):
+    if (norms < 1e-300).any():
         bad = int(np.argmin(norms))
         raise DegenerateOutputError(
             f"pre-normalization output of sample {bad} is zero")

@@ -33,17 +33,32 @@ default run train about 19% more pairs per second, with byte-identical
 output (alternating runs of ``bench/run.py --workload train_default``
 before and after, on a 2-core machine).
 
-A step carries the weights, one momentum buffer per weight matrix and
-the loss average L_avg, which is None until the first step's mean loss
-sets it; until then the exponent is 0 and positives are drawn uniformly.
-The learning rate is divided by 10 at the end of each configured
-drop epoch. Runs are reproducible from (config, dataset, seed).
+Runs that share a dataset, a network and a schedule and differ only in
+their seed and sampler config are cells, and :func:`train_cells` steps up
+to ``CELL_CHUNK`` of them in lockstep. Each cell draws its classes,
+anchors and uniforms from its own generator and runs its own forward
+pass, backward pass and update on its own 2-D weights. The small arrays
+of a step (candidate distances, probabilities, the draw, re-weighting,
+mining, loss gradients, loss averages) are stacked along a leading cell
+axis and run once for every cell, which divides their per-call cost by
+the number of cells. Every shared kernel gives each cell's entries the
+bits of the cell alone: reductions run along the last axis, products per
+batch, and candidate rows are grouped by their count, so padding them to
+the widest class of any cell changes nothing. :func:`train` is the
+one-cell case.
+
+A cell carries its weights, one momentum buffer per weight matrix and the
+loss average L_avg, which is unset (None for one cell, NaN in a stack)
+until the first step's mean loss sets it; until then the exponent is 0
+and positives are drawn uniformly. The learning rate is divided by 10 at
+the end of each configured drop epoch. Runs are reproducible from
+(config, dataset, seed), in lockstep or alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple
+from dataclasses import dataclass, field, fields
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -107,8 +122,20 @@ class TrainConfig:
         return [input_dim, *self.hidden_dims, self.descriptor_dim]
 
 
+# Cells that :func:`train_cells` steps in one lockstep. Between its forward
+# pass and the positive draw a cell holds the hidden activations and
+# descriptors of every patch of its chosen classes (about 0.4 MB at the
+# defaults, 3 MB for 128 classes of up to 16 patches of 32x32 pixels and
+# 256 hidden units), so a chunk bounds that memory. Per cell, a step took
+# about as long at 16 cells (two chunks) as at 6.
+CELL_CHUNK = 8
+
+
 @dataclass
 class TrainState:
+    """One cell's weights, momentum buffers and loss average, as
+    :func:`train` hands them to its epoch callback."""
+
     params: ModelParams
     momentum_buffers: list[np.ndarray]  # shaped like params.layers
     l_avg: float | None                 # None before the first step
@@ -116,42 +143,115 @@ class TrainState:
     lr: float = 0.0
 
 
-class Batch(NamedTuple):
-    """The forward cache of a batch's rows, anchors then positives, and
-    per-pair weights."""
+@dataclass
+class Cells:
+    """S cells in lockstep. Entry s is cell ``ids[s]`` of the run: it has
+    weights ``params[s]``, momentum buffers ``momentum_buffers[s]`` (shaped
+    like the weights), loss average ``l_avg[s]`` (NaN before its first
+    step) and sampler entry s of the :func:`~adasample.sampler.stacked`
+    ``sampler``, and draws its batches from ``rngs[s]``. All cells are at
+    the same step and learning rate."""
 
-    cache: ForwardCache         # 2n rows
-    weights: np.ndarray         # (n,)
+    ids: list[int]
+    params: list[ModelParams]
+    momentum_buffers: list[list[np.ndarray]]
+    l_avg: np.ndarray                   # (S,)
+    sampler: SamplerConfig              # fields of shape (S,)
+    rngs: list[np.random.Generator]
+    step: int = 0
+    lr: float = 0.0
+
+    def state(self, s: int) -> TrainState:
+        """Entry s as one cell's state."""
+        l_avg = float(self.l_avg[s])
+        return TrainState(self.params[s], self.momentum_buffers[s],
+                          None if np.isnan(l_avg) else l_avg, self.step,
+                          self.lr)
+
+    def take(self, keep: Sequence[int]) -> "Cells":
+        """The entries at positions ``keep``, in that order (these cells
+        themselves when ``keep`` holds every entry in order)."""
+        if len(keep) == len(self.ids):
+            return self
+        return Cells([self.ids[s] for s in keep],
+                     [self.params[s] for s in keep],
+                     [self.momentum_buffers[s] for s in keep],
+                     self.l_avg[keep],
+                     SamplerConfig(*(getattr(self.sampler, f.name)[keep]
+                                     for f in fields(SamplerConfig))),
+                     [self.rngs[s] for s in keep], self.step, self.lr)
+
+
+def init_cells(configs: Sequence[TrainConfig], input_dim: int) -> Cells:
+    """Cells 0..S-1 at step 0, cell s initialized, seeded and configured
+    by ``configs[s]`` as :func:`train` would; the configs share every
+    field but ``seed`` and ``sampler``."""
+    params = [init_params(c.layer_dims(input_dim), c.seed, c.activation)
+              for c in configs]
+    return Cells(
+        ids=list(range(len(configs))), params=params,
+        momentum_buffers=[[np.zeros_like(w) for w in p.layers]
+                          for p in params],
+        l_avg=np.full(len(configs), np.nan),
+        sampler=smp.stacked([c.sampler for c in configs]),
+        rngs=[np.random.default_rng(np.random.SeedSequence(c.seed))
+              for c in configs],
+        lr=configs[0].lr)
+
+
+class Batch(NamedTuple):
+    """One lockstep step's batches, for the cells at positions ``keep`` of
+    the :class:`Cells` they were drawn for (those whose forward pass
+    completed). Cell s's batch is rows ``rows[s]`` of ``inputs``, anchors
+    then positives, with a row of per-pair weights; ``hidden[s]``,
+    ``output_norms[s]`` and ``descriptors[s]`` hold the rest of their
+    forward cache. ``failed`` maps the id of every other cell to the error
+    that ended it."""
+
+    inputs: np.ndarray                  # the dataset's input rows
+    rows: np.ndarray                    # (S, 2n)
+    hidden: list[list[np.ndarray]]      # per cell, (2n, M_l) per layer
+    output_norms: np.ndarray            # (S, 2n)
+    descriptors: np.ndarray             # (S, 2n, D)
+    weights: np.ndarray                 # (S, n)
+    keep: list[int]
+    failed: dict[int, NumericError]
+
+    def cache(self, s: int) -> ForwardCache:
+        """Cell s's forward cache; its input rows are gathered here, so
+        the batch holds them for one cell at a time."""
+        return ForwardCache(self.inputs[self.rows[s]], self.hidden[s],
+                            self.output_norms[s], self.descriptors[s])
 
 
 @dataclass
 class BatchDiagnostics:
-    """Per-pair choices of one batch; index arrays address each class's
-    patches."""
+    """Per-pair choices of a lockstep batch, one row per cell of its
+    :class:`Batch`; index arrays address each class's patches."""
 
-    class_ids: np.ndarray
+    class_ids: np.ndarray               # (S, n)
     anchor_index: np.ndarray
     positive_index: np.ndarray
     probability_used: np.ndarray
-    exponent: float
-    weight_clamped: bool
+    exponent: np.ndarray                # (S,)
+    weight_clamped: int                 # batches whose weights were clamped
 
 
-def build_batch(params: ModelParams, l_avg: float | None,
-                config: TrainConfig, rng: np.random.Generator,
+def build_batch(cells: Cells, config: TrainConfig,
                 dataset: Dataset) -> tuple[Batch, BatchDiagnostics]:
     """Select n distinct classes of ``dataset`` (every class holds at least
     2 patches, as :func:`train` checks) and one weighted (anchor, positive)
-    each.
+    each, for every cell; ``config`` holds the fields the cells share.
 
-    The batch carries the rows of this call's forward pass with ``params``,
-    so it is for a :func:`train_step` with the same params.
+    The batch carries the rows of this call's forward passes with the
+    cells' params, so it is for a :func:`train_step` of the same cells.
 
-    The anchors and uniforms come from one ``integers`` call that replays
-    the per-class loop ``rng.integers(k); rng.random()`` draw for draw,
-    generator state included. Its bounds alternate k - 1 and 2**64 - 1;
-    :mod:`adasample.stream` states the facts of numpy's stream that make
-    each entry equal its scalar draw.
+    Per cell, the anchors and uniforms come from one ``integers`` call that
+    replays the per-class loop ``rng.integers(k); rng.random()`` draw for
+    draw, generator state included. Its bounds alternate k - 1 and
+    2**64 - 1; :mod:`adasample.stream` states the facts of numpy's stream
+    that make each entry equal its scalar draw. A cell whose forward pass
+    fails leaves the batch.
     """
     n = config.batch_size
     num_classes = len(dataset)
@@ -159,91 +259,139 @@ def build_batch(params: ModelParams, l_avg: float | None,
         raise DatasetError(f"dataset has {num_classes} classes but the batch "
                            f"needs {n}")
     sizes = np.diff(dataset.offsets)
-    exponent = smp.adaptive_exponent(l_avg, config.sampler)
-    chosen_classes = rng.choice(num_classes, size=n, replace=False)
-    k = sizes[chosen_classes]
     highs = np.full(2 * n, np.iinfo(np.uint64).max, dtype=np.uint64)
-    highs[0::2] = k - 1
-    raw = rng.integers(0, highs, endpoint=True, dtype=np.uint64)
-    anchor_index = raw[0::2].astype(np.int64)
-    uniforms = (raw[1::2] >> np.uint64(11)) * 2.0 ** -53
-
-    # One batched descriptor extraction over every patch of the selected
-    # classes, class after class; class i starts at row first[i].
-    inputs, first = dataset.gather(chosen_classes)
-    descs, cache = forward(params, inputs)
-
-    # Pad columns repeat the anchor; the counts mask them everywhere.
+    draws = []
+    for rng in cells.rngs:
+        chosen = rng.choice(num_classes, size=n, replace=False)
+        highs[0::2] = sizes[chosen] - 1
+        draws.append((chosen, rng.integers(0, highs, endpoint=True,
+                                           dtype=np.uint64)))
+    # The small arrays of every cell at once, one row per (cell, class).
+    chosen, raw = (np.array(a) for a in zip(*draws))
+    k = sizes[chosen]
+    anchor_index = raw[:, 0::2].astype(np.int64)
+    uniforms = (raw[:, 1::2] >> np.uint64(11)) * 2.0 ** -53
+    # Pad columns repeat the anchor; the counts mask them everywhere, and
+    # the kernels group rows by count, so padding to the widest class of
+    # any cell keeps every row's bits.
     c = np.arange(k.max() - 1)
-    candidates = np.where(c < (k - 1)[:, None],
-                          c + (c >= anchor_index[:, None]),
-                          anchor_index[:, None])
-    dists = _candidates(descs[first + anchor_index],
-                        descs[first[:, None] + candidates], k - 1,
+    candidates = np.where(c < (k - 1)[..., None],
+                          c + (c >= anchor_index[..., None]),
+                          anchor_index[..., None])
+    anchors = np.empty((*k.shape, config.descriptor_dim))
+    cands = np.empty((*candidates.shape, config.descriptor_dim))
+    keep, failed, passes = [], {}, []
+    for s, params in enumerate(cells.params):
+        # One batched descriptor extraction over every patch of the
+        # selected classes, class after class; class i starts at row
+        # first[i].
+        inputs, first = dataset.gather(chosen[s])
+        try:
+            descs, cache = forward(params, inputs)
+        except NumericError as exc:
+            failed[cells.ids[s]] = exc
+            continue
+        keep.append(s)
+        anchors[s] = descs[first + anchor_index[s]]
+        cands[s] = descs[first[:, None] + candidates[s]]
+        # The batch gathers its input rows from the dataset again, so no
+        # cell's whole gather is held past its forward pass.
+        passes.append((first, cache.hidden, cache.output_norms))
+        del inputs, descs, cache
+    if not keep:
+        none = np.empty((0, n))
+        return (Batch(dataset.rows, none, [], none, none, none, keep,
+                      failed),
+                BatchDiagnostics(none, none, none, none, np.empty(0), 0))
+    if failed:
+        chosen, k, anchor_index, uniforms, anchors, cands = (
+            a[keep] for a in (chosen, k, anchor_index, uniforms, anchors,
+                              cands))
+
+    counts = (k - 1).ravel()
+    dists = _candidates(anchors.reshape(counts.size, -1),
+                        cands.reshape(counts.size, len(c), -1), counts,
                         config.metric)
-    probs = smp.positive_probs(dists, exponent, counts=k - 1)
-    pick = smp.categorical_sample(probs, uniforms, counts=k - 1)
-    slots = np.arange(n)
+    exponent = smp.adaptive_exponent(cells.l_avg, cells.sampler)[keep]
+    probs = smp.positive_probs(dists, np.repeat(exponent, n), counts=counts)
+    pick = smp.categorical_sample(probs, uniforms.ravel(), counts=counts)
+    slots = np.arange(counts.size)
+    weights, clamped = smp.reweights(dists[slots, pick].reshape(k.shape))
+    used = probs[slots, pick].reshape(k.shape)
+    pick = pick.reshape(k.shape)
     positive_index = pick + (pick >= anchor_index)
-    weights, clamped = smp.reweights(dists[slots, pick])
-    rows = np.concatenate([first + anchor_index, first + positive_index])
+
+    # Each cell's batch rows, anchors then positives, in its forward pass
+    # and in the dataset. A cell's whole pass is freed once its rows are
+    # taken.
+    picked = np.concatenate([anchor_index, positive_index], axis=1)
+    batch_descs = np.concatenate([anchors, cands.reshape(
+        counts.size, len(c), -1)[slots, pick.ravel()].reshape(
+            anchors.shape)], axis=1)
+    batch_hidden = []
+    norms = np.empty(picked.shape)
+    for s in range(len(keep)):
+        first, hidden, cell_norms = passes.pop(0)
+        rows = np.tile(first, 2) + picked[s]
+        batch_hidden.append([x[rows] for x in hidden])
+        norms[s] = cell_norms[rows]
     diag = BatchDiagnostics(
-        class_ids=dataset.class_ids[chosen_classes],
+        class_ids=dataset.class_ids[chosen],
         anchor_index=anchor_index, positive_index=positive_index,
-        probability_used=probs[slots, pick], exponent=exponent,
-        weight_clamped=clamped)
-    return Batch(cache.take(rows), weights), diag
+        probability_used=used, exponent=exponent, weight_clamped=clamped)
+    return Batch(dataset.rows, np.tile(dataset.offsets[chosen], 2) + picked,
+                 batch_hidden, norms, batch_descs, weights, keep, failed), diag
 
 
-def train_step(state: TrainState, batch: Batch,
-               config: TrainConfig) -> tuple[TrainState, dict]:
-    """One update from the batch's forward cache, which must come from
-    ``state.params``: mine, weighted hinge loss, backward, momentum SGD."""
-    n = len(batch.weights)
-    descs = batch.cache.descriptors
-    desc_a, desc_p = descs[:n], descs[n:]
+def train_step(cells: Cells, batch: Batch, config: TrainConfig
+               ) -> tuple[Cells, dict[str, list], dict[int, NumericError]]:
+    """One update of the cells from their batch, whose forward caches must
+    come from the cells' params (its ``keep`` holds every cell): mine,
+    weighted hinge loss, backward, momentum SGD.
 
+    Mining, the loss gradients and the loss averages run once over the
+    stacked batches. ``backward`` and the update run per cell, on its own
+    weights and rows: stacked, the update's arrays outgrew the cache and
+    it took about half again as long per cell. Returns the cells that
+    completed the step, the metrics of every cell as one list per name,
+    and the error that ended each other cell, by id.
+    """
+    n = batch.weights.shape[1]
+    desc_a, desc_p = batch.descriptors[:, :n], batch.descriptors[:, n:]
     mined = mine_triplets(desc_a, desc_p, config.metric, config.margin,
                           config.neg_mode)
-    mean_loss = float(mined.loss.mean())
-    if not np.isfinite(mean_loss):
-        raise NumericError(f"non-finite batch loss at step {state.step}: "
-                           f"{mined.loss}")
-
     grad_a, grad_p = loss_grads(desc_a, desc_p, mined, config.metric,
                                 batch.weights)
-    param_grads = backward(state.params, batch.cache,
-                           np.vstack([grad_a, grad_p]))
+    output_grads = np.concatenate([grad_a, grad_p], axis=1)
+    params, buffers, failed = [], [], {}
+    for s, (cell_params, cell_buffers) in enumerate(
+            zip(cells.params, cells.momentum_buffers)):
+        grads = backward(cell_params, batch.cache(s), output_grads[s])
+        layers, velocities = [], []
+        for theta, g, v in zip(cell_params.layers, grads, cell_buffers):
+            g_total = g + config.weight_decay * theta
+            v_new = config.momentum * v + g_total
+            layers.append(theta - cells.lr * v_new)
+            velocities.append(v_new)
+        if not all(np.isfinite(theta).all() for theta in layers):
+            failed[cells.ids[s]] = NumericError(
+                f"non-finite parameters at step {cells.step}")
+        params.append(ModelParams(layers, cell_params.activation))
+        buffers.append(velocities)
 
-    new_layers = []
-    new_buffers = []
-    for theta, g, v in zip(state.params.layers, param_grads,
-                           state.momentum_buffers):
-        g_total = g + config.weight_decay * theta
-        v_new = config.momentum * v + g_total
-        theta_new = theta - state.lr * v_new
-        if not np.all(np.isfinite(theta_new)):
-            raise NumericError(f"non-finite parameters at step {state.step}")
-        new_layers.append(theta_new)
-        new_buffers.append(v_new)
-
-    l_avg = smp.update_loss_avg(state.l_avg, mean_loss, config.sampler)
-    new_state = TrainState(
-        params=ModelParams(new_layers, state.params.activation),
-        momentum_buffers=new_buffers,
-        l_avg=l_avg,
-        step=state.step + 1,
-        lr=state.lr,
-    )
+    mean_loss = mined.loss.mean(axis=1)
+    cells = Cells(cells.ids, params, buffers,
+                  smp.update_loss_avg(cells.l_avg, mean_loss, cells.sampler),
+                  cells.sampler, cells.rngs, cells.step + 1, cells.lr)
     metrics = {
-        "mean_loss": mean_loss,
-        "l_avg": l_avg,
-        "mean_dpos": float(np.mean(mined.d_pos)),
-        "mean_dneg": float(np.mean(mined.d_neg)),
-        "active_fraction": float(np.mean(mined.loss > 0)),
-        "lr": state.lr,
+        "mean_loss": mean_loss.tolist(),
+        "l_avg": cells.l_avg.tolist(),
+        "mean_dpos": mined.d_pos.mean(axis=1).tolist(),
+        "mean_dneg": mined.d_neg.mean(axis=1).tolist(),
+        "active_fraction": (mined.loss > 0).mean(axis=1).tolist(),
     }
-    return new_state, metrics
+    return cells.take([s for s, cell in enumerate(cells.ids)
+                       if cell not in failed]), metrics, failed
 
 
 def effective_lr(base_lr: float, epoch: int,
@@ -254,13 +402,84 @@ def effective_lr(base_lr: float, epoch: int,
     return base_lr / (10.0 ** drops)
 
 
-def init_state(config: TrainConfig, input_dim: int) -> TrainState:
-    params = init_params(config.layer_dims(input_dim), config.seed,
-                         config.activation)
-    return TrainState(params=params,
-                      momentum_buffers=[np.zeros_like(w)
-                                        for w in params.layers],
-                      l_avg=None, step=0, lr=config.lr)
+def _check_cells(configs: Sequence[TrainConfig], dataset: Dataset) -> None:
+    """Raise before any step: a bad config, configs that differ in more
+    than ``seed`` and ``sampler``, or a dataset a batch cannot use."""
+    for config in configs:
+        config.validate()
+    for f in fields(TrainConfig):
+        if f.name not in ("seed", "sampler") and any(
+                getattr(c, f.name) != getattr(configs[0], f.name)
+                for c in configs):
+            raise ValueError(f"cells in lockstep must differ only in seed "
+                             f"and sampler, not in {f.name}")
+    if not dataset:
+        raise DatasetError("dataset is empty")
+    small = dataset.class_ids[np.diff(dataset.offsets) < 2]
+    if small.size:
+        raise DatasetError(f"classes with fewer than 2 patches: "
+                           f"{small[:5].tolist()}")
+
+
+def _lockstep(configs: Sequence[TrainConfig], dataset: Dataset,
+              epoch_callback: Callable[[int, TrainState], None] | None = None
+              ) -> list:
+    """Train checked configs in lockstep; one outcome per config, as
+    :func:`train_cells` returns them."""
+    config = configs[0]
+    cells = init_cells(configs, dataset.rows.shape[1])
+    logs: list[list[dict]] = [[] for _ in configs]
+    outcomes: list = [None] * len(configs)
+    steps_per_epoch = max(1, config.pairs_per_epoch // config.batch_size)
+    for epoch in range(1, config.epochs + 1):
+        cells.lr = effective_lr(config.lr, epoch, config.lr_drop_epochs)
+        for _ in range(steps_per_epoch):
+            if not cells.ids:
+                break
+            batch, diag = build_batch(cells, config, dataset)
+            failed = batch.failed
+            cells = cells.take(batch.keep)
+            if cells.ids:
+                ids, exponent = cells.ids, diag.exponent.tolist()
+                cells, metrics, step_failed = train_step(cells, batch,
+                                                         config)
+                failed |= step_failed
+                for s, cell in enumerate(ids):
+                    if cell not in step_failed:
+                        logs[cell].append({
+                            "epoch": epoch, "step": cells.step,
+                            "exponent": exponent[s],
+                            **{name: values[s]
+                               for name, values in metrics.items()},
+                            "lr": cells.lr})
+            # the next batch is built without this one alive
+            del batch, diag
+            for cell, exc in failed.items():
+                exc.partial_log = logs[cell]
+                outcomes[cell] = exc
+        if epoch_callback is not None:
+            for s in range(len(cells.ids)):
+                epoch_callback(epoch, cells.state(s))
+    for s, cell in enumerate(cells.ids):
+        outcomes[cell] = (cells.params[s], logs[cell])
+    return outcomes
+
+
+def train_cells(configs: Sequence[TrainConfig], dataset: Dataset
+                ) -> list[tuple[ModelParams, list[dict]] | NumericError]:
+    """Train configs that differ only in ``seed`` and ``sampler`` in
+    lockstep, in chunks of at most ``CELL_CHUNK`` whose sizes differ by at
+    most one. Outcome i is what ``train(configs[i], dataset)`` returns, bit
+    for bit, or the :class:`NumericError` it raises, with its
+    ``partial_log``; a cell that fails leaves the others as they are."""
+    configs = list(configs)
+    if not configs:
+        return []
+    _check_cells(configs, dataset)
+    chunks = -(-len(configs) // CELL_CHUNK)
+    bounds = [len(configs) * i // chunks for i in range(chunks + 1)]
+    return [outcome for start, stop in zip(bounds, bounds[1:])
+            for outcome in _lockstep(configs[start:stop], dataset)]
 
 
 def train(config: TrainConfig, dataset: Dataset,
@@ -268,30 +487,10 @@ def train(config: TrainConfig, dataset: Dataset,
           ) -> tuple[ModelParams, list[dict]]:
     """Run the full schedule; returns final params and one metrics row per
     step (columns per ``METRICS_COLUMNS``). The dataset's input rows are
-    computed once and held by it (see :class:`~adasample.data.Dataset`)."""
-    config.validate()
-    if not dataset:
-        raise DatasetError("dataset is empty")
-    small = dataset.class_ids[np.diff(dataset.offsets) < 2]
-    if small.size:
-        raise DatasetError(f"classes with fewer than 2 patches: "
-                           f"{small[:5].tolist()}")
-    state = init_state(config, dataset.rows.shape[1])
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    log: list[dict] = []
-    steps_per_epoch = max(1, config.pairs_per_epoch // config.batch_size)
-    try:
-        for epoch in range(1, config.epochs + 1):
-            state.lr = effective_lr(config.lr, epoch, config.lr_drop_epochs)
-            for _ in range(steps_per_epoch):
-                batch, diag = build_batch(state.params, state.l_avg, config,
-                                          rng, dataset)
-                state, metrics = train_step(state, batch, config)
-                log.append({"epoch": epoch, "step": state.step,
-                            "exponent": diag.exponent, **metrics})
-            if epoch_callback is not None:
-                epoch_callback(epoch, state)
-    except NumericError as exc:
-        exc.partial_log = log
-        raise
-    return state.params, log
+    computed once and held by it (see :class:`~adasample.data.Dataset`).
+    This is one cell of :func:`train_cells`."""
+    _check_cells([config], dataset)
+    (outcome,) = _lockstep([config], dataset, epoch_callback)
+    if isinstance(outcome, NumericError):
+        raise outcome
+    return outcome

@@ -30,7 +30,7 @@ from adasample.sampler import (SamplerConfig, adaptive_exponent,
                                positive_probs, trace_variance,
                                unbiased_weights)
 from adasample.tensornet import backward, forward, init_params
-from adasample.trainer import TrainConfig, train
+from adasample.trainer import TrainConfig, train, train_cells
 from finite_diff import finite_diff_grad, flatten
 from scalar_distance import distance
 
@@ -74,30 +74,37 @@ def benchmark_data():
     return generate_synthetic(TRAIN_SPEC), generate_synthetic(HOLDOUT_SPEC)
 
 
-def heldout_fpr95(benchmark_data, lam: float, seed: int) -> float:
-    """Train one (lambda, seed) cell and score it on the held-out split as
-    ``evaluate`` and ``compare`` do."""
+def heldout_fpr95(benchmark_data, cells: list) -> dict:
+    """Train (lambda, seed) cells in lockstep and score each on the
+    held-out split as ``evaluate`` and ``compare`` do."""
     train_split, holdout = benchmark_data
-    config = RunConfig(seed=seed, train=bench_config(lam, seed),
-                       eval=EvalOptions(num_pairs=EVAL_PAIRS))
-    params, _ = train(config.train, train_split)
-    return evaluate_params(holdout, params, config).fpr95
+    configs = [RunConfig(seed=seed, train=bench_config(lam, seed),
+                         eval=EvalOptions(num_pairs=EVAL_PAIRS))
+               for lam, seed in cells]
+    outcomes = train_cells([c.train for c in configs], train_split)
+    scores = {}
+    for cell, config, outcome in zip(cells, configs, outcomes):
+        if isinstance(outcome, Exception):
+            raise outcome
+        scores[cell] = evaluate_params(holdout, outcome[0], config).fpr95
+    return scores
 
 
 @pytest.fixture(scope="module")
 def ablation_scores(benchmark_data):
     """Held-out FPR95 for every (lambda, seed) cell of the benchmark grid."""
-    return {(lam, seed): heldout_fpr95(benchmark_data, lam, seed)
-            for lam in LAMBDAS for seed in SEEDS}
+    return heldout_fpr95(benchmark_data,
+                         list(itertools.product(LAMBDAS, SEEDS)))
 
 
 @pytest.fixture(scope="module")
 def paired_scores(benchmark_data, ablation_scores):
     """Held-out FPR95 of lambda 0 and 10 for every seed in PAIRED_SEEDS.
     Cells are deterministic, so the grid's cells are reused, not retrained."""
-    return {cell: ablation_scores[cell] if cell in ablation_scores
-            else heldout_fpr95(benchmark_data, *cell)
-            for cell in itertools.product((0.0, 10.0), PAIRED_SEEDS)}
+    cells = list(itertools.product((0.0, 10.0), PAIRED_SEEDS))
+    return {**heldout_fpr95(benchmark_data, [c for c in cells
+                                             if c not in ablation_scores]),
+            **{c: ablation_scores[c] for c in cells if c in ablation_scores}}
 
 
 # ----------------------------------------------------------------------

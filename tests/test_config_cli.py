@@ -518,6 +518,32 @@ class TestCliPipeline:
         assert abs(float(rows[1]["p_value"]) - 0.5) < 0.25
         capsys.readouterr()
 
+    def test_compare_trains_each_cell_once(self, tmp_path, capsys,
+                                           monkeypatch):
+        """A repeated strategy names the same (lambda, seed) cells: they
+        train once, in one call, and both rows read them."""
+        from adasample import trainer
+        cfg = tmp_path / "once.cfg"
+        cfg.write_text(TINY_CONFIG + "\ndata.num_classes = 10\n"
+                       + "eval.holdout_fraction = 0.3\n")
+        data_path = tmp_path / "d.adsp"
+        main(["gen-data", "--config", str(cfg), "--out", str(data_path)])
+        calls = []
+        real = trainer.train_cells
+
+        def counted(configs, dataset):
+            calls.append([(c.sampler.lambda_, c.seed) for c in configs])
+            return real(configs, dataset)
+
+        monkeypatch.setattr(trainer, "train_cells", counted)
+        assert main(["compare", "--config", str(cfg),
+                     "--dataset", str(data_path), "--out",
+                     str(tmp_path / "once"), "--strategies", "10,0,10",
+                     "--seeds", "1,2,3"]) == 0
+        assert len(calls) == 1
+        assert len(calls[0]) == len(set(calls[0])) == 6
+        capsys.readouterr()
+
     def test_trained_params_beat_untrained_on_verification(self, tmp_path,
                                                            capsys):
         """The paired evaluate runs: params straight from initialization
@@ -537,9 +563,9 @@ class TestCliPipeline:
         main(["gen-data", "--config", str(cfg), "--out", str(data_path)])
 
         from adasample.config import load_run_config
-        from adasample.trainer import init_state
+        from adasample.trainer import init_cells
         run_cfg = load_run_config(cfg)
-        untrained = init_state(run_cfg.train, 144).params
+        untrained = init_cells([run_cfg.train], 144).params[0]
         untrained_path = tmp_path / "untrained.adnw"
         write_params(untrained, untrained_path)
 
@@ -628,12 +654,34 @@ class TestCliPipeline:
         main(["gen-data", "--config", str(config_file), "--out",
               str(data_path)])
         monkeypatch.setattr(trainer, "train", no_training)
+        monkeypatch.setattr(trainer, "train_cells", no_training)
         out = tmp_path / "c"
         assert main(["compare", "--config", str(config_file),
                      "--dataset", str(data_path), "--out", str(out),
                      "--strategies", strategies, "--seeds", "1,2,3"]) == 2
         assert not (out / "compare.csv").exists()
         assert "config error" in capsys.readouterr().err
+
+    def test_compare_rejects_a_repeated_seed_before_training(
+            self, config_file, tmp_path, capsys, monkeypatch):
+        """Seeds 1,1,1 would pass the three-seed minimum with one distinct
+        cell per strategy, copied into a zero spread and a p-value: exit 2
+        before any cell trains, with no compare.csv."""
+        from adasample import trainer
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a cell trained")
+
+        data_path = tmp_path / "d.adsp"
+        main(["gen-data", "--config", str(config_file), "--out",
+              str(data_path)])
+        monkeypatch.setattr(trainer, "train_cells", no_training)
+        out = tmp_path / "c"
+        assert main(["compare", "--config", str(config_file),
+                     "--dataset", str(data_path), "--out", str(out),
+                     "--strategies", "0,10", "--seeds", "1,2,1"]) == 2
+        assert not (out / "compare.csv").exists()
+        assert "distinct seeds" in capsys.readouterr().err
 
 
 def _exit_case_argv(case, config_file, tmp_path):

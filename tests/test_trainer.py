@@ -1,5 +1,7 @@
 """Tests for batch construction and the training loop."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,8 @@ from adasample.sampler import (SamplerConfig, adaptive_exponent, reweights,
                                update_loss_avg)
 from adasample.tensornet import Activation, ModelParams, backward, forward
 from adasample.trainer import (TrainConfig, TrainState, build_batch,
-                               effective_lr, init_state, train, train_step)
+                               effective_lr, init_cells, train, train_cells,
+                               train_step)
 from test_sampler import scalar_categorical_sample, scalar_positive_probs
 
 
@@ -33,10 +36,35 @@ def tiny_config(**kw):
     return TrainConfig(**base)
 
 
-def batch_of(ds, state, cfg, rng, l_avg=None):
-    """build_batch with ``state``'s params over ``ds``, a dataset or a list
-    of its classes."""
-    return build_batch(state.params, l_avg, cfg, rng, as_dataset(ds))
+def initial_params(cfg):
+    """The params a run of ``cfg`` starts from (64-pixel inputs)."""
+    return init_cells([cfg], 64).params[0]
+
+
+def cells_of(configs, rngs, l_avgs):
+    """Cells in lockstep, cell s configured by configs[s], drawing from
+    rngs[s] and with loss average l_avgs[s] (None before any step)."""
+    cells = init_cells(configs, 64)
+    cells.rngs = list(rngs)
+    cells.l_avg[:] = [np.nan if l is None else l for l in l_avgs]
+    return cells
+
+
+def cell_row(batch, diag, s):
+    """Cell s of a lockstep batch: its cache, its weights and its row of
+    the diagnostics."""
+    return batch.cache(s), batch.weights[s], SimpleNamespace(
+        class_ids=diag.class_ids[s], anchor_index=diag.anchor_index[s],
+        positive_index=diag.positive_index[s],
+        probability_used=diag.probability_used[s],
+        exponent=float(diag.exponent[s]))
+
+
+def batch_of(ds, cfg, rng, l_avg=None):
+    """build_batch of one cell of ``cfg`` at its initial params over
+    ``ds``, a dataset or a list of its classes."""
+    cells = cells_of([cfg], [rng], [l_avg])
+    return cell_row(*build_batch(cells, cfg, as_dataset(ds)), 0)
 
 
 def scalar_build_batch(ds, params, l_avg, cfg, rng):
@@ -84,9 +112,7 @@ def ragged_dataset(sizes, patch_size=8, seed=30):
 class TestBuildBatch:
     def test_forced_choice_with_two_patches(self):
         ds = tiny_dataset(k=2)
-        cfg = tiny_config()
-        state = init_state(cfg, 64)
-        batch, diag = batch_of(ds, state, cfg, np.random.default_rng(0))
+        _, _, diag = batch_of(ds, tiny_config(), np.random.default_rng(0))
         assert np.all(diag.anchor_index != diag.positive_index)
         assert np.all(diag.probability_used == 1.0)
 
@@ -95,61 +121,55 @@ class TestBuildBatch:
         to_input_matrix row of the class and patch the diagnostics name."""
         ds = tiny_dataset(num_classes=10, k=5)
         cfg = tiny_config(batch_size=6)
-        state = init_state(cfg, 64)
         rng = np.random.default_rng(3)
         by_id = {g.class_id: g for g in ds}
         n = cfg.batch_size
         for l_avg in (None, 0.5):
-            batch, diag = batch_of(ds, state, cfg, rng, l_avg)
-            assert batch.cache.inputs.shape == (2 * n, 64)
-            assert batch.weights.shape == (n,)
-            assert batch.weights.mean() == pytest.approx(1.0)
+            cache, weights, diag = batch_of(ds, cfg, rng, l_avg)
+            assert cache.inputs.shape == (2 * n, 64)
+            assert weights.shape == (n,)
+            assert weights.mean() == pytest.approx(1.0)
             for i, cid in enumerate(diag.class_ids):
                 patches = by_id[int(cid)].patches
                 a, p = diag.anchor_index[i], diag.positive_index[i]
                 assert a != p
                 np.testing.assert_array_equal(
-                    batch.cache.inputs[i], to_input_matrix(patches[[a]])[0])
+                    cache.inputs[i], to_input_matrix(patches[[a]])[0])
                 np.testing.assert_array_equal(
-                    batch.cache.inputs[n + i],
-                    to_input_matrix(patches[[p]])[0])
+                    cache.inputs[n + i], to_input_matrix(patches[[p]])[0])
 
     def test_identical_for_fixed_seed(self):
         ds = tiny_dataset()
         cfg = tiny_config()
-        state = init_state(cfg, 64)
-        b1, d1 = batch_of(ds, state, cfg, np.random.default_rng(5))
-        b2, d2 = batch_of(ds, state, cfg, np.random.default_rng(5))
+        c1, w1, d1 = batch_of(ds, cfg, np.random.default_rng(5))
+        c2, w2, d2 = batch_of(ds, cfg, np.random.default_rng(5))
         np.testing.assert_array_equal(d1.class_ids, d2.class_ids)
         np.testing.assert_array_equal(d1.anchor_index, d2.anchor_index)
         np.testing.assert_array_equal(d1.positive_index, d2.positive_index)
-        np.testing.assert_array_equal(b1.cache.inputs, b2.cache.inputs)
-        np.testing.assert_array_equal(b1.weights, b2.weights)
+        np.testing.assert_array_equal(c1.inputs, c2.inputs)
+        np.testing.assert_array_equal(w1, w2)
 
     def test_classes_are_distinct(self):
         ds = tiny_dataset(num_classes=12)
         cfg = tiny_config(batch_size=10)
-        state = init_state(cfg, 64)
         rng = np.random.default_rng(6)
         for _ in range(20):
-            _, diag = batch_of(ds, state, cfg, rng)
+            _, _, diag = batch_of(ds, cfg, rng)
             assert len(set(diag.class_ids)) == len(diag.class_ids)
 
     def test_uniform_positive_choice_when_lambda_zero(self):
         """With the exponent forced to zero the positive is uniform over the
         k-1 candidates (3-sigma band per candidate)."""
-        ds = tiny_dataset(num_classes=3, k=4)
+        ds = as_dataset(tiny_dataset(num_classes=3, k=4))
         cfg = tiny_config(batch_size=2,
                           sampler=SamplerConfig(lambda_=0.0))
         # an observed loss average, so the exponent is lambda's (not the
         # first step's)
-        l_avg = 1.0
-        state = init_state(cfg, 64)
-        rng = np.random.default_rng(7)
+        cells = cells_of([cfg], [np.random.default_rng(7)], [1.0])
         counts = {}
         builds = 4000
         for _ in range(builds):
-            _, diag = batch_of(ds, state, cfg, rng, l_avg)
+            _, _, diag = cell_row(*build_batch(cells, cfg, ds), 0)
             assert diag.exponent == 0.0
             for key in zip(diag.class_ids, diag.anchor_index,
                            diag.positive_index):
@@ -169,18 +189,14 @@ class TestBuildBatch:
                 assert abs(n - expected) < 3 * sigma + 1
 
     def test_first_step_uses_zero_exponent(self):
-        ds = tiny_dataset()
-        cfg = tiny_config()
-        state = init_state(cfg, 64)
-        _, diag = batch_of(ds, state, cfg, np.random.default_rng(8))
+        _, _, diag = batch_of(tiny_dataset(), tiny_config(),
+                              np.random.default_rng(8))
         assert diag.exponent == 0.0
 
     def test_too_few_classes_rejected(self):
         ds = tiny_dataset(num_classes=3)
-        cfg = tiny_config(batch_size=4)
-        state = init_state(cfg, 64)
         with pytest.raises(DatasetError, match="classes"):
-            batch_of(ds, state, cfg, np.random.default_rng(0))
+            batch_of(ds, tiny_config(batch_size=4), np.random.default_rng(0))
 
 
 class TestBuildBatchOracle:
@@ -193,38 +209,50 @@ class TestBuildBatchOracle:
     def test_equals_per_class_loop(self, metric, ragged, num_classes, k, lam,
                                    seed):
         """Uniform k or ragged k in 2..16, both metrics, the bootstrap step
-        (lam None), exponent 0, finite and the cap (lam inf)."""
+        (lam None), exponent 0, finite and the cap (lam inf); three cells
+        in lockstep, the first with ``lam``, each equal to the oracle of
+        its own config, params, loss average and generator."""
         rng = np.random.default_rng(seed)
         sizes = (rng.integers(2, 17, size=num_classes) if ragged
                  else np.full(num_classes, k))
         ds = ragged_dataset(sizes, seed=int(rng.integers(1 << 30)))
-        cfg = tiny_config(batch_size=int(rng.integers(2, num_classes + 1)),
-                          metric=metric,
-                          sampler=SamplerConfig(lambda_=lam or 0.0))
-        l_avg = None if lam is None else float(rng.uniform(0.05, 2.0))
-        params = init_state(cfg, 64).params
-        draw = int(rng.integers(1 << 30))
-        batch, diag = build_batch(params, l_avg, cfg,
-                                  np.random.default_rng(draw),
-                                  as_dataset(ds))
-        inputs, weights, want = scalar_build_batch(
-            ds, params, l_avg, cfg, np.random.default_rng(draw))
-        np.testing.assert_array_equal(batch.cache.inputs, inputs)
-        np.testing.assert_array_equal(batch.weights, weights)
-        for name in ("class_ids", "anchor_index", "positive_index",
-                     "probability_used"):
-            np.testing.assert_array_equal(getattr(diag, name), want[name])
-        assert diag.exponent == want["exponent"]
-        assert diag.weight_clamped == want["weight_clamped"]
+        batch_size = int(rng.integers(2, num_classes + 1))
+        lams = [lam, 10.0, float("inf")]
+        configs = [tiny_config(batch_size=batch_size, metric=metric, seed=s,
+                               sampler=SamplerConfig(lambda_=l or 0.0))
+                   for s, l in enumerate(lams)]
+        l_avgs = [None if l is None else float(rng.uniform(0.05, 2.0))
+                  for l in lams]
+        draws = rng.integers(1 << 30, size=3)
+        cells = cells_of(configs, [np.random.default_rng(d) for d in draws],
+                         l_avgs)
+        batch, diag = build_batch(cells, configs[0], as_dataset(ds))
+        for s, cfg in enumerate(configs):
+            cache, weights, got = cell_row(batch, diag, s)
+            inputs, want_weights, want = scalar_build_batch(
+                ds, cells.params[s], l_avgs[s], cfg,
+                np.random.default_rng(draws[s]))
+            np.testing.assert_array_equal(cache.inputs, inputs)
+            np.testing.assert_array_equal(weights, want_weights)
+            for name in ("class_ids", "anchor_index", "positive_index",
+                         "probability_used"):
+                np.testing.assert_array_equal(getattr(got, name),
+                                              want[name])
+            assert got.exponent == want["exponent"]
+        assert diag.weight_clamped == sum(
+            scalar_build_batch(ds, cells.params[s], l_avgs[s], cfg,
+                               np.random.default_rng(draws[s]))[2][
+                                   "weight_clamped"]
+            for s, cfg in enumerate(configs))
 
     def test_same_random_stream_as_per_class_loop(self):
         ds = ragged_dataset([2, 9, 16, 5, 3, 12])
         cfg = tiny_config(batch_size=5)
-        params = init_state(cfg, 64).params
+        params = initial_params(cfg)
         l_avg = 0.4
         rng_kernel, rng_oracle = (np.random.default_rng(11) for _ in "ab")
         for _ in range(5):
-            build_batch(params, l_avg, cfg, rng_kernel, as_dataset(ds))
+            batch_of(ds, cfg, rng_kernel, l_avg)
             scalar_build_batch(ds, params, l_avg, cfg, rng_oracle)
             assert rng_kernel.bit_generator.state == \
                 rng_oracle.bit_generator.state
@@ -237,8 +265,7 @@ class TestBuildBatchOracle:
                            np.repeat(ds[1].patches[:1], len(ds[1]), axis=0))
         cfg = tiny_config(batch_size=4, metric=MetricKind.EUCLIDEAN,
                           sampler=SamplerConfig(lambda_=float("inf")))
-        state = init_state(cfg, 64)
-        _, diag = batch_of(ds, state, cfg, np.random.default_rng(2), 1.0)
+        _, _, diag = batch_of(ds, cfg, np.random.default_rng(2), 1.0)
         slot = int(np.flatnonzero(diag.class_ids == ds[1].class_id)[0])
         assert diag.exponent == 50.0
         assert diag.probability_used[slot] == 1.0 / 8
@@ -249,11 +276,10 @@ class TestBuildBatchOracle:
     def test_two_patch_classes_are_forced_in_a_ragged_batch(self):
         ds = ragged_dataset([2, 16, 2, 9, 2, 5])
         cfg = tiny_config(batch_size=6)
-        state = init_state(cfg, 64)
         rng = np.random.default_rng(4)
         sizes = {g.class_id: len(g) for g in ds}
         for _ in range(10):
-            _, diag = batch_of(ds, state, cfg, rng, 0.5)
+            _, _, diag = batch_of(ds, cfg, rng, 0.5)
             for cid, a, p, used in zip(diag.class_ids, diag.anchor_index,
                                        diag.positive_index,
                                        diag.probability_used):
@@ -262,94 +288,95 @@ class TestBuildBatchOracle:
                     assert p == 1 - a and used == 1.0
 
 
-def manual_update(state, batch, config):
-    """Compose the expected single-step update directly."""
-    n = len(batch.weights)
-    descs, cache = forward(state.params, batch.cache.inputs)
+def manual_update(params, buffers, lr, cache, weights, config):
+    """Compose the expected single-step update of one cell directly."""
+    n = len(weights)
+    descs, cache = forward(params, cache.inputs)
     mined = mine_triplets(descs[:n], descs[n:], config.metric, config.margin,
                           config.neg_mode)
-    ga, gp = loss_grads(descs[:n], descs[n:], mined, config.metric,
-                        batch.weights)
-    grads = backward(state.params, cache, np.vstack([ga, gp]))
+    ga, gp = loss_grads(descs[:n], descs[n:], mined, config.metric, weights)
+    grads = backward(params, cache, np.vstack([ga, gp]))
     new_layers = []
-    for theta, g, v in zip(state.params.layers, grads,
-                           state.momentum_buffers):
+    for theta, g, v in zip(params.layers, grads, buffers):
         g_total = g + config.weight_decay * theta
         v_new = config.momentum * v + g_total
-        new_layers.append(theta - state.lr * v_new)
+        new_layers.append(theta - lr * v_new)
     return new_layers
 
 
 class TestTrainStep:
     def setup_batch(self, cfg, seed=9):
-        ds = tiny_dataset()
-        state = init_state(cfg, 64)
-        batch, _ = batch_of(ds, state, cfg, np.random.default_rng(seed))
-        return state, batch
+        cells = cells_of([cfg], [np.random.default_rng(seed)], [None])
+        batch, _ = build_batch(cells, cfg, as_dataset(tiny_dataset()))
+        return cells, batch
 
     def test_zero_learning_rate_keeps_params_and_updates_loss_average(self):
         cfg = tiny_config(lr=0.0)
-        state, batch = self.setup_batch(cfg)
-        new_state, metrics = train_step(state, batch, cfg)
-        for a, b in zip(state.params.layers, new_state.params.layers):
+        cells, batch = self.setup_batch(cfg)
+        cells.lr = cfg.lr
+        new_cells, metrics, failed = train_step(cells, batch, cfg)
+        assert failed == {}
+        for a, b in zip(cells.params[0].layers,
+                        new_cells.params[0].layers):
             np.testing.assert_array_equal(a, b)
-        assert state.l_avg is None
-        assert new_state.l_avg == metrics["mean_loss"] >= 0
+        assert np.isnan(cells.l_avg[0])
+        assert new_cells.l_avg[0] == metrics["l_avg"][0] \
+            == metrics["mean_loss"][0] >= 0
 
     def test_inactive_hinges_without_decay_keep_params(self):
         # seed 1 yields a batch whose hinges are all inactive at this margin
         cfg = tiny_config(margin=1e-9, weight_decay=0.0)
-        state, batch = self.setup_batch(cfg, seed=1)
-        n = len(batch.weights)
-        descs, _ = forward(state.params, batch.cache.inputs)
+        cells, batch = self.setup_batch(cfg, seed=1)
+        n = batch.weights.shape[1]
+        descs, _ = forward(cells.params[0], batch.cache(0).inputs)
         mined = mine_triplets(descs[:n], descs[n:], cfg.metric, cfg.margin)
         assert all(t.loss == 0 for t in mined)
-        new_state, _ = train_step(state, batch, cfg)
-        for a, b in zip(state.params.layers, new_state.params.layers):
+        new_cells, _, _ = train_step(cells, batch, cfg)
+        for a, b in zip(cells.params[0].layers,
+                        new_cells.params[0].layers):
             np.testing.assert_array_equal(a, b)
 
     def test_update_matches_manual_composition(self):
         cfg = tiny_config(lr=0.05, momentum=0.3, weight_decay=1e-3)
-        state, batch = self.setup_batch(cfg)
-        expected = manual_update(state, batch, cfg)
-        new_state, _ = train_step(state, batch, cfg)
-        for got, want in zip(new_state.params.layers, expected):
+        cells, batch = self.setup_batch(cfg)
+        expected = manual_update(cells.params[0], cells.momentum_buffers[0],
+                                 cells.lr, batch.cache(0), batch.weights[0],
+                                 cfg)
+        new_cells, _, _ = train_step(cells, batch, cfg)
+        for got, want in zip(new_cells.params[0].layers, expected):
             np.testing.assert_allclose(got, want, atol=1e-14)
 
     def test_single_step_descends_weighted_loss(self):
         cfg = tiny_config(lr=1e-3, momentum=0.0, weight_decay=0.0)
-        state, batch = self.setup_batch(cfg)
-        n = len(batch.weights)
+        cells, batch = self.setup_batch(cfg)
+        n = batch.weights.shape[1]
+        inputs = batch.cache(0).inputs
 
         def weighted_loss(params):
-            descs, _ = forward(params, batch.cache.inputs)
+            descs, _ = forward(params, inputs)
             mined = mine_triplets(descs[:n], descs[n:], cfg.metric,
                                   cfg.margin)
-            return float(np.dot(batch.weights, [t.loss for t in mined]))
+            return float(np.dot(batch.weights[0], [t.loss for t in mined]))
 
-        before = weighted_loss(state.params)
+        before = weighted_loss(cells.params[0])
         assert before > 0
-        new_state, _ = train_step(state, batch, cfg)
-        assert weighted_loss(new_state.params) < before
+        new_cells, _, _ = train_step(cells, batch, cfg)
+        assert weighted_loss(new_cells.params[0]) < before
 
 
-def oracle_train_step(state, batch, config):
-    """train_step as it was before it reused build_batch's forward pass: it
-    runs its own forward on the batch rows. train_step must equal it bit
-    for bit."""
-    n = len(batch.weights)
-    descs, cache = forward(state.params, batch.cache.inputs)
+def oracle_train_step(state, cache, weights, config):
+    """One cell's step as it was before cells ran in lockstep and before it
+    reused build_batch's forward pass: it runs its own forward on the batch
+    rows. Every cell of train_step must equal it bit for bit."""
+    n = len(weights)
+    descs, cache = forward(state.params, cache.inputs)
     desc_a, desc_p = descs[:n], descs[n:]
 
     mined = mine_triplets(desc_a, desc_p, config.metric, config.margin,
                           config.neg_mode)
     mean_loss = float(mined.loss.mean())
-    if not np.isfinite(mean_loss):
-        raise NumericError(f"non-finite batch loss at step {state.step}: "
-                           f"{mined.loss}")
-
     grad_a, grad_p = loss_grads(desc_a, desc_p, mined, config.metric,
-                                batch.weights)
+                                weights)
     param_grads = backward(state.params, cache, np.vstack([grad_a, grad_p]))
 
     new_layers = []
@@ -359,8 +386,6 @@ def oracle_train_step(state, batch, config):
         g_total = g + config.weight_decay * theta
         v_new = config.momentum * v + g_total
         theta_new = theta - state.lr * v_new
-        if not np.all(np.isfinite(theta_new)):
-            raise NumericError(f"non-finite parameters at step {state.step}")
         new_layers.append(theta_new)
         new_buffers.append(v_new)
 
@@ -378,7 +403,6 @@ def oracle_train_step(state, batch, config):
         "mean_dpos": float(np.mean(mined.d_pos)),
         "mean_dneg": float(np.mean(mined.d_neg)),
         "active_fraction": float(np.mean(mined.loss > 0)),
-        "lr": state.lr,
     }
     return new_state, metrics
 
@@ -400,25 +424,33 @@ class TestOneForwardPass:
     @pytest.mark.parametrize("ragged", [False, True])
     def test_steps_equal_the_step_with_its_own_forward(self, metric,
                                                        activation, ragged):
-        """From the same state and batch, every step equals the oracle step
-        that runs its own forward: params, momentum buffers, loss average
-        and metrics row, over 30 steps of one trajectory."""
+        """From the same states and batches, every cell of a lockstep step
+        equals the oracle step of that cell alone, which runs its own
+        forward: params, momentum buffers, loss average and metrics, over
+        30 steps of three cells with different seeds and lambdas."""
         rng = np.random.default_rng(len(metric.value) + 2 * ragged)
         sizes = (rng.integers(2, 17, size=12) if ragged
                  else np.full(12, rng.integers(2, 17)))
-        ds = ragged_dataset(sizes, seed=int(rng.integers(1 << 30)))
-        cfg = tiny_config(batch_size=6, metric=metric, activation=activation,
-                          lr=0.02, momentum=0.5, weight_decay=1e-3)
-        state, want = init_state(cfg, 64), init_state(cfg, 64)
-        dataset = as_dataset(ds)
+        dataset = as_dataset(ragged_dataset(
+            sizes, seed=int(rng.integers(1 << 30))))
+        configs = [tiny_config(batch_size=6, metric=metric,
+                               activation=activation, lr=0.02, momentum=0.5,
+                               weight_decay=1e-3, seed=seed,
+                               sampler=SamplerConfig(lambda_=lam))
+                   for seed, lam in ((1, 0.0), (2, 10.0), (3, np.inf))]
+        cells = init_cells(configs, 64)
+        want = [cells.state(s) for s in range(3)]
         for _ in range(30):
-            batch, _ = build_batch(state.params, state.l_avg, cfg, rng,
-                                   dataset)
-            state, metrics = train_step(state, batch, cfg)
-            want, want_metrics = oracle_train_step(want, batch, cfg)
-            assert metrics == want_metrics
-            assert_states_equal(state, want)
-        assert state.l_avg is not None
+            batch, _ = build_batch(cells, configs[0], dataset)
+            cells, metrics, failed = train_step(cells, batch, configs[0])
+            assert failed == {}
+            for s, cfg in enumerate(configs):
+                want[s], want_metrics = oracle_train_step(
+                    want[s], batch.cache(s), batch.weights[s], cfg)
+                assert {name: values[s] for name, values in metrics.items()} \
+                    == want_metrics
+                assert_states_equal(cells.state(s), want[s])
+        assert not np.isnan(cells.l_avg).any()
 
     def test_train_runs_one_forward_pass_per_step(self, monkeypatch):
         """train with no epoch callback runs no evaluation, so every forward
@@ -442,7 +474,8 @@ class TestUnitRowChecks:
                                                            monkeypatch):
         """The rows a step works on come out of ``forward`` unit-norm, so
         they are checked only where they enter ``miner``'s public
-        functions: once in mine_triplets, once in loss_grads."""
+        functions: once in mine_triplets, once in loss_grads, for every
+        cell of the step at once."""
         calls = []
         real = metricspace._unit_rows
 
@@ -452,15 +485,16 @@ class TestUnitRowChecks:
 
         monkeypatch.setattr(metricspace, "_unit_rows", counted)
         monkeypatch.setattr(miner, "_unit_rows", counted)
-        ds = ragged_dataset([2, 9, 16, 5, 3, 12])
+        ds = as_dataset(ragged_dataset([2, 9, 16, 5, 3, 12]))
         for metric in MetricKind:
-            cfg = tiny_config(batch_size=5, metric=metric)
-            state = init_state(cfg, 64)
-            rng = np.random.default_rng(12)
+            configs = [tiny_config(batch_size=5, metric=metric, seed=seed)
+                       for seed in (1, 2)]
+            rngs = [np.random.default_rng(12), np.random.default_rng(13)]
             for l_avg in (None, 0.4):
-                batch, _ = batch_of(ds, state, cfg, rng, l_avg)
+                cells = cells_of(configs, rngs, [l_avg, l_avg])
+                batch, _ = build_batch(cells, configs[0], ds)
                 assert calls == []
-                train_step(state, batch, cfg)
+                train_step(cells, batch, configs[0])
                 assert calls == [2, 2]
                 calls.clear()
 
@@ -492,9 +526,8 @@ class TestTrain:
         ds = tiny_dataset()
         cfg = tiny_config(epochs=0)
         params, log = train(cfg, ds)
-        reference = init_state(cfg, 64).params
         assert log == []
-        for a, b in zip(params.layers, reference.layers):
+        for a, b in zip(params.layers, initial_params(cfg).layers):
             np.testing.assert_array_equal(a, b)
 
     def test_numeric_failure_carries_completed_rows(self):
@@ -551,3 +584,99 @@ class TestTrain:
                             if r["epoch"] == cfg.epochs])
             wins += last < first
         assert wins == 5
+
+
+def assert_outcome_is_train(outcome, config, dataset):
+    """``outcome`` is what ``train(config, dataset)`` returns, params bytes
+    and log rows, or the NumericError it raises: type, message and
+    completed rows."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            params, log = train(config, dataset)
+    except NumericError as exc:
+        assert type(outcome) is type(exc)
+        assert str(outcome) == str(exc)
+        assert outcome.partial_log == exc.partial_log
+        return False
+    got_params, got_log = outcome
+    assert [w.tobytes() for w in got_params.layers] == \
+        [w.tobytes() for w in params.layers]
+    assert got_params.activation is params.activation
+    assert got_log == log
+    return True
+
+
+class TestTrainCells:
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    @pytest.mark.parametrize("ragged", [False, True])
+    def test_every_cell_equals_train_of_its_config(self, metric, ragged):
+        """Lambda 0, 10 and the cap over two seeds: six cells in one
+        lockstep, on uniform classes and on classes of 2..9 patches."""
+        rng = np.random.default_rng(7 + ragged)
+        sizes = rng.integers(2, 10, size=16) if ragged else np.full(16, 6)
+        dataset = as_dataset(ragged_dataset(sizes))
+        configs = [tiny_config(batch_size=6, metric=metric, seed=seed,
+                               sampler=SamplerConfig(lambda_=lam))
+                   for lam in (0.0, 10.0, np.inf) for seed in (1, 2)]
+        outcomes = train_cells(configs, dataset)
+        assert len(outcomes) == len(configs)
+        for outcome, config in zip(outcomes, configs):
+            assert assert_outcome_is_train(outcome, config, dataset)
+
+    def test_chunks_of_cells_equal_train(self, monkeypatch):
+        """Five cells in chunks of at most two: sizes 1, 2 and 2."""
+        monkeypatch.setattr(trainer, "CELL_CHUNK", 2)
+        chunks = []
+        real = trainer._lockstep
+
+        def recorded(configs, dataset, epoch_callback=None):
+            chunks.append(len(configs))
+            return real(configs, dataset, epoch_callback)
+
+        monkeypatch.setattr(trainer, "_lockstep", recorded)
+        dataset = as_dataset(tiny_dataset())
+        configs = [tiny_config(seed=seed) for seed in range(5)]
+        outcomes = train_cells(configs, dataset)
+        assert chunks == [1, 2, 2]
+        for outcome, config in zip(outcomes, configs):
+            assert assert_outcome_is_train(outcome, config, dataset)
+
+    def test_a_failing_cell_ends_alone(self):
+        """Three hidden ReLU units leave some samples with no live unit, so
+        forward fails with a zero output: at different steps in different
+        cells. Each failed cell carries train's error and completed rows;
+        the others train on as they would alone."""
+        dataset = as_dataset(tiny_dataset())
+        configs = [tiny_config(hidden_dims=(3,), lr=0.3, seed=seed,
+                               activation=Activation.RELU,
+                               sampler=SamplerConfig(lambda_=lam))
+                   for seed in range(1, 9) for lam in (0.0, 10.0)]
+        outcomes = train_cells(configs, dataset)
+        survived = [assert_outcome_is_train(outcome, config, dataset)
+                    for outcome, config in zip(outcomes, configs)]
+        failed_at = {len(o.partial_log) for o in outcomes
+                     if isinstance(o, NumericError)}
+        assert any(survived) and not all(survived) and len(failed_at) > 2
+
+    def test_failures_in_the_update_and_in_forward(self):
+        """At lr 1e308 some cells overflow their params in the first update
+        and the others their output in the next forward pass."""
+        dataset = as_dataset(tiny_dataset())
+        configs = [tiny_config(lr=1e308, seed=seed) for seed in (1, 2, 3)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            outcomes = train_cells(configs, dataset)
+        messages = set()
+        for outcome, config in zip(outcomes, configs):
+            assert not assert_outcome_is_train(outcome, config, dataset)
+            messages.add(str(outcome).split(" ")[0])
+        assert messages == {"non-finite", "pre-normalization"}
+
+    @pytest.mark.parametrize("name, value", [
+        ("batch_size", 8), ("lr", 0.01), ("metric", MetricKind.EUCLIDEAN),
+        ("epochs", 3), ("hidden_dims", (8,)),
+        ("activation", Activation.RELU)])
+    def test_configs_differing_beyond_seed_and_sampler_rejected(
+            self, name, value):
+        configs = [tiny_config(seed=1), tiny_config(seed=2, **{name: value})]
+        with pytest.raises(ValueError, match=f"not in {name}"):
+            train_cells(configs, as_dataset(tiny_dataset()))

@@ -7,7 +7,10 @@ own temporary directory with its own ``PYTHONPATH`` and with
 * ``gen-data``, without and with ``data.expand_to_k``;
 * ``train`` under the angular and the euclidean metric;
 * ``evaluate`` of both trained networks, ``diagnose`` of the angular one;
-* ``compare`` of lambda 0 and 10 over seeds 1, 2, 3 (6 cells).
+* ``compare`` of lambda 0 and 10 over seeds 1, 2, 3 (6 cells);
+* ``compare`` of lambda 0, 10 and the cap over seeds 1, 2, 3 (9 cells) on
+  a ragged dataset, classes of 2 to 9 patches, which each checkout writes
+  with its own ``data.write_dataset``.
 
 It then prints the SHA-256 of every output file, and of every command's
 exit code and standard output, side by side, and exits 1 on any
@@ -41,28 +44,48 @@ CONFIGS = {
     "expanded.cfg": BASE_CONFIG + "data.expand_to_k = 8\n",
     "euclidean.cfg": BASE_CONFIG + "train.metric = euclidean\n",
 }
-# (step name, command arguments), run in order in one directory
+# The ragged dataset: 100 classes of 16x16 patches, each truncated to a
+# size drawn from 2..9.
+RAGGED = """\
+import numpy as np
+from adasample.data import (ClassGroup, DatasetSpec, generate_synthetic,
+                            write_dataset)
+dataset = generate_synthetic(DatasetSpec(num_classes=100,
+                                         patches_per_class=9, seed=11))
+sizes = np.random.default_rng(5).integers(2, 10, size=len(dataset))
+write_dataset([ClassGroup(g.class_id, g.patches[:k])
+               for g, k in zip(dataset, sizes)], "ragged.adsp")
+"""
+CLI = ["-m", "adasample.cli"]
+# (step name, interpreter arguments), run in order in one directory
 STEPS = [
-    ("gen-data", ["gen-data", "--config", "base.cfg", "--out", "data.adsp"]),
-    ("gen-data-expanded", ["gen-data", "--config", "expanded.cfg",
+    ("gen-data", [*CLI, "gen-data", "--config", "base.cfg",
+                  "--out", "data.adsp"]),
+    ("gen-data-expanded", [*CLI, "gen-data", "--config", "expanded.cfg",
                            "--out", "expanded.adsp"]),
-    ("train-angular", ["train", "--config", "base.cfg", "--dataset",
+    ("gen-data-ragged", ["-c", RAGGED]),
+    ("train-angular", [*CLI, "train", "--config", "base.cfg", "--dataset",
                        "data.adsp", "--out", "angular"]),
-    ("train-euclidean", ["train", "--config", "euclidean.cfg", "--dataset",
-                         "data.adsp", "--out", "euclidean"]),
-    ("evaluate-angular", ["evaluate", "--config", "base.cfg", "--params",
-                          "angular/params.adnw", "--dataset", "data.adsp",
+    ("train-euclidean", [*CLI, "train", "--config", "euclidean.cfg",
+                         "--dataset", "data.adsp", "--out", "euclidean"]),
+    ("evaluate-angular", [*CLI, "evaluate", "--config", "base.cfg",
+                          "--params", "angular/params.adnw",
+                          "--dataset", "data.adsp",
                           "--out", "evaluate-angular"]),
-    ("evaluate-euclidean", ["evaluate", "--config", "euclidean.cfg",
+    ("evaluate-euclidean", [*CLI, "evaluate", "--config", "euclidean.cfg",
                             "--params", "euclidean/params.adnw",
                             "--dataset", "data.adsp",
                             "--out", "evaluate-euclidean"]),
-    ("diagnose", ["diagnose", "--config", "base.cfg", "--params",
+    ("diagnose", [*CLI, "diagnose", "--config", "base.cfg", "--params",
                   "angular/params.adnw", "--dataset", "data.adsp",
                   "--out", "diagnose"]),
-    ("compare", ["compare", "--config", "base.cfg", "--dataset",
+    ("compare", [*CLI, "compare", "--config", "base.cfg", "--dataset",
                  "data.adsp", "--out", "compare", "--strategies", "0,10",
                  "--seeds", "1,2,3"]),
+    ("compare-ragged", [*CLI, "compare", "--config", "base.cfg",
+                        "--dataset", "ragged.adsp", "--out",
+                        "compare-ragged", "--strategies", "0,10,cap",
+                        "--seeds", "1,2,3"]),
 ]
 
 
@@ -80,8 +103,8 @@ def run_side(checkout: Path, workdir: Path) -> tuple[dict[str, str], int]:
         (workdir / name).write_text(text)
     hashes, failed = {}, 0
     for step, args in STEPS:
-        done = subprocess.run([sys.executable, "-m", "adasample.cli", *args],
-                              cwd=workdir, env=env, capture_output=True)
+        done = subprocess.run([sys.executable, *args], cwd=workdir,
+                              env=env, capture_output=True)
         hashes[f"{step}.exit"] = sha256(str(done.returncode).encode())
         hashes[f"{step}.stdout"] = sha256(done.stdout)
         if done.returncode != 0:
