@@ -18,7 +18,7 @@ exercised against exhaustive-expectation oracles in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -58,45 +58,26 @@ class Reweights(NamedTuple):
     clamped: int    # batches holding a distance at or below the floor
 
 
-def stacked(configs: Sequence[SamplerConfig]) -> SamplerConfig:
-    """The samplers of cells in lockstep as one config whose fields are
-    vectors, entry s from ``configs[s]``. :func:`update_loss_avg` and
-    :func:`adaptive_exponent` take it with one loss average per cell."""
-    return SamplerConfig(*(np.array([getattr(c, f.name) for c in configs],
-                                    dtype=np.float64)
-                           for f in fields(SamplerConfig)))
-
-
-def update_loss_avg(l_avg: float | np.ndarray | None,
-                    batch_mean_loss: float | np.ndarray,
-                    config: SamplerConfig) -> float | np.ndarray:
+def update_loss_avg(l_avg: float | None, batch_mean_loss: float,
+                    config: SamplerConfig) -> float:
     """Exponential moving average of batch mean losses; ``l_avg`` is None
-    (or NaN) before the first observation, which becomes the average
-    directly.
-
-    Cells in lockstep pass vectors, one entry per cell, with a
-    :func:`stacked` config; each entry is the float its scalar call
-    gives."""
-    loss = np.asarray(batch_mean_loss, dtype=np.float64)
-    if not np.isfinite(loss).all() or (loss < 0).any():
+    before the first observation, which becomes the average directly."""
+    if not np.isfinite(batch_mean_loss) or batch_mean_loss < 0:
         raise ValueError(f"batch mean loss must be finite and >= 0, "
                          f"got {batch_mean_loss}")
-    prev = np.asarray(np.nan if l_avg is None else l_avg, dtype=np.float64)
+    if l_avg is None:
+        return float(batch_mean_loss)
     beta = config.ema_decay
-    out = np.where(np.isnan(prev), loss, beta * prev + (1.0 - beta) * loss)
-    return out if out.ndim else float(out)
+    return beta * l_avg + (1.0 - beta) * batch_mean_loss
 
 
-def adaptive_exponent(l_avg: float | np.ndarray | None,
-                      config: SamplerConfig) -> float | np.ndarray:
+def adaptive_exponent(l_avg: float | None, config: SamplerConfig) -> float:
     """min(lambda / max(L_avg, loss_floor), exponent_cap), and 0 (uniform
-    sampling) before any loss is observed (``l_avg`` None or NaN); vectors
-    per cell as in :func:`update_loss_avg`."""
-    l_avg = np.asarray(np.nan if l_avg is None else l_avg, dtype=np.float64)
-    out = np.where(np.isnan(l_avg), 0.0, np.minimum(
-        config.lambda_ / np.maximum(l_avg, config.loss_floor),
-        config.exponent_cap))
-    return out if out.ndim else float(out)
+    sampling) before any loss is observed."""
+    if l_avg is None:
+        return 0.0
+    return float(min(config.lambda_ / max(l_avg, config.loss_floor),
+                     config.exponent_cap))
 
 
 def _real_columns(values: np.ndarray, counts

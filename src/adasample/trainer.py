@@ -39,20 +39,20 @@ to ``CELL_CHUNK`` of them in lockstep. Each cell draws its classes,
 anchors and uniforms from its own generator and runs its own forward
 pass, backward pass and update on its own 2-D weights. The small arrays
 of a step (candidate distances, probabilities, the draw, re-weighting,
-mining, loss gradients, loss averages) are stacked along a leading cell
-axis and run once for every cell, which divides their per-call cost by
-the number of cells. Every shared kernel gives each cell's entries the
-bits of the cell alone: reductions run along the last axis, products per
-batch, and candidate rows are grouped by their count, so padding them to
-the widest class of any cell changes nothing. :func:`train` is the
-one-cell case.
+mining, loss gradients) are stacked along a leading cell axis and run
+once for every cell, which divides their per-call cost by the number of
+cells. Every shared kernel gives each cell's entries the bits of the
+cell alone: reductions run along the last axis, products per batch, and
+candidate rows are grouped by their count, so padding them to the widest
+class of any cell changes nothing. :func:`train` is the one-cell case.
 
-A cell carries its weights, one momentum buffer per weight matrix and the
-loss average L_avg, which is unset (None for one cell, NaN in a stack)
-until the first step's mean loss sets it; until then the exponent is 0
-and positives are drawn uniformly. The learning rate is divided by 10 at
-the end of each configured drop epoch. Runs are reproducible from
-(config, dataset, seed), in lockstep or alone.
+A cell (:class:`TrainState`) carries its weights, one momentum buffer per
+weight matrix and the loss average L_avg, which is None until the first
+step's mean loss sets it; until then the exponent is 0 and positives are
+drawn uniformly. A cell whose forward pass or update fails records its
+error and leaves the lockstep; the others step on. The learning rate is
+divided by 10 at the end of each configured drop epoch. Runs are
+reproducible from (config, dataset, seed), in lockstep or alone.
 """
 
 from __future__ import annotations
@@ -112,6 +112,9 @@ class TrainConfig:
                              f"got {self.weight_decay}")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        for epoch in self.lr_drop_epochs:
+            if epoch < 1:
+                raise ValueError(f"lr_drop_epochs must be >= 1, got {epoch}")
         if self.pairs_per_epoch < self.batch_size:
             raise ValueError("pairs_per_epoch must be >= batch_size")
         if self.descriptor_dim < 2:
@@ -133,80 +136,37 @@ CELL_CHUNK = 8
 
 @dataclass
 class TrainState:
-    """One cell's weights, momentum buffers and loss average, as
-    :func:`train` hands them to its epoch callback."""
+    """One cell: its weights, one momentum buffer per weight matrix, its
+    loss average, its sampler config, the generator it draws its batches
+    from, its metrics rows and the error that ended it, if one did.
+    :func:`train` hands it to its epoch callback."""
 
     params: ModelParams
     momentum_buffers: list[np.ndarray]  # shaped like params.layers
     l_avg: float | None                 # None before the first step
-    step: int = 0
-    lr: float = 0.0
+    sampler: SamplerConfig
+    rng: np.random.Generator
+    log: list[dict] = field(default_factory=list)
+    error: NumericError | None = None
 
 
-@dataclass
-class Cells:
-    """S cells in lockstep. Entry s is cell ``ids[s]`` of the run: it has
-    weights ``params[s]``, momentum buffers ``momentum_buffers[s]`` (shaped
-    like the weights), loss average ``l_avg[s]`` (NaN before its first
-    step) and sampler entry s of the :func:`~adasample.sampler.stacked`
-    ``sampler``, and draws its batches from ``rngs[s]``. All cells are at
-    the same step and learning rate."""
-
-    ids: list[int]
-    params: list[ModelParams]
-    momentum_buffers: list[list[np.ndarray]]
-    l_avg: np.ndarray                   # (S,)
-    sampler: SamplerConfig              # fields of shape (S,)
-    rngs: list[np.random.Generator]
-    step: int = 0
-    lr: float = 0.0
-
-    def state(self, s: int) -> TrainState:
-        """Entry s as one cell's state."""
-        l_avg = float(self.l_avg[s])
-        return TrainState(self.params[s], self.momentum_buffers[s],
-                          None if np.isnan(l_avg) else l_avg, self.step,
-                          self.lr)
-
-    def take(self, keep: Sequence[int]) -> "Cells":
-        """The entries at positions ``keep``, in that order (these cells
-        themselves when ``keep`` holds every entry in order)."""
-        if len(keep) == len(self.ids):
-            return self
-        return Cells([self.ids[s] for s in keep],
-                     [self.params[s] for s in keep],
-                     [self.momentum_buffers[s] for s in keep],
-                     self.l_avg[keep],
-                     SamplerConfig(*(getattr(self.sampler, f.name)[keep]
-                                     for f in fields(SamplerConfig))),
-                     [self.rngs[s] for s in keep], self.step, self.lr)
-
-
-def init_cells(configs: Sequence[TrainConfig], input_dim: int) -> Cells:
-    """Cells 0..S-1 at step 0, cell s initialized, seeded and configured
-    by ``configs[s]`` as :func:`train` would; the configs share every
-    field but ``seed`` and ``sampler``."""
-    params = [init_params(c.layer_dims(input_dim), c.seed, c.activation)
-              for c in configs]
-    return Cells(
-        ids=list(range(len(configs))), params=params,
-        momentum_buffers=[[np.zeros_like(w) for w in p.layers]
-                          for p in params],
-        l_avg=np.full(len(configs), np.nan),
-        sampler=smp.stacked([c.sampler for c in configs]),
-        rngs=[np.random.default_rng(np.random.SeedSequence(c.seed))
-              for c in configs],
-        lr=configs[0].lr)
+def init_state(config: TrainConfig, input_dim: int) -> TrainState:
+    """A cell at step 0, initialized, seeded and configured by
+    ``config``."""
+    params = init_params(config.layer_dims(input_dim), config.seed,
+                         config.activation)
+    return TrainState(params, [np.zeros_like(w) for w in params.layers],
+                      None, config.sampler,
+                      np.random.default_rng(np.random.SeedSequence(
+                          config.seed)))
 
 
 class Batch(NamedTuple):
-    """One lockstep step's batches, for the cells at positions ``keep`` of
-    the :class:`Cells` they were drawn for (those whose forward pass
-    completed). Cell s's batch is rows ``rows[s]`` of ``inputs``, anchors
+    """One lockstep step's batches, for the ``cells`` whose forward pass
+    completed. Cell s's batch is rows ``rows[s]`` of ``inputs``, anchors
     then positives, with a row of per-pair weights; ``hidden[s]``,
     ``output_norms[s]`` and ``descriptors[s]`` hold the rest of their
-    forward cache. ``failed`` maps the id of every other cell to the error
-    that ended it."""
+    forward cache."""
 
     inputs: np.ndarray                  # the dataset's input rows
     rows: np.ndarray                    # (S, 2n)
@@ -214,8 +174,7 @@ class Batch(NamedTuple):
     output_norms: np.ndarray            # (S, 2n)
     descriptors: np.ndarray             # (S, 2n, D)
     weights: np.ndarray                 # (S, n)
-    keep: list[int]
-    failed: dict[int, NumericError]
+    cells: list[TrainState]
 
     def cache(self, s: int) -> ForwardCache:
         """Cell s's forward cache; its input rows are gathered here, so
@@ -237,7 +196,7 @@ class BatchDiagnostics:
     weight_clamped: int                 # batches whose weights were clamped
 
 
-def build_batch(cells: Cells, config: TrainConfig,
+def build_batch(cells: Sequence[TrainState], config: TrainConfig,
                 dataset: Dataset) -> tuple[Batch, BatchDiagnostics]:
     """Select n distinct classes of ``dataset`` (every class holds at least
     2 patches, as :func:`train` checks) and one weighted (anchor, positive)
@@ -251,7 +210,7 @@ def build_batch(cells: Cells, config: TrainConfig,
     draw, generator state included. Its bounds alternate k - 1 and
     2**64 - 1; :mod:`adasample.stream` states the facts of numpy's stream
     that make each entry equal its scalar draw. A cell whose forward pass
-    fails leaves the batch.
+    fails sets its error and leaves the batch.
     """
     n = config.batch_size
     num_classes = len(dataset)
@@ -261,16 +220,15 @@ def build_batch(cells: Cells, config: TrainConfig,
     sizes = np.diff(dataset.offsets)
     highs = np.full(2 * n, np.iinfo(np.uint64).max, dtype=np.uint64)
     draws = []
-    for rng in cells.rngs:
-        chosen = rng.choice(num_classes, size=n, replace=False)
+    for cell in cells:
+        chosen = cell.rng.choice(num_classes, size=n, replace=False)
         highs[0::2] = sizes[chosen] - 1
-        draws.append((chosen, rng.integers(0, highs, endpoint=True,
-                                           dtype=np.uint64)))
+        draws.append((chosen, cell.rng.integers(0, highs, endpoint=True,
+                                                dtype=np.uint64)))
     # The small arrays of every cell at once, one row per (cell, class).
     chosen, raw = (np.array(a) for a in zip(*draws))
     k = sizes[chosen]
     anchor_index = raw[:, 0::2].astype(np.int64)
-    uniforms = (raw[:, 1::2] >> np.uint64(11)) * 2.0 ** -53
     # Pad columns repeat the anchor; the counts mask them everywhere, and
     # the kernels group rows by count, so padding to the widest class of
     # any cell keeps every row's bits.
@@ -278,41 +236,40 @@ def build_batch(cells: Cells, config: TrainConfig,
     candidates = np.where(c < (k - 1)[..., None],
                           c + (c >= anchor_index[..., None]),
                           anchor_index[..., None])
-    anchors = np.empty((*k.shape, config.descriptor_dim))
-    cands = np.empty((*candidates.shape, config.descriptor_dim))
-    keep, failed, passes = [], {}, []
-    for s, params in enumerate(cells.params):
+    held, anchors, cands, passes = [], [], [], []
+    for s, cell in enumerate(cells):
         # One batched descriptor extraction over every patch of the
         # selected classes, class after class; class i starts at row
         # first[i].
         inputs, first = dataset.gather(chosen[s])
         try:
-            descs, cache = forward(params, inputs)
+            descs, cache = forward(cell.params, inputs)
         except NumericError as exc:
-            failed[cells.ids[s]] = exc
+            cell.error = exc
             continue
-        keep.append(s)
-        anchors[s] = descs[first + anchor_index[s]]
-        cands[s] = descs[first[:, None] + candidates[s]]
+        held.append(s)
+        anchors.append(descs[first + anchor_index[s]])
+        cands.append(descs[first[:, None] + candidates[s]])
         # The batch gathers its input rows from the dataset again, so no
         # cell's whole gather is held past its forward pass.
         passes.append((first, cache.hidden, cache.output_norms))
         del inputs, descs, cache
-    if not keep:
+    if not held:
         none = np.empty((0, n))
-        return (Batch(dataset.rows, none, [], none, none, none, keep,
-                      failed),
+        return (Batch(dataset.rows, none, [], none, none, none, []),
                 BatchDiagnostics(none, none, none, none, np.empty(0), 0))
-    if failed:
-        chosen, k, anchor_index, uniforms, anchors, cands = (
-            a[keep] for a in (chosen, k, anchor_index, uniforms, anchors,
-                              cands))
+    cells = [cells[s] for s in held]
+    chosen, k, anchor_index, raw = (a[held] for a in (chosen, k,
+                                                      anchor_index, raw))
+    anchors, cands = np.array(anchors), np.array(cands)
+    uniforms = (raw[:, 1::2] >> np.uint64(11)) * 2.0 ** -53
 
     counts = (k - 1).ravel()
     dists = _candidates(anchors.reshape(counts.size, -1),
                         cands.reshape(counts.size, len(c), -1), counts,
                         config.metric)
-    exponent = smp.adaptive_exponent(cells.l_avg, cells.sampler)[keep]
+    exponent = np.array([smp.adaptive_exponent(cell.l_avg, cell.sampler)
+                         for cell in cells])
     probs = smp.positive_probs(dists, np.repeat(exponent, n), counts=counts)
     pick = smp.categorical_sample(probs, uniforms.ravel(), counts=counts)
     slots = np.arange(counts.size)
@@ -330,7 +287,7 @@ def build_batch(cells: Cells, config: TrainConfig,
             anchors.shape)], axis=1)
     batch_hidden = []
     norms = np.empty(picked.shape)
-    for s in range(len(keep)):
+    for s in range(len(cells)):
         first, hidden, cell_norms = passes.pop(0)
         rows = np.tile(first, 2) + picked[s]
         batch_hidden.append([x[rows] for x in hidden])
@@ -340,21 +297,22 @@ def build_batch(cells: Cells, config: TrainConfig,
         anchor_index=anchor_index, positive_index=positive_index,
         probability_used=used, exponent=exponent, weight_clamped=clamped)
     return Batch(dataset.rows, np.tile(dataset.offsets[chosen], 2) + picked,
-                 batch_hidden, norms, batch_descs, weights, keep, failed), diag
+                 batch_hidden, norms, batch_descs, weights, cells), diag
 
 
-def train_step(cells: Cells, batch: Batch, config: TrainConfig
-               ) -> tuple[Cells, dict[str, list], dict[int, NumericError]]:
-    """One update of the cells from their batch, whose forward caches must
-    come from the cells' params (its ``keep`` holds every cell): mine,
-    weighted hinge loss, backward, momentum SGD.
+def train_step(cells: Sequence[TrainState], batch: Batch,
+               config: TrainConfig, lr: float) -> dict[str, list]:
+    """One update at learning rate ``lr`` of the cells from their batch,
+    whose forward caches must come from the cells' params (the batch's
+    cells): mine, weighted hinge loss, backward, momentum SGD.
 
-    Mining, the loss gradients and the loss averages run once over the
-    stacked batches. ``backward`` and the update run per cell, on its own
-    weights and rows: stacked, the update's arrays outgrew the cache and
-    it took about half again as long per cell. Returns the cells that
-    completed the step, the metrics of every cell as one list per name,
-    and the error that ended each other cell, by id.
+    Mining and the loss gradients run once over the stacked batches.
+    ``backward`` and the update run per cell, on its own weights and rows:
+    stacked, the update's arrays outgrew the cache and it took about half
+    again as long per cell. Each cell takes its new weights, momentum
+    buffers and loss average, and a cell whose weights are no longer finite
+    sets its error. Returns the metrics of every cell as one list per
+    name.
     """
     n = batch.weights.shape[1]
     desc_a, desc_p = batch.descriptors[:, :n], batch.descriptors[:, n:]
@@ -363,35 +321,30 @@ def train_step(cells: Cells, batch: Batch, config: TrainConfig
     grad_a, grad_p = loss_grads(desc_a, desc_p, mined, config.metric,
                                 batch.weights)
     output_grads = np.concatenate([grad_a, grad_p], axis=1)
-    params, buffers, failed = [], [], {}
-    for s, (cell_params, cell_buffers) in enumerate(
-            zip(cells.params, cells.momentum_buffers)):
-        grads = backward(cell_params, batch.cache(s), output_grads[s])
+    mean_loss = mined.loss.mean(axis=1).tolist()
+    for s, cell in enumerate(cells):
+        grads = backward(cell.params, batch.cache(s), output_grads[s])
         layers, velocities = [], []
-        for theta, g, v in zip(cell_params.layers, grads, cell_buffers):
+        for theta, g, v in zip(cell.params.layers, grads,
+                               cell.momentum_buffers):
             g_total = g + config.weight_decay * theta
             v_new = config.momentum * v + g_total
-            layers.append(theta - cells.lr * v_new)
+            layers.append(theta - lr * v_new)
             velocities.append(v_new)
         if not all(np.isfinite(theta).all() for theta in layers):
-            failed[cells.ids[s]] = NumericError(
-                f"non-finite parameters at step {cells.step}")
-        params.append(ModelParams(layers, cell_params.activation))
-        buffers.append(velocities)
-
-    mean_loss = mined.loss.mean(axis=1)
-    cells = Cells(cells.ids, params, buffers,
-                  smp.update_loss_avg(cells.l_avg, mean_loss, cells.sampler),
-                  cells.sampler, cells.rngs, cells.step + 1, cells.lr)
-    metrics = {
-        "mean_loss": mean_loss.tolist(),
-        "l_avg": cells.l_avg.tolist(),
+            cell.error = NumericError(
+                f"non-finite parameters at step {len(cell.log)}")
+        cell.params = ModelParams(layers, cell.params.activation)
+        cell.momentum_buffers = velocities
+        cell.l_avg = smp.update_loss_avg(cell.l_avg, mean_loss[s],
+                                         cell.sampler)
+    return {
+        "mean_loss": mean_loss,
+        "l_avg": [cell.l_avg for cell in cells],
         "mean_dpos": mined.d_pos.mean(axis=1).tolist(),
         "mean_dneg": mined.d_neg.mean(axis=1).tolist(),
         "active_fraction": (mined.loss > 0).mean(axis=1).tolist(),
     }
-    return cells.take([s for s, cell in enumerate(cells.ids)
-                       if cell not in failed]), metrics, failed
 
 
 def effective_lr(base_lr: float, epoch: int,
@@ -427,42 +380,35 @@ def _lockstep(configs: Sequence[TrainConfig], dataset: Dataset,
     """Train checked configs in lockstep; one outcome per config, as
     :func:`train_cells` returns them."""
     config = configs[0]
-    cells = init_cells(configs, dataset.rows.shape[1])
-    logs: list[list[dict]] = [[] for _ in configs]
-    outcomes: list = [None] * len(configs)
+    all_cells = [init_state(c, dataset.rows.shape[1]) for c in configs]
+    cells = all_cells
     steps_per_epoch = max(1, config.pairs_per_epoch // config.batch_size)
     for epoch in range(1, config.epochs + 1):
-        cells.lr = effective_lr(config.lr, epoch, config.lr_drop_epochs)
+        lr = effective_lr(config.lr, epoch, config.lr_drop_epochs)
         for _ in range(steps_per_epoch):
-            if not cells.ids:
+            if not cells:
                 break
             batch, diag = build_batch(cells, config, dataset)
-            failed = batch.failed
-            cells = cells.take(batch.keep)
-            if cells.ids:
-                ids, exponent = cells.ids, diag.exponent.tolist()
-                cells, metrics, step_failed = train_step(cells, batch,
-                                                         config)
-                failed |= step_failed
-                for s, cell in enumerate(ids):
-                    if cell not in step_failed:
-                        logs[cell].append({
-                            "epoch": epoch, "step": cells.step,
-                            "exponent": exponent[s],
+            if batch.cells:
+                metrics = train_step(batch.cells, batch, config, lr)
+                for s, cell in enumerate(batch.cells):
+                    if cell.error is None:
+                        cell.log.append({
+                            "epoch": epoch, "step": len(cell.log) + 1,
+                            "exponent": diag.exponent[s].item(),
                             **{name: values[s]
                                for name, values in metrics.items()},
-                            "lr": cells.lr})
+                            "lr": lr})
             # the next batch is built without this one alive
             del batch, diag
-            for cell, exc in failed.items():
-                exc.partial_log = logs[cell]
-                outcomes[cell] = exc
+            cells = [cell for cell in cells if cell.error is None]
         if epoch_callback is not None:
-            for s in range(len(cells.ids)):
-                epoch_callback(epoch, cells.state(s))
-    for s, cell in enumerate(cells.ids):
-        outcomes[cell] = (cells.params[s], logs[cell])
-    return outcomes
+            for cell in cells:
+                epoch_callback(epoch, cell)
+    for cell in all_cells:
+        if cell.error is not None:
+            cell.error.partial_log = cell.log
+    return [cell.error or (cell.params, cell.log) for cell in all_cells]
 
 
 def train_cells(configs: Sequence[TrainConfig], dataset: Dataset

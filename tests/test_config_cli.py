@@ -380,6 +380,21 @@ class TestCliPipeline:
             "config error: margin must be finite and > 0, got nan\n"
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("drops, bad", [("-1", -1), ("0", 0),
+                                            ("4,0,8", 0)])
+    def test_drop_epoch_below_one_exits_with_usage_code(
+            self, config_file, tmp_path, capsys, drops, bad):
+        """A drop at the end of epoch 0 or before would run every epoch at
+        the dropped rate."""
+        config_file.write_text(TINY_CONFIG
+                               + f"train.lr_drop_epochs = {drops}\n")
+        assert main(["train", "--config", str(config_file), "--dataset",
+                     str(tmp_path / "d.adsp"), "--out",
+                     str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == \
+            f"config error: lr_drop_epochs must be >= 1, got {bad}\n"
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_rotation_range_exits_with_usage_code(
             self, tmp_path, capsys, value):
@@ -563,9 +578,9 @@ class TestCliPipeline:
         main(["gen-data", "--config", str(cfg), "--out", str(data_path)])
 
         from adasample.config import load_run_config
-        from adasample.trainer import init_cells
+        from adasample.trainer import init_state
         run_cfg = load_run_config(cfg)
-        untrained = init_cells([run_cfg.train], 144).params[0]
+        untrained = init_state(run_cfg.train, 144).params
         untrained_path = tmp_path / "untrained.adnw"
         write_params(untrained, untrained_path)
 

@@ -49,9 +49,12 @@ class TestLossAverage:
         cfg = SamplerConfig(ema_decay=0.9)
         assert update_loss_avg(1.0, 0.0, cfg) == pytest.approx(0.9)
 
-    def test_negative_loss_rejected(self):
-        with pytest.raises(ValueError):
-            update_loss_avg(None, -0.1, CFG)
+    @pytest.mark.parametrize("loss", [-0.1, np.nan, np.inf])
+    def test_negative_loss_rejected(self, loss):
+        """Negative and non-finite losses, with and without an average."""
+        for l_avg in (None, 1.0):
+            with pytest.raises(ValueError, match="finite and >= 0"):
+                update_loss_avg(l_avg, loss, CFG)
 
 
 class TestAdaptiveExponent:

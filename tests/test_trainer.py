@@ -1,5 +1,6 @@
 """Tests for batch construction and the training loop."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,9 +17,8 @@ from adasample.miner import loss_grads, mine_triplets
 from adasample.sampler import (SamplerConfig, adaptive_exponent, reweights,
                                update_loss_avg)
 from adasample.tensornet import Activation, ModelParams, backward, forward
-from adasample.trainer import (TrainConfig, TrainState, build_batch,
-                               effective_lr, init_cells, train, train_cells,
-                               train_step)
+from adasample.trainer import (TrainConfig, build_batch, effective_lr,
+                               init_state, train, train_cells, train_step)
 from test_sampler import scalar_categorical_sample, scalar_positive_probs
 
 
@@ -38,16 +38,14 @@ def tiny_config(**kw):
 
 def initial_params(cfg):
     """The params a run of ``cfg`` starts from (64-pixel inputs)."""
-    return init_cells([cfg], 64).params[0]
+    return init_state(cfg, 64).params
 
 
 def cells_of(configs, rngs, l_avgs):
     """Cells in lockstep, cell s configured by configs[s], drawing from
     rngs[s] and with loss average l_avgs[s] (None before any step)."""
-    cells = init_cells(configs, 64)
-    cells.rngs = list(rngs)
-    cells.l_avg[:] = [np.nan if l is None else l for l in l_avgs]
-    return cells
+    return [replace(init_state(cfg, 64), rng=rng, l_avg=l_avg)
+            for cfg, rng, l_avg in zip(configs, rngs, l_avgs, strict=True)]
 
 
 def cell_row(batch, diag, s):
@@ -230,7 +228,7 @@ class TestBuildBatchOracle:
         for s, cfg in enumerate(configs):
             cache, weights, got = cell_row(batch, diag, s)
             inputs, want_weights, want = scalar_build_batch(
-                ds, cells.params[s], l_avgs[s], cfg,
+                ds, cells[s].params, l_avgs[s], cfg,
                 np.random.default_rng(draws[s]))
             np.testing.assert_array_equal(cache.inputs, inputs)
             np.testing.assert_array_equal(weights, want_weights)
@@ -240,7 +238,7 @@ class TestBuildBatchOracle:
                                               want[name])
             assert got.exponent == want["exponent"]
         assert diag.weight_clamped == sum(
-            scalar_build_batch(ds, cells.params[s], l_avgs[s], cfg,
+            scalar_build_batch(ds, cells[s].params, l_avgs[s], cfg,
                                np.random.default_rng(draws[s]))[2][
                                    "weight_clamped"]
             for s, cfg in enumerate(configs))
@@ -308,47 +306,45 @@ class TestTrainStep:
     def setup_batch(self, cfg, seed=9):
         cells = cells_of([cfg], [np.random.default_rng(seed)], [None])
         batch, _ = build_batch(cells, cfg, as_dataset(tiny_dataset()))
-        return cells, batch
+        return cells[0], batch
 
     def test_zero_learning_rate_keeps_params_and_updates_loss_average(self):
         cfg = tiny_config(lr=0.0)
-        cells, batch = self.setup_batch(cfg)
-        cells.lr = cfg.lr
-        new_cells, metrics, failed = train_step(cells, batch, cfg)
-        assert failed == {}
-        for a, b in zip(cells.params[0].layers,
-                        new_cells.params[0].layers):
+        cell, batch = self.setup_batch(cfg)
+        params = cell.params
+        assert cell.l_avg is None
+        metrics = train_step([cell], batch, cfg, cfg.lr)
+        assert cell.error is None
+        for a, b in zip(params.layers, cell.params.layers):
             np.testing.assert_array_equal(a, b)
-        assert np.isnan(cells.l_avg[0])
-        assert new_cells.l_avg[0] == metrics["l_avg"][0] \
+        assert cell.l_avg == metrics["l_avg"][0] \
             == metrics["mean_loss"][0] >= 0
 
     def test_inactive_hinges_without_decay_keep_params(self):
         # seed 1 yields a batch whose hinges are all inactive at this margin
         cfg = tiny_config(margin=1e-9, weight_decay=0.0)
-        cells, batch = self.setup_batch(cfg, seed=1)
+        cell, batch = self.setup_batch(cfg, seed=1)
+        params = cell.params
         n = batch.weights.shape[1]
-        descs, _ = forward(cells.params[0], batch.cache(0).inputs)
+        descs, _ = forward(params, batch.cache(0).inputs)
         mined = mine_triplets(descs[:n], descs[n:], cfg.metric, cfg.margin)
         assert all(t.loss == 0 for t in mined)
-        new_cells, _, _ = train_step(cells, batch, cfg)
-        for a, b in zip(cells.params[0].layers,
-                        new_cells.params[0].layers):
+        train_step([cell], batch, cfg, cfg.lr)
+        for a, b in zip(params.layers, cell.params.layers):
             np.testing.assert_array_equal(a, b)
 
     def test_update_matches_manual_composition(self):
         cfg = tiny_config(lr=0.05, momentum=0.3, weight_decay=1e-3)
-        cells, batch = self.setup_batch(cfg)
-        expected = manual_update(cells.params[0], cells.momentum_buffers[0],
-                                 cells.lr, batch.cache(0), batch.weights[0],
-                                 cfg)
-        new_cells, _, _ = train_step(cells, batch, cfg)
-        for got, want in zip(new_cells.params[0].layers, expected):
+        cell, batch = self.setup_batch(cfg)
+        expected = manual_update(cell.params, cell.momentum_buffers, cfg.lr,
+                                 batch.cache(0), batch.weights[0], cfg)
+        train_step([cell], batch, cfg, cfg.lr)
+        for got, want in zip(cell.params.layers, expected):
             np.testing.assert_allclose(got, want, atol=1e-14)
 
     def test_single_step_descends_weighted_loss(self):
         cfg = tiny_config(lr=1e-3, momentum=0.0, weight_decay=0.0)
-        cells, batch = self.setup_batch(cfg)
+        cell, batch = self.setup_batch(cfg)
         n = batch.weights.shape[1]
         inputs = batch.cache(0).inputs
 
@@ -358,13 +354,13 @@ class TestTrainStep:
                                   cfg.margin)
             return float(np.dot(batch.weights[0], [t.loss for t in mined]))
 
-        before = weighted_loss(cells.params[0])
+        before = weighted_loss(cell.params)
         assert before > 0
-        new_cells, _, _ = train_step(cells, batch, cfg)
-        assert weighted_loss(new_cells.params[0]) < before
+        train_step([cell], batch, cfg, cfg.lr)
+        assert weighted_loss(cell.params) < before
 
 
-def oracle_train_step(state, cache, weights, config):
+def oracle_train_step(state, cache, weights, config, lr):
     """One cell's step as it was before cells ran in lockstep and before it
     reused build_batch's forward pass: it runs its own forward on the batch
     rows. Every cell of train_step must equal it bit for bit."""
@@ -385,17 +381,16 @@ def oracle_train_step(state, cache, weights, config):
                            state.momentum_buffers):
         g_total = g + config.weight_decay * theta
         v_new = config.momentum * v + g_total
-        theta_new = theta - state.lr * v_new
+        theta_new = theta - lr * v_new
         new_layers.append(theta_new)
         new_buffers.append(v_new)
 
     l_avg = update_loss_avg(state.l_avg, mean_loss, config.sampler)
-    new_state = TrainState(
+    new_state = replace(
+        state,
         params=ModelParams(new_layers, state.params.activation),
         momentum_buffers=new_buffers,
         l_avg=l_avg,
-        step=state.step + 1,
-        lr=state.lr,
     )
     metrics = {
         "mean_loss": mean_loss,
@@ -415,7 +410,7 @@ def assert_states_equal(got, want):
         for a, b in zip(a_layers, b_layers, strict=True):
             assert np.array_equal(a, b), name
     assert got.params.activation is want.params.activation
-    assert (got.l_avg, got.step, got.lr) == (want.l_avg, want.step, want.lr)
+    assert got.l_avg == want.l_avg
 
 
 class TestOneForwardPass:
@@ -438,19 +433,19 @@ class TestOneForwardPass:
                                weight_decay=1e-3, seed=seed,
                                sampler=SamplerConfig(lambda_=lam))
                    for seed, lam in ((1, 0.0), (2, 10.0), (3, np.inf))]
-        cells = init_cells(configs, 64)
-        want = [cells.state(s) for s in range(3)]
+        cells = [init_state(cfg, 64) for cfg in configs]
+        want = [init_state(cfg, 64) for cfg in configs]
         for _ in range(30):
             batch, _ = build_batch(cells, configs[0], dataset)
-            cells, metrics, failed = train_step(cells, batch, configs[0])
-            assert failed == {}
+            metrics = train_step(cells, batch, configs[0], configs[0].lr)
             for s, cfg in enumerate(configs):
+                assert cells[s].error is None
                 want[s], want_metrics = oracle_train_step(
-                    want[s], batch.cache(s), batch.weights[s], cfg)
+                    want[s], batch.cache(s), batch.weights[s], cfg, cfg.lr)
                 assert {name: values[s] for name, values in metrics.items()} \
                     == want_metrics
-                assert_states_equal(cells.state(s), want[s])
-        assert not np.isnan(cells.l_avg).any()
+                assert_states_equal(cells[s], want[s])
+        assert all(cell.l_avg is not None for cell in cells)
 
     def test_train_runs_one_forward_pass_per_step(self, monkeypatch):
         """train with no epoch callback runs no evaluation, so every forward
@@ -494,7 +489,7 @@ class TestUnitRowChecks:
                 cells = cells_of(configs, rngs, [l_avg, l_avg])
                 batch, _ = build_batch(cells, configs[0], ds)
                 assert calls == []
-                train_step(cells, batch, configs[0])
+                train_step(cells, batch, configs[0], configs[0].lr)
                 assert calls == [2, 2]
                 calls.clear()
 
@@ -541,6 +536,35 @@ class TestTrain:
                 train(cfg, tiny_dataset())
         assert info.value.partial_log == log
         assert [row["step"] for row in log] == [1, 2]
+
+    def test_epoch_callback_gets_each_epochs_params(self):
+        """The callback runs after epochs 1..E, in order. The lr schedule
+        depends only on the epoch number, so a shorter run is a prefix of a
+        longer one: the params the callback gets after epoch e are, byte
+        for byte, those train returns with epochs = e."""
+        ds = tiny_dataset()
+        cfg = tiny_config(epochs=4, lr_drop_epochs=(2,))
+        seen = []
+        params, _ = train(cfg, ds, lambda epoch, cell: seen.append(
+            (epoch, cell.params)))
+        assert [epoch for epoch, _ in seen] == [1, 2, 3, 4]
+        assert seen[-1][1] is params
+        for epoch, got in seen:
+            want, _ = train(replace(cfg, epochs=epoch), ds)
+            assert [w.tobytes() for w in got.layers] == \
+                [w.tobytes() for w in want.layers]
+
+    def test_epoch_callback_stops_with_a_failed_run(self):
+        """Two steps an epoch at lr 1e100: the run fails in the first step
+        of epoch 2, after the callback of epoch 1 only."""
+        cfg = tiny_config(lr=1e100, pairs_per_epoch=8)
+        epochs = []
+        with pytest.raises(NumericError) as info:
+            with np.errstate(over="ignore"):
+                train(cfg, tiny_dataset(),
+                      lambda epoch, cell: epochs.append(epoch))
+        assert [row["epoch"] for row in info.value.partial_log] == [1, 1]
+        assert epochs == [1]
 
     def test_classes_with_one_patch_rejected_before_the_first_batch(
             self, monkeypatch):

@@ -10,11 +10,15 @@ own temporary directory with its own ``PYTHONPATH`` and with
 * ``compare`` of lambda 0 and 10 over seeds 1, 2, 3 (6 cells);
 * ``compare`` of lambda 0, 10 and the cap over seeds 1, 2, 3 (9 cells) on
   a ragged dataset, classes of 2 to 9 patches, which each checkout writes
-  with its own ``data.write_dataset``.
+  with its own ``data.write_dataset``;
+* ``compare`` of the same 9 cells with 8 hidden ReLU units at lr 0.3, where
+  some cells fail in ``forward``'s zero-output check and the others train.
+  The command exits 1 and names each failed cell on standard error.
 
 It then prints the SHA-256 of every output file, and of every command's
-exit code and standard output, side by side, and exits 1 on any
-difference or when a command fails. Usage::
+exit code and standard output (and standard error, for a step expected to
+fail), side by side, and exits 1 on any difference or when a command
+exits with another code than its step expects. Usage::
 
     python tools/identity.py OLD_CHECKOUT NEW_CHECKOUT
 
@@ -43,6 +47,8 @@ CONFIGS = {
     "base.cfg": BASE_CONFIG,
     "expanded.cfg": BASE_CONFIG + "data.expand_to_k = 8\n",
     "euclidean.cfg": BASE_CONFIG + "train.metric = euclidean\n",
+    "diverging.cfg": BASE_CONFIG + "train.activation = relu\n"
+                     "train.hidden_dims = 8\ntrain.lr = 0.3\n",
 }
 # The ragged dataset: 100 classes of 16x16 patches, each truncated to a
 # size drawn from 2..9.
@@ -86,7 +92,14 @@ STEPS = [
                         "--dataset", "ragged.adsp", "--out",
                         "compare-ragged", "--strategies", "0,10,cap",
                         "--seeds", "1,2,3"]),
+    ("compare-diverging", [*CLI, "compare", "--config", "diverging.cfg",
+                           "--dataset", "data.adsp", "--out",
+                           "compare-diverging", "--strategies", "0,10,cap",
+                           "--seeds", "1,2,3"]),
 ]
+# The exit code of each step expected to fail; the standard error of these
+# steps, their failure lines, is hashed as well.
+FAILING = {"compare-diverging": 1}
 
 
 def sha256(data: bytes) -> str:
@@ -96,7 +109,9 @@ def sha256(data: bytes) -> str:
 def run_side(checkout: Path, workdir: Path) -> tuple[dict[str, str], int]:
     """The hash of every output of :data:`STEPS` run on ``checkout`` in
     ``workdir``, by path relative to it (``<step>.stdout`` and
-    ``<step>.exit`` for each command), and the number of failed commands."""
+    ``<step>.exit`` for each command, ``<step>.stderr`` for those in
+    :data:`FAILING`), and the number of commands that exited with another
+    code than expected."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=str(checkout / "src"))
     for name, text in CONFIGS.items():
@@ -107,7 +122,9 @@ def run_side(checkout: Path, workdir: Path) -> tuple[dict[str, str], int]:
                               env=env, capture_output=True)
         hashes[f"{step}.exit"] = sha256(str(done.returncode).encode())
         hashes[f"{step}.stdout"] = sha256(done.stdout)
-        if done.returncode != 0:
+        if step in FAILING:
+            hashes[f"{step}.stderr"] = sha256(done.stderr)
+        if done.returncode != FAILING.get(step, 0):
             failed += 1
             print(f"{checkout}: {step} exited {done.returncode}\n"
                   f"{done.stderr.decode(errors='replace')}", file=sys.stderr)
