@@ -115,14 +115,9 @@ def _unit_rows(*batches, names: Sequence[str] = ("batch_a", "batch_b")
 def _euclidean_norms(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """``np.linalg.norm(X - Y, axis=-1)`` of X and Y broadcast together, bit
     for bit (each entry still sums its own D squares), in leading-axis blocks
-    of at most ``_BLOCK_ENTRIES`` differences squared in place. More than
-    three axes run one leading index at a time."""
+    of at most ``_BLOCK_ENTRIES`` differences squared in place."""
     X, Y = np.broadcast_arrays(X, Y)
     out = np.empty(X.shape[:-1])
-    if X.ndim > 3:
-        for i in range(len(out)):
-            out[i] = _euclidean_norms(X[i], Y[i])
-        return out
     step = max(1, _BLOCK_ENTRIES // max(1, int(np.prod(X.shape[1:]))))
     for start in range(0, len(out), step):
         diff = X[start:start + step] - Y[start:start + step]
@@ -135,13 +130,7 @@ def pairwise_distances(batch_a: Sequence[np.ndarray] | np.ndarray,
                        batch_b: Sequence[np.ndarray] | np.ndarray,
                        kind: MetricKind) -> np.ndarray:
     """Matrix with entry (i, j) = distance(a_i, b_j, kind)."""
-    return _pairwise(*_unit_rows(batch_a, batch_b), kind)
-
-
-def _pairwise(A: np.ndarray, B: np.ndarray, kind: MetricKind) -> np.ndarray:
-    """Entry (..., i, j) = distance(A[..., i, :], B[..., j, :], kind). A
-    stacked product runs the 2-D product of each batch (a batch times its
-    own transpose included), so each batch's entries are its own call's."""
+    A, B = _unit_rows(batch_a, batch_b)
     if kind is MetricKind.EUCLIDEAN:
         return _euclidean_norms(A[..., :, None, :], B[..., None, :, :])
     return np.arccos(np.clip(A @ B.swapaxes(-1, -2), -1.0, 1.0))

@@ -20,6 +20,27 @@ The opposing pairs may be another set than the batch: the informativeness
 probe mines each candidate against fixed anchors and contexts. Training and
 the probe both differentiate the loss through ``_triplet_grads``.
 
+Mining takes exact distances only where the hardest negative can be. Each
+side's key, lower for nearer, comes from its matrix product: the squared
+distance estimate |x|^2 - 2 x.y + |y|^2 (euclidean), or minus the product
+clipped to [-1, 1] (angular). Pair i's candidates are the opposing pairs j
+whose key, the lesser of the two sides', is within ``tol = 64 (D + 4) eps``
+of row i's least key; only there are both sides' exact distances taken
+(``_paired``, or the arccos of the clipped products), and the first
+minimum wins as above.
+
+Why ``tol`` keeps every exact tie: if each key lies within delta of the
+square of its computed exact distance, a pair at most as far as the
+least-key pair has a key at most 2 delta above the least key. Euclidean,
+with u = eps / 2 and R = 1 + UNIT_NORM_TOL the largest row norm: a dot of
+D terms errs by at most about D u |x||y| <= D u R^2 in any summation order
+(Cauchy-Schwarz), as does a squared norm, so the key errs by about
+(4D + 7) u R^2 and the exact distance's square by 4 (D + 4) u R^2:
+2 delta <= (8D + 23) eps R^2, under a seventh of ``tol``. Angular: arccos
+has slope at most -1, so with arccos within 4 ulps (<= 8 eps on [0, pi])
+a clipped product over 16 eps below the row's largest is strictly farther;
+16 eps is under a twentieth of ``tol``.
+
 Each public function checks once that its descriptor rows are unit-norm
 (:func:`mine_triplets` through :func:`hardest_negatives`) and then runs
 the unchecked ``metricspace`` kernels.
@@ -37,8 +58,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .metricspace import MetricKind, _paired, _paired_grads, _pairwise, \
-    _unit_rows
+from .metricspace import MetricKind, _paired, _paired_grads, _unit_rows
 
 
 class NegSource(enum.Enum):
@@ -125,7 +145,7 @@ def hardest_negatives(anchors: np.ndarray, positives: np.ndarray,
     The candidates of pair i are the distances on side 0 (its anchor) and
     side 1 (its positive) to each opposing pair j. The hardest is the
     first minimum in (j, side) order: lowest j wins, and within a j side 0
-    wins.
+    wins. The module docstring says how it is found.
     """
     if opposing is None:
         A, P = _unit_rows(anchors, positives, names=_ROW_NAMES)
@@ -144,25 +164,44 @@ def hardest_negatives(anchors: np.ndarray, positives: np.ndarray,
         raise ValueError(f"need at least 2 pairs to mine negatives, "
                          f"got {OA.shape[-2]}")
     if neg_mode is NegMode.SAME_ROLE:
-        D_first = _pairwise(A, OA, kind)
-        D_second = _pairwise(P, OP, kind)
-        first_code = 0
+        sides, first_code = ((A, OA), (P, OP)), 0
     else:
-        D_first = _pairwise(A, OP, kind)
-        D_second = _pairwise(P, OA, kind)
-        first_code = 2
-    # The first minimum over (j, side) is at the first j that minimizes
-    # min(D_first, D_second), on side 1 only where D_second is smaller.
-    nearest = np.minimum(D_first, D_second)
-    nearest[..., np.arange(n), own] = np.inf
-    m = nearest.shape[-1]
-    nearest = nearest.reshape(-1, m)
-    j = np.argmin(nearest, axis=1)
-    r = np.arange(len(j))
-    second = D_second.reshape(-1, m)[r, j] < D_first.reshape(-1, m)[r, j]
-    shape = D_first.shape[:-1]
-    return Negatives(nearest[r, j].reshape(shape),
-                     (first_code + second).reshape(shape), j.reshape(shape))
+        sides, first_code = ((A, OP), (P, OA)), 2
+    # the products pairwise_distances forms: angular distances keep its bits
+    dots = [X @ Y.swapaxes(-1, -2) for X, Y in sides]
+    if kind is MetricKind.EUCLIDEAN:
+        # each side's key |x|^2 - 2 x.y + |y|^2, in place of its products
+        for (X, Y), G in zip(sides, dots):
+            G *= -2.0
+            G += np.einsum("...d,...d->...", X, X)[..., :, None]
+            G += np.einsum("...d,...d->...", Y, Y)[..., None, :]
+        key = np.minimum(*dots)
+    else:
+        dots = [np.clip(G, -1.0, 1.0, out=G) for G in dots]
+        key = -np.maximum(*dots)
+    key[..., np.arange(n), own] = np.inf
+    m, D = key.shape[-1], A.shape[-1]
+    key = key.reshape(-1, m)
+    rows = np.arange(len(key))
+    tol = 64 * (D + 4) * np.finfo(np.float64).eps
+    flat = np.flatnonzero(key <= key[rows, key.argmin(axis=1)][:, None] + tol)
+    r, j = divmod(flat, m)
+    if kind is MetricKind.EUCLIDEAN:
+        exact = [_paired(X.reshape(-1, D)[r], Y.reshape(-1, D)[r // n * m + j],
+                         kind) for X, Y in sides]
+    else:
+        exact = [np.arccos(G.ravel()[flat]) for G in dots]
+    d = np.minimum(*exact)
+    # The first candidate of each row at the row's least exact distance;
+    # candidates come in (row, j) order, one or more per row.
+    pick = rows
+    if len(r) > len(rows):
+        pick = np.lexsort((j, d, r))[np.flatnonzero(np.diff(r, prepend=-1))]
+    shape = A.shape[:-1]
+    second = exact[1][pick] < exact[0][pick]
+    return Negatives(d[pick].reshape(shape),
+                     (first_code + second).reshape(shape),
+                     j[pick].reshape(shape))
 
 
 def triplet_loss(d_pos, d_neg, margin: float) -> np.ndarray:

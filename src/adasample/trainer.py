@@ -112,9 +112,11 @@ class TrainConfig:
                              f"got {self.weight_decay}")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        for epoch in self.lr_drop_epochs:
+        for k, epoch in enumerate(self.lr_drop_epochs):
             if epoch < 1:
                 raise ValueError(f"lr_drop_epochs must be >= 1, got {epoch}")
+            if epoch in self.lr_drop_epochs[:k]:   # it would drop twice
+                raise ValueError(f"lr_drop_epochs repeats epoch {epoch}")
         if self.pairs_per_epoch < self.batch_size:
             raise ValueError("pairs_per_epoch must be >= batch_size")
         if self.descriptor_dim < 2:

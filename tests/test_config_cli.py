@@ -395,6 +395,20 @@ class TestCliPipeline:
             f"config error: lr_drop_epochs must be >= 1, got {bad}\n"
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("drops, bad", [("4,4", 4), ("4,8,10,8", 8)])
+    def test_repeated_drop_epoch_exits_with_usage_code(
+            self, config_file, tmp_path, capsys, drops, bad):
+        """A repeated epoch would drop the rate twice at its end: (4, 4)
+        ran epoch 5 at lr / 100."""
+        config_file.write_text(TINY_CONFIG
+                               + f"train.lr_drop_epochs = {drops}\n")
+        assert main(["train", "--config", str(config_file), "--dataset",
+                     str(tmp_path / "d.adsp"), "--out",
+                     str(tmp_path / "r")]) == 2
+        assert capsys.readouterr() == (
+            "", f"config error: lr_drop_epochs repeats epoch {bad}\n")
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_rotation_range_exits_with_usage_code(
             self, tmp_path, capsys, value):

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adasample.metricspace import MetricKind
-from adasample.miner import (NEG_SOURCES, MinedTriplets,
+from adasample.metricspace import UNIT_NORM_TOL, MetricKind, \
+    pairwise_distances
+from adasample.miner import (NEG_SOURCES, MinedTriplets, Negatives,
                              NegMode, NegSource, hardest_negatives,
                              loss_grads, mine_triplets, triplet_loss)
 from scalar_distance import distance
@@ -56,6 +57,154 @@ def brute_force_hardest(A, P, kind, neg_mode=NegMode.SAME_ROLE,
                     best = (d, src, j)
         out.append(best)
     return out
+
+
+def full_matrix_negatives(A, P, kind, neg_mode=NegMode.SAME_ROLE,
+                          opposing=None):
+    """The full-matrix selection: both sides' exact distance matrices, then
+    per row the first j minimizing their element-wise minimum, on side 1
+    only where it is strictly nearer. Stacked batches run one at a time,
+    each its own call."""
+    if A.ndim == 3:
+        return Negatives(*map(np.stack, zip(*(
+            full_matrix_negatives(a, p, kind, neg_mode)
+            for a, p in zip(A, P)))))
+    n = len(A)
+    OA, OP, own = (A, P, np.arange(n)) if opposing is None else opposing
+    if neg_mode is NegMode.SAME_ROLE:
+        sides, first_code = ((A, OA), (P, OP)), 0
+    else:
+        sides, first_code = ((A, OP), (P, OA)), 2
+    D_first, D_second = (pairwise_distances(X, Y, kind) for X, Y in sides)
+    nearest = np.minimum(D_first, D_second)
+    nearest[np.arange(n), own] = np.inf
+    j = np.argmin(nearest, axis=1)
+    r = np.arange(n)
+    return Negatives(nearest[r, j],
+                     first_code + (D_second[r, j] < D_first[r, j]), j)
+
+
+def assert_equals_full_matrix(A, P, kind, neg_mode, opposing=None):
+    got = hardest_negatives(A, P, kind, neg_mode, opposing)
+    want = full_matrix_negatives(A, P, kind, neg_mode, opposing)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        np.testing.assert_array_equal(g, w)
+
+
+def scaled_to_norm_tol(rng, X):
+    """X with each row scaled to a norm within 1 +- UNIT_NORM_TOL."""
+    return X * (1.0 + rng.choice([-1, 1], size=X.shape[:-1] + (1,))
+                * 0.999 * UNIT_NORM_TOL)
+
+
+class TestAgainstFullMatrix:
+    """``hardest_negatives`` selects from keys and exact distances at
+    near-minimal candidates only; it must equal the full-matrix selection
+    bit for bit, in d_neg, source and j."""
+
+    @pytest.mark.parametrize("kind", list(MetricKind))
+    @pytest.mark.parametrize("neg_mode", list(NegMode))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(dim=st.sampled_from([2, 32, 64, 256]), n=st.integers(2, 24),
+           form=st.sampled_from(["batch", "stacked", "opposing"]),
+           ties=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_equals_oracle(self, kind, neg_mode, dim, n, form, ties, seed):
+        """Random batches, 2-D, stacked (S, n, D) or against opposing
+        pairs as the probe mines; with ``ties``, rows are duplicated,
+        nudged by an ulp, swapped between anchor and positive and scaled
+        to the unit-norm tolerance."""
+        rng = np.random.default_rng(seed)
+        lead = (int(rng.integers(1, 4)),) if form == "stacked" else ()
+        A = unit_rows(rng, int(np.prod(lead, dtype=int)) * n, dim)
+        P = unit_rows(rng, len(A), dim)
+        A, P = A.reshape(*lead, n, dim), P.reshape(*lead, n, dim)
+        if ties:
+            A[..., -1, :] = A[..., 0, :]
+            P[..., 1, :] = A[..., 0, :]
+            A[..., n // 2, 0] = np.nextafter(A[..., n // 2, 0], 2.0)
+            A, P = scaled_to_norm_tol(rng, A), scaled_to_norm_tol(rng, P)
+        opposing = None
+        if form == "opposing":
+            m = int(rng.integers(2, 9))
+            OA, OP = unit_rows(rng, m, dim), unit_rows(rng, m, dim)
+            if ties:
+                OP[0] = P[0]
+            own = rng.integers(0, m, size=n)
+            A, opposing = OA[own], (OA, OP, own)
+        assert_equals_full_matrix(A, P, kind, neg_mode, opposing)
+
+    @pytest.mark.parametrize("kind", list(MetricKind))
+    @pytest.mark.parametrize("neg_mode", list(NegMode))
+    @pytest.mark.parametrize("case", ["duplicated", "one_ulp", "swapped",
+                                      "norm_tol", "antipodal", "coincident"])
+    @pytest.mark.parametrize("dim", [2, 32, 64, 256])
+    def test_near_ties(self, kind, neg_mode, case, dim):
+        """duplicated rows; rows one ulp from another; an anchor equal to
+        another pair's positive (and that positive's anchor to the first
+        pair's positive), so the two sides tie; rows at the unit-norm
+        tolerance; antipodal and coincident rows, whose products the
+        angular clip reaches."""
+        rng = np.random.default_rng(dim)
+        n = 9
+        A, P = unit_rows(rng, n, dim), unit_rows(rng, n, dim)
+        if case == "duplicated":
+            A[3:6], P[5:8] = A[2], P[4]
+        elif case == "one_ulp":
+            for i in range(1, n):
+                A[i] = A[0]
+                A[i, i % dim] = np.nextafter(A[0, i % dim], i % 2 * 2 - 1.0)
+        elif case == "swapped":
+            A[1], P[1] = P[0], A[0]
+            A[4], P[6] = P[3], A[3]
+        elif case == "norm_tol":
+            A[1:5] = A[0]
+            A, P = scaled_to_norm_tol(rng, A), scaled_to_norm_tol(rng, P)
+        elif case == "antipodal":
+            A[1::2], P[1::2] = -A[0], -A[0]
+            A = scaled_to_norm_tol(rng, A)
+        else:
+            A[1:], P[1:] = A[0], A[0]
+            A = A * (1.0 + 0.999 * UNIT_NORM_TOL * rng.uniform(-1, 1,
+                                                               (n, 1)))
+        assert_equals_full_matrix(A, P, kind, neg_mode)
+        assert_equals_full_matrix(np.stack([A, A[::-1]]),
+                                  np.stack([P, P[::-1]]), kind, neg_mode)
+
+    def test_key_misorders_near_equal_candidates(self):
+        """Candidates at one true distance from the anchor: a unit vector
+        near it, its entries permuted within the two halves on which the
+        anchor is constant. Rounding orders their keys otherwise than their
+        exact distances, which differ by ulps; the exact order wins."""
+        dim, n = 64, 12
+        half = dim // 2
+        tol = 64 * (dim + 4) * np.finfo(np.float64).eps
+        kind = MetricKind.EUCLIDEAN
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            x = np.repeat(rng.uniform(0.5, 1.5, 2), half)
+            x /= np.linalg.norm(x)
+            v = x + 0.1 * rng.normal(size=dim)
+            v /= np.linalg.norm(v)
+            A = np.vstack([x] + [np.r_[rng.permutation(v[:half]),
+                                       rng.permutation(v[half:])]
+                                 for _ in range(n - 1)])
+            # the key as hardest_negatives forms it, for the anchor x
+            sq = np.einsum("...d,...d->...", A, A)
+            key = ((sq[0] - 2.0 * (A @ A.T)[0]) + sq)[1:]
+            exact = pairwise_distances(A, A, kind)[0, 1:]
+            if np.argmin(key) != np.argmin(exact):
+                break
+        else:
+            pytest.fail("no batch whose key misorders its candidates")
+        assert exact.max() - exact.min() < tol
+        assert key[np.argmin(exact)] > key.min()
+        P = -unit_rows(rng, n, dim)   # the anchor side decides pair 0
+        for neg_mode in NegMode:
+            assert_equals_full_matrix(A, P, kind, neg_mode)
+        neg = hardest_negatives(A, P, kind)
+        assert neg.j[0] == 1 + np.argmin(exact)
+        assert neg.source[0] == 0
 
 
 class TestHardestNegatives:

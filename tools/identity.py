@@ -5,12 +5,15 @@ own temporary directory with its own ``PYTHONPATH`` and with
 ``OPENBLAS_NUM_THREADS=1``:
 
 * ``gen-data``, without and with ``data.expand_to_k``;
-* ``train`` under the angular and the euclidean metric;
-* ``evaluate`` of both trained networks, ``diagnose`` of the angular one;
+* ``train`` under the angular and the euclidean metric, and under the
+  euclidean metric with cross-role negatives;
+* ``evaluate`` and ``diagnose`` of the angular and the euclidean network
+  (the probe mines against opposing pairs);
 * ``compare`` of lambda 0 and 10 over seeds 1, 2, 3 (6 cells);
 * ``compare`` of lambda 0, 10 and the cap over seeds 1, 2, 3 (9 cells) on
   a ragged dataset, classes of 2 to 9 patches, which each checkout writes
-  with its own ``data.write_dataset``;
+  with its own ``data.write_dataset``, under each metric (the
+  euclidean cells mine their batches stacked);
 * ``compare`` of the same 9 cells with 8 hidden ReLU units at lr 0.3, where
   some cells fail in ``forward``'s zero-output check and the others train.
   The command exits 1 and names each failed cell on standard error.
@@ -47,6 +50,8 @@ CONFIGS = {
     "base.cfg": BASE_CONFIG,
     "expanded.cfg": BASE_CONFIG + "data.expand_to_k = 8\n",
     "euclidean.cfg": BASE_CONFIG + "train.metric = euclidean\n",
+    "euclidean-cross.cfg": BASE_CONFIG + "train.metric = euclidean\n"
+                           "train.neg_mode = cross_role\n",
     "diverging.cfg": BASE_CONFIG + "train.activation = relu\n"
                      "train.hidden_dims = 8\ntrain.lr = 0.3\n",
 }
@@ -74,6 +79,9 @@ STEPS = [
                        "data.adsp", "--out", "angular"]),
     ("train-euclidean", [*CLI, "train", "--config", "euclidean.cfg",
                          "--dataset", "data.adsp", "--out", "euclidean"]),
+    ("train-euclidean-cross", [*CLI, "train", "--config",
+                               "euclidean-cross.cfg", "--dataset",
+                               "data.adsp", "--out", "euclidean-cross"]),
     ("evaluate-angular", [*CLI, "evaluate", "--config", "base.cfg",
                           "--params", "angular/params.adnw",
                           "--dataset", "data.adsp",
@@ -85,6 +93,10 @@ STEPS = [
     ("diagnose", [*CLI, "diagnose", "--config", "base.cfg", "--params",
                   "angular/params.adnw", "--dataset", "data.adsp",
                   "--out", "diagnose"]),
+    ("diagnose-euclidean", [*CLI, "diagnose", "--config", "euclidean.cfg",
+                            "--params", "euclidean/params.adnw",
+                            "--dataset", "data.adsp",
+                            "--out", "diagnose-euclidean"]),
     ("compare", [*CLI, "compare", "--config", "base.cfg", "--dataset",
                  "data.adsp", "--out", "compare", "--strategies", "0,10",
                  "--seeds", "1,2,3"]),
@@ -92,6 +104,11 @@ STEPS = [
                         "--dataset", "ragged.adsp", "--out",
                         "compare-ragged", "--strategies", "0,10,cap",
                         "--seeds", "1,2,3"]),
+    ("compare-euclidean-ragged", [*CLI, "compare", "--config",
+                                  "euclidean.cfg", "--dataset", "ragged.adsp",
+                                  "--out", "compare-euclidean-ragged",
+                                  "--strategies", "0,10,cap",
+                                  "--seeds", "1,2,3"]),
     ("compare-diverging", [*CLI, "compare", "--config", "diverging.cfg",
                            "--dataset", "data.adsp", "--out",
                            "compare-diverging", "--strategies", "0,10,cap",
