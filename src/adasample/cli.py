@@ -18,15 +18,13 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import evaluation as ev
 from . import trainer as tr
-from .config import (RunConfig, _parse_lambda, load_run_config, with_lambda,
-                     with_seed)
+from .config import RunConfig, _parse_lambda, load_run_config
 from .data import (Dataset, as_dataset, generate_positives,
                    generate_synthetic, read_dataset, write_dataset)
 from .errors import DatasetError, FormatError, NumericError
@@ -142,16 +140,13 @@ def cmd_compare(args) -> int:
         print(f"compare needs distinct seeds, got {args.seeds}",
               file=sys.stderr)
         return EXIT_USAGE
-    for lam in strategies:
-        replace(config.train.sampler, lambda_=lam).validate()
-    dataset = read_dataset(args.dataset)
-    train_split, holdout = split_holdout(dataset,
-                                         config.eval.holdout_fraction)
     # A repeated strategy names the same cells, which train once.
     cells = list(dict.fromkeys((lam, seed) for lam in strategies
                                for seed in seeds))
-    configs = [with_lambda(with_seed(config, seed), lam)
-               for lam, seed in cells]
+    configs = [load_run_config(args.config, seed, lam) for lam, seed in cells]
+    dataset = read_dataset(args.dataset)
+    train_split, holdout = split_holdout(dataset,
+                                         config.eval.holdout_fraction)
     try:
         outcomes = tr.train_cells([c.train for c in configs], train_split)
     except (DatasetError, ValueError) as exc:

@@ -16,7 +16,7 @@ pinned explicitly via ``data.seed``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -199,18 +199,3 @@ def assemble_run_config(sections: dict) -> RunConfig:
     config.validate()
     return config
 
-
-def with_seed(config: RunConfig, seed: int) -> RunConfig:
-    """Re-derive every substream from a new run seed."""
-    return replace(
-        config,
-        seed=seed,
-        dataset=replace(config.dataset, seed=substream_seed(seed, "data")),
-        train=replace(config.train, seed=substream_seed(seed, "train")),
-    )
-
-
-def with_lambda(config: RunConfig, lambda_: float) -> RunConfig:
-    sampler_cfg = replace(config.train.sampler, lambda_=lambda_)
-    sampler_cfg.validate()
-    return replace(config, train=replace(config.train, sampler=sampler_cfg))

@@ -41,9 +41,12 @@ has slope at most -1, so with arccos within 4 ulps (<= 8 eps on [0, pi])
 a clipped product over 16 eps below the row's largest is strictly farther;
 16 eps is under a twentieth of ``tol``.
 
-Each public function checks once that its descriptor rows are unit-norm
-(:func:`mine_triplets` through :func:`hardest_negatives`) and then runs
-the unchecked ``metricspace`` kernels.
+Rows are checked once, where they enter: :func:`hardest_negatives` (and
+:func:`mine_triplets` through it) checks that its descriptor rows are
+unit-norm and then runs the unchecked ``metricspace`` kernels. The mined
+triplets carry the rows they were measured on, and :func:`loss_grads`
+differentiates those rows, so it checks nothing again and cannot be handed
+another batch's rows.
 
 A batch's arrays may carry leading axes: (S, n, D) descriptors are S
 batches, one per lockstep training cell, mined and differentiated in one
@@ -53,7 +56,7 @@ call. Every batch gets the values its own call gives, bit for bit.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -103,17 +106,22 @@ class Negatives(NamedTuple):
 
 @dataclass(frozen=True)
 class MinedTriplets:
-    """The mined triplets of a batch as arrays; entry i belongs to pair i.
-    Indexing gives the :class:`MinedTriplet` of one pair.
+    """The mined triplets of a batch as arrays; entry i belongs to pair i,
+    whose anchor and positive are rows i of ``anchors`` and ``positives``,
+    the float64 rows they were mined from. Indexing gives the
+    :class:`MinedTriplet` of one pair.
 
-    The arrays of stacked batches have shape (S, n); ``len`` then counts
-    all S * n triplets, and indexing runs over them batch after batch."""
+    The arrays of stacked batches have shape (S, n) (rows (S, n, D));
+    ``len`` then counts all S * n triplets, and indexing runs over them
+    batch after batch."""
 
     d_pos: np.ndarray
     d_neg: np.ndarray
     source: np.ndarray
     j: np.ndarray
     loss: np.ndarray
+    anchors: np.ndarray
+    positives: np.ndarray
 
     def __len__(self) -> int:
         return self.loss.size
@@ -221,12 +229,13 @@ def mine_triplets(anchors: np.ndarray, positives: np.ndarray,
     """Mine hardest negatives (against ``opposing``, as
     :func:`hardest_negatives`, which checks the rows) and evaluate the
     hinge loss for every pair."""
-    neg = hardest_negatives(anchors, positives, kind, neg_mode, opposing)
-    d_pos = _paired(np.atleast_2d(np.asarray(anchors, dtype=np.float64)),
-                    np.atleast_2d(np.asarray(positives, dtype=np.float64)),
-                    kind)
+    A, P = (np.atleast_2d(np.asarray(X, dtype=np.float64))
+            for X in (anchors, positives))
+    neg = hardest_negatives(A, P, kind, neg_mode, opposing)
+    d_pos = _paired(A, P, kind)
     return MinedTriplets(d_pos=d_pos, d_neg=neg.d_neg, source=neg.source,
-                         j=neg.j, loss=triplet_loss(d_pos, neg.d_neg, margin))
+                         j=neg.j, loss=triplet_loss(d_pos, neg.d_neg, margin),
+                         anchors=A, positives=P)
 
 
 def _triplet_grads(X: np.ndarray, own: np.ndarray, other: np.ndarray,
@@ -256,11 +265,12 @@ def _triplet_grads(X: np.ndarray, own: np.ndarray, other: np.ndarray,
     return rows, terms
 
 
-def loss_grads(anchors: np.ndarray, positives: np.ndarray,
-               mined: MinedTriplets, kind: MetricKind,
+def loss_grads(mined: MinedTriplets, kind: MetricKind,
                weights: np.ndarray | None = None
                ) -> tuple[np.ndarray, np.ndarray]:
-    """Descriptor-space gradients of sum_i w_i * loss_i.
+    """Gradients of sum_i w_i * loss_i with respect to the anchor and
+    positive rows ``mined`` was mined from, against its own batch (not
+    against ``opposing`` pairs).
 
     Each active pair contributes the ``_triplet_grads`` terms. Inactive
     hinges (and the exact hinge boundary) contribute the zero subgradient.
@@ -269,21 +279,12 @@ def loss_grads(anchors: np.ndarray, positives: np.ndarray,
     Stacked (S, n, D) batches, with (S, n) mined arrays and weights, give
     (S, n, D) gradients, each batch's as its own call gives them.
     """
-    A, P = _unit_rows(anchors, positives, names=_ROW_NAMES)
+    A, P = mined.anchors, mined.positives
     n, D = A.shape[-2:]
-    if P.shape != A.shape:
-        raise ValueError(f"anchor/positive counts differ: {n} vs "
-                         f"{P.shape[-2]}")
     w = np.ones(A.shape[:-1]) if weights is None \
         else np.asarray(weights, np.float64)
     if w.shape != A.shape[:-1]:
         raise ValueError(f"weights shape {w.shape} does not match batch size {n}")
-    j = np.asarray(mined.j)
-    stale = (j < 0) | (j >= n) | (j == np.arange(j.shape[-1]))
-    if mined.loss.shape != w.shape or stale.any():
-        bad = int(np.argmax(stale)) if stale.any() else len(mined)
-        raise ValueError(f"mined triplets have stale indices (pair {bad} of "
-                         f"{len(mined)}) for batch size {n}")
     # Batch s owns rows 2ns..2ns+n-1 of X for its anchors and the next n
     # for its positives; its pair i is pair sn + i of the stack.
     X = np.concatenate([A.reshape(-1, n, D), P.reshape(-1, n, D)],
@@ -291,8 +292,9 @@ def loss_grads(anchors: np.ndarray, positives: np.ndarray,
     act = np.flatnonzero(mined.loss > 0.0)
     d_pos, d_neg, source, j, loss = (
         np.asarray(a).ravel()[act]
-        for a in (mined.d_pos, mined.d_neg, mined.source, j, mined.loss))
-    active = MinedTriplets(d_pos, d_neg, source, act - act % n + j, loss)
+        for a in (mined.d_pos, mined.d_neg, mined.source, mined.j, mined.loss))
+    active = replace(mined, d_pos=d_pos, d_neg=d_neg, source=source,
+                     j=act - act % n + j, loss=loss)
     pair = np.arange(X.shape[0] // 2)
     pairs = (pair + pair // n * n)[:, None] + [0, n]
     rows, terms = _triplet_grads(X, pairs[act], pairs, active, kind,

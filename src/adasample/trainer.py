@@ -26,12 +26,9 @@ Each step runs the network once. The positive draw needs the descriptors
 of every patch of the chosen classes; the network is row-wise, so the
 rows of that pass that hold the batch's pairs are the forward cache the
 update backpropagates through. Those rows are unit-norm by construction, so
-the step runs the unchecked distance kernel; unit-norm checks run only
-where rows enter ``miner``'s public functions (two per step, against five
-when every distance call checked). With the one-call draw this made the
-default run train about 19% more pairs per second, with byte-identical
-output (alternating runs of ``bench/run.py --workload train_default``
-before and after, on a 2-core machine).
+the positive draw runs the unchecked distance kernel, and a step checks
+its rows once, where they enter mining; the loss gradients differentiate
+the rows the mined triplets carry.
 
 Runs that share a dataset, a network and a schedule and differ only in
 their seed and sampler config are cells, and :func:`train_cells` steps up
@@ -119,6 +116,9 @@ class TrainConfig:
                 raise ValueError(f"lr_drop_epochs repeats epoch {epoch}")
         if self.pairs_per_epoch < self.batch_size:
             raise ValueError("pairs_per_epoch must be >= batch_size")
+        for width in self.hidden_dims:
+            if width < 1:
+                raise ValueError(f"hidden_dims must be >= 1, got {width}")
         if self.descriptor_dim < 2:
             raise ValueError("descriptor dim must be >= 2")
         self.sampler.validate()
@@ -131,8 +131,11 @@ class TrainConfig:
 # pass and the positive draw a cell holds the hidden activations and
 # descriptors of every patch of its chosen classes (about 0.4 MB at the
 # defaults, 3 MB for 128 classes of up to 16 patches of 32x32 pixels and
-# 256 hidden units), so a chunk bounds that memory. Per cell, a step took
-# about as long at 16 cells (two chunks) as at 6.
+# 256 hidden units), and its batch then holds the forward cache of its 2n
+# rows, their input rows included (0.35 MB at the defaults), so a chunk
+# bounds that memory: a default step's traced (tracemalloc) peak is 1.6 MB
+# for one cell and 5.2 MB for six. Per cell, a step took about as long at
+# 16 cells (two chunks) as at 6.
 CELL_CHUNK = 8
 
 
@@ -165,24 +168,12 @@ def init_state(config: TrainConfig, input_dim: int) -> TrainState:
 
 class Batch(NamedTuple):
     """One lockstep step's batches, for the ``cells`` whose forward pass
-    completed. Cell s's batch is rows ``rows[s]`` of ``inputs``, anchors
-    then positives, with a row of per-pair weights; ``hidden[s]``,
-    ``output_norms[s]`` and ``descriptors[s]`` hold the rest of their
-    forward cache."""
+    completed. Cell s's batch is ``caches[s]``, the forward cache of its
+    2n rows (anchors then positives), with a row of per-pair weights."""
 
-    inputs: np.ndarray                  # the dataset's input rows
-    rows: np.ndarray                    # (S, 2n)
-    hidden: list[list[np.ndarray]]      # per cell, (2n, M_l) per layer
-    output_norms: np.ndarray            # (S, 2n)
-    descriptors: np.ndarray             # (S, 2n, D)
+    caches: list[ForwardCache]
     weights: np.ndarray                 # (S, n)
     cells: list[TrainState]
-
-    def cache(self, s: int) -> ForwardCache:
-        """Cell s's forward cache; its input rows are gathered here, so
-        the batch holds them for one cell at a time."""
-        return ForwardCache(self.inputs[self.rows[s]], self.hidden[s],
-                            self.output_norms[s], self.descriptors[s])
 
 
 @dataclass
@@ -204,8 +195,8 @@ def build_batch(cells: Sequence[TrainState], config: TrainConfig,
     2 patches, as :func:`train` checks) and one weighted (anchor, positive)
     each, for every cell; ``config`` holds the fields the cells share.
 
-    The batch carries the rows of this call's forward passes with the
-    cells' params, so it is for a :func:`train_step` of the same cells.
+    The batch carries its cells and the rows of their forward passes with
+    their current params; :func:`train_step` updates those cells.
 
     Per cell, the anchors and uniforms come from one ``integers`` call that
     replays the per-class loop ``rng.integers(k); rng.random()`` draw for
@@ -221,16 +212,35 @@ def build_batch(cells: Sequence[TrainState], config: TrainConfig,
                            f"needs {n}")
     sizes = np.diff(dataset.offsets)
     highs = np.full(2 * n, np.iinfo(np.uint64).max, dtype=np.uint64)
-    draws = []
+    passes = []
     for cell in cells:
         chosen = cell.rng.choice(num_classes, size=n, replace=False)
         highs[0::2] = sizes[chosen] - 1
-        draws.append((chosen, cell.rng.integers(0, highs, endpoint=True,
-                                                dtype=np.uint64)))
+        raw = cell.rng.integers(0, highs, endpoint=True, dtype=np.uint64)
+        # One batched descriptor extraction over every patch of the
+        # selected classes, class after class; class i starts at row
+        # first[i].
+        inputs, first = dataset.gather(chosen)
+        try:
+            descs, cache = forward(cell.params, inputs)
+        except NumericError as exc:
+            cell.error = exc
+            continue
+        # The batch takes its input rows from the dataset again, so no
+        # cell's whole gather outlives its forward pass.
+        passes.append((cell, chosen, raw, first, cache.hidden,
+                       cache.output_norms, descs))
+        del inputs, descs, cache
+    if not passes:
+        none = np.empty((0, n))
+        return (Batch([], none, []),
+                BatchDiagnostics(none, none, none, none, np.empty(0), 0))
+    cells, chosen, raw, first, hidden, norms, descs = zip(*passes)
     # The small arrays of every cell at once, one row per (cell, class).
-    chosen, raw = (np.array(a) for a in zip(*draws))
+    chosen, raw, first = (np.array(a) for a in (chosen, raw, first))
     k = sizes[chosen]
     anchor_index = raw[:, 0::2].astype(np.int64)
+    uniforms = (raw[:, 1::2] >> np.uint64(11)) * 2.0 ** -53
     # Pad columns repeat the anchor; the counts mask them everywhere, and
     # the kernels group rows by count, so padding to the widest class of
     # any cell keeps every row's bits.
@@ -238,33 +248,9 @@ def build_batch(cells: Sequence[TrainState], config: TrainConfig,
     candidates = np.where(c < (k - 1)[..., None],
                           c + (c >= anchor_index[..., None]),
                           anchor_index[..., None])
-    held, anchors, cands, passes = [], [], [], []
-    for s, cell in enumerate(cells):
-        # One batched descriptor extraction over every patch of the
-        # selected classes, class after class; class i starts at row
-        # first[i].
-        inputs, first = dataset.gather(chosen[s])
-        try:
-            descs, cache = forward(cell.params, inputs)
-        except NumericError as exc:
-            cell.error = exc
-            continue
-        held.append(s)
-        anchors.append(descs[first + anchor_index[s]])
-        cands.append(descs[first[:, None] + candidates[s]])
-        # The batch gathers its input rows from the dataset again, so no
-        # cell's whole gather is held past its forward pass.
-        passes.append((first, cache.hidden, cache.output_norms))
-        del inputs, descs, cache
-    if not held:
-        none = np.empty((0, n))
-        return (Batch(dataset.rows, none, [], none, none, none, []),
-                BatchDiagnostics(none, none, none, none, np.empty(0), 0))
-    cells = [cells[s] for s in held]
-    chosen, k, anchor_index, raw = (a[held] for a in (chosen, k,
-                                                      anchor_index, raw))
-    anchors, cands = np.array(anchors), np.array(cands)
-    uniforms = (raw[:, 1::2] >> np.uint64(11)) * 2.0 ** -53
+    anchors = np.array([d[r] for d, r in zip(descs, first + anchor_index)])
+    cands = np.array([d[r] for d, r in
+                      zip(descs, first[..., None] + candidates)])
 
     counts = (k - 1).ravel()
     dists = _candidates(anchors.reshape(counts.size, -1),
@@ -280,33 +266,26 @@ def build_batch(cells: Sequence[TrainState], config: TrainConfig,
     pick = pick.reshape(k.shape)
     positive_index = pick + (pick >= anchor_index)
 
-    # Each cell's batch rows, anchors then positives, in its forward pass
-    # and in the dataset. A cell's whole pass is freed once its rows are
-    # taken.
+    # Each cell's batch rows, anchors then positives, in the dataset and
+    # in its forward pass.
     picked = np.concatenate([anchor_index, positive_index], axis=1)
-    batch_descs = np.concatenate([anchors, cands.reshape(
-        counts.size, len(c), -1)[slots, pick.ravel()].reshape(
-            anchors.shape)], axis=1)
-    batch_hidden = []
-    norms = np.empty(picked.shape)
-    for s in range(len(cells)):
-        first, hidden, cell_norms = passes.pop(0)
-        rows = np.tile(first, 2) + picked[s]
-        batch_hidden.append([x[rows] for x in hidden])
-        norms[s] = cell_norms[rows]
+    caches = [ForwardCache(dataset.rows[d_rows], [x[rows] for x in h],
+                           m[rows], d[rows])
+              for d_rows, rows, h, m, d in zip(
+                  np.tile(dataset.offsets[chosen], 2) + picked,
+                  np.tile(first, 2) + picked, hidden, norms, descs)]
     diag = BatchDiagnostics(
         class_ids=dataset.class_ids[chosen],
         anchor_index=anchor_index, positive_index=positive_index,
         probability_used=used, exponent=exponent, weight_clamped=clamped)
-    return Batch(dataset.rows, np.tile(dataset.offsets[chosen], 2) + picked,
-                 batch_hidden, norms, batch_descs, weights, cells), diag
+    return Batch(caches, weights, list(cells)), diag
 
 
-def train_step(cells: Sequence[TrainState], batch: Batch,
-               config: TrainConfig, lr: float) -> dict[str, list]:
-    """One update at learning rate ``lr`` of the cells from their batch,
-    whose forward caches must come from the cells' params (the batch's
-    cells): mine, weighted hinge loss, backward, momentum SGD.
+def train_step(batch: Batch, config: TrainConfig,
+               lr: float) -> dict[str, list]:
+    """One update at learning rate ``lr`` of the batch's cells from their
+    forward caches, which come from the cells' params: mine, weighted hinge
+    loss, backward, momentum SGD.
 
     Mining and the loss gradients run once over the stacked batches.
     ``backward`` and the update run per cell, on its own weights and rows:
@@ -317,15 +296,14 @@ def train_step(cells: Sequence[TrainState], batch: Batch,
     name.
     """
     n = batch.weights.shape[1]
-    desc_a, desc_p = batch.descriptors[:, :n], batch.descriptors[:, n:]
-    mined = mine_triplets(desc_a, desc_p, config.metric, config.margin,
-                          config.neg_mode)
-    grad_a, grad_p = loss_grads(desc_a, desc_p, mined, config.metric,
-                                batch.weights)
+    descs = np.array([cache.descriptors for cache in batch.caches])
+    mined = mine_triplets(descs[:, :n], descs[:, n:], config.metric,
+                          config.margin, config.neg_mode)
+    grad_a, grad_p = loss_grads(mined, config.metric, batch.weights)
     output_grads = np.concatenate([grad_a, grad_p], axis=1)
     mean_loss = mined.loss.mean(axis=1).tolist()
-    for s, cell in enumerate(cells):
-        grads = backward(cell.params, batch.cache(s), output_grads[s])
+    for s, (cell, cache) in enumerate(zip(batch.cells, batch.caches)):
+        grads = backward(cell.params, cache, output_grads[s])
         layers, velocities = [], []
         for theta, g, v in zip(cell.params.layers, grads,
                                cell.momentum_buffers):
@@ -342,7 +320,7 @@ def train_step(cells: Sequence[TrainState], batch: Batch,
                                          cell.sampler)
     return {
         "mean_loss": mean_loss,
-        "l_avg": [cell.l_avg for cell in cells],
+        "l_avg": [cell.l_avg for cell in batch.cells],
         "mean_dpos": mined.d_pos.mean(axis=1).tolist(),
         "mean_dneg": mined.d_neg.mean(axis=1).tolist(),
         "active_fraction": (mined.loss > 0).mean(axis=1).tolist(),
@@ -392,7 +370,7 @@ def _lockstep(configs: Sequence[TrainConfig], dataset: Dataset,
                 break
             batch, diag = build_batch(cells, config, dataset)
             if batch.cells:
-                metrics = train_step(batch.cells, batch, config, lr)
+                metrics = train_step(batch, config, lr)
                 for s, cell in enumerate(batch.cells):
                     if cell.error is None:
                         cell.log.append({
@@ -434,8 +412,8 @@ def train(config: TrainConfig, dataset: Dataset,
           epoch_callback: Callable[[int, TrainState], None] | None = None
           ) -> tuple[ModelParams, list[dict]]:
     """Run the full schedule; returns final params and one metrics row per
-    step (columns per ``METRICS_COLUMNS``). The dataset's input rows are
-    computed once and held by it (see :class:`~adasample.data.Dataset`).
+    step (columns per ``METRICS_COLUMNS``). The dataset computes its
+    input rows once and keeps them (see :class:`~adasample.data.Dataset`).
     This is one cell of :func:`train_cells`."""
     _check_cells([config], dataset)
     (outcome,) = _lockstep([config], dataset, epoch_callback)

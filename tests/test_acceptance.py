@@ -206,7 +206,7 @@ def test_positive_gradient_norm_equals_twice_matching_distance():
                    and t.neg_source is NegSource.ANCHOR_VS_ANCHOR
                    for t in mined):
             continue
-        _, gp = loss_grads(A, P, mined, MetricKind.EUCLIDEAN)
+        _, gp = loss_grads(mined, MetricKind.EUCLIDEAN)
         for t in mined:
             worst = max(worst, abs(np.linalg.norm(gp[t.pair_index])
                                    - 2.0 * t.d_pos))
@@ -242,8 +242,7 @@ def test_end_to_end_gradient_correctness():
             if min(abs(1.0 + t.d_pos ** 2 - t.d_neg ** 2)
                    for t in mined) < 1e-3:
                 continue
-            ga, gp = loss_grads(descs[:batch], descs[batch:], mined,
-                                MetricKind.ANGULAR, w)
+            ga, gp = loss_grads(mined, MetricKind.ANGULAR, w)
             analytic = backward(params, cache, np.vstack([ga, gp]))
             fd = finite_diff_grad(params, total_loss, eps=1e-6)
             num = np.linalg.norm(flatten(analytic) - flatten(fd))

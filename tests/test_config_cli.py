@@ -1,13 +1,14 @@
 """Tests for config parsing and the command-line pipeline."""
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from adasample.cli import main
 from adasample.config import (_KEYMAP, load_run_config, parse_config_text,
-                              substream_seed, with_lambda, with_seed)
+                              substream_seed)
 from adasample.data import (ClassGroup, DatasetSpec, generate_synthetic,
                             read_dataset, write_dataset)
 from adasample.errors import DatasetError
@@ -90,16 +91,17 @@ class TestConfigParsing:
         assert substream_seed(5, "train") != substream_seed(6, "train")
 
     def test_with_seed_rederives_substreams(self, config_file):
-        cfg = load_run_config(config_file)
-        re = with_seed(cfg, 123)
+        re = load_run_config(config_file, seed_override=123)
+        assert re.seed == 123
         assert re.dataset.seed == substream_seed(123, "data")
         assert re.train.seed == substream_seed(123, "train")
 
     def test_with_lambda_replaces_only_sampler(self, config_file):
         cfg = load_run_config(config_file)
-        re = with_lambda(cfg, 2.5)
+        re = load_run_config(config_file, lambda_override=2.5)
         assert re.train.sampler.lambda_ == 2.5
-        assert re.train.lr == cfg.train.lr
+        assert re == replace(cfg, train=replace(
+            cfg.train, sampler=replace(cfg.train.sampler, lambda_=2.5)))
 
     def test_metric_parsing(self):
         sections = parse_config_text("train.metric = euclidean\n")
@@ -408,6 +410,22 @@ class TestCliPipeline:
         assert capsys.readouterr() == (
             "", f"config error: lr_drop_epochs repeats epoch {bad}\n")
         assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("width", [0, -3])
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_hidden_width_below_one_exits_with_usage_code(
+            self, config_file, tmp_path, capsys, command, width):
+        """A width below 1 fails at config load, naming the key and the
+        value, before the dataset is read (it does not exist, which would
+        exit 1) or anything is written."""
+        config_file.write_text(TINY_CONFIG
+                               + f"train.hidden_dims = 16,{width}\n")
+        out = tmp_path / "r"
+        assert main([command, "--config", str(config_file), "--dataset",
+                     str(tmp_path / "d.adsp"), "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", f"config error: hidden_dims must be >= 1, got {width}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_rotation_range_exits_with_usage_code(

@@ -12,7 +12,7 @@ from adasample.evaluation import retrieval_map, verification_distances
 from adasample.metricspace import (MetricKind, _candidates, _paired,
                                    _paired_grads, distance_grad,
                                    pairwise_distances)
-from adasample.miner import hardest_negatives, loss_grads, mine_triplets
+from adasample.miner import hardest_negatives, mine_triplets
 from scalar_distance import distance, scalar_distance_grad
 
 
@@ -376,10 +376,6 @@ class TestEuclideanKernel:
         assert peak < out.nbytes + 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
 
 
-def _mined(A, P, kind):
-    return mine_triplets(A, P, kind, 4.0)
-
-
 # Every public function that takes descriptor rows, called on rows A and B;
 # ``good`` is a unit-norm copy of A.
 ROW_TAKERS = {
@@ -396,8 +392,6 @@ ROW_TAKERS = {
     "mine_triplets, opposing": lambda A, B, kind, good: mine_triplets(
         good, good, kind, 1.0, opposing=(A, B, np.roll(np.arange(len(A)),
                                                         1))),
-    "loss_grads": lambda A, B, kind, good: loss_grads(
-        A, B, _mined(good, good, kind), kind),
     "retrieval_map": lambda A, B, kind, good: retrieval_map(
         A, np.arange(len(A)), B, np.arange(len(B)), kind),
     "verification_distances": lambda A, B, kind, good:

@@ -338,6 +338,13 @@ class TestMinedTriplets:
                 mined[5]
 
 
+def indexed(mined, index):
+    """``mined`` with every array indexed by ``index``: batch s of a stack,
+    or a leading axis for None."""
+    return MinedTriplets(*(getattr(mined, f.name)[index]
+                           for f in dataclasses.fields(mined)))
+
+
 def total_loss(A, P, kind, margin, weights):
     return float(np.dot(weights, mine_triplets(A, P, kind, margin).loss))
 
@@ -348,7 +355,7 @@ class TestLossGrads:
         A, P = unit_rows(rng, 3), unit_rows(rng, 3)
         mined = mine_triplets(A, P, MetricKind.ANGULAR, margin=1.0)
         quenched = dataclasses.replace(mined, loss=np.zeros(3))
-        ga, gp = loss_grads(A, P, quenched, MetricKind.ANGULAR)
+        ga, gp = loss_grads(quenched, MetricKind.ANGULAR)
         assert np.all(ga == 0) and np.all(gp == 0)
 
     def test_positive_term_gradient_norm_is_twice_matching_distance(self):
@@ -371,7 +378,7 @@ class TestLossGrads:
             assert all(t.neg_source is NegSource.ANCHOR_VS_ANCHOR
                        for t in mined)
             assert all(t.loss > 0 for t in mined)
-            ga, gp = loss_grads(A, P, mined, MetricKind.EUCLIDEAN)
+            ga, gp = loss_grads(mined, MetricKind.EUCLIDEAN)
             for t in mined:
                 assert np.linalg.norm(gp[t.pair_index]) == pytest.approx(
                     2.0 * t.d_pos, abs=1e-10)
@@ -389,7 +396,7 @@ class TestLossGrads:
             margins = [abs(1.0 + t.d_pos ** 2 - t.d_neg ** 2) for t in mined]
             if min(margins) < 1e-3:
                 continue
-            ga, gp = loss_grads(A, P, mined, kind, w)
+            ga, gp = loss_grads(mined, kind, w)
             eps = 1e-7
             for target, grad in ((A, ga), (P, gp)):
                 fd = np.zeros_like(target)
@@ -408,19 +415,13 @@ class TestLossGrads:
                 assert rel < 1e-5
             checked += 1
 
-    def test_stale_indices_rejected(self):
+    def test_weights_of_another_shape_rejected(self):
         rng = np.random.default_rng(19)
-        A, P = unit_rows(rng, 2), unit_rows(rng, 2)
+        A, P = unit_rows(rng, 3), unit_rows(rng, 3)
         mined = mine_triplets(A, P, MetricKind.EUCLIDEAN, margin=1.0)
-        for j in ([5, 0], [-1, 0], [0, 0]):
-            bad = dataclasses.replace(mined, j=np.array(j))
-            with pytest.raises(ValueError, match="stale"):
-                loss_grads(A, P, bad, MetricKind.EUCLIDEAN)
-        # triplets of another batch size
-        short = MinedTriplets(*(np.asarray(getattr(mined, f.name))[:1]
-                                for f in dataclasses.fields(mined)))
-        with pytest.raises(ValueError, match="stale"):
-            loss_grads(A, P, short, MetricKind.EUCLIDEAN)
+        for w in (np.ones(2), np.ones(4), np.ones((1, 3))):
+            with pytest.raises(ValueError, match="weights shape"):
+                loss_grads(mined, MetricKind.EUCLIDEAN, w)
 
     def test_cross_role_sources_route_gradients(self):
         rng = np.random.default_rng(20)
@@ -430,7 +431,7 @@ class TestLossGrads:
         assert all(t.neg_source in (NegSource.ANCHOR_VS_POSITIVE,
                                     NegSource.POSITIVE_VS_ANCHOR)
                    for t in mined)
-        ga, gp = loss_grads(A, P, mined, MetricKind.EUCLIDEAN)
+        ga, gp = loss_grads(mined, MetricKind.EUCLIDEAN)
         assert np.any(ga != 0) or np.any(gp != 0)
 
     @pytest.mark.parametrize("kind", list(MetricKind))
@@ -438,23 +439,34 @@ class TestLossGrads:
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(n=st.integers(2, 24), dim=st.integers(2, 16),
            margin=st.sampled_from([1e-9, 0.3, 1.0, 4.0]),
-           seed=st.integers(0, 2 ** 32 - 1))
+           stack=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1))
     def test_equals_scalar_oracle(self, kind, neg_mode, n, dim, margin,
-                                  seed):
+                                  stack, seed):
         """Random batches, both metrics and modes, a margin range that makes
         hinges inactive, duplicated rows (angular saturation, euclidean zero
-        distance) and random quenching: equal to the per-triplet loop."""
+        distance) and random quenching: equal to the per-triplet loop. With
+        ``stack`` > 0 the batches are a (stack, n, dim) stack, as a lockstep
+        step's, and each batch's gradients equal its own oracle."""
         rng = np.random.default_rng(seed)
-        A, P = unit_rows(rng, n, dim), unit_rows(rng, n, dim)
-        P[0] = A[0]
+        S = max(stack, 1)
+        A = np.stack([unit_rows(rng, n, dim) for _ in range(S)])
+        P = np.stack([unit_rows(rng, n, dim) for _ in range(S)])
+        P[:, 0] = A[:, 0]
         if n > 2:
-            A[2] = A[1]
-        w = rng.uniform(0.1, 3.0, size=n)
+            A[:, 2] = A[:, 1]
+        w = rng.uniform(0.1, 3.0, size=(S, n))
+        if not stack:
+            A, P, w = A[0], P[0], w[0]
         mined = mine_triplets(A, P, kind, margin, neg_mode)
-        quench = rng.random(n) < 0.2
+        quench = rng.random(w.shape) < 0.2
         mined = dataclasses.replace(mined,
                                     loss=np.where(quench, 0.0, mined.loss))
-        ga, gp = loss_grads(A, P, mined, kind, w)
-        want_a, want_p = scalar_loss_grads(A, P, mined, kind, w)
-        np.testing.assert_array_equal(ga, want_a)
-        np.testing.assert_array_equal(gp, want_p)
+        ga, gp = loss_grads(mined, kind, w)
+        if not stack:   # the 2-D batch, checked as a stack of one
+            A, P, w, ga, gp = (x[None] for x in (A, P, w, ga, gp))
+            mined = indexed(mined, None)
+        for s in range(S):
+            want_a, want_p = scalar_loss_grads(A[s], P[s], indexed(mined, s),
+                                               kind, w[s])
+            np.testing.assert_array_equal(ga[s], want_a)
+            np.testing.assert_array_equal(gp[s], want_p)

@@ -51,7 +51,7 @@ def cells_of(configs, rngs, l_avgs):
 def cell_row(batch, diag, s):
     """Cell s of a lockstep batch: its cache, its weights and its row of
     the diagnostics."""
-    return batch.cache(s), batch.weights[s], SimpleNamespace(
+    return batch.caches[s], batch.weights[s], SimpleNamespace(
         class_ids=diag.class_ids[s], anchor_index=diag.anchor_index[s],
         positive_index=diag.positive_index[s],
         probability_used=diag.probability_used[s],
@@ -292,7 +292,7 @@ def manual_update(params, buffers, lr, cache, weights, config):
     descs, cache = forward(params, cache.inputs)
     mined = mine_triplets(descs[:n], descs[n:], config.metric, config.margin,
                           config.neg_mode)
-    ga, gp = loss_grads(descs[:n], descs[n:], mined, config.metric, weights)
+    ga, gp = loss_grads(mined, config.metric, weights)
     grads = backward(params, cache, np.vstack([ga, gp]))
     new_layers = []
     for theta, g, v in zip(params.layers, grads, buffers):
@@ -313,7 +313,7 @@ class TestTrainStep:
         cell, batch = self.setup_batch(cfg)
         params = cell.params
         assert cell.l_avg is None
-        metrics = train_step([cell], batch, cfg, cfg.lr)
+        metrics = train_step(batch, cfg, cfg.lr)
         assert cell.error is None
         for a, b in zip(params.layers, cell.params.layers):
             np.testing.assert_array_equal(a, b)
@@ -326,10 +326,10 @@ class TestTrainStep:
         cell, batch = self.setup_batch(cfg, seed=1)
         params = cell.params
         n = batch.weights.shape[1]
-        descs, _ = forward(params, batch.cache(0).inputs)
+        descs, _ = forward(params, batch.caches[0].inputs)
         mined = mine_triplets(descs[:n], descs[n:], cfg.metric, cfg.margin)
         assert all(t.loss == 0 for t in mined)
-        train_step([cell], batch, cfg, cfg.lr)
+        train_step(batch, cfg, cfg.lr)
         for a, b in zip(params.layers, cell.params.layers):
             np.testing.assert_array_equal(a, b)
 
@@ -337,8 +337,8 @@ class TestTrainStep:
         cfg = tiny_config(lr=0.05, momentum=0.3, weight_decay=1e-3)
         cell, batch = self.setup_batch(cfg)
         expected = manual_update(cell.params, cell.momentum_buffers, cfg.lr,
-                                 batch.cache(0), batch.weights[0], cfg)
-        train_step([cell], batch, cfg, cfg.lr)
+                                 batch.caches[0], batch.weights[0], cfg)
+        train_step(batch, cfg, cfg.lr)
         for got, want in zip(cell.params.layers, expected):
             np.testing.assert_allclose(got, want, atol=1e-14)
 
@@ -346,7 +346,7 @@ class TestTrainStep:
         cfg = tiny_config(lr=1e-3, momentum=0.0, weight_decay=0.0)
         cell, batch = self.setup_batch(cfg)
         n = batch.weights.shape[1]
-        inputs = batch.cache(0).inputs
+        inputs = batch.caches[0].inputs
 
         def weighted_loss(params):
             descs, _ = forward(params, inputs)
@@ -356,7 +356,7 @@ class TestTrainStep:
 
         before = weighted_loss(cell.params)
         assert before > 0
-        train_step([cell], batch, cfg, cfg.lr)
+        train_step(batch, cfg, cfg.lr)
         assert weighted_loss(cell.params) < before
 
 
@@ -371,8 +371,7 @@ def oracle_train_step(state, cache, weights, config, lr):
     mined = mine_triplets(desc_a, desc_p, config.metric, config.margin,
                           config.neg_mode)
     mean_loss = float(mined.loss.mean())
-    grad_a, grad_p = loss_grads(desc_a, desc_p, mined, config.metric,
-                                weights)
+    grad_a, grad_p = loss_grads(mined, config.metric, weights)
     param_grads = backward(state.params, cache, np.vstack([grad_a, grad_p]))
 
     new_layers = []
@@ -437,11 +436,11 @@ class TestOneForwardPass:
         want = [init_state(cfg, 64) for cfg in configs]
         for _ in range(30):
             batch, _ = build_batch(cells, configs[0], dataset)
-            metrics = train_step(cells, batch, configs[0], configs[0].lr)
+            metrics = train_step(batch, configs[0], configs[0].lr)
             for s, cfg in enumerate(configs):
                 assert cells[s].error is None
                 want[s], want_metrics = oracle_train_step(
-                    want[s], batch.cache(s), batch.weights[s], cfg, cfg.lr)
+                    want[s], batch.caches[s], batch.weights[s], cfg, cfg.lr)
                 assert {name: values[s] for name, values in metrics.items()} \
                     == want_metrics
                 assert_states_equal(cells[s], want[s])
@@ -465,12 +464,12 @@ class TestOneForwardPass:
 
 
 class TestUnitRowChecks:
-    def test_a_step_checks_rows_twice_and_build_batch_never(self,
-                                                           monkeypatch):
+    def test_a_step_checks_rows_once_and_build_batch_never(self,
+                                                          monkeypatch):
         """The rows a step works on come out of ``forward`` unit-norm, so
-        they are checked only where they enter ``miner``'s public
-        functions: once in mine_triplets, once in loss_grads, for every
-        cell of the step at once."""
+        they are checked only where they enter mining, once for every cell
+        of the step; loss_grads differentiates the rows the mined triplets
+        carry and checks nothing again."""
         calls = []
         real = metricspace._unit_rows
 
@@ -489,8 +488,8 @@ class TestUnitRowChecks:
                 cells = cells_of(configs, rngs, [l_avg, l_avg])
                 batch, _ = build_batch(cells, configs[0], ds)
                 assert calls == []
-                train_step(cells, batch, configs[0], configs[0].lr)
-                assert calls == [2, 2]
+                train_step(batch, configs[0], configs[0].lr)
+                assert calls == [2]
                 calls.clear()
 
 

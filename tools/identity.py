@@ -7,8 +7,10 @@ own temporary directory with its own ``PYTHONPATH`` and with
 * ``gen-data``, without and with ``data.expand_to_k``;
 * ``train`` under the angular and the euclidean metric, and under the
   euclidean metric with cross-role negatives;
-* ``evaluate`` and ``diagnose`` of the angular and the euclidean network
-  (the probe mines against opposing pairs);
+* ``evaluate`` and ``diagnose`` of the angular and the euclidean network,
+  and ``diagnose`` of the cross-role euclidean network under its own
+  config (the probe mines against opposing pairs, same-role and
+  cross-role);
 * ``compare`` of lambda 0 and 10 over seeds 1, 2, 3 (6 cells);
 * ``compare`` of lambda 0, 10 and the cap over seeds 1, 2, 3 (9 cells) on
   a ragged dataset, classes of 2 to 9 patches, which each checkout writes
@@ -97,6 +99,11 @@ STEPS = [
                             "--params", "euclidean/params.adnw",
                             "--dataset", "data.adsp",
                             "--out", "diagnose-euclidean"]),
+    ("diagnose-euclidean-cross", [*CLI, "diagnose", "--config",
+                                  "euclidean-cross.cfg", "--params",
+                                  "euclidean-cross/params.adnw",
+                                  "--dataset", "data.adsp",
+                                  "--out", "diagnose-euclidean-cross"]),
     ("compare", [*CLI, "compare", "--config", "base.cfg", "--dataset",
                  "data.adsp", "--out", "compare", "--strategies", "0,10",
                  "--seeds", "1,2,3"]),
