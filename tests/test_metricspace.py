@@ -12,7 +12,7 @@ from adasample.evaluation import retrieval_map, verification_distances
 from adasample.metricspace import (MetricKind, _candidates, _paired,
                                    _paired_grads, distance_grad,
                                    pairwise_distances)
-from adasample.miner import hardest_negatives, mine_triplets
+from adasample.miner import hardest_negatives, loss_grads, mine_triplets
 from scalar_distance import distance, scalar_distance_grad
 
 
@@ -377,7 +377,8 @@ class TestEuclideanKernel:
 
 
 # Every public function that takes descriptor rows, called on rows A and B;
-# ``good`` is a unit-norm copy of A.
+# ``good`` is a unit-norm copy of A. ``loss_grads`` takes its rows from the
+# triplets mined on them, so its rows are checked where they are mined.
 ROW_TAKERS = {
     "pairwise_distances": lambda A, B, kind, good: pairwise_distances(
         A, B, kind),
@@ -392,6 +393,8 @@ ROW_TAKERS = {
     "mine_triplets, opposing": lambda A, B, kind, good: mine_triplets(
         good, good, kind, 1.0, opposing=(A, B, np.roll(np.arange(len(A)),
                                                         1))),
+    "loss_grads": lambda A, B, kind, good: loss_grads(
+        mine_triplets(A, B, kind, 4.0), kind),
     "retrieval_map": lambda A, B, kind, good: retrieval_map(
         A, np.arange(len(A)), B, np.arange(len(B)), kind),
     "verification_distances": lambda A, B, kind, good:
