@@ -26,7 +26,8 @@ from . import stream
 from .config import RunConfig, substream_seed
 from .data import Dataset
 from .errors import DatasetError, UndefinedCorrelationError
-from .metricspace import MetricKind, _paired, _unit_rows, pairwise_distances
+from .metricspace import (MetricKind, _euclidean_norms, _keys, _paired,
+                          _unit_rows)
 from .miner import NegMode, _triplet_grads, mine_triplets
 from .tensornet import ModelParams, forward, group_grad_norms
 
@@ -81,29 +82,53 @@ def retrieval_map(query_descs: np.ndarray, query_labels: Sequence[int],
     A query ranks gallery item r at 1 + #{g : d_g < d_r} + #{g < r : d_g =
     d_r}: by distance, ties broken by gallery index. Queries without any
     gallery match are excluded from the mean and counted in the result.
+
+    Exact distances are taken at the matches only. Each query's gallery
+    keys (``metricspace._keys``, one product) are sorted once, and a match
+    at exact distance d_r is placed at ``at``: d_r^2 (euclidean) or its own
+    key (angular). Items with a key below at - tol are nearer, and above
+    at + tol farther (the ``metricspace`` docstring's bound). Only a match
+    whose window [at - tol, at + tol] holds another item is ranked on its
+    query's exact distance row.
     """
-    Q = np.atleast_2d(np.asarray(query_descs, dtype=np.float64))
-    G = np.atleast_2d(np.asarray(gallery_descs, dtype=np.float64))
+    Q, G = (np.atleast_2d(np.asarray(X, dtype=np.float64))
+            for X in (query_descs, gallery_descs))
     ql = np.asarray(query_labels)
     gl = np.asarray(gallery_labels)
     if Q.shape[0] != ql.size or G.shape[0] != gl.size:
         raise ValueError("descriptor/label counts do not match")
     if Q.shape[0] == 0 or G.shape[0] == 0:
         raise ValueError("queries and gallery must be nonempty")
-    dists = pairwise_distances(Q, G, kind)
+    Q, G = _unit_rows(Q, G, names=("query_descs", "gallery_descs"))
+    key, tol = _keys(Q, G, kind)
     n = G.shape[0]
     query, item = np.divmod(np.flatnonzero(gl == ql[:, None]), n)
-    d = dists[query, item]
-    # Complex numbers order lexicographically, so the (query, distance) keys
+    if kind is MetricKind.EUCLIDEAN:
+        d = _euclidean_norms(Q[query], G[item])
+        at = d * d
+    else:
+        at = key[query, item]
+        d = np.arccos(-at)
+    # Complex numbers order lexicographically, so the (query, key) entries
     # of the sorted rows form one sorted vector to search for every match.
-    keys = 1j * np.sort(dists, axis=1)
+    keys = np.empty(key.shape, complex)
+    keys.imag = key
+    keys.imag.sort(axis=1)
     keys.real = np.arange(Q.shape[0])[:, None]
-    below, through = (np.searchsorted(keys.ravel(), query + 1j * d, side)
-                      - query * n for side in ("left", "right"))
-    tied = np.flatnonzero(through - below > 1)
+    below, through = (np.searchsorted(keys.ravel(), query + 1j * bound, side)
+                      - query * n
+                      for bound, side in ((at - tol, "left"),
+                                          (at + tol, "right")))
     ranks = below + 1
-    ranks[tied] += np.sum((dists[query[tied]] == d[tied, None])
-                          & (np.arange(n) < item[tied, None]), axis=1)
+    tied = np.flatnonzero(through - below > 1)
+    if tied.size:
+        rows, row_of = np.unique(query[tied], return_inverse=True)
+        exact = (_euclidean_norms(Q[rows, None, :], G)
+                 if kind is MetricKind.EUCLIDEAN
+                 else np.arccos(-key[rows]))[row_of]
+        d, r = d[tied, None], item[tied, None]
+        ranks[tied] = 1 + np.sum((exact < d) | ((exact == d)
+                                               & (np.arange(n) < r)), axis=1)
     matched = np.unique(query, return_counts=True)[1]
     aps = np.empty(matched.size)
     for m in np.unique(matched):
@@ -266,7 +291,7 @@ def evaluate_params(dataset: Dataset, params: ModelParams,
                     config: RunConfig) -> EvalReport:
     """Verification FPR95 and retrieval mAP of :func:`evaluation_plan`'s
     rows, from one forward pass over the input rows the dataset holds."""
-    descs, _ = forward(params, dataset.rows)
+    descs = forward(params, dataset.rows)[0]     # the cache is not kept
     kind = config.train.metric
     plan = evaluation_plan(dataset, config)
     # forward's rows are unit-norm, so the unchecked kernel runs on them

@@ -18,6 +18,35 @@ kernels directly. The kernels and the row check also take a stack of
 batches, with leading axes before the (rows, D) ones: the lockstep trainer
 runs one call for the batches of all its cells, and every entry equals,
 bit for bit, that of the call on its own batch.
+
+Mining and retrieval order distances without computing most of them.
+:func:`_keys` gives each pair of rows a key, lower for nearer, from one
+matrix product: the squared-distance estimate |x|^2 - 2 x.y + |y|^2
+(euclidean), or minus the product clipped to [-1, 1] (angular). A caller
+takes exact distances only where two keys lie within ``tol = 64 (D + 4)
+eps`` of each other, or of an exact squared distance; farther apart, the
+keys order the exact distances as they are.
+
+Why ``tol`` is enough. Euclidean, with u = eps / 2 and R = 1 +
+UNIT_NORM_TOL the largest row norm: a dot of D terms errs by at most
+about D u |x||y| <= D u R^2 in any summation order (Cauchy-Schwarz), as
+does a squared norm, so a key errs by about (4D + 7) u R^2 from the true
+squared distance, and an exact distance d (``_euclidean_norms``) has a
+square within 4 (D + 4) u R^2 of it. Both bounds below are under a
+seventh of ``tol``, which also covers the rounding of ``at +- tol``:
+
+* Key against key (mining): each key lies within delta = (8D + 23) u R^2
+  of the square of its pair's exact distance, so a pair at most as far as
+  another has a key at most 2 delta = (8D + 23) eps R^2 above the other's.
+* Key against ``at = fl(d_r * d_r)``, the square of a pair's exact
+  distance d_r (retrieval), which errs by at most 4 u R^2: a pair at
+  least as far as d_r has a key above at - (8D + 27) u R^2, and a pair at
+  most as far one below at + (8D + 27) u R^2.
+
+Angular, where ``at`` is the pair's own key: arccos has slope at most -1,
+so with arccos within 4 ulps (<= 8 eps on [0, pi]) a clipped product over
+16 eps below another is strictly farther; 16 eps is under a twentieth of
+``tol``.
 """
 
 from __future__ import annotations
@@ -126,10 +155,31 @@ def _euclidean_norms(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return out
 
 
+def _keys(X: np.ndarray, Y: np.ndarray,
+          kind: MetricKind) -> tuple[np.ndarray, float]:
+    """Keys (..., i, j) of rows X[..., i, :] and Y[..., j, :], lower for
+    nearer, formed in place of the product ``X @ Y.swapaxes(-1, -2)`` (the
+    one :func:`pairwise_distances` forms), and the bound ``tol`` of the
+    module docstring. An angular key negates the clipped product, so
+    ``np.arccos(-key)`` is the distance, bit for bit."""
+    key = X @ Y.swapaxes(-1, -2)
+    if kind is MetricKind.EUCLIDEAN:
+        key *= -2.0
+        key += np.einsum("...d,...d->...", X, X)[..., :, None]
+        key += np.einsum("...d,...d->...", Y, Y)[..., None, :]
+    else:
+        np.negative(np.clip(key, -1.0, 1.0, out=key), out=key)
+    return key, 64 * (X.shape[-1] + 4) * np.finfo(np.float64).eps
+
+
 def pairwise_distances(batch_a: Sequence[np.ndarray] | np.ndarray,
                        batch_b: Sequence[np.ndarray] | np.ndarray,
                        kind: MetricKind) -> np.ndarray:
-    """Matrix with entry (i, j) = distance(a_i, b_j, kind)."""
+    """Matrix with entry (i, j) = distance(a_i, b_j, kind).
+
+    No command calls it: mining and retrieval rank from :func:`_keys`. It
+    stays as the tests' oracle for both, and because the benchmark's
+    layer trace names it."""
     A, B = _unit_rows(batch_a, batch_b)
     if kind is MetricKind.EUCLIDEAN:
         return _euclidean_norms(A[..., :, None, :], B[..., None, :, :])

@@ -21,32 +21,22 @@ probe mines each candidate against fixed anchors and contexts. Training and
 the probe both differentiate the loss through ``_triplet_grads``.
 
 Mining takes exact distances only where the hardest negative can be. Each
-side's key, lower for nearer, comes from its matrix product: the squared
-distance estimate |x|^2 - 2 x.y + |y|^2 (euclidean), or minus the product
-clipped to [-1, 1] (angular). Pair i's candidates are the opposing pairs j
-whose key, the lesser of the two sides', is within ``tol = 64 (D + 4) eps``
-of row i's least key; only there are both sides' exact distances taken
-(``_paired``, or the arccos of the clipped products), and the first
-minimum wins as above.
-
-Why ``tol`` keeps every exact tie: if each key lies within delta of the
-square of its computed exact distance, a pair at most as far as the
-least-key pair has a key at most 2 delta above the least key. Euclidean,
-with u = eps / 2 and R = 1 + UNIT_NORM_TOL the largest row norm: a dot of
-D terms errs by at most about D u |x||y| <= D u R^2 in any summation order
-(Cauchy-Schwarz), as does a squared norm, so the key errs by about
-(4D + 7) u R^2 and the exact distance's square by 4 (D + 4) u R^2:
-2 delta <= (8D + 23) eps R^2, under a seventh of ``tol``. Angular: arccos
-has slope at most -1, so with arccos within 4 ulps (<= 8 eps on [0, pi])
-a clipped product over 16 eps below the row's largest is strictly farther;
-16 eps is under a twentieth of ``tol``.
+side's keys come from ``metricspace._keys``, lower for nearer. Pair i's
+candidates are the opposing pairs j whose key, the lesser of the two
+sides', is within that kernel's ``tol`` of row i's least key; only there
+are both sides' exact distances taken (``_paired``, or the arccos of the
+negated angular keys, the clipped products), and the first minimum wins as
+above. The ``metricspace`` docstring says why ``tol`` keeps every exact
+tie among the candidates.
 
 Rows are checked once, where they enter: :func:`hardest_negatives` (and
 :func:`mine_triplets` through it) checks that its descriptor rows are
 unit-norm and then runs the unchecked ``metricspace`` kernels. The mined
 triplets carry the rows they were measured on, and :func:`loss_grads`
 differentiates those rows, so it checks nothing again and cannot be handed
-another batch's rows.
+another batch's rows. Triplets mined against ``opposing`` pairs record
+so, and :func:`loss_grads` rejects them: their ``j`` indexes the opposing
+set, not the batch.
 
 A batch's arrays may carry leading axes: (S, n, D) descriptors are S
 batches, one per lockstep training cell, mined and differentiated in one
@@ -61,7 +51,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .metricspace import MetricKind, _paired, _paired_grads, _unit_rows
+from .metricspace import (MetricKind, _keys, _paired, _paired_grads,
+                          _unit_rows)
 
 
 class NegSource(enum.Enum):
@@ -109,7 +100,8 @@ class MinedTriplets:
     """The mined triplets of a batch as arrays; entry i belongs to pair i,
     whose anchor and positive are rows i of ``anchors`` and ``positives``,
     the float64 rows they were mined from. Indexing gives the
-    :class:`MinedTriplet` of one pair.
+    :class:`MinedTriplet` of one pair. ``opposed`` is true when they were
+    mined against ``opposing`` pairs, whose set ``j`` then indexes.
 
     The arrays of stacked batches have shape (S, n) (rows (S, n, D));
     ``len`` then counts all S * n triplets, and indexing runs over them
@@ -122,6 +114,7 @@ class MinedTriplets:
     loss: np.ndarray
     anchors: np.ndarray
     positives: np.ndarray
+    opposed: bool = False
 
     def __len__(self) -> int:
         return self.loss.size
@@ -175,30 +168,19 @@ def hardest_negatives(anchors: np.ndarray, positives: np.ndarray,
         sides, first_code = ((A, OA), (P, OP)), 0
     else:
         sides, first_code = ((A, OP), (P, OA)), 2
-    # the products pairwise_distances forms: angular distances keep its bits
-    dots = [X @ Y.swapaxes(-1, -2) for X, Y in sides]
-    if kind is MetricKind.EUCLIDEAN:
-        # each side's key |x|^2 - 2 x.y + |y|^2, in place of its products
-        for (X, Y), G in zip(sides, dots):
-            G *= -2.0
-            G += np.einsum("...d,...d->...", X, X)[..., :, None]
-            G += np.einsum("...d,...d->...", Y, Y)[..., None, :]
-        key = np.minimum(*dots)
-    else:
-        dots = [np.clip(G, -1.0, 1.0, out=G) for G in dots]
-        key = -np.maximum(*dots)
+    (first, tol), (second, _) = (_keys(X, Y, kind) for X, Y in sides)
+    key = np.minimum(first, second)
     key[..., np.arange(n), own] = np.inf
     m, D = key.shape[-1], A.shape[-1]
     key = key.reshape(-1, m)
     rows = np.arange(len(key))
-    tol = 64 * (D + 4) * np.finfo(np.float64).eps
     flat = np.flatnonzero(key <= key[rows, key.argmin(axis=1)][:, None] + tol)
     r, j = divmod(flat, m)
     if kind is MetricKind.EUCLIDEAN:
         exact = [_paired(X.reshape(-1, D)[r], Y.reshape(-1, D)[r // n * m + j],
                          kind) for X, Y in sides]
     else:
-        exact = [np.arccos(G.ravel()[flat]) for G in dots]
+        exact = [np.arccos(-K.ravel()[flat]) for K in (first, second)]
     d = np.minimum(*exact)
     # The first candidate of each row at the row's least exact distance;
     # candidates come in (row, j) order, one or more per row.
@@ -235,7 +217,7 @@ def mine_triplets(anchors: np.ndarray, positives: np.ndarray,
     d_pos = _paired(A, P, kind)
     return MinedTriplets(d_pos=d_pos, d_neg=neg.d_neg, source=neg.source,
                          j=neg.j, loss=triplet_loss(d_pos, neg.d_neg, margin),
-                         anchors=A, positives=P)
+                         anchors=A, positives=P, opposed=opposing is not None)
 
 
 def _triplet_grads(X: np.ndarray, own: np.ndarray, other: np.ndarray,
@@ -269,8 +251,8 @@ def loss_grads(mined: MinedTriplets, kind: MetricKind,
                weights: np.ndarray | None = None
                ) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of sum_i w_i * loss_i with respect to the anchor and
-    positive rows ``mined`` was mined from, against its own batch (not
-    against ``opposing`` pairs).
+    positive rows ``mined`` was mined from, against its own batch; triplets
+    mined against ``opposing`` pairs raise ``ValueError``.
 
     Each active pair contributes the ``_triplet_grads`` terms. Inactive
     hinges (and the exact hinge boundary) contribute the zero subgradient.
@@ -279,6 +261,9 @@ def loss_grads(mined: MinedTriplets, kind: MetricKind,
     Stacked (S, n, D) batches, with (S, n) mined arrays and weights, give
     (S, n, D) gradients, each batch's as its own call gives them.
     """
+    if mined.opposed:
+        raise ValueError("loss_grads differentiates triplets mined against "
+                         "their own batch, not against opposing pairs")
     A, P = mined.anchors, mined.positives
     n, D = A.shape[-2:]
     w = np.ones(A.shape[:-1]) if weights is None \

@@ -165,8 +165,8 @@ def recorded():
     """The real ``(args, kwargs, result)`` of every call to each counted
     function during a 1-epoch ``train`` and one ``evaluate_params``. Each
     function is wrapped in every package module that holds it, as the
-    tracer rebinds it; ``distance_grad`` has no caller, so it is called
-    directly."""
+    tracer rebinds it; ``pairwise_distances`` and ``distance_grad`` have
+    no caller, so they are called directly."""
     calls = {function: [] for function in COUNTED}
     with pytest.MonkeyPatch.context() as mp:
         for module, function, _ in layers.TRACED:
@@ -197,6 +197,10 @@ def recorded():
             a, b = (v / np.linalg.norm(v) for v in rng.normal(size=(2, 6)))
             metricspace.distance_grad(a, b, kind)
             metricspace.distance_grad(a, a, kind)
+            A, B = (M / np.linalg.norm(M, axis=1, keepdims=True)
+                    for M in (rng.normal(size=(3, 6)),
+                              rng.normal(size=(5, 6))))
+            metricspace.pairwise_distances(A, B, kind)
     assert len(log) == TRAIN["pairs_per_epoch"] // TRAIN["batch_size"]
     return calls
 

@@ -28,7 +28,7 @@ from finite_diff import norm
 from scalar_distance import scalar_distance_grad
 from scalar_loss import scalar_loss_grads
 from scalar_retrieval import scalar_retrieval_map
-from test_miner import unit_rows
+from test_miner import scaled_to_norm_tol, unit_rows
 
 
 def brute_force_fpr(pos, neg, recall):
@@ -208,6 +208,44 @@ def assert_retrieval_matches_oracle(Q, ql, G, gl, kind):
     return got
 
 
+PLANTS = ("duplicated", "one_ulp", "query_copy", "antipodal", "norm_tol")
+
+
+def planted_retrieval_inputs(seed, num_queries, dim, plants):
+    """Query c (label c) against a gallery holding 0 to 8 items of class c
+    each, in random order among 1 to 19 distractors. Each plant rewrites a
+    third of the gallery rows at random positions: ``duplicated`` copies
+    other gallery rows, ``one_ulp`` copies them with one entry moved by an
+    ulp, ``query_copy`` copies queries and ``antipodal`` negates them (the
+    angular clip meets both); ``norm_tol`` then scales every row to the
+    unit-norm tolerance. The rewritten rows keep their labels, so matches
+    tie with distractors and with each other, on either side of their
+    gallery index."""
+    rng = np.random.default_rng(seed)
+    gl = np.concatenate([np.repeat(np.arange(num_queries),
+                                   rng.integers(0, 9, size=num_queries)),
+                         np.full(int(rng.integers(1, 20)), -1)])
+    gl = rng.permutation(gl)
+    Q, G = unit_rows(rng, num_queries, dim), unit_rows(rng, gl.size, dim)
+    k = max(1, gl.size // 3)
+
+    def spots():
+        return rng.integers(0, gl.size, size=k)
+
+    if "duplicated" in plants:
+        G[spots()] = G[spots()]
+    if "one_ulp" in plants:
+        at, col = spots(), rng.integers(0, dim, size=k)
+        G[at] = G[spots()]
+        G[at, col] = np.nextafter(G[at, col], rng.choice([-2.0, 2.0], k))
+    for plant, sign in (("query_copy", 1.0), ("antipodal", -1.0)):
+        if plant in plants:
+            G[spots()] = sign * Q[rng.integers(0, num_queries, size=k)]
+    if "norm_tol" in plants:
+        Q, G = scaled_to_norm_tol(rng, Q), scaled_to_norm_tol(rng, G)
+    return Q, np.arange(num_queries), G, gl
+
+
 class TestRetrievalMap:
     def unit(self, v):
         v = np.asarray(v, dtype=np.float64)
@@ -291,6 +329,21 @@ class TestRetrievalMap:
         assert_retrieval_matches_oracle(
             *retrieval_inputs(seed, num_queries, gallery_size, dim,
                               num_labels, duplicate), kind)
+
+    @pytest.mark.parametrize("kind", list(MetricKind))
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), num_queries=st.integers(1, 12),
+           dim=st.sampled_from([2, 3, 16, 64]),
+           plants=st.sets(st.sampled_from(PLANTS), min_size=1))
+    def test_matches_the_oracle_at_planted_near_ties(self, kind, seed,
+                                                     num_queries, dim,
+                                                     plants):
+        """Ranks come from keys; exact distances are taken at the matches
+        and on the rows of queries whose match has a near-tie. Planted
+        ties, one-ulp neighbours, query copies, antipodal rows and rows
+        at the norm tolerance must rank as the full-matrix loop ranks."""
+        assert_retrieval_matches_oracle(
+            *planted_retrieval_inputs(seed, num_queries, dim, plants), kind)
 
     def test_unmatched_queries_are_excluded_and_counted(self):
         q = np.eye(2)

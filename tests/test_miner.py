@@ -341,8 +341,9 @@ class TestMinedTriplets:
 def indexed(mined, index):
     """``mined`` with every array indexed by ``index``: batch s of a stack,
     or a leading axis for None."""
-    return MinedTriplets(*(getattr(mined, f.name)[index]
-                           for f in dataclasses.fields(mined)))
+    return dataclasses.replace(mined, **{
+        f.name: getattr(mined, f.name)[index]
+        for f in dataclasses.fields(mined) if f.name != "opposed"})
 
 
 def total_loss(A, P, kind, margin, weights):
@@ -422,6 +423,23 @@ class TestLossGrads:
         for w in (np.ones(2), np.ones(4), np.ones((1, 3))):
             with pytest.raises(ValueError, match="weights shape"):
                 loss_grads(mined, MetricKind.EUCLIDEAN, w)
+
+    @pytest.mark.parametrize("kind", list(MetricKind))
+    @pytest.mark.parametrize("n, m", [(3, 5), (4, 3)])
+    def test_triplets_mined_against_opposing_pairs_rejected(self, kind, n,
+                                                            m):
+        """Their j indexes the m opposing pairs, not the n pairs of the
+        batch: past it with 3 query pairs against 5, inside it (every j <
+        n, so the wrong rows) with 4 against 3."""
+        rng = np.random.default_rng(22)
+        OA, OP = unit_rows(rng, m), unit_rows(rng, m)
+        own = np.arange(n) % m
+        mined = mine_triplets(OA[own], unit_rows(rng, n), kind, 4.0,
+                              opposing=(OA, OP, own))
+        assert mined.opposed
+        assert (mined.j.max() >= n) == (m > n)
+        with pytest.raises(ValueError, match="not against opposing pairs"):
+            loss_grads(mined, kind)
 
     def test_cross_role_sources_route_gradients(self):
         rng = np.random.default_rng(20)

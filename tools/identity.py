@@ -11,6 +11,9 @@ own temporary directory with its own ``PYTHONPATH`` and with
   and ``diagnose`` of the cross-role euclidean network under its own
   config (the probe mines against opposing pairs, same-role and
   cross-role);
+* ``evaluate`` of the angular and the euclidean network on the ragged
+  dataset of the ``compare`` steps below, where a query has 1 to 8
+  gallery matches;
 * ``compare`` of lambda 0 and 10 over seeds 1, 2, 3 (6 cells);
 * ``compare`` of lambda 0, 10 and the cap over seeds 1, 2, 3 (9 cells) on
   a ragged dataset, classes of 2 to 9 patches, which each checkout writes
@@ -92,6 +95,15 @@ STEPS = [
                             "--params", "euclidean/params.adnw",
                             "--dataset", "data.adsp",
                             "--out", "evaluate-euclidean"]),
+    ("evaluate-angular-ragged", [*CLI, "evaluate", "--config", "base.cfg",
+                                 "--params", "angular/params.adnw",
+                                 "--dataset", "ragged.adsp",
+                                 "--out", "evaluate-angular-ragged"]),
+    ("evaluate-euclidean-ragged", [*CLI, "evaluate", "--config",
+                                   "euclidean.cfg", "--params",
+                                   "euclidean/params.adnw",
+                                   "--dataset", "ragged.adsp",
+                                   "--out", "evaluate-euclidean-ragged"]),
     ("diagnose", [*CLI, "diagnose", "--config", "base.cfg", "--params",
                   "angular/params.adnw", "--dataset", "data.adsp",
                   "--out", "diagnose"]),
