@@ -401,7 +401,8 @@ def info_correlation_probe(dataset: Dataset, params: ModelParams,
                           neg_mode, opposing=(descs[anchor_row],
                                               descs[context_row], slot))
     # mine_triplets has checked these rows
-    rows, terms = _triplet_grads(descs, own, other, mined, kind,
+    rows, terms = _triplet_grads(descs, own, other, mined.source, mined.j,
+                                 mined.d_pos, mined.d_neg, kind,
                                  np.ones(slot.size))
     if pair_term_only:
         rows, terms = rows[:, :2], terms[:, :2]

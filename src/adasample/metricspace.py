@@ -59,6 +59,7 @@ import numpy as np
 UNIT_NORM_TOL = 1e-3
 ANGULAR_CLAMP_EPS = 1e-9
 _BLOCK_ENTRIES = 1 << 16    # float64 euclidean differences (512 KB)
+_EPS = np.finfo(np.float64).eps
 
 
 class MetricKind(enum.Enum):
@@ -87,16 +88,18 @@ def distance_grad(a: np.ndarray, b: np.ndarray, kind: MetricKind) -> DistanceGra
 
 
 def _row_dots(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Entry i = X[i] . Y[i]. One (1, D) @ (D, 1) product per row runs the
-    same BLAS dot as ``np.dot`` on the pair of 1-D rows, so each entry equals
-    it bit for bit (``np.sum(X * Y, axis=1)`` sums in another order)."""
-    return (X[:, None, :] @ Y[:, :, None])[:, 0, 0]
+    """Entry (..., i) = X[..., i, :] . Y[..., i, :]. One (1, D) @ (D, 1)
+    product per row runs the same BLAS dot as ``np.dot`` on the pair of 1-D
+    rows, so each entry equals it bit for bit (``np.sum(X * Y, axis=1)``
+    sums in another order)."""
+    return (X[..., None, :] @ Y[..., :, None])[..., 0, 0]
 
 
 def _paired_grads(A: np.ndarray, B: np.ndarray,
                   kind: MetricKind) -> DistanceGrads:
-    """Row i holds the gradients of ``distance(A[i], B[i], kind)`` with
-    respect to A[i] and B[i]; ``saturated`` is a boolean vector.
+    """Row (..., i) holds the gradients of ``distance(A[..., i, :],
+    B[..., i, :], kind)`` with respect to each row; ``saturated`` is a
+    boolean array.
 
     Euclidean: grad_a = (a - b)/d. At d = 0 the distance is not
     differentiable; the zero subgradient is returned with ``saturated``.
@@ -109,15 +112,15 @@ def _paired_grads(A: np.ndarray, B: np.ndarray,
         # sqrt of the dot, as 1-D np.linalg.norm computes it
         d = np.sqrt(_row_dots(diff, diff))
         saturated = d < 1e-12
-        d = np.where(saturated, 1.0, d)[:, None]
-        keep = ~saturated[:, None]
+        d = np.where(saturated, 1.0, d)[..., None]
+        keep = ~saturated[..., None]
         return DistanceGrads(np.where(keep, diff / d, 0.0),
                              np.where(keep, -diff / d, 0.0), saturated)
     s = _row_dots(A, B)
     limit = 1.0 - ANGULAR_CLAMP_EPS
     saturated = np.abs(s) >= limit
     s = np.clip(s, -limit, limit)
-    factor = (-1.0 / np.sqrt(1.0 - s * s))[:, None]
+    factor = (-1.0 / np.sqrt(1.0 - s * s))[..., None]
     return DistanceGrads(factor * B, factor * A, saturated)
 
 
@@ -132,7 +135,7 @@ def _unit_rows(*batches, names: Sequence[str] = ("batch_a", "batch_b")
         raise ValueError(f"dimension mismatch: "
                          f"{' vs '.join(str(M.shape[-1]) for M in out)}")
     for M, name in zip(out, names):
-        norms = np.sqrt((M * M).sum(axis=-1))
+        norms = np.sqrt(np.add.reduce(M * M, axis=-1))
         if not (np.abs(norms - 1.0) <= UNIT_NORM_TOL).all():  # NaN fails
             bad = np.unravel_index(np.argmax(np.abs(norms - 1.0)),
                                    norms.shape)
@@ -169,7 +172,7 @@ def _keys(X: np.ndarray, Y: np.ndarray,
         key += np.einsum("...d,...d->...", Y, Y)[..., None, :]
     else:
         np.negative(np.clip(key, -1.0, 1.0, out=key), out=key)
-    return key, 64 * (X.shape[-1] + 4) * np.finfo(np.float64).eps
+    return key, 64 * (X.shape[-1] + 4) * _EPS
 
 
 def pairwise_distances(batch_a: Sequence[np.ndarray] | np.ndarray,
@@ -190,7 +193,13 @@ def _paired(A: np.ndarray, B: np.ndarray, kind: MetricKind) -> np.ndarray:
     """Entry (..., i) = distance(A[..., i, :], B[..., i, :], kind)."""
     if kind is MetricKind.EUCLIDEAN:
         return _euclidean_norms(A, B)
-    return np.arccos(np.clip(np.sum(A * B, axis=-1), -1.0, 1.0))
+    return np.arccos(np.clip(np.add.reduce(A * B, axis=-1), -1.0, 1.0))
+
+
+def _count_groups(counts: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """(m, counts == m) for each distinct value m of ``counts`` (integers
+    >= 0), ascending."""
+    return [(m, counts == m) for m in np.flatnonzero(np.bincount(counts))]
 
 
 def _candidates(A: np.ndarray, X: np.ndarray, counts: np.ndarray,
@@ -205,11 +214,11 @@ def _candidates(A: np.ndarray, X: np.ndarray, counts: np.ndarray,
     """
     n, K = X.shape[:2]
     if kind is MetricKind.EUCLIDEAN:
-        out = _euclidean_norms(X, A[:, None, :])
-    else:
-        out = np.zeros((n, K))
-        for m in np.unique(counts):
-            rows = counts == m
-            out[rows, :m] = (X[rows, :m] @ A[rows, :, None])[:, :, 0]
-        out = np.arccos(np.clip(out, -1.0, 1.0))
-    return np.where(np.arange(K) < counts[:, None], out, 0.0)
+        return np.where(np.arange(K) < counts[:, None],
+                        _euclidean_norms(X, A[:, None, :]), 0.0)
+    out = np.zeros((n, K))
+    for m, rows in _count_groups(counts):
+        dots = (X[rows, :m] @ A[rows, :, None])[:, :, 0]
+        out[rows, :m] = np.arccos(np.clip(dots, -1.0, 1.0, out=dots),
+                                  out=dots)
+    return out

@@ -46,7 +46,7 @@ call. Every batch gets the values its own call gives, bit for bit.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -67,6 +67,7 @@ class NegSource(enum.Enum):
 # opposing pair j is:
 NEG_SOURCES = tuple(NegSource)
 _SECOND_IS_POSITIVE = np.array([0, 1, 1, 0])
+_TWICE = np.array([2.0, -2.0])
 _ROW_NAMES = ("anchors", "positives", "opposing anchors",
               "opposing positives")
 
@@ -173,8 +174,7 @@ def hardest_negatives(anchors: np.ndarray, positives: np.ndarray,
     key[..., np.arange(n), own] = np.inf
     m, D = key.shape[-1], A.shape[-1]
     key = key.reshape(-1, m)
-    rows = np.arange(len(key))
-    flat = np.flatnonzero(key <= key[rows, key.argmin(axis=1)][:, None] + tol)
+    flat = np.flatnonzero(key <= key.min(axis=1)[:, None] + tol)
     r, j = divmod(flat, m)
     if kind is MetricKind.EUCLIDEAN:
         exact = [_paired(X.reshape(-1, D)[r], Y.reshape(-1, D)[r // n * m + j],
@@ -184,14 +184,13 @@ def hardest_negatives(anchors: np.ndarray, positives: np.ndarray,
     d = np.minimum(*exact)
     # The first candidate of each row at the row's least exact distance;
     # candidates come in (row, j) order, one or more per row.
-    pick = rows
-    if len(r) > len(rows):
+    if len(r) > len(key):
         pick = np.lexsort((j, d, r))[np.flatnonzero(np.diff(r, prepend=-1))]
+        d, j, exact = d[pick], j[pick], [e[pick] for e in exact]
     shape = A.shape[:-1]
-    second = exact[1][pick] < exact[0][pick]
-    return Negatives(d[pick].reshape(shape),
-                     (first_code + second).reshape(shape),
-                     j[pick].reshape(shape))
+    return Negatives(d.reshape(shape),
+                     (first_code + (exact[1] < exact[0])).reshape(shape),
+                     j.reshape(shape))
 
 
 def triplet_loss(d_pos, d_neg, margin: float) -> np.ndarray:
@@ -221,30 +220,36 @@ def mine_triplets(anchors: np.ndarray, positives: np.ndarray,
 
 
 def _triplet_grads(X: np.ndarray, own: np.ndarray, other: np.ndarray,
-                   mined: MinedTriplets, kind: MetricKind,
+                   source: np.ndarray, j: np.ndarray, d_pos: np.ndarray,
+                   d_neg: np.ndarray, kind: MetricKind,
                    weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of X and weighted hinge gradients of each mined triplet.
+    """The rows of X and weighted hinge gradients of mined triplets.
 
     ``own[t]`` holds the rows of triplet t's anchor and positive,
-    ``other[j]`` those of opposing pair j. Returns ``rows`` (T, 4): the
-    anchor, the positive, and the pair-t and pair-j sides of the mined
+    ``other[j]`` those of opposing pair j; triplet t's hardest negative has
+    source code ``source[t]`` against opposing pair ``j[t]``, and its
+    distances are ``d_pos[t]`` and ``d_neg[t]``. Returns ``rows`` (T, 4):
+    the anchor, the positive, and the pair-t and pair-j sides of the mined
     negative; and ``terms`` (T, 4, D), the gradient of weights[t] * loss_t
     through each row: 2 d_pos * grad(d_pos) and -2 d_neg * grad(d_neg).
     Every hinge is taken as active; callers drop or zero the others.
     """
-    T = len(own)
-    rows = np.stack([own[:, 0], own[:, 1],
-                     own[np.arange(T), mined.source % 2],
-                     other[mined.j, _SECOND_IS_POSITIVE[mined.source]]],
-                    axis=1)
-    ga, gb, _ = _paired_grads(
-        X[np.concatenate([rows[:, 0], rows[:, 2]])],
-        X[np.concatenate([rows[:, 1], rows[:, 3]])], kind)
-    pos = (weights * 2.0 * mined.d_pos)[:, None]
-    neg = (weights * 2.0 * mined.d_neg)[:, None]
-    terms = np.stack([pos * ga[:T], pos * gb[:T],
-                      -(neg * ga[T:]), -(neg * gb[T:])], axis=1)
-    return rows, terms
+    T, D = len(own), X.shape[-1]
+    rows = np.empty((T, 4), dtype=own.dtype)
+    rows[:, :2] = own
+    rows[:, 2] = own[np.arange(T), source % 2]
+    rows[:, 3] = other[j, _SECOND_IS_POSITIVE[source]]
+    # Triplet t differentiates two distances, side 0 between its rows 0
+    # and 1 and side 1 between its rows 2 and 3; (T, side, row of the pair).
+    pairs = X[rows].reshape(T, 2, 2, D)
+    ga, gb, _ = _paired_grads(pairs[:, :, 0], pairs[:, :, 1], kind)
+    # w 2 d_pos on side 0 and -(w 2 d_neg) on side 1, negated exactly
+    scale = (np.array([d_pos, d_neg]).T * (weights[:, None] * _TWICE))[
+        :, :, None]
+    terms = np.empty(pairs.shape)
+    np.multiply(scale, ga, out=terms[:, :, 0])
+    np.multiply(scale, gb, out=terms[:, :, 1])
+    return rows, terms.reshape(T, 4, D)
 
 
 def loss_grads(mined: MinedTriplets, kind: MetricKind,
@@ -274,16 +279,12 @@ def loss_grads(mined: MinedTriplets, kind: MetricKind,
     # for its positives; its pair i is pair sn + i of the stack.
     X = np.concatenate([A.reshape(-1, n, D), P.reshape(-1, n, D)],
                        axis=1).reshape(-1, D)
+    pairs = np.arange(len(X)).reshape(-1, 2, n).swapaxes(1, 2).reshape(-1, 2)
     act = np.flatnonzero(mined.loss > 0.0)
-    d_pos, d_neg, source, j, loss = (
-        np.asarray(a).ravel()[act]
-        for a in (mined.d_pos, mined.d_neg, mined.source, mined.j, mined.loss))
-    active = replace(mined, d_pos=d_pos, d_neg=d_neg, source=source,
-                     j=act - act % n + j, loss=loss)
-    pair = np.arange(X.shape[0] // 2)
-    pairs = (pair + pair // n * n)[:, None] + [0, n]
-    rows, terms = _triplet_grads(X, pairs[act], pairs, active, kind,
-                                 w.ravel()[act])
+    rows, terms = _triplet_grads(
+        X, pairs[act], pairs, mined.source.ravel()[act],
+        act - act % n + mined.j.ravel()[act], mined.d_pos.ravel()[act],
+        mined.d_neg.ravel()[act], kind, w.ravel()[act])
     # One scatter over the flat indices row * D + column. bincount adds each
     # entry's terms in index order, starting from 0.0, as the per-triplet
     # loop (and np.add.at) would.

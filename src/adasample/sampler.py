@@ -24,6 +24,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DegenerateDistributionError
+from .metricspace import _count_groups
 
 DISTANCE_FLOOR = 1e-6
 
@@ -91,7 +92,7 @@ def _real_columns(values: np.ndarray, counts
     v = np.atleast_2d(v)
     n, K = v.shape
     counts = np.full(n, K) if counts is None else np.asarray(counts)
-    if counts.shape != (n,) or (counts < 1).any() or (counts > K).any():
+    if counts.shape != (n,) or counts.min() < 1 or counts.max() > K:
         raise ValueError(f"counts must be {n} values in [1, {K}]")
     return v, counts, np.arange(K) < counts[:, None]
 
@@ -114,9 +115,11 @@ def positive_probs(distances: np.ndarray, exponent: float | np.ndarray, *,
     """
     d, counts, real = _real_columns(distances, counts)
     d = np.where(real, d, 0.0)
-    if not np.isfinite(d).all():
-        raise ValueError("distances must be finite")
-    if (d < 0).any():
+    d_max = d.max(axis=1)
+    # NaN fails the comparisons; the checks below say what is wrong
+    if not (d_max.max() < np.inf and d.min() >= 0):
+        if not np.isfinite(d).all():
+            raise ValueError("distances must be finite")
         raise ValueError("distances must be nonnegative")
     e = np.asarray(exponent, dtype=np.float64)
     if e.shape not in ((), (len(d),)):
@@ -124,7 +127,6 @@ def positive_probs(distances: np.ndarray, exponent: float | np.ndarray, *,
                          f"{e.shape} for {len(d)} rows")
     if (e < 0).any():
         raise ValueError(f"exponent must be >= 0, got {exponent}")
-    d_max = d.max(axis=1)
     uniform = (d_max == 0.0) | (e == 0.0)
     # pad columns stay 0 on the rows that are not uniform, where e > 0
     scaled = (d / np.where(uniform, 1.0, d_max)[:, None]) \
@@ -132,9 +134,8 @@ def positive_probs(distances: np.ndarray, exponent: float | np.ndarray, *,
     # numpy's pairwise summation groups terms by the length it is given, so
     # each row is summed over exactly its real columns, one length at a time
     total = np.empty(len(d))
-    for m in np.unique(counts):
-        rows = counts == m
-        total[rows] = scaled[rows, :m].sum(axis=1)
+    for m, rows in _count_groups(counts):
+        total[rows] = np.add.reduce(scaled[rows, :m], axis=1)
     probs = np.where(uniform[:, None], real / counts[:, None],
                      scaled / np.where(uniform, 1.0, total)[:, None])
     return probs if np.ndim(distances) == 2 else probs[0]
@@ -151,13 +152,17 @@ def reweights(distances: np.ndarray) -> Reweights:
     if d.ndim not in (1, 2) or d.size == 0:
         raise ValueError("distances must be a nonempty 1-D vector or 2-D "
                          "matrix")
-    if not np.isfinite(d).all():
-        raise ValueError("distances must be finite")
-    if (d < 0).any():
+    least = d.min(axis=-1)
+    # NaN fails the comparisons; the checks below say what is wrong
+    if not (least.min() >= 0 and d.max() < np.inf):
+        if not np.isfinite(d).all():
+            raise ValueError("distances must be finite")
         raise ValueError("distances must be nonnegative")
-    clamped = np.count_nonzero((d <= DISTANCE_FLOOR).any(axis=-1))
+    clamped = np.count_nonzero(least <= DISTANCE_FLOOR)
     inv = 1.0 / np.maximum(d, DISTANCE_FLOOR)
-    return Reweights(inv / inv.mean(axis=-1, keepdims=True), clamped)
+    # the mean as np.mean takes it, sum / count
+    mean = np.add.reduce(inv, axis=-1, keepdims=True) / d.shape[-1]
+    return Reweights(inv / mean, clamped)
 
 
 def categorical_sample(probs: np.ndarray, uniforms: float | np.ndarray, *,
@@ -179,14 +184,14 @@ def categorical_sample(probs: np.ndarray, uniforms: float | np.ndarray, *,
                          f"{len(p)} rows")
     if (p < 0).any():
         raise ValueError("probabilities must be nonnegative")
-    total = p.sum(axis=1)
+    total = np.add.reduce(p, axis=1)
     if (np.abs(total - 1.0) > 1e-9).any():
         bad = int(np.argmax(np.abs(total - 1.0)))
         raise ValueError(f"probabilities must sum to 1, got {total[bad]!r} "
                          f"in row {bad}")
     cdf = np.cumsum(p, axis=1)
     # searchsorted(cdf, u, side="right") on each nondecreasing row
-    idx = np.minimum((cdf <= u[:, None]).sum(axis=1), counts - 1)
+    idx = np.minimum(np.add.reduce(cdf <= u[:, None], axis=1), counts - 1)
     return idx if np.ndim(probs) == 2 else int(idx[0])
 
 

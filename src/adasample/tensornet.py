@@ -100,9 +100,10 @@ def init_params(layer_dims: Sequence[int], seed: int,
 
 
 def _activate(h: np.ndarray, activation: Activation) -> np.ndarray:
+    """The activation of ``h``, written into ``h``."""
     if activation is Activation.TANH:
-        return np.tanh(h)
-    return np.maximum(h, 0.0)
+        return np.tanh(h, out=h)
+    return np.maximum(h, 0.0, out=h)
 
 
 def _activate_deriv_from_output(x: np.ndarray,
@@ -131,19 +132,23 @@ def forward(params: ModelParams,
         x = _activate(x @ w.T, params.activation)
         hidden.append(x)
     z = x @ params.layers[-1].T
-    norms = np.linalg.norm(z, axis=1)
-    if not np.isfinite(norms).all():
-        bad = int(np.argmin(np.isfinite(norms)))
-        raise NumericError(
-            f"pre-normalization output of sample {bad} is not finite")
-    if (norms < 1e-300).any():
+    # np.linalg.norm(z, axis=1) of a real matrix, bit for bit, without its
+    # conj copy
+    norms = np.sqrt(np.add.reduce(z * z, axis=1))
+    # two reductions when every norm is finite and nonzero (NaN fails the
+    # comparisons); the checks below name the first bad sample. A batch of
+    # no rows has nothing to check.
+    if norms.size and not (norms.min() >= 1e-300 and norms.max() < np.inf):
+        if not np.isfinite(norms).all():
+            bad = int(np.argmin(np.isfinite(norms)))
+            raise NumericError(
+                f"pre-normalization output of sample {bad} is not finite")
         bad = int(np.argmin(norms))
         raise DegenerateOutputError(
             f"pre-normalization output of sample {bad} is zero")
-    descriptors = z / norms[:, None]
-    cache = ForwardCache(inputs=X, hidden=hidden, output_norms=norms,
-                         descriptors=descriptors)
-    return descriptors, cache
+    z /= norms[:, None]
+    return z, ForwardCache(inputs=X, hidden=hidden, output_norms=norms,
+                           descriptors=z)
 
 
 def _deltas(params: ModelParams, cache: ForwardCache, output_grads: np.ndarray):
@@ -160,16 +165,15 @@ def _deltas(params: ModelParams, cache: ForwardCache, output_grads: np.ndarray):
                          f"cached batch shape {cache.descriptors.shape}")
     y = cache.descriptors
     # Jacobian of z -> z/||z||:  (I - y y^T) / ||z||, applied row-wise.
-    delta = (G - np.sum(G * y, axis=1, keepdims=True) * y)
-    delta = delta / cache.output_norms[:, None]
+    delta = G - np.add.reduce(G * y, axis=1, keepdims=True) * y
+    delta /= cache.output_norms[:, None]
     for l in range(len(params.layers) - 1, -1, -1):
         x_prev = cache.inputs if l == 0 else cache.hidden[l - 1]
         yield l, delta, x_prev
         if l > 0:
-            dx = delta @ params.layers[l]
-            deriv = _activate_deriv_from_output(cache.hidden[l - 1],
-                                                params.activation)
-            delta = dx * deriv
+            delta = delta @ params.layers[l]
+            delta *= _activate_deriv_from_output(cache.hidden[l - 1],
+                                                 params.activation)
 
 
 def _group_sq_norms(delta: np.ndarray, x_prev: np.ndarray,

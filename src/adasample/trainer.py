@@ -137,6 +137,7 @@ class TrainConfig:
 # for one cell and 5.2 MB for six. Per cell, a step took about as long at
 # 16 cells (two chunks) as at 6.
 CELL_CHUNK = 8
+_UINT64_MAX = np.iinfo(np.uint64).max
 
 
 @dataclass
@@ -210,12 +211,14 @@ def build_batch(cells: Sequence[TrainState], config: TrainConfig,
     if num_classes < n:
         raise DatasetError(f"dataset has {num_classes} classes but the batch "
                            f"needs {n}")
-    sizes = np.diff(dataset.offsets)
-    highs = np.full(2 * n, np.iinfo(np.uint64).max, dtype=np.uint64)
+    offsets = dataset.offsets
+    sizes = offsets[1:] - offsets[:-1]
+    highs = np.full(2 * n, _UINT64_MAX, dtype=np.uint64)
     passes = []
     for cell in cells:
         chosen = cell.rng.choice(num_classes, size=n, replace=False)
-        highs[0::2] = sizes[chosen] - 1
+        last = sizes[chosen] - 1
+        highs[0::2] = last
         raw = cell.rng.integers(0, highs, endpoint=True, dtype=np.uint64)
         # One batched descriptor extraction over every patch of the
         # selected classes, class after class; class i starts at row
@@ -228,52 +231,56 @@ def build_batch(cells: Sequence[TrainState], config: TrainConfig,
             continue
         # The batch takes its input rows from the dataset again, so no
         # cell's whole gather outlives its forward pass.
-        passes.append((cell, chosen, raw, first, cache.hidden,
+        passes.append((cell, chosen, last, raw, first, cache.hidden,
                        cache.output_norms, descs))
         del inputs, descs, cache
     if not passes:
         none = np.empty((0, n))
         return (Batch([], none, []),
                 BatchDiagnostics(none, none, none, none, np.empty(0), 0))
-    cells, chosen, raw, first, hidden, norms, descs = zip(*passes)
+    cells, chosen, last, raw, first, hidden, norms, descs = zip(*passes)
     # The small arrays of every cell at once, one row per (cell, class).
-    chosen, raw, first = (np.array(a) for a in (chosen, raw, first))
-    k = sizes[chosen]
+    chosen, last, raw, first = (np.array(a)
+                                for a in (chosen, last, raw, first))
     anchor_index = raw[:, 0::2].astype(np.int64)
     uniforms = (raw[:, 1::2] >> np.uint64(11)) * 2.0 ** -53
-    # Pad columns repeat the anchor; the counts mask them everywhere, and
-    # the kernels group rows by count, so padding to the widest class of
-    # any cell keeps every row's bits.
-    c = np.arange(k.max() - 1)
-    candidates = np.where(c < (k - 1)[..., None],
-                          c + (c >= anchor_index[..., None]),
-                          anchor_index[..., None])
-    anchors = np.array([d[r] for d, r in zip(descs, first + anchor_index)])
-    cands = np.array([d[r] for d, r in
-                      zip(descs, first[..., None] + candidates)])
+    # Column 0 of a class's row is its anchor and column 1 + c its
+    # candidate c, patch c + (c >= anchor). Pad columns past the class's
+    # k - 1 candidates repeat its last patch; the counts mask them
+    # everywhere, and the kernels group rows by count, so padding to the
+    # widest class of any cell keeps every row's bits.
+    c = np.arange(last.max())
+    patches = np.empty(last.shape + (len(c) + 1,), dtype=np.int64)
+    patches[..., 0] = anchor_index
+    np.minimum(c + (c >= anchor_index[..., None]), last[..., None],
+               out=patches[..., 1:])
+    # every cell's anchor and candidate descriptors in one gather per cell
+    rows = np.array([d[r] for d, r in zip(descs, first[..., None] + patches)])
 
-    counts = (k - 1).ravel()
-    dists = _candidates(anchors.reshape(counts.size, -1),
-                        cands.reshape(counts.size, len(c), -1), counts,
-                        config.metric)
+    counts = last.ravel()
+    dists = _candidates(rows[:, :, 0].reshape(counts.size, -1),
+                        rows[:, :, 1:].reshape(counts.size, len(c), -1),
+                        counts, config.metric)
     exponent = np.array([smp.adaptive_exponent(cell.l_avg, cell.sampler)
                          for cell in cells])
     probs = smp.positive_probs(dists, np.repeat(exponent, n), counts=counts)
     pick = smp.categorical_sample(probs, uniforms.ravel(), counts=counts)
     slots = np.arange(counts.size)
-    weights, clamped = smp.reweights(dists[slots, pick].reshape(k.shape))
-    used = probs[slots, pick].reshape(k.shape)
-    pick = pick.reshape(k.shape)
+    weights, clamped = smp.reweights(dists[slots, pick].reshape(last.shape))
+    used = probs[slots, pick].reshape(last.shape)
+    pick = pick.reshape(last.shape)
     positive_index = pick + (pick >= anchor_index)
 
-    # Each cell's batch rows, anchors then positives, in the dataset and
-    # in its forward pass.
+    # Each cell's batch rows, anchors then positives, in its forward pass
+    # and in the dataset.
     picked = np.concatenate([anchor_index, positive_index], axis=1)
+    in_pass = picked + np.concatenate([first, first], axis=1)
+    starts = offsets[chosen]
+    in_data = picked + np.concatenate([starts, starts], axis=1)
     caches = [ForwardCache(dataset.rows[d_rows], [x[rows] for x in h],
                            m[rows], d[rows])
-              for d_rows, rows, h, m, d in zip(
-                  np.tile(dataset.offsets[chosen], 2) + picked,
-                  np.tile(first, 2) + picked, hidden, norms, descs)]
+              for d_rows, rows, h, m, d in zip(in_data, in_pass, hidden,
+                                               norms, descs)]
     diag = BatchDiagnostics(
         class_ids=dataset.class_ids[chosen],
         anchor_index=anchor_index, positive_index=positive_index,
@@ -294,6 +301,12 @@ def train_step(batch: Batch, config: TrainConfig,
     buffers and loss average, and a cell whose weights are no longer finite
     sets its error. Returns the metrics of every cell as one list per
     name.
+
+    The update writes each new weight matrix into the gradient array that
+    ``backward`` returned for it, and each cell's momentum buffers in
+    place, in the operation order of the update rule. It writes no array
+    of the params it replaces, so a caller holding a cell's earlier
+    ``params`` sees them unchanged.
     """
     n = batch.weights.shape[1]
     descs = np.array([cache.descriptors for cache in batch.caches])
@@ -301,29 +314,30 @@ def train_step(batch: Batch, config: TrainConfig,
                           config.margin, config.neg_mode)
     grad_a, grad_p = loss_grads(mined, config.metric, batch.weights)
     output_grads = np.concatenate([grad_a, grad_p], axis=1)
-    mean_loss = mined.loss.mean(axis=1).tolist()
+    # mean = sum / n, bit for bit, without np.mean's bookkeeping
+    mean_loss = (np.add.reduce(mined.loss, axis=1) / n).tolist()
     for s, (cell, cache) in enumerate(zip(batch.cells, batch.caches)):
-        grads = backward(cell.params, cache, output_grads[s])
-        layers, velocities = [], []
-        for theta, g, v in zip(cell.params.layers, grads,
+        layers = backward(cell.params, cache, output_grads[s])
+        for theta, g, v in zip(cell.params.layers, layers,
                                cell.momentum_buffers):
-            g_total = g + config.weight_decay * theta
-            v_new = config.momentum * v + g_total
-            layers.append(theta - lr * v_new)
-            velocities.append(v_new)
+            g += config.weight_decay * theta    # g + weight_decay * theta
+            v *= config.momentum                # momentum * v + g
+            v += g
+            np.multiply(v, lr, out=g)           # theta - lr * v
+            np.subtract(theta, g, out=g)
         if not all(np.isfinite(theta).all() for theta in layers):
             cell.error = NumericError(
                 f"non-finite parameters at step {len(cell.log)}")
         cell.params = ModelParams(layers, cell.params.activation)
-        cell.momentum_buffers = velocities
         cell.l_avg = smp.update_loss_avg(cell.l_avg, mean_loss[s],
                                          cell.sampler)
     return {
         "mean_loss": mean_loss,
         "l_avg": [cell.l_avg for cell in batch.cells],
-        "mean_dpos": mined.d_pos.mean(axis=1).tolist(),
-        "mean_dneg": mined.d_neg.mean(axis=1).tolist(),
-        "active_fraction": (mined.loss > 0).mean(axis=1).tolist(),
+        "mean_dpos": (np.add.reduce(mined.d_pos, axis=1) / n).tolist(),
+        "mean_dneg": (np.add.reduce(mined.d_neg, axis=1) / n).tolist(),
+        "active_fraction": (np.add.reduce(mined.loss > 0, axis=1,
+                                          dtype=np.float64) / n).tolist(),
     }
 
 

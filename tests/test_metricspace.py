@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adasample import metricspace
@@ -13,6 +13,7 @@ from adasample.metricspace import (MetricKind, _candidates, _paired,
                                    _paired_grads, distance_grad,
                                    pairwise_distances)
 from adasample.miner import hardest_negatives, loss_grads, mine_triplets
+from row_counts import COUNT_MODES, draw_counts
 from scalar_distance import distance, scalar_distance_grad
 
 
@@ -288,9 +289,14 @@ class TestCandidates:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(n=st.integers(1, 20), width=st.integers(1, 16),
            dim=st.integers(2, 40), kind=st.sampled_from(list(MetricKind)),
-           ragged=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
-    def test_rows_equal_per_row_pairwise(self, n, width, dim, kind, ragged,
-                                         seed):
+           counts_mode=st.sampled_from(COUNT_MODES),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(n=9, width=7, dim=32, kind=MetricKind.ANGULAR,
+             counts_mode="one_below_width", seed=5)
+    @example(n=9, width=7, dim=32, kind=MetricKind.EUCLIDEAN,
+             counts_mode="one_below_width", seed=5)
+    def test_rows_equal_per_row_pairwise(self, n, width, dim, kind,
+                                         counts_mode, seed):
         """Each row of the kernel build_batch runs equals, bit for bit,
         pairwise_distances on that row's own candidates, and its pad
         columns are 0."""
@@ -299,8 +305,7 @@ class TestCandidates:
         cands = np.stack([np.stack([random_unit(rng, dim)
                                     for _ in range(width)])
                           for _ in range(n)])
-        counts = (rng.integers(1, width + 1, size=n) if ragged
-                  else np.full(n, width))
+        counts = draw_counts(rng, n, width, counts_mode)
         D = _candidates(anchors, cands, counts, kind)
         assert D.shape == (n, width)
         for i, m in enumerate(counts):

@@ -8,7 +8,7 @@ forms.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adasample.errors import DegenerateDistributionError
@@ -17,6 +17,7 @@ from adasample.sampler import (SamplerConfig, adaptive_exponent,
                                optimal_probs, positive_probs, reweights,
                                trace_variance, unbiased_weights,
                                update_loss_avg)
+from row_counts import COUNT_MODES, draw_counts
 
 CFG = SamplerConfig()
 
@@ -170,14 +171,15 @@ class TestMaskedRows:
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(n=st.integers(1, 30), width=st.integers(1, 16),
-           ragged=st.booleans(),
+           counts_mode=st.sampled_from(COUNT_MODES),
            exponent=st.sampled_from([0.0, 0.5, 2.0, 7.3, 50.0]),
            seed=st.integers(0, 2 ** 32 - 1))
-    def test_rows_equal_scalar_oracles(self, n, width, ragged, exponent,
+    @example(n=9, width=7, counts_mode="one_below_width", exponent=7.3,
+             seed=5)
+    def test_rows_equal_scalar_oracles(self, n, width, counts_mode, exponent,
                                        seed):
         rng = np.random.default_rng(seed)
-        counts = (rng.integers(1, width + 1, size=n) if ragged
-                  else np.full(n, width))
+        counts = draw_counts(rng, n, width, counts_mode)
         d = rng.uniform(0, np.pi, size=(n, width))
         d[rng.random(n) < 0.2] = 0.0            # rows of identical patches
         d[np.arange(width) >= counts[:, None]] = rng.uniform(5, 9)  # pads
@@ -239,6 +241,20 @@ class TestMaskedRows:
             categorical_sample(np.array([[1.5, -0.5]]), [0.1])
         with pytest.raises(ValueError, match="one uniform per row"):
             categorical_sample(np.array([[0.5, 0.5]] * 2), [0.1])
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0,)])
+    def test_empty_input_rejected_by_name(self, shape):
+        """A draw over no rows or no columns is an error that says so, not
+        a reduction's error."""
+        with pytest.raises(ValueError, match="nonempty"):
+            positive_probs(np.zeros(shape), 1.0)
+        with pytest.raises(ValueError, match="nonempty"):
+            positive_probs(np.zeros(shape), 1.0,
+                           counts=np.zeros(shape[0], dtype=int))
+        with pytest.raises(ValueError, match="nonempty"):
+            categorical_sample(np.zeros(shape), np.zeros(shape[0]))
+        with pytest.raises(ValueError, match="nonempty"):
+            reweights(np.zeros(shape))
 
 
 class TestOptimalProbs:

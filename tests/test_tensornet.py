@@ -75,6 +75,12 @@ class TestForward:
         with pytest.raises(DegenerateOutputError):
             forward(params, np.ones((1, 4)))
 
+    def test_batch_of_no_rows_gives_no_descriptors(self):
+        params = init_params([6, 10, 5], seed=3)
+        descs, cache = forward(params, np.zeros((0, 6)))
+        assert descs.shape == (0, 5)
+        assert cache.output_norms.shape == (0,)
+
     def test_normalization_invariant_to_input_scaling_of_linear_net(self):
         """Scaling the pre-normalization vector leaves the output unchanged."""
         params = ModelParams([np.array([[1.0, 2.0], [3.0, -1.0]])],

@@ -311,11 +311,11 @@ class TestTrainStep:
     def test_zero_learning_rate_keeps_params_and_updates_loss_average(self):
         cfg = tiny_config(lr=0.0)
         cell, batch = self.setup_batch(cfg)
-        params = cell.params
+        before = [w.copy() for w in cell.params.layers]
         assert cell.l_avg is None
         metrics = train_step(batch, cfg, cfg.lr)
         assert cell.error is None
-        for a, b in zip(params.layers, cell.params.layers):
+        for a, b in zip(before, cell.params.layers, strict=True):
             np.testing.assert_array_equal(a, b)
         assert cell.l_avg == metrics["l_avg"][0] \
             == metrics["mean_loss"][0] >= 0
@@ -324,14 +324,59 @@ class TestTrainStep:
         # seed 1 yields a batch whose hinges are all inactive at this margin
         cfg = tiny_config(margin=1e-9, weight_decay=0.0)
         cell, batch = self.setup_batch(cfg, seed=1)
-        params = cell.params
+        before = [w.copy() for w in cell.params.layers]
         n = batch.weights.shape[1]
-        descs, _ = forward(params, batch.caches[0].inputs)
+        descs, _ = forward(cell.params, batch.caches[0].inputs)
         mined = mine_triplets(descs[:n], descs[n:], cfg.metric, cfg.margin)
         assert all(t.loss == 0 for t in mined)
         train_step(batch, cfg, cfg.lr)
-        for a, b in zip(params.layers, cell.params.layers):
+        for a, b in zip(before, cell.params.layers, strict=True):
             np.testing.assert_array_equal(a, b)
+
+    def test_step_writes_no_array_it_does_not_own(self):
+        """The update writes new weights into fresh arrays and each cell's
+        momentum buffers in place: the params a step replaces keep their
+        values, and no cell shares a buffer with another cell or with any
+        weights."""
+        configs = [tiny_config(lr=0.05, momentum=0.5, weight_decay=1e-3,
+                               seed=seed) for seed in (1, 2)]
+        cells = [init_state(cfg, 64) for cfg in configs]
+        dataset = as_dataset(tiny_dataset())
+        for _ in range(3):
+            held = [cell.params for cell in cells]
+            snapshot = [[w.copy() for w in p.layers] for p in held]
+            batch, _ = build_batch(cells, configs[0], dataset)
+            train_step(batch, configs[0], configs[0].lr)
+            for cell, params, want in zip(cells, held, snapshot):
+                assert cell.error is None
+                for old, new, copy in zip(params.layers, cell.params.layers,
+                                          want, strict=True):
+                    np.testing.assert_array_equal(old, copy)
+                    assert not np.array_equal(new, copy)
+            arrays = [w for cell in cells
+                      for w in (*cell.momentum_buffers, *cell.params.layers)]
+            arrays += [w for params in held for w in params.layers]
+            for i, a in enumerate(arrays):
+                for b in arrays[i + 1:]:
+                    assert not np.shares_memory(a, b)
+
+    def test_epoch_callback_keeps_the_params_it_was_shown(self):
+        """An epoch callback may hold ``state.params``; later steps leave
+        the arrays it holds as it saw them."""
+        kept = []
+
+        def keep(epoch, state):
+            kept.append((state.params, [w.copy() for w in
+                                        state.params.layers]))
+
+        cfg = tiny_config(epochs=3)
+        params, _ = train(cfg, tiny_dataset(), keep)
+        assert len(kept) == cfg.epochs
+        for held, copies in kept:
+            for w, copy in zip(held.layers, copies, strict=True):
+                np.testing.assert_array_equal(w, copy)
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(kept[-1][0].layers, params.layers, strict=True))
 
     def test_update_matches_manual_composition(self):
         cfg = tiny_config(lr=0.05, momentum=0.3, weight_decay=1e-3)

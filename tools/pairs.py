@@ -16,7 +16,9 @@ and BLAS-thread fingerprint of the runs. Usage::
 A ``--claim`` names a metric the change claims to improve. It holds when
 the change is better in at least nine pairs out of ten and its median is
 better than the old median by more than the old runs' interquartile
-range; the verdict is printed and written under ``claims``. With
+range; ``--claim WORKLOAD.METRIC:0.15`` also asks for a relative gain of
+the medians of at least 15%. The verdict is printed and written under
+``claims``. With
 ``--trace-seed``, each workload also gets one traced run per checkout
 (``--trace 1``), whose per-layer metrics go under its ``traced`` key.
 
@@ -86,13 +88,15 @@ def summarize(runs: dict, metrics: list[dict]) -> dict:
     return out
 
 
-def claim_holds(summary: dict) -> bool:
-    """Better in at least nine of ten pairs, and the median better by more
-    than the old runs' interquartile range."""
+def claim_holds(summary: dict, target: float = 0.0) -> bool:
+    """Better in at least nine of ten pairs, the median better by more
+    than the old runs' interquartile range and by at least ``target``
+    relative to the old median."""
     wins, pairs = map(int, summary["change_better_in_pairs"].split(" of "))
     old, new = summary["parent"]["median"], summary["change"]["median"]
     gain = old - new if summary["better"] == "lower" else new - old
-    return wins * 10 >= 9 * pairs and gain > summary["parent"]["iqr"]
+    return (wins * 10 >= 9 * pairs and gain > summary["parent"]["iqr"]
+            and gain >= target * abs(old))
 
 
 def blas_threads(machine: dict) -> str:
@@ -116,7 +120,8 @@ def main(argv=None) -> int:
                              "next")
     parser.add_argument("--seconds", type=float, default=26.0)
     parser.add_argument("--claim", action="append", default=[],
-                        help="WORKLOAD.METRIC the change claims, repeatable")
+                        help="WORKLOAD.METRIC[:RELATIVE_GAIN] the change "
+                             "claims, repeatable")
     parser.add_argument("--trace-seed", type=int, default=None,
                         help="seed of one traced run per checkout and "
                              "workload")
@@ -175,10 +180,13 @@ def main(argv=None) -> int:
                    for side in SIDES}}
     report["machine"] = {**machine, "blas_threads": blas_threads(machine)}
     claims = {}
-    for claim in args.claim:
+    for item in args.claim:
+        claim, _, target = item.partition(":")
         workload, name = claim.split(".", 1)
         summary = report["workloads"][workload]["metrics"][name]
-        claims[claim] = {"holds": claim_holds(summary),
+        target = float(target or 0.0)
+        claims[claim] = {"holds": claim_holds(summary, target),
+                         "target_gain": target,
                          "change_better_in_pairs":
                              summary["change_better_in_pairs"],
                          "median_change": summary["median_change"],
