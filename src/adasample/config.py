@@ -8,9 +8,9 @@ Example::
     sampler.lambda = 10
 
 Lines starting with '#' (or anything after an inline '#') are comments.
-Unknown keys are rejected. All randomness flows from the single ``seed``
-through named substreams (data, train, eval), so any sub-seed can also be
-pinned explicitly via ``data.seed``.
+Unknown keys and a key given twice are rejected. All randomness flows
+from the single ``seed`` through named substreams (data, train, eval), so
+any sub-seed can also be pinned explicitly via ``data.seed``.
 """
 
 from __future__ import annotations
@@ -146,6 +146,7 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
     """Parse the key=value document into per-section field dicts."""
     sections: dict[str, dict] = {"root": {}, "data": {}, "train": {},
                                  "sampler": {}, "eval": {}}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -158,6 +159,10 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
         value = value.strip()
         if key not in _KEYMAP:
             raise ValueError(f"{source}:{lineno}: unknown key {key!r}")
+        if key in first_line:
+            raise ValueError(f"{source}:{lineno}: key {key!r} repeats line "
+                             f"{first_line[key]}")
+        first_line[key] = lineno
         section, fname, parser = _KEYMAP[key]
         try:
             sections[section][fname] = parser(value)
@@ -183,6 +188,11 @@ def assemble_run_config(sections: dict) -> RunConfig:
     root = sections.get("root", {})
     seed = int(root.get("seed", 0))
     data_fields = dict(sections.get("data", {}))
+    # checked before a substream seed is derived from them
+    for key, value in (("seed", seed),
+                       ("data.seed", data_fields.get("seed", 0))):
+        if value < 0:
+            raise ValueError(f"{key} must be >= 0, got {value}")
     data_fields.setdefault("seed", substream_seed(seed, "data"))
     sampler_cfg = SamplerConfig(**sections.get("sampler", {}))
     train_fields = dict(sections.get("train", {}))

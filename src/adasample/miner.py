@@ -253,26 +253,25 @@ def _triplet_grads(X: np.ndarray, own: np.ndarray, other: np.ndarray,
 
 
 def loss_grads(mined: MinedTriplets, kind: MetricKind,
-               weights: np.ndarray | None = None
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of sum_i w_i * loss_i with respect to the anchor and
-    positive rows ``mined`` was mined from, against its own batch; triplets
-    mined against ``opposing`` pairs raise ``ValueError``.
+               weights: np.ndarray) -> np.ndarray:
+    """Gradients of sum_i w_i * loss_i with respect to the rows ``mined``
+    was mined from, against its own batch, in the batch's row order: the
+    n anchors, then the n positives. Triplets mined against ``opposing``
+    pairs raise ``ValueError``.
 
     Each active pair contributes the ``_triplet_grads`` terms. Inactive
     hinges (and the exact hinge boundary) contribute the zero subgradient.
     A descriptor receives its terms in pair order, and within a pair in the
     order anchor, positive, pair-i side and pair-j side of the negative.
     Stacked (S, n, D) batches, with (S, n) mined arrays and weights, give
-    (S, n, D) gradients, each batch's as its own call gives them.
+    (S, 2n, D) gradients, each batch's as its own call gives them.
     """
     if mined.opposed:
         raise ValueError("loss_grads differentiates triplets mined against "
                          "their own batch, not against opposing pairs")
     A, P = mined.anchors, mined.positives
     n, D = A.shape[-2:]
-    w = np.ones(A.shape[:-1]) if weights is None \
-        else np.asarray(weights, np.float64)
+    w = np.asarray(weights, np.float64)
     if w.shape != A.shape[:-1]:
         raise ValueError(f"weights shape {w.shape} does not match batch size {n}")
     # Batch s owns rows 2ns..2ns+n-1 of X for its anchors and the next n
@@ -289,6 +288,5 @@ def loss_grads(mined: MinedTriplets, kind: MetricKind,
     # entry's terms in index order, starting from 0.0, as the per-triplet
     # loop (and np.add.at) would.
     flat = (rows.reshape(-1, 1) * D + np.arange(D)).ravel()
-    grads = np.bincount(flat, weights=terms.ravel(),
-                        minlength=X.size).reshape(-1, 2 * n, D)
-    return (grads[:, :n].reshape(A.shape), grads[:, n:].reshape(A.shape))
+    return np.bincount(flat, weights=terms.ravel(), minlength=X.size
+                       ).reshape(A.shape[:-2] + (2 * n, D))

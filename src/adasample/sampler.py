@@ -1,19 +1,25 @@
-"""Adaptive positive sampling, unbiased re-weighting, and variance oracles.
+"""Adaptive positive sampling, inverse-distance re-weighting, and the
+estimator oracles.
 
-Positive candidates are drawn with probability proportional to a power of
-their descriptor distance from the anchor, p_i = d_i^e / sum_j d_j^e, and
-the drawn sample is re-weighted by w_i proportional to 1/d_i so the
-estimator stays unbiased. The exponent e = lambda / L_avg grows as the
-moving-average loss shrinks, so sampling hardens as training progresses;
-e = 0 is plain uniform sampling and a capped exponent degenerates into
-always picking the most distant candidate.
+Positive candidates are drawn with probability p_i = d_i^e / sum_j d_j^e,
+d_i the candidate's descriptor distance from the anchor. The exponent
+e = lambda / L_avg grows as the moving-average loss shrinks, so sampling
+hardens as training progresses; e = 0 draws uniformly and a capped
+exponent degenerates into always picking the most distant candidate.
 
-The module also carries the estimator-level machinery that the adaptive
-rule approximates: the variance-optimal sampling distribution
-p_i = L_i^(a-1) ||g_i|| / Z under the constraint p_i w_i = (a/K) L_i^(a-1),
-the trace of the estimator covariance, and the expected one-step reduction
-of the squared distance to a parameter optimum. These are exact and are
-exercised against exhaustive-expectation oracles in the tests.
+The step weights each drawn pair by 1/d_i, normalized to batch mean 1
+(:func:`reweights`), at every exponent, e = 0 included. With that mean M
+held fixed, a class contributes (1/M) sum_i d_i^(e-1) g_i / sum_j d_j^e in
+expectation: not its candidates' mean gradient, and at e = 0 one that
+weights near (easy) positives up.
+
+The weights that make the sampled gradient unbiased for (1/K) sum_i L_i^a,
+p_i w_i = (a/K) L_i^(a-1) (:func:`unbiased_weights`), belong to the
+estimator machinery that the adaptive rule approximates and no step runs:
+with them the variance-optimal distribution p_i = L_i^(a-1) ||g_i|| / Z,
+the trace of the estimator covariance and the expected one-step reduction
+of the squared distance to a parameter optimum, all exact and checked
+against exhaustive-expectation oracles in the tests.
 """
 
 from __future__ import annotations
@@ -81,32 +87,28 @@ def adaptive_exponent(l_avg: float | None, config: SamplerConfig) -> float:
                      config.exponent_cap))
 
 
-def _real_columns(values: np.ndarray, counts
+def _real_columns(values: np.ndarray, counts: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``values`` as a 2-D float64 array (a 1-D vector is the one-row case),
-    the number of real leading columns of each row (all columns when
-    ``counts`` is None) and the mask of those columns."""
+    """``values`` as a 2-D float64 array with its pad columns zeroed, the
+    number of real leading columns of each row, and their mask."""
     v = np.asarray(values, dtype=np.float64)
-    if v.ndim not in (1, 2) or v.size == 0:
-        raise ValueError("expected a nonempty 1-D vector or 2-D matrix")
-    v = np.atleast_2d(v)
+    if v.ndim != 2 or v.size == 0:
+        raise ValueError("expected a nonempty 2-D matrix")
     n, K = v.shape
-    counts = np.full(n, K) if counts is None else np.asarray(counts)
+    counts = np.asarray(counts)
     if counts.shape != (n,) or counts.min() < 1 or counts.max() > K:
         raise ValueError(f"counts must be {n} values in [1, {K}]")
-    return v, counts, np.arange(K) < counts[:, None]
+    real = np.arange(K) < counts[:, None]
+    return np.where(real, v, 0.0), counts, real
 
 
-def positive_probs(distances: np.ndarray, exponent: float | np.ndarray, *,
-                   counts: np.ndarray | None = None) -> np.ndarray:
+def positive_probs(distances: np.ndarray, exponents: np.ndarray,
+                   counts: np.ndarray) -> np.ndarray:
     """Row-wise p_i = d_i^e / sum_j d_j^e over the candidate positives.
 
-    Row r of a 2-D ``distances`` holds its ``counts[r]`` candidates first;
-    the pad columns after them are ignored and get probability 0. A 1-D
-    vector is the one-row case and gives a 1-D result. ``exponent`` is one
-    value for every row or a vector of one per row. (numpy raises to a
-    scalar power of 2 or 0.5 with ``square`` or ``sqrt``, whose last bit
-    may differ from that of the same power given per row.)
+    Row r of ``distances`` holds its ``counts[r]`` candidates first; the
+    pad columns after them are ignored and get probability 0. Row r is
+    raised to its own exponent ``exponents[r]``.
 
     Distances are rescaled by their row maximum before exponentiation so
     that large exponents cannot overflow or underflow the normalization. An
@@ -114,45 +116,41 @@ def positive_probs(distances: np.ndarray, exponent: float | np.ndarray, *,
     distribution.
     """
     d, counts, real = _real_columns(distances, counts)
-    d = np.where(real, d, 0.0)
     d_max = d.max(axis=1)
     # NaN fails the comparisons; the checks below say what is wrong
     if not (d_max.max() < np.inf and d.min() >= 0):
         if not np.isfinite(d).all():
             raise ValueError("distances must be finite")
         raise ValueError("distances must be nonnegative")
-    e = np.asarray(exponent, dtype=np.float64)
-    if e.shape not in ((), (len(d),)):
-        raise ValueError(f"need one exponent or one per row, got shape "
-                         f"{e.shape} for {len(d)} rows")
+    e = np.asarray(exponents, dtype=np.float64)
+    if e.shape != (len(d),):
+        raise ValueError(f"need one exponent per row, got shape {e.shape} "
+                         f"for {len(d)} rows")
     if (e < 0).any():
-        raise ValueError(f"exponent must be >= 0, got {exponent}")
+        raise ValueError(f"exponent must be >= 0, got {e.min()}")
     uniform = (d_max == 0.0) | (e == 0.0)
     # pad columns stay 0 on the rows that are not uniform, where e > 0
-    scaled = (d / np.where(uniform, 1.0, d_max)[:, None]) \
-        ** (e[:, None] if e.ndim else exponent)
+    scaled = (d / np.where(uniform, 1.0, d_max)[:, None]) ** e[:, None]
     # numpy's pairwise summation groups terms by the length it is given, so
     # each row is summed over exactly its real columns, one length at a time
     total = np.empty(len(d))
     for m, rows in _count_groups(counts):
         total[rows] = np.add.reduce(scaled[rows, :m], axis=1)
-    probs = np.where(uniform[:, None], real / counts[:, None],
-                     scaled / np.where(uniform, 1.0, total)[:, None])
-    return probs if np.ndim(distances) == 2 else probs[0]
+    return np.where(uniform[:, None], real / counts[:, None],
+                    scaled / np.where(uniform, 1.0, total)[:, None])
 
 
 def reweights(distances: np.ndarray) -> Reweights:
-    """Inverse-distance weights normalized to batch mean 1, for a batch or
-    for each row of a matrix of batches.
+    """Inverse-distance weights normalized to mean 1 in each row of
+    ``distances``, one batch per row.
 
     Distances at or below ``DISTANCE_FLOOR`` are clamped to the floor;
     ``clamped`` counts the batches that held one.
     """
     d = np.asarray(distances, dtype=np.float64)
-    if d.ndim not in (1, 2) or d.size == 0:
-        raise ValueError("distances must be a nonempty 1-D vector or 2-D "
-                         "matrix")
-    least = d.min(axis=-1)
+    if d.ndim != 2 or d.size == 0:
+        raise ValueError("distances must be a nonempty 2-D matrix")
+    least = d.min(axis=1)
     # NaN fails the comparisons; the checks below say what is wrong
     if not (least.min() >= 0 and d.max() < np.inf):
         if not np.isfinite(d).all():
@@ -161,27 +159,25 @@ def reweights(distances: np.ndarray) -> Reweights:
     clamped = np.count_nonzero(least <= DISTANCE_FLOOR)
     inv = 1.0 / np.maximum(d, DISTANCE_FLOOR)
     # the mean as np.mean takes it, sum / count
-    mean = np.add.reduce(inv, axis=-1, keepdims=True) / d.shape[-1]
+    mean = np.add.reduce(inv, axis=1, keepdims=True) / d.shape[1]
     return Reweights(inv / mean, clamped)
 
 
-def categorical_sample(probs: np.ndarray, uniforms: float | np.ndarray, *,
-                       counts: np.ndarray | None = None) -> int | np.ndarray:
+def categorical_sample(probs: np.ndarray, uniforms: np.ndarray,
+                       counts: np.ndarray) -> np.ndarray:
     """Row-wise inverse-CDF draw from probability vectors.
 
     Row r uses the pre-drawn uniform ``uniforms[r]`` in [0, 1) against the
     cumulative sum of its first ``counts[r]`` entries (pad columns after
     them are ignored). Ties in the CDF (zero-mass entries) resolve to the
     lowest index carrying mass; a uniform at or above the row's last CDF
-    value picks its last real column. A 1-D ``probs`` with a scalar uniform
-    is the one-row case and returns an int.
+    value picks its last real column.
     """
-    p, counts, real = _real_columns(probs, counts)
-    p = np.where(real, p, 0.0)
-    u = np.asarray(uniforms, dtype=np.float64).reshape(-1)
+    p, counts, _ = _real_columns(probs, counts)
+    u = np.asarray(uniforms, dtype=np.float64)
     if u.shape != (len(p),):
-        raise ValueError(f"need one uniform per row, got {u.size} for "
-                         f"{len(p)} rows")
+        raise ValueError(f"need one uniform per row, got shape {u.shape} "
+                         f"for {len(p)} rows")
     if (p < 0).any():
         raise ValueError("probabilities must be nonnegative")
     total = np.add.reduce(p, axis=1)
@@ -191,8 +187,7 @@ def categorical_sample(probs: np.ndarray, uniforms: float | np.ndarray, *,
                          f"in row {bad}")
     cdf = np.cumsum(p, axis=1)
     # searchsorted(cdf, u, side="right") on each nondecreasing row
-    idx = np.minimum(np.add.reduce(cdf <= u[:, None], axis=1), counts - 1)
-    return idx if np.ndim(probs) == 2 else int(idx[0])
+    return np.minimum(np.add.reduce(cdf <= u[:, None], axis=1), counts - 1)
 
 
 def optimal_probs(losses: np.ndarray, grad_norms: np.ndarray,

@@ -169,19 +169,15 @@ def init_state(config: TrainConfig, input_dim: int) -> TrainState:
 
 class Batch(NamedTuple):
     """One lockstep step's batches, for the ``cells`` whose forward pass
-    completed. Cell s's batch is ``caches[s]``, the forward cache of its
-    2n rows (anchors then positives), with a row of per-pair weights."""
+    completed, one row per cell. Cell s's batch is ``caches[s]``, the
+    forward cache of its 2n rows (anchors then positives), whose
+    descriptors are ``descriptors[s]``, with a row of per-pair weights and
+    its per-pair choices; index arrays address each class's patches."""
 
     caches: list[ForwardCache]
+    descriptors: np.ndarray             # (S, 2n, D)
     weights: np.ndarray                 # (S, n)
     cells: list[TrainState]
-
-
-@dataclass
-class BatchDiagnostics:
-    """Per-pair choices of a lockstep batch, one row per cell of its
-    :class:`Batch`; index arrays address each class's patches."""
-
     class_ids: np.ndarray               # (S, n)
     anchor_index: np.ndarray
     positive_index: np.ndarray
@@ -191,13 +187,13 @@ class BatchDiagnostics:
 
 
 def build_batch(cells: Sequence[TrainState], config: TrainConfig,
-                dataset: Dataset) -> tuple[Batch, BatchDiagnostics]:
+                dataset: Dataset) -> Batch:
     """Select n distinct classes of ``dataset`` (every class holds at least
     2 patches, as :func:`train` checks) and one weighted (anchor, positive)
     each, for every cell; ``config`` holds the fields the cells share.
 
-    The batch carries its cells and the rows of their forward passes with
-    their current params; :func:`train_step` updates those cells.
+    The batch carries its cells, the rows of their forward passes and its
+    per-pair choices; :func:`train_step` updates those cells.
 
     Per cell, the anchors and uniforms come from one ``integers`` call that
     replays the per-class loop ``rng.integers(k); rng.random()`` draw for
@@ -236,8 +232,8 @@ def build_batch(cells: Sequence[TrainState], config: TrainConfig,
         del inputs, descs, cache
     if not passes:
         none = np.empty((0, n))
-        return (Batch([], none, []),
-                BatchDiagnostics(none, none, none, none, np.empty(0), 0))
+        return Batch([], np.empty((0, 2 * n, 0)), none, [], none, none, none,
+                     none, np.empty(0), 0)
     cells, chosen, last, raw, first, hidden, norms, descs = zip(*passes)
     # The small arrays of every cell at once, one row per (cell, class).
     chosen, last, raw, first = (np.array(a)
@@ -263,29 +259,31 @@ def build_batch(cells: Sequence[TrainState], config: TrainConfig,
                         counts, config.metric)
     exponent = np.array([smp.adaptive_exponent(cell.l_avg, cell.sampler)
                          for cell in cells])
-    probs = smp.positive_probs(dists, np.repeat(exponent, n), counts=counts)
-    pick = smp.categorical_sample(probs, uniforms.ravel(), counts=counts)
+    probs = smp.positive_probs(dists, np.repeat(exponent, n), counts)
+    pick = smp.categorical_sample(probs, uniforms.ravel(), counts)
     slots = np.arange(counts.size)
     weights, clamped = smp.reweights(dists[slots, pick].reshape(last.shape))
     used = probs[slots, pick].reshape(last.shape)
     pick = pick.reshape(last.shape)
     positive_index = pick + (pick >= anchor_index)
 
-    # Each cell's batch rows, anchors then positives, in its forward pass
-    # and in the dataset.
+    # Each cell's batch rows, anchors then positives: in the candidate
+    # rows (column 0 and column 1 + pick), in its forward pass and in the
+    # dataset.
+    column0 = slots.reshape(last.shape) * (len(c) + 1)
+    descriptors = rows.reshape(-1, rows.shape[-1])[
+        np.concatenate([column0, column0 + 1 + pick], axis=1)]
     picked = np.concatenate([anchor_index, positive_index], axis=1)
     in_pass = picked + np.concatenate([first, first], axis=1)
     starts = offsets[chosen]
     in_data = picked + np.concatenate([starts, starts], axis=1)
-    caches = [ForwardCache(dataset.rows[d_rows], [x[rows] for x in h],
-                           m[rows], d[rows])
-              for d_rows, rows, h, m, d in zip(in_data, in_pass, hidden,
-                                               norms, descs)]
-    diag = BatchDiagnostics(
-        class_ids=dataset.class_ids[chosen],
-        anchor_index=anchor_index, positive_index=positive_index,
-        probability_used=used, exponent=exponent, weight_clamped=clamped)
-    return Batch(caches, weights, list(cells)), diag
+    caches = [ForwardCache(dataset.rows[d_rows], [x[p_rows] for x in h],
+                           m[p_rows], d)
+              for d_rows, p_rows, h, m, d in zip(in_data, in_pass, hidden,
+                                                 norms, descriptors)]
+    return Batch(caches, descriptors, weights, list(cells),
+                 dataset.class_ids[chosen], anchor_index, positive_index,
+                 used, exponent, clamped)
 
 
 def train_step(batch: Batch, config: TrainConfig,
@@ -294,13 +292,13 @@ def train_step(batch: Batch, config: TrainConfig,
     forward caches, which come from the cells' params: mine, weighted hinge
     loss, backward, momentum SGD.
 
-    Mining and the loss gradients run once over the stacked batches.
-    ``backward`` and the update run per cell, on its own weights and rows:
-    stacked, the update's arrays outgrew the cache and it took about half
-    again as long per cell. Each cell takes its new weights, momentum
-    buffers and loss average, and a cell whose weights are no longer finite
-    sets its error. Returns the metrics of every cell as one list per
-    name.
+    Mining and the loss gradients run once over the stacked descriptors;
+    cell s backpropagates row s of the gradients as is. ``backward`` and
+    the update run per cell: stacked, the update's arrays outgrew the
+    cache and it took about half again as long per cell. Each cell takes
+    its new weights, momentum buffers and loss average, and a cell whose
+    weights are no longer finite sets its error. Returns the metrics of
+    every cell as one list per name.
 
     The update writes each new weight matrix into the gradient array that
     ``backward`` returned for it, and each cell's momentum buffers in
@@ -309,15 +307,13 @@ def train_step(batch: Batch, config: TrainConfig,
     ``params`` sees them unchanged.
     """
     n = batch.weights.shape[1]
-    descs = np.array([cache.descriptors for cache in batch.caches])
-    mined = mine_triplets(descs[:, :n], descs[:, n:], config.metric,
-                          config.margin, config.neg_mode)
-    grad_a, grad_p = loss_grads(mined, config.metric, batch.weights)
-    output_grads = np.concatenate([grad_a, grad_p], axis=1)
+    mined = mine_triplets(batch.descriptors[:, :n], batch.descriptors[:, n:],
+                          config.metric, config.margin, config.neg_mode)
+    grads = loss_grads(mined, config.metric, batch.weights)
     # mean = sum / n, bit for bit, without np.mean's bookkeeping
     mean_loss = (np.add.reduce(mined.loss, axis=1) / n).tolist()
     for s, (cell, cache) in enumerate(zip(batch.cells, batch.caches)):
-        layers = backward(cell.params, cache, output_grads[s])
+        layers = backward(cell.params, cache, grads[s])
         for theta, g, v in zip(cell.params.layers, layers,
                                cell.momentum_buffers):
             g += config.weight_decay * theta    # g + weight_decay * theta
@@ -382,19 +378,19 @@ def _lockstep(configs: Sequence[TrainConfig], dataset: Dataset,
         for _ in range(steps_per_epoch):
             if not cells:
                 break
-            batch, diag = build_batch(cells, config, dataset)
+            batch = build_batch(cells, config, dataset)
             if batch.cells:
                 metrics = train_step(batch, config, lr)
                 for s, cell in enumerate(batch.cells):
                     if cell.error is None:
                         cell.log.append({
                             "epoch": epoch, "step": len(cell.log) + 1,
-                            "exponent": diag.exponent[s].item(),
+                            "exponent": batch.exponent[s].item(),
                             **{name: values[s]
                                for name, values in metrics.items()},
                             "lr": lr})
             # the next batch is built without this one alive
-            del batch, diag
+            del batch
             cells = [cell for cell in cells if cell.error is None]
         if epoch_callback is not None:
             for cell in cells:

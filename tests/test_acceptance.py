@@ -206,7 +206,7 @@ def test_positive_gradient_norm_equals_twice_matching_distance():
                    and t.neg_source is NegSource.ANCHOR_VS_ANCHOR
                    for t in mined):
             continue
-        _, gp = loss_grads(mined, MetricKind.EUCLIDEAN)
+        gp = loss_grads(mined, MetricKind.EUCLIDEAN, np.ones(2))[2:]
         for t in mined:
             worst = max(worst, abs(np.linalg.norm(gp[t.pair_index])
                                    - 2.0 * t.d_pos))
@@ -242,8 +242,8 @@ def test_end_to_end_gradient_correctness():
             if min(abs(1.0 + t.d_pos ** 2 - t.d_neg ** 2)
                    for t in mined) < 1e-3:
                 continue
-            ga, gp = loss_grads(mined, MetricKind.ANGULAR, w)
-            analytic = backward(params, cache, np.vstack([ga, gp]))
+            analytic = backward(params, cache,
+                                loss_grads(mined, MetricKind.ANGULAR, w))
             fd = finite_diff_grad(params, total_loss, eps=1e-6)
             num = np.linalg.norm(flatten(analytic) - flatten(fd))
             den = max(np.linalg.norm(flatten(fd)), 1e-300)
@@ -284,6 +284,15 @@ def test_hardest_negative_mining_equals_exhaustive_search():
               f"{mismatches} index mismatches, max value err {worst:.2e}")
 
 
+def draws_of(dists, exponent, rng, draws=10_000):
+    """``draws`` positives drawn from one candidate row, as many rows of
+    the step's draw, each with its own uniform from ``rng``."""
+    k = len(dists)
+    probs = positive_probs(dists[None], np.array([exponent]), np.array([k]))
+    return categorical_sample(np.repeat(probs, draws, axis=0),
+                              rng.random(draws), np.full(draws, k))
+
+
 def test_sampler_limit_behavior():
     """Zero exponent samples uniformly (chi-square); a capped exponent
     always picks the unique farthest candidate."""
@@ -293,19 +302,14 @@ def test_sampler_limit_behavior():
     rng = np.random.default_rng(106)
     k = 7
     dists = rng.uniform(0.2, 1.4, size=k)
-    probs = positive_probs(dists, 0.0)
-    counts = np.zeros(k)
-    for _ in range(10_000):
-        counts[categorical_sample(probs, rng.random())] += 1
+    counts = np.bincount(draws_of(dists, 0.0, rng), minlength=k)
     p_value = chisquare(counts).pvalue
 
     cfg_inf = SamplerConfig(lambda_=float("inf"))
     exponent = adaptive_exponent(l_avg, cfg_inf)
     assert exponent == cfg_inf.exponent_cap
     dists = np.array([0.3, 0.45, 0.9, 0.6, 0.25, 0.5])
-    probs_hard = positive_probs(dists, exponent)
-    hits = sum(categorical_sample(probs_hard, rng.random()) == 2
-               for _ in range(10_000))
+    hits = np.count_nonzero(draws_of(dists, exponent, rng) == 2)
     criterion("sampler-limits", p_value > 0.01 and hits == 10_000,
               f"chi-square p {p_value:.3f}, argmax hits {hits}/10000")
 

@@ -1,6 +1,7 @@
 """Tests for config parsing and the command-line pipeline."""
 
 import csv
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -37,6 +38,15 @@ eval.num_pairs = 200
 eval.num_queries = 8
 eval.probe_classes = 4
 """
+
+
+def tiny_config_with(lines):
+    """TINY_CONFIG with the ``key = value`` lines given in place of its own
+    lines for those keys, so that each key is given once."""
+    keys = {line.partition("=")[0].strip() for line in lines.splitlines()}
+    kept = [line for line in TINY_CONFIG.splitlines()
+            if line.partition("=")[0].strip() not in keys]
+    return "\n".join(kept) + "\n" + lines
 
 
 @pytest.fixture
@@ -76,14 +86,49 @@ class TestConfigParsing:
         assert sections["sampler"]["lambda_"] == float("inf")
         # an infinite lambda loads; an infinite exponent_cap does not
         path = tmp_path / "cap.cfg"
-        path.write_text(TINY_CONFIG + "sampler.lambda = inf\n")
+        path.write_text(tiny_config_with("sampler.lambda = inf\n"))
         assert load_run_config(path).train.sampler.lambda_ == float("inf")
 
     def test_seed_and_lambda_overrides(self, config_file):
+        """The file gives seed and sampler.lambda; the overrides replace
+        them and are not repeated keys."""
         cfg = load_run_config(config_file, seed_override=77,
                               lambda_override=0.0)
         assert cfg.seed == 77
         assert cfg.train.sampler.lambda_ == 0.0
+
+    @pytest.mark.parametrize("key, first, second", [
+        ("seed", "3", "4"), ("data.num_classes", "8", "9"),
+        ("train.epochs", "3", "0"), ("sampler.lambda", "10", "cap"),
+        ("eval.num_pairs", "200", "100")])
+    def test_repeated_key_rejected_naming_both_lines(self, key, first,
+                                                     second):
+        """One key of each section: the second occurrence is an error, not
+        the value that silently wins."""
+        with pytest.raises(ValueError) as err:
+            parse_config_text(f"{key} = {first}\n# again\n\n"
+                              f"{key} = {second}\n")
+        assert str(err.value) == f"<config>:4: key {key!r} repeats line 1"
+
+    @pytest.mark.parametrize("lines, seed, key", [
+        ("seed = -1\n", None, "seed"), ("data.seed = -3\n", None, "data.seed"),
+        ("", -2, "seed")])
+    def test_negative_seed_rejected_naming_the_key(self, tmp_path,
+                                                    monkeypatch, lines, seed,
+                                                    key):
+        """In the file or as ``--seed``, before any substream seed is
+        derived from it."""
+        from adasample import config
+
+        def no_substream(*args):
+            raise AssertionError("a substream seed was derived")
+
+        monkeypatch.setattr(config, "substream_seed", no_substream)
+        path = tmp_path / "neg.cfg"
+        path.write_text(tiny_config_with(lines))
+        with pytest.raises(ValueError,
+                           match=rf"^{re.escape(key)} must be >= 0, got -\d$"):
+            load_run_config(path, seed_override=seed)
 
     def test_substreams_are_deterministic_and_distinct(self):
         assert substream_seed(5, "data") == substream_seed(5, "data")
@@ -137,7 +182,7 @@ class TestConfigParsing:
     def test_non_finite_value_rejected_naming_the_field(self, tmp_path, key,
                                                         value):
         path = tmp_path / "bad.cfg"
-        path.write_text(TINY_CONFIG + f"{key} = {value}\n")
+        path.write_text(tiny_config_with(f"{key} = {value}\n"))
         field = key.split(".")[1]
         with pytest.raises(ValueError,
                            match=rf"^{field} must be finite .* got {value}$"):
@@ -151,7 +196,7 @@ class TestConfigParsing:
         """No float key loads a value the run cannot use; the error names
         the key, bare or with its section."""
         path = tmp_path / "bad.cfg"
-        path.write_text(TINY_CONFIG + f"{key} = {value}\n")
+        path.write_text(tiny_config_with(f"{key} = {value}\n"))
         field = key.split(".")[1]
         with pytest.raises(ValueError, match=rf"^(\w+\.)?{field}\b"):
             load_run_config(path)
@@ -159,7 +204,7 @@ class TestConfigParsing:
     @pytest.mark.parametrize("value", ["nan", "-inf"])
     def test_nan_or_negative_lambda_rejected(self, tmp_path, value):
         path = tmp_path / "bad.cfg"
-        path.write_text(TINY_CONFIG + f"sampler.lambda = {value}\n")
+        path.write_text(tiny_config_with(f"sampler.lambda = {value}\n"))
         with pytest.raises(ValueError,
                            match=rf"^lambda must be >= 0, got {value}$"):
             load_run_config(path)
@@ -253,7 +298,7 @@ class TestCliPipeline:
         exits 1 and still writes metrics.csv with the two completed rows."""
         data_path = tmp_path / "d.adsp"
         run_dir = tmp_path / "run"
-        config_file.write_text(TINY_CONFIG + "train.lr = 1e100\n")
+        config_file.write_text(tiny_config_with("train.lr = 1e100\n"))
         main(["gen-data", "--config", str(config_file), "--out",
               str(data_path)])
         with np.errstate(over="ignore"):
@@ -366,7 +411,7 @@ class TestCliPipeline:
     def test_non_finite_jitter_exits_with_usage_code(self, tmp_path, capsys,
                                                      line):
         path = tmp_path / "bad.cfg"
-        path.write_text(TINY_CONFIG + line + "\n")
+        path.write_text(tiny_config_with(line + "\n"))
         assert main(["gen-data", "--config", str(path),
                      "--out", str(tmp_path / "d.adsp")]) == 2
         assert "need a finite value >= 0" in capsys.readouterr().err
@@ -374,7 +419,7 @@ class TestCliPipeline:
 
     def test_nan_margin_exits_with_usage_code_before_training(
             self, config_file, tmp_path, capsys):
-        config_file.write_text(TINY_CONFIG + "train.margin = nan\n")
+        config_file.write_text(tiny_config_with("train.margin = nan\n"))
         assert main(["train", "--config", str(config_file), "--dataset",
                      str(tmp_path / "d.adsp"), "--out",
                      str(tmp_path / "r")]) == 2
@@ -388,8 +433,8 @@ class TestCliPipeline:
             self, config_file, tmp_path, capsys, drops, bad):
         """A drop at the end of epoch 0 or before would run every epoch at
         the dropped rate."""
-        config_file.write_text(TINY_CONFIG
-                               + f"train.lr_drop_epochs = {drops}\n")
+        config_file.write_text(tiny_config_with(
+            f"train.lr_drop_epochs = {drops}\n"))
         assert main(["train", "--config", str(config_file), "--dataset",
                      str(tmp_path / "d.adsp"), "--out",
                      str(tmp_path / "r")]) == 2
@@ -402,8 +447,8 @@ class TestCliPipeline:
             self, config_file, tmp_path, capsys, drops, bad):
         """A repeated epoch would drop the rate twice at its end: (4, 4)
         ran epoch 5 at lr / 100."""
-        config_file.write_text(TINY_CONFIG
-                               + f"train.lr_drop_epochs = {drops}\n")
+        config_file.write_text(tiny_config_with(
+            f"train.lr_drop_epochs = {drops}\n"))
         assert main(["train", "--config", str(config_file), "--dataset",
                      str(tmp_path / "d.adsp"), "--out",
                      str(tmp_path / "r")]) == 2
@@ -418,8 +463,8 @@ class TestCliPipeline:
         """A width below 1 fails at config load, naming the key and the
         value, before the dataset is read (it does not exist, which would
         exit 1) or anything is written."""
-        config_file.write_text(TINY_CONFIG
-                               + f"train.hidden_dims = 16,{width}\n")
+        config_file.write_text(tiny_config_with(
+            f"train.hidden_dims = 16,{width}\n"))
         out = tmp_path / "r"
         assert main([command, "--config", str(config_file), "--dataset",
                      str(tmp_path / "d.adsp"), "--out", str(out)]) == 2
@@ -431,8 +476,8 @@ class TestCliPipeline:
     def test_non_finite_rotation_range_exits_with_usage_code(
             self, tmp_path, capsys, value):
         path = tmp_path / "bad.cfg"
-        path.write_text(TINY_CONFIG + "data.expand_to_k = 6\n"
-                        f"data.rotation_range = {value}\n")
+        path.write_text(tiny_config_with("data.expand_to_k = 6\n"
+                                        f"data.rotation_range = {value}\n"))
         assert main(["gen-data", "--config", str(path),
                      "--out", str(tmp_path / "d.adsp")]) == 2
         assert capsys.readouterr().err == ("config error: data.rotation_range "
@@ -518,6 +563,51 @@ class TestCliPipeline:
         assert "error: classes with fewer than 2 patches: [1, 15]" \
             in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["gen-data", "train"])
+    def test_repeated_config_key_exits_2_writing_nothing(
+            self, config_file, tmp_path, capsys, command):
+        """train.epochs = 3 and then 0: the command exits 2 naming the key
+        and both lines, and writes nothing; no value silently wins."""
+        data_path = tmp_path / "d.adsp"
+        assert main(["gen-data", "--config", str(config_file), "--out",
+                     str(data_path)]) == 0
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(tiny_config_with("train.epochs = 3\n"
+                                        "train.epochs = 0\n"))
+        first = bad.read_text().splitlines().index("train.epochs = 3") + 1
+        out = tmp_path / "out"
+        run = ["--dataset", str(data_path)] if command == "train" else []
+        capsys.readouterr()
+        assert main([command, "--config", str(bad), *run, "--out",
+                     str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            f"config error: {bad}:{first + 1}: key 'train.epochs' repeats "
+            f"line {first}\n")
+
+    @pytest.mark.parametrize("command", ["gen-data", "train"])
+    @pytest.mark.parametrize("lines, argv, key", [
+        ("seed = -1\n", [], "seed"), ("data.seed = -3\n", [], "data.seed"),
+        ("", ["--seed", "-2"], "seed")])
+    def test_negative_seed_exits_2_naming_the_key(
+            self, config_file, tmp_path, capsys, command, lines, argv, key):
+        """A negative seed, data.seed or --seed exits 2 at load time with
+        the key in the message and writes nothing, in train (which draws
+        no data) as in gen-data."""
+        data_path = tmp_path / "d.adsp"
+        assert main(["gen-data", "--config", str(config_file), "--out",
+                     str(data_path)]) == 0
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(tiny_config_with(lines))
+        out = tmp_path / "out"
+        run = ["--dataset", str(data_path)] if command == "train" else []
+        capsys.readouterr()
+        assert main([command, "--config", str(bad), *run, "--out", str(out),
+                     *argv]) == 2
+        assert not out.exists()
+        assert re.fullmatch(rf"config error: {re.escape(key)} must be >= 0, "
+                            rf"got -\d\n", capsys.readouterr().err)
+
     def test_unknown_config_key_exits_with_usage_code(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("zorp = 1\n")
@@ -526,8 +616,8 @@ class TestCliPipeline:
         capsys.readouterr()
 
     def test_compare_on_tiny_problem(self, tmp_path, capsys):
-        cfg_text = TINY_CONFIG + "\ndata.num_classes = 10\n" \
-            + "eval.holdout_fraction = 0.3\n"
+        cfg_text = tiny_config_with("data.num_classes = 10\n"
+                                    "eval.holdout_fraction = 0.3\n")
         cfg = tmp_path / "cmp.cfg"
         cfg.write_text(cfg_text)
         data_path = tmp_path / "d.adsp"
@@ -548,8 +638,8 @@ class TestCliPipeline:
     def test_compare_identical_strategies_is_null(self, tmp_path, capsys):
         """Comparing a strategy with itself reruns identical cells: zero
         relative improvement, p-value near one half."""
-        cfg_text = TINY_CONFIG + "\ndata.num_classes = 10\n" \
-            + "eval.holdout_fraction = 0.3\n"
+        cfg_text = tiny_config_with("data.num_classes = 10\n"
+                                    "eval.holdout_fraction = 0.3\n")
         cfg = tmp_path / "null.cfg"
         cfg.write_text(cfg_text)
         data_path = tmp_path / "d.adsp"
@@ -571,8 +661,8 @@ class TestCliPipeline:
         train once, in one call, and both rows read them."""
         from adasample import trainer
         cfg = tmp_path / "once.cfg"
-        cfg.write_text(TINY_CONFIG + "\ndata.num_classes = 10\n"
-                       + "eval.holdout_fraction = 0.3\n")
+        cfg.write_text(tiny_config_with("data.num_classes = 10\n"
+                                        "eval.holdout_fraction = 0.3\n"))
         data_path = tmp_path / "d.adsp"
         main(["gen-data", "--config", str(cfg), "--out", str(data_path)])
         calls = []
@@ -595,8 +685,8 @@ class TestCliPipeline:
                                                            capsys):
         """The paired evaluate runs: params straight from initialization
         verify materially worse than trained ones on the same dataset."""
-        cfg_text = TINY_CONFIG + (
-            "\ndata.num_classes = 40"
+        cfg_text = tiny_config_with(
+            "data.num_classes = 40"
             "\ndata.patches_per_class = 6"
             "\ndata.patch_size = 12"
             "\ntrain.batch_size = 16"
@@ -738,7 +828,7 @@ def _exit_case_argv(case, config_file, tmp_path):
     if case == "usage":
         return ["train", "--config", str(config_file)]
     if case == "config":
-        config_file.write_text(TINY_CONFIG + "zorp = 1\n")
+        config_file.write_text(tiny_config_with("zorp = 1\n"))
     elif case == "missing file":
         pass
     elif case == "format":
@@ -747,7 +837,7 @@ def _exit_case_argv(case, config_file, tmp_path):
         data_path.write_bytes(adsp_bytes([(0, 4), (1, 1), (2, 4), (3, 4),
                                           (4, 4)]))
     elif case == "numeric":
-        config_file.write_text(TINY_CONFIG + "train.lr = 1e100\n")
+        config_file.write_text(tiny_config_with("train.lr = 1e100\n"))
         assert main(["gen-data", "--config", str(config_file), "--out",
                      str(data_path)]) == 0
     return ["train", "--config", str(config_file), *run]

@@ -399,7 +399,7 @@ ROW_TAKERS = {
         good, good, kind, 1.0, opposing=(A, B, np.roll(np.arange(len(A)),
                                                         1))),
     "loss_grads": lambda A, B, kind, good: loss_grads(
-        mine_triplets(A, B, kind, 4.0), kind),
+        mine_triplets(A, B, kind, 4.0), kind, np.ones(len(A))),
     "retrieval_map": lambda A, B, kind, good: retrieval_map(
         A, np.arange(len(A)), B, np.arange(len(B)), kind),
     "verification_distances": lambda A, B, kind, good:

@@ -356,8 +356,8 @@ class TestLossGrads:
         A, P = unit_rows(rng, 3), unit_rows(rng, 3)
         mined = mine_triplets(A, P, MetricKind.ANGULAR, margin=1.0)
         quenched = dataclasses.replace(mined, loss=np.zeros(3))
-        ga, gp = loss_grads(quenched, MetricKind.ANGULAR)
-        assert np.all(ga == 0) and np.all(gp == 0)
+        grads = loss_grads(quenched, MetricKind.ANGULAR, np.ones(3))
+        assert grads.shape == (6, A.shape[1]) and np.all(grads == 0)
 
     def test_positive_term_gradient_norm_is_twice_matching_distance(self):
         """With the euclidean metric and an anchor-side negative, the whole
@@ -379,7 +379,7 @@ class TestLossGrads:
             assert all(t.neg_source is NegSource.ANCHOR_VS_ANCHOR
                        for t in mined)
             assert all(t.loss > 0 for t in mined)
-            ga, gp = loss_grads(mined, MetricKind.EUCLIDEAN)
+            gp = loss_grads(mined, MetricKind.EUCLIDEAN, np.ones(2))[2:]
             for t in mined:
                 assert np.linalg.norm(gp[t.pair_index]) == pytest.approx(
                     2.0 * t.d_pos, abs=1e-10)
@@ -397,7 +397,8 @@ class TestLossGrads:
             margins = [abs(1.0 + t.d_pos ** 2 - t.d_neg ** 2) for t in mined]
             if min(margins) < 1e-3:
                 continue
-            ga, gp = loss_grads(mined, kind, w)
+            grads = loss_grads(mined, kind, w)
+            ga, gp = grads[:n], grads[n:]
             eps = 1e-7
             for target, grad in ((A, ga), (P, gp)):
                 fd = np.zeros_like(target)
@@ -439,7 +440,7 @@ class TestLossGrads:
         assert mined.opposed
         assert (mined.j.max() >= n) == (m > n)
         with pytest.raises(ValueError, match="not against opposing pairs"):
-            loss_grads(mined, kind)
+            loss_grads(mined, kind, np.ones(n))
 
     def test_cross_role_sources_route_gradients(self):
         rng = np.random.default_rng(20)
@@ -449,8 +450,7 @@ class TestLossGrads:
         assert all(t.neg_source in (NegSource.ANCHOR_VS_POSITIVE,
                                     NegSource.POSITIVE_VS_ANCHOR)
                    for t in mined)
-        ga, gp = loss_grads(mined, MetricKind.EUCLIDEAN)
-        assert np.any(ga != 0) or np.any(gp != 0)
+        assert np.any(loss_grads(mined, MetricKind.EUCLIDEAN, np.ones(3)))
 
     @pytest.mark.parametrize("kind", list(MetricKind))
     @pytest.mark.parametrize("neg_mode", list(NegMode))
@@ -479,12 +479,13 @@ class TestLossGrads:
         quench = rng.random(w.shape) < 0.2
         mined = dataclasses.replace(mined,
                                     loss=np.where(quench, 0.0, mined.loss))
-        ga, gp = loss_grads(mined, kind, w)
+        grads = loss_grads(mined, kind, w)
+        assert grads.shape == A.shape[:-2] + (2 * n, dim)
         if not stack:   # the 2-D batch, checked as a stack of one
-            A, P, w, ga, gp = (x[None] for x in (A, P, w, ga, gp))
+            A, P, w, grads = (x[None] for x in (A, P, w, grads))
             mined = indexed(mined, None)
         for s in range(S):
             want_a, want_p = scalar_loss_grads(A[s], P[s], indexed(mined, s),
                                                kind, w[s])
-            np.testing.assert_array_equal(ga[s], want_a)
-            np.testing.assert_array_equal(gp[s], want_p)
+            np.testing.assert_array_equal(grads[s, :n], want_a)
+            np.testing.assert_array_equal(grads[s, n:], want_p)

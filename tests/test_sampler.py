@@ -20,6 +20,9 @@ from adasample.sampler import (SamplerConfig, adaptive_exponent,
 from row_counts import COUNT_MODES, draw_counts
 
 CFG = SamplerConfig()
+# 0.5 and 2.0 are the powers numpy takes with sqrt and square when raised
+# to a scalar; the kernels raise to one exponent per row.
+EXPONENTS = [0.0, 0.5, 2.0, 7.3, 50.0]
 
 
 def scalar_positive_probs(d, exponent):
@@ -28,7 +31,10 @@ def scalar_positive_probs(d, exponent):
     d_max = float(d.max())
     if exponent == 0.0 or d_max == 0.0:
         return np.full(d.size, 1.0 / d.size)
-    scaled = (d / d_max) ** exponent
+    # An exponent array, as the kernel raises each row to its own exponent:
+    # numpy raises to a scalar 2 or 0.5 with square or sqrt, whose last bit
+    # may differ from the elementwise power's.
+    scaled = (d / d_max) ** np.full(d.size, exponent)
     return scaled / scaled.sum()
 
 
@@ -37,6 +43,20 @@ def scalar_categorical_sample(probs, u):
     categorical_sample."""
     idx = int(np.searchsorted(np.cumsum(probs), u, side="right"))
     return min(idx, len(probs) - 1)
+
+
+def one_row_probs(d, exponent):
+    """positive_probs of one candidate vector, every column real."""
+    d = np.asarray(d, dtype=np.float64)
+    return positive_probs(d[None], np.array([exponent]),
+                          np.array([d.size]))[0]
+
+
+def one_row_sample(probs, u):
+    """categorical_sample of one probability vector, every column real."""
+    probs = np.asarray(probs, dtype=np.float64)
+    return int(categorical_sample(probs[None], np.array([u]),
+                                  np.array([probs.size]))[0])
 
 
 class TestLossAverage:
@@ -79,19 +99,19 @@ class TestAdaptiveExponent:
 class TestPositiveProbs:
     def test_equal_distances_are_uniform(self):
         for e in (0.0, 1.0, 17.0):
-            np.testing.assert_allclose(positive_probs(np.ones(3), e), 1 / 3)
+            np.testing.assert_allclose(one_row_probs(np.ones(3), e), 1 / 3)
 
     def test_linear_proportionality(self):
-        np.testing.assert_allclose(positive_probs(np.array([0.5, 1.0]), 1.0),
+        np.testing.assert_allclose(one_row_probs(np.array([0.5, 1.0]), 1.0),
                                    [1 / 3, 2 / 3], atol=1e-15)
 
     def test_large_exponent_concentrates_on_argmax(self):
-        p = positive_probs(np.array([0.5, 1.0]), 50.0)
+        p = one_row_probs(np.array([0.5, 1.0]), 50.0)
         assert p[1] > 1.0 - 1e-10
 
     def test_zero_exponent_and_zero_distances_fall_back_to_uniform(self):
-        np.testing.assert_allclose(positive_probs(np.zeros(4), 9.0), 0.25)
-        np.testing.assert_allclose(positive_probs(np.array([0.2, 0.4]), 0.0),
+        np.testing.assert_allclose(one_row_probs(np.zeros(4), 9.0), 0.25)
+        np.testing.assert_allclose(one_row_probs(np.array([0.2, 0.4]), 0.0),
                                    0.5)
 
     def test_probabilities_are_normalized_and_nonnegative(self):
@@ -99,70 +119,72 @@ class TestPositiveProbs:
         for _ in range(200):
             d = rng.uniform(0, np.pi, size=rng.integers(1, 9))
             e = rng.uniform(0, 60)
-            p = positive_probs(d, e)
+            p = one_row_probs(d, e)
             assert abs(p.sum() - 1.0) < 1e-12
             assert np.all(p >= 0)
 
     def test_extreme_exponent_is_numerically_stable(self):
-        p = positive_probs(np.array([1e-7, 2e-7, 3e-7]), 50.0)
+        p = one_row_probs(np.array([1e-7, 2e-7, 3e-7]), 50.0)
         assert np.all(np.isfinite(p))
         assert p[2] > 1.0 - 1e-8
 
     def test_negative_distance_rejected(self):
         with pytest.raises(ValueError):
-            positive_probs(np.array([0.1, -0.2]), 1.0)
+            one_row_probs(np.array([0.1, -0.2]), 1.0)
 
 
 class TestReweights:
     def test_equal_distances_give_unit_weights(self):
-        w, clamped = reweights(np.array([1.0, 1.0]))
+        w, clamped = reweights(np.array([[1.0, 1.0]]))
         np.testing.assert_allclose(w, 1.0)
         assert not clamped
 
     def test_inverse_distance_normalized_to_mean_one(self):
-        w, _ = reweights(np.array([0.5, 1.0]))
-        np.testing.assert_allclose(w, [4 / 3, 2 / 3], atol=1e-15)
+        w, _ = reweights(np.array([[0.5, 1.0]]))
+        np.testing.assert_allclose(w[0], [4 / 3, 2 / 3], atol=1e-15)
 
     def test_scale_invariance(self):
         for c in (1e-3, 0.7, 42.0):
-            w, _ = reweights(np.full(5, c))
+            w, _ = reweights(np.full((1, 5), c))
             np.testing.assert_allclose(w, 1.0, atol=1e-12)
 
     def test_tiny_distances_clamped_and_flagged(self):
-        w, clamped = reweights(np.array([1e-9, 1.0]))
-        assert clamped
+        """``clamped`` counts the batches (rows) holding a clamped
+        distance; each row keeps mean 1."""
+        w, clamped = reweights(np.array([[1e-9, 1.0], [0.5, 1.0]]))
+        assert clamped == 1
         assert np.all(np.isfinite(w))
-        assert w.mean() == pytest.approx(1.0)
+        np.testing.assert_allclose(w.mean(axis=1), 1.0)
 
 
 class TestCategoricalSample:
     def test_single_outcome(self):
         rng = np.random.default_rng(0)
-        assert all(categorical_sample(np.array([1.0]), rng.random()) == 0
+        assert all(one_row_sample(np.array([1.0]), rng.random()) == 0
                    for _ in range(20))
 
     def test_degenerate_mass(self):
         rng = np.random.default_rng(0)
-        assert all(categorical_sample(np.array([0.0, 1.0, 0.0]),
-                                      rng.random()) == 1
+        assert all(one_row_sample(np.array([0.0, 1.0, 0.0]),
+                                  rng.random()) == 1
                    for _ in range(200))
 
     def test_empirical_frequency(self):
         rng = np.random.default_rng(123)
         draws = categorical_sample(np.tile([0.3, 0.7], (100_000, 1)),
-                                   rng.random(100_000))
+                                   rng.random(100_000), np.full(100_000, 2))
         assert abs(draws.mean() - 0.7) < 0.01
 
     def test_unnormalized_probs_rejected(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="sum to 1"):
-            categorical_sample(np.array([0.5, 0.6]), rng.random())
+            one_row_sample(np.array([0.5, 0.6]), rng.random())
 
     def test_deterministic_given_rng_state(self):
         p = np.array([0.2, 0.5, 0.3])
         u = np.random.default_rng(9).random(5)
-        a = [categorical_sample(p, x) for x in u]
-        b = categorical_sample(np.tile(p, (5, 1)), u)
+        a = [one_row_sample(p, x) for x in u]
+        b = categorical_sample(np.tile(p, (5, 1)), u, np.full(5, 3))
         assert a == b.tolist()
 
 
@@ -172,22 +194,26 @@ class TestMaskedRows:
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(n=st.integers(1, 30), width=st.integers(1, 16),
            counts_mode=st.sampled_from(COUNT_MODES),
-           exponent=st.sampled_from([0.0, 0.5, 2.0, 7.3, 50.0]),
+           exponent=st.sampled_from(EXPONENTS),
            seed=st.integers(0, 2 ** 32 - 1))
     @example(n=9, width=7, counts_mode="one_below_width", exponent=7.3,
              seed=5)
     def test_rows_equal_scalar_oracles(self, n, width, counts_mode, exponent,
                                        seed):
+        """Each row raised to its own exponent, as a lockstep step's rows
+        are: ``exponent`` on most rows, another of the set on the rest."""
         rng = np.random.default_rng(seed)
         counts = draw_counts(rng, n, width, counts_mode)
         d = rng.uniform(0, np.pi, size=(n, width))
         d[rng.random(n) < 0.2] = 0.0            # rows of identical patches
         d[np.arange(width) >= counts[:, None]] = rng.uniform(5, 9)  # pads
-        probs = positive_probs(d, exponent, counts=counts)
+        exponents = np.where(rng.random(n) < 0.3, rng.choice(EXPONENTS, n),
+                             exponent)
+        probs = positive_probs(d, exponents, counts)
         u = rng.random(n)
-        picks = categorical_sample(probs, u, counts=counts)
+        picks = categorical_sample(probs, u, counts)
         for i, m in enumerate(counts):
-            want = scalar_positive_probs(d[i, :m], exponent)
+            want = scalar_positive_probs(d[i, :m], exponents[i])
             np.testing.assert_array_equal(probs[i, :m], want)
             assert np.all(probs[i, m:] == 0.0)
             assert picks[i] == scalar_categorical_sample(want, u[i])
@@ -197,7 +223,7 @@ class TestMaskedRows:
         candidates, whatever the exponent and the pad values."""
         d = np.array([[0.0, 0.0, 0.0, 3.0, 3.0],
                       [0.2, 0.4, 0.1, 0.3, 0.5]])
-        probs = positive_probs(d, 50.0, counts=np.array([3, 5]))
+        probs = positive_probs(d, np.full(2, 50.0), np.array([3, 5]))
         np.testing.assert_array_equal(probs[0], [1 / 3, 1 / 3, 1 / 3, 0, 0])
         assert probs[1, 4] > 0.99
 
@@ -205,10 +231,11 @@ class TestMaskedRows:
         """k = 2 leaves one candidate: probability 1, picked for any u."""
         d = np.array([[0.7, 0.0, 0.0], [0.2, 0.9, 0.4]])
         counts = np.array([1, 3])
-        probs = positive_probs(d, 10.0, counts=counts)
+        probs = positive_probs(d, np.full(2, 10.0), counts)
         assert probs[0].tolist() == [1.0, 0.0, 0.0]
         for u in (0.0, 0.5, np.nextafter(1.0, 0.0)):
-            assert categorical_sample(probs, [u, 0.0], counts=counts)[0] == 0
+            assert categorical_sample(probs, np.array([u, 0.0]),
+                                      counts)[0] == 0
 
     def test_uniform_above_last_cdf_clamps_to_last_real_column(self):
         """Rows summing to just below 1: a uniform above the row's last
@@ -219,40 +246,49 @@ class TestMaskedRows:
                           [short, 0.0, 0.0, 0.0]])
         counts = np.array([2, 4, 1])
         u = np.full(3, 1.0 - 1e-10)
-        assert categorical_sample(probs, u, counts=counts).tolist() == \
-            [1, 3, 0]
-        assert categorical_sample(probs[0, :2], u[0]) == 1
+        assert categorical_sample(probs, u, counts).tolist() == [1, 3, 0]
+        assert one_row_sample(probs[0, :2], u[0]) == 1
 
     def test_scalar_path_checks_hold_per_row(self):
         counts = np.array([2, 1])
+        ones = np.ones(2)
         d = np.array([[0.1, 0.2], [0.3, np.nan]])     # NaN in a pad: fine
-        positive_probs(d, 1.0, counts=counts)
+        positive_probs(d, ones, counts)
+        full = np.array([2, 2])
         with pytest.raises(ValueError, match="finite"):
-            positive_probs(d, 1.0, counts=np.array([2, 2]))
+            positive_probs(d, ones, full)
         with pytest.raises(ValueError, match="nonnegative"):
-            positive_probs(np.array([[0.1, 0.2], [0.3, -1.0]]), 1.0)
+            positive_probs(np.array([[0.1, 0.2], [0.3, -1.0]]), ones, full)
         with pytest.raises(ValueError, match="exponent"):
-            positive_probs(np.ones((2, 2)), -1.0)
+            positive_probs(np.ones((2, 2)), np.array([1.0, -1.0]), full)
+        with pytest.raises(ValueError, match="one exponent per row"):
+            positive_probs(np.ones((2, 2)), 1.0, full)
         with pytest.raises(ValueError, match="counts"):
-            positive_probs(np.ones((2, 2)), 1.0, counts=np.array([0, 2]))
+            positive_probs(np.ones((2, 2)), ones, np.array([0, 2]))
+        with pytest.raises(ValueError, match="2-D"):
+            positive_probs(np.ones(2), ones[:1], np.array([2]))
         with pytest.raises(ValueError, match="sum to 1"):
-            categorical_sample(np.array([[0.5, 0.5], [0.5, 0.6]]), [0.1, 0.1])
+            categorical_sample(np.array([[0.5, 0.5], [0.5, 0.6]]),
+                               np.array([0.1, 0.1]), full)
         with pytest.raises(ValueError, match="nonnegative"):
-            categorical_sample(np.array([[1.5, -0.5]]), [0.1])
+            categorical_sample(np.array([[1.5, -0.5]]), np.array([0.1]),
+                               full[:1])
         with pytest.raises(ValueError, match="one uniform per row"):
-            categorical_sample(np.array([[0.5, 0.5]] * 2), [0.1])
+            categorical_sample(np.array([[0.5, 0.5]] * 2), np.array([0.1]),
+                               full)
+        with pytest.raises(ValueError, match="2-D"):
+            categorical_sample(np.array([0.5, 0.5]), np.array([0.1]),
+                               full[:1])
 
     @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0,)])
     def test_empty_input_rejected_by_name(self, shape):
         """A draw over no rows or no columns is an error that says so, not
         a reduction's error."""
+        rows = np.zeros(shape[0])
         with pytest.raises(ValueError, match="nonempty"):
-            positive_probs(np.zeros(shape), 1.0)
+            positive_probs(np.zeros(shape), rows + 1.0, rows.astype(int))
         with pytest.raises(ValueError, match="nonempty"):
-            positive_probs(np.zeros(shape), 1.0,
-                           counts=np.zeros(shape[0], dtype=int))
-        with pytest.raises(ValueError, match="nonempty"):
-            categorical_sample(np.zeros(shape), np.zeros(shape[0]))
+            categorical_sample(np.zeros(shape), rows, rows.astype(int))
         with pytest.raises(ValueError, match="nonempty"):
             reweights(np.zeros(shape))
 

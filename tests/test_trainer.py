@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adasample import metricspace, miner, trainer
@@ -48,27 +48,28 @@ def cells_of(configs, rngs, l_avgs):
             for cfg, rng, l_avg in zip(configs, rngs, l_avgs, strict=True)]
 
 
-def cell_row(batch, diag, s):
+def cell_row(batch, s):
     """Cell s of a lockstep batch: its cache, its weights and its row of
-    the diagnostics."""
+    the per-pair choices."""
     return batch.caches[s], batch.weights[s], SimpleNamespace(
-        class_ids=diag.class_ids[s], anchor_index=diag.anchor_index[s],
-        positive_index=diag.positive_index[s],
-        probability_used=diag.probability_used[s],
-        exponent=float(diag.exponent[s]))
+        class_ids=batch.class_ids[s], anchor_index=batch.anchor_index[s],
+        positive_index=batch.positive_index[s],
+        probability_used=batch.probability_used[s],
+        exponent=float(batch.exponent[s]))
 
 
 def batch_of(ds, cfg, rng, l_avg=None):
     """build_batch of one cell of ``cfg`` at its initial params over
     ``ds``, a dataset or a list of its classes."""
     cells = cells_of([cfg], [rng], [l_avg])
-    return cell_row(*build_batch(cells, cfg, as_dataset(ds)), 0)
+    return cell_row(build_batch(cells, cfg, as_dataset(ds)), 0)
 
 
 def scalar_build_batch(ds, params, l_avg, cfg, rng):
     """Per-class loop over one candidate vector at a time: the oracle for
     build_batch, which must equal it bit for bit and draw the same random
-    stream. Returns the batch rows, the weights and the diagnostics."""
+    stream. Returns the batch rows, the weights and the per-pair choices
+    with the batch rows' descriptors."""
     n = cfg.batch_size
     exponent = adaptive_exponent(l_avg, cfg.sampler)
     groups = [ds[int(ci)] for ci in rng.choice(len(ds), size=n,
@@ -90,13 +91,14 @@ def scalar_build_batch(ds, params, l_avg, cfg, rng):
         positive.append(cand_idx[pick])
         used.append(probs[pick])
         chosen_d.append(dists[pick])
-    weights, clamped = reweights(np.array(chosen_d))
+    weights, clamped = reweights(np.array([chosen_d]))
     starts = offsets[:-1]
-    inputs = flat_inputs[np.concatenate([starts + anchor, starts + positive])]
+    batch_rows = np.concatenate([starts + anchor, starts + positive])
     diag = dict(class_ids=[g.class_id for g in groups], anchor_index=anchor,
                 positive_index=positive, probability_used=used,
-                exponent=exponent, weight_clamped=clamped)
-    return inputs, weights, diag
+                exponent=exponent, weight_clamped=clamped,
+                descriptors=descs[batch_rows])
+    return flat_inputs[batch_rows], weights[0], diag
 
 
 def ragged_dataset(sizes, patch_size=8, seed=30):
@@ -167,7 +169,7 @@ class TestBuildBatch:
         counts = {}
         builds = 4000
         for _ in range(builds):
-            _, _, diag = cell_row(*build_batch(cells, cfg, ds), 0)
+            _, _, diag = cell_row(build_batch(cells, cfg, ds), 0)
             assert diag.exponent == 0.0
             for key in zip(diag.class_ids, diag.anchor_index,
                            diag.positive_index):
@@ -203,13 +205,19 @@ class TestBuildBatchOracle:
     @settings(max_examples=15, deadline=None, derandomize=True)
     @given(num_classes=st.integers(4, 14), k=st.integers(2, 16),
            lam=st.sampled_from([None, 0.0, 3.0, 10.0, float("inf")]),
+           cap=st.sampled_from([50.0, 2.0, 0.5]),
            seed=st.integers(0, 2 ** 32 - 1))
+    @example(num_classes=10, k=9, lam=float("inf"), cap=2.0, seed=21)
+    @example(num_classes=10, k=9, lam=float("inf"), cap=0.5, seed=22)
     def test_equals_per_class_loop(self, metric, ragged, num_classes, k, lam,
-                                   seed):
+                                   cap, seed):
         """Uniform k or ragged k in 2..16, both metrics, the bootstrap step
         (lam None), exponent 0, finite and the cap (lam inf); three cells
         in lockstep, the first with ``lam``, each equal to the oracle of
-        its own config, params, loss average and generator."""
+        its own config, params, loss average and generator. A cap of 2.0 or
+        0.5, the powers numpy takes with square or sqrt when raised to a
+        scalar, pins the exponent of the lam-inf cell (and of lam 10 at
+        2.0) exactly there."""
         rng = np.random.default_rng(seed)
         sizes = (rng.integers(2, 17, size=num_classes) if ragged
                  else np.full(num_classes, k))
@@ -217,27 +225,36 @@ class TestBuildBatchOracle:
         batch_size = int(rng.integers(2, num_classes + 1))
         lams = [lam, 10.0, float("inf")]
         configs = [tiny_config(batch_size=batch_size, metric=metric, seed=s,
-                               sampler=SamplerConfig(lambda_=l or 0.0))
+                               sampler=SamplerConfig(lambda_=l or 0.0,
+                                                     exponent_cap=cap))
                    for s, l in enumerate(lams)]
         l_avgs = [None if l is None else float(rng.uniform(0.05, 2.0))
                   for l in lams]
         draws = rng.integers(1 << 30, size=3)
         cells = cells_of(configs, [np.random.default_rng(d) for d in draws],
                          l_avgs)
-        batch, diag = build_batch(cells, configs[0], as_dataset(ds))
+        batch = build_batch(cells, configs[0], as_dataset(ds))
+        assert batch.descriptors.shape == (3, 2 * batch_size,
+                                           configs[0].descriptor_dim)
         for s, cfg in enumerate(configs):
-            cache, weights, got = cell_row(batch, diag, s)
+            cache, weights, got = cell_row(batch, s)
             inputs, want_weights, want = scalar_build_batch(
                 ds, cells[s].params, l_avgs[s], cfg,
                 np.random.default_rng(draws[s]))
             np.testing.assert_array_equal(cache.inputs, inputs)
+            # each cache's descriptors are its cell's row of the stack
+            assert np.shares_memory(cache.descriptors, batch.descriptors)
+            np.testing.assert_array_equal(cache.descriptors,
+                                          batch.descriptors[s])
+            np.testing.assert_array_equal(batch.descriptors[s],
+                                          want["descriptors"])
             np.testing.assert_array_equal(weights, want_weights)
             for name in ("class_ids", "anchor_index", "positive_index",
                          "probability_used"):
                 np.testing.assert_array_equal(getattr(got, name),
                                               want[name])
             assert got.exponent == want["exponent"]
-        assert diag.weight_clamped == sum(
+        assert batch.weight_clamped == sum(
             scalar_build_batch(ds, cells[s].params, l_avgs[s], cfg,
                                np.random.default_rng(draws[s]))[2][
                                    "weight_clamped"]
@@ -292,8 +309,8 @@ def manual_update(params, buffers, lr, cache, weights, config):
     descs, cache = forward(params, cache.inputs)
     mined = mine_triplets(descs[:n], descs[n:], config.metric, config.margin,
                           config.neg_mode)
-    ga, gp = loss_grads(mined, config.metric, weights)
-    grads = backward(params, cache, np.vstack([ga, gp]))
+    grads = backward(params, cache,
+                     loss_grads(mined, config.metric, weights))
     new_layers = []
     for theta, g, v in zip(params.layers, grads, buffers):
         g_total = g + config.weight_decay * theta
@@ -305,7 +322,7 @@ def manual_update(params, buffers, lr, cache, weights, config):
 class TestTrainStep:
     def setup_batch(self, cfg, seed=9):
         cells = cells_of([cfg], [np.random.default_rng(seed)], [None])
-        batch, _ = build_batch(cells, cfg, as_dataset(tiny_dataset()))
+        batch = build_batch(cells, cfg, as_dataset(tiny_dataset()))
         return cells[0], batch
 
     def test_zero_learning_rate_keeps_params_and_updates_loss_average(self):
@@ -345,7 +362,7 @@ class TestTrainStep:
         for _ in range(3):
             held = [cell.params for cell in cells]
             snapshot = [[w.copy() for w in p.layers] for p in held]
-            batch, _ = build_batch(cells, configs[0], dataset)
+            batch = build_batch(cells, configs[0], dataset)
             train_step(batch, configs[0], configs[0].lr)
             for cell, params, want in zip(cells, held, snapshot):
                 assert cell.error is None
@@ -416,8 +433,8 @@ def oracle_train_step(state, cache, weights, config, lr):
     mined = mine_triplets(desc_a, desc_p, config.metric, config.margin,
                           config.neg_mode)
     mean_loss = float(mined.loss.mean())
-    grad_a, grad_p = loss_grads(mined, config.metric, weights)
-    param_grads = backward(state.params, cache, np.vstack([grad_a, grad_p]))
+    param_grads = backward(state.params, cache,
+                           loss_grads(mined, config.metric, weights))
 
     new_layers = []
     new_buffers = []
@@ -480,7 +497,7 @@ class TestOneForwardPass:
         cells = [init_state(cfg, 64) for cfg in configs]
         want = [init_state(cfg, 64) for cfg in configs]
         for _ in range(30):
-            batch, _ = build_batch(cells, configs[0], dataset)
+            batch = build_batch(cells, configs[0], dataset)
             metrics = train_step(batch, configs[0], configs[0].lr)
             for s, cfg in enumerate(configs):
                 assert cells[s].error is None
@@ -531,7 +548,7 @@ class TestUnitRowChecks:
             rngs = [np.random.default_rng(12), np.random.default_rng(13)]
             for l_avg in (None, 0.4):
                 cells = cells_of(configs, rngs, [l_avg, l_avg])
-                batch, _ = build_batch(cells, configs[0], ds)
+                batch = build_batch(cells, configs[0], ds)
                 assert calls == []
                 train_step(batch, configs[0], configs[0].lr)
                 assert calls == [2]
